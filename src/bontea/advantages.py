@@ -16,7 +16,6 @@ rank-scaled CAT-BoN) share the same rewards-in, advantages-out interface.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import comb
 
 import numpy as np
 
@@ -178,8 +177,21 @@ def bon_max(group: RewardGroup | np.ndarray, variant: str) -> AdvantageVector:
     return AdvantageVector(values, f"bonmax-{variant}", "")
 
 
-def _comb0(n: int, k: int) -> int:
-    return comb(n, k) if 0 <= k <= n else 0
+def _subset_max_weights(m: int, k: int, s: int) -> np.ndarray:
+    """C(i-1-s, k-1-s) / C(m, k) for i = 1..m, zero where that binomial vanishes.
+
+    Built by the ratio recurrence w_(i-1) = w_i (i-k) / (i-1-s) down from
+    w_m = prod_{t<=s} (k-t)/(m-t), so no binomial is ever formed: the
+    weights stay finite for any m and underflow gracefully to zero.
+    """
+    w = np.zeros(m)
+    if k - 1 - s < 0:
+        return w
+    top = float(np.prod([(k - t) / (m - t) for t in range(s + 1)]))
+    i = np.arange(m, k, -1)
+    steps = np.cumprod((i - k) / (i - 1 - s))
+    w[k - 1 :] = top * np.concatenate([steps[::-1], [1.0]])
+    return w
 
 
 def bon_mean_raw(group: RewardGroup | np.ndarray, bon_k: int) -> np.ndarray:
@@ -198,12 +210,9 @@ def bon_mean_raw(group: RewardGroup | np.ndarray, bon_k: int) -> np.ndarray:
         raise InputError(f"need 1 <= bon_k < m, got bon_k={bon_k}, m={m}")
     order = np.argsort(rewards, kind="stable")
     r_sorted = rewards[order]
-    total = comb(m, bon_k)
-    own = np.array([_comb0(i - 1, bon_k - 1) for i in range(1, m + 1)], dtype=float)
-    upper = np.array([_comb0(j - 2, bon_k - 2) for j in range(1, m + 1)], dtype=float)
-    tail_terms = r_sorted * upper / total
+    tail_terms = r_sorted * _subset_max_weights(m, bon_k, 1)
     suffix = np.concatenate([np.cumsum(tail_terms[::-1])[::-1][1:], [0.0]])
-    b_sorted = r_sorted * own / total + suffix
+    b_sorted = r_sorted * _subset_max_weights(m, bon_k, 0) + suffix
     b = np.empty_like(b_sorted)
     b[order] = b_sorted
     return b

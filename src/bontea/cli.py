@@ -443,26 +443,36 @@ def cmd_align(args: argparse.Namespace) -> int:
     header = ["prompt_id"] + [f"cosine_{rule}" for rule in rules]
     totals = np.zeros(len(rules))
     table: list[list[Any]] = []
+    exit_code = 0
     for index, group in enumerate(groups):
         if group.scores is None:
             raise InputError(f"prompt {group.prompt_id}: alignment needs per-sample scores")
-        pool = EmpiricalPool.from_values(group.rewards)
-        oracle = oracle_advantage(pool, n_target)
-        row: list[Any] = [group.prompt_id]
-        for r_idx, rule in enumerate(rules):
-            adv = compute_rule(rule, group, with_group_seed(params, index))
-            cosine = gradient_alignment(adv.values, group.scores, oracle)
-            totals[r_idx] += cosine
-            row.append(cosine)
-        table.append(row)
-    table.append(["MEAN"] + (totals / len(groups)).tolist())
+        try:
+            pool = EmpiricalPool.from_values(group.rewards)
+            oracle = oracle_advantage(pool, n_target)
+            cosines = [
+                gradient_alignment(
+                    compute_rule(rule, group, with_group_seed(params, index)).values,
+                    group.scores,
+                    oracle,
+                )
+                for rule in rules
+            ]
+        except DegenerateError as exc:
+            print(f"error: prompt {group.prompt_id}: {exc}", file=sys.stderr)
+            exit_code = _EXIT_DEGENERATE
+            continue
+        totals += cosines
+        table.append([group.prompt_id, *cosines])
+    if table:
+        table.append(["MEAN"] + (totals / len(table)).tolist())
     out = _open_output(args.output)
     try:
         _write_csv(out, res.echo(), header, iter(table))
     finally:
         if out is not sys.stdout:
             out.close()
-    return 0
+    return exit_code
 
 
 def cmd_train_synth(args: argparse.Namespace) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate
 from scipy.special import ndtr, ndtri
 
 from .errors import DegenerateError, InputError
@@ -32,6 +32,8 @@ _CN_ABS_TOL = 1e-10
 
 #: Default number of quantile levels in the QQ fit window.
 DEFAULT_QQ_GRID = 20
+
+_SQRT_2PI = np.sqrt(2 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,12 @@ class QqFit:
     q_hi: float
 
 
+def norm_pdf(x: float | np.ndarray) -> float | np.ndarray:
+    """Standard normal density exp(-x^2/2) / sqrt(2 pi), as scipy.stats.norm.pdf."""
+    x = np.asarray(x, dtype=float)
+    return np.exp(-(x**2) / 2.0) / _SQRT_2PI
+
+
 @lru_cache(maxsize=None)
 def expected_gauss_max(n: int) -> float:
     """E[max of n iid standard normals] by adaptive quadrature.
@@ -71,7 +79,7 @@ def expected_gauss_max(n: int) -> float:
         return 0.0
 
     def integrand(z: float) -> float:
-        return z * n * stats.norm.pdf(z) * ndtr(z) ** (n - 1)
+        return z * n * norm_pdf(z) * ndtr(z) ** (n - 1)
 
     value, _ = integrate.quad(
         integrand, -_CN_WINDOW, _CN_WINDOW, epsabs=_CN_ABS_TOL, epsrel=1e-12, limit=400
@@ -87,7 +95,7 @@ def tail_constants(alpha: float, n: int) -> TailConstants:
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     z_alpha = float(ndtri(1.0 - alpha))
-    lambda_alpha = float(stats.norm.pdf(z_alpha) / alpha)
+    lambda_alpha = float(norm_pdf(z_alpha) / alpha)
     delta_alpha = 1.0 + z_alpha * lambda_alpha - lambda_alpha**2
     c_n = expected_gauss_max(n)
     return TailConstants(

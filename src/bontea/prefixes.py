@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import floor
 
 import numpy as np
@@ -118,13 +119,18 @@ def cancellation_weights(m: int, sizes: tuple[int, ...] | list[int], k: int) -> 
     return tuple(float(v) for v in a_scaled.T @ coef)
 
 
+@lru_cache(maxsize=256)
 def build_scheme(
     m: int,
     k: int,
     j_count: int,
     sizes: tuple[int, ...] | None = None,
 ) -> PrefixScheme:
-    """Practical prefix scheme for a group of size m (or explicit sizes)."""
+    """Practical prefix scheme for a group of size m (or explicit sizes).
+
+    Memoised: the scheme is immutable and depends only on its arguments, so
+    a run of equal-size groups solves for the weights once.
+    """
     if sizes is None:
         sizes = practical_prefixes(m, j_count)
     weights = cancellation_weights(m, sizes, k)

@@ -23,18 +23,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate
 from scipy.special import ndtr
 
 from .advantages import RuleParams, compute_rule
 from .errors import DegenerateError, InputError
-from .gauss import tail_constants
+from .gauss import norm_pdf, tail_constants
 from .prefixes import cancellation_weights, theory_prefixes
 from .tailstats import DEFAULT_EPS_SIGMA, RewardGroup, TailVector, empirical_tail_vector, tail_count
 
 #: Replications are processed in fixed-size blocks; each block draws from its
-#: own SeedSequence-derived child stream, so serial and block-parallel runs
-#: produce identical results.
+#: own SeedSequence-derived child stream, so a row's draws depend only on its
+#: seed and replication count, not on how blocks are scheduled.
 BLOCK_SIZE = 4096
 #: Pilot replications used to fit control-variate coefficients.
 PILOT_SIZE = 50_000
@@ -108,8 +108,25 @@ def score_matrix(spec: SyntheticSpec, z: np.ndarray) -> np.ndarray:
     return (z[..., None] >= thresholds) - sbar
 
 
+def _shaped_coefficients(r, mu, sigma, c_tilde: float, shift=0.0):
+    """Coefficients of the tail-shaped reward R_tilde(shift + v) = c0 + c1 v + c2 v^2.
+
+    R_tilde(z) = b1 (z - r) + a2 (z - r)^2 with a2 = c_tilde / (2 sigma) and
+    b1 = 1 + 2 a2 (r - mu). Expanding around a threshold (shift = r gives
+    c0 = 0 exactly) keeps power sums of v free of the cancellation that
+    expanding around 0 suffers when the tail is narrow.
+    """
+    a2 = c_tilde / (2.0 * sigma)
+    b1 = 1.0 + 2.0 * a2 * (r - mu)
+    e = shift - r
+    return e * (b1 + a2 * e), b1 + 2.0 * a2 * e, a2
+
+
 def _shaped(z: np.ndarray, r, mu, sigma, c_tilde: float) -> np.ndarray:
-    return (z - r) + c_tilde / (2.0 * sigma) * ((z - mu) ** 2 - (r - mu) ** 2)
+    """Tail-shaped reward R_tilde(z) = (z - r)(b1 + a2 (z - r)), exactly zero at z = r."""
+    _, b1, a2 = _shaped_coefficients(r, mu, sigma, c_tilde, r)
+    u = z - r
+    return u * (b1 + a2 * u)
 
 
 @lru_cache(maxsize=None)
@@ -123,7 +140,7 @@ def true_gradient(spec: SyntheticSpec) -> np.ndarray:
 
         def integrand(z: float) -> float:
             shaped = _shaped(z, z_a, lam, sdel, consts.c_tilde_n)
-            return shaped * (float(z >= t) - sb) * stats.norm.pdf(z) / spec.alpha
+            return shaped * (float(z >= t) - sb) * norm_pdf(z) / spec.alpha
 
         interior = [t] if z_a < t < 12.0 else []
         value, _ = integrate.quad(
@@ -147,20 +164,16 @@ def _h_batch(r: np.ndarray, mu: np.ndarray, sigma: np.ndarray, spec: SyntheticSp
     r = np.asarray(r, dtype=float)
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    a2 = consts.c_tilde_n / (2.0 * sigma)
-    a1 = 1.0 - 2.0 * a2 * mu
-    a0 = -r + a2 * (mu**2 - (r - mu) ** 2)
+    a0, a1, a2 = _shaped_coefficients(r, mu, sigma, consts.c_tilde_n)
 
     def t_upper(b: np.ndarray) -> np.ndarray:
         # int_b^inf (a0 + a1 z + a2 z^2) phi(z) dz via Gaussian partial moments
         surv = 1.0 - ndtr(b)
-        dens = stats.norm.pdf(b)
+        dens = norm_pdf(b)
         return a0[..., None] * surv + a1[..., None] * dens + a2[..., None] * (surv + b * dens)
 
     lower = np.maximum(r[..., None], thresholds)
-    t_r = (
-        a0 * (1.0 - ndtr(r)) + a1 * stats.norm.pdf(r) + a2 * (1.0 - ndtr(r) + r * stats.norm.pdf(r))
-    )
+    t_r = a0 * (1.0 - ndtr(r)) + a1 * norm_pdf(r) + a2 * (1.0 - ndtr(r) + r * norm_pdf(r))
     return (t_upper(lower) - sbar * t_r[..., None]) / spec.alpha
 
 
@@ -200,39 +213,97 @@ def cross_fit_gradient(
 
 
 # --- vectorized per-block measurement kernels -------------------------------
+#
+# Only entries with z >= r_hat carry advantage, so the TEA kernel works on the
+# top-q partition slice alone, and the prefix and oracle kernels reduce each
+# threshold b's contribution to the power sums (count, sum v, sum v^2) of
+# v = z - b over z >= b, which the quadratic R_tilde turns into exact sums.
 
 
 def _batch_tail_stats(z: np.ndarray, alpha: float, eps_sigma: float):
-    """Tail stats per row of z, shape (blocks,): r, mu, sigma."""
+    """Top-q slice of each row of z, shape (blocks, q), and its r, mu, sigma."""
     m = z.shape[1]
     q = tail_count(m, alpha)
     top = np.partition(z, m - q, axis=1)[:, m - q :]
-    return top.min(axis=1), top.mean(axis=1), np.maximum(top.std(axis=1), eps_sigma)
+    # the partition puts the q-th largest value first in the slice
+    return top, top[:, 0], top.mean(axis=1), np.maximum(top.std(axis=1), eps_sigma)
+
+
+def _score_sums(adv: np.ndarray, z: np.ndarray, spec: SyntheticSpec) -> np.ndarray:
+    """sum_i A_i S(z_i) per row; shape (blocks, d)."""
+    _, thresholds, sbar = _spec_constants(spec)
+    total = adv.sum(axis=1)
+    cols = [np.einsum("ij,ij->i", adv, z >= t) - sb * total for t, sb in zip(thresholds, sbar)]
+    return np.stack(cols, axis=1)
 
 
 def _induced_gradient(adv: np.ndarray, z: np.ndarray, spec: SyntheticSpec) -> np.ndarray:
     """(1/m) sum_i A_i S(z_i) per row; shape (blocks, d)."""
-    _, thresholds, sbar = _spec_constants(spec)
-    m = z.shape[1]
-    total = adv.sum(axis=1)
-    cols = [
-        (adv * (z >= t)).sum(axis=1) - sb * total for t, sb in zip(thresholds, sbar)
-    ]
-    return np.stack(cols, axis=1) / m
+    return _score_sums(adv, z, spec) / z.shape[1]
 
 
-def _tea_raw_block(z: np.ndarray, spec: SyntheticSpec, eps_sigma: float) -> np.ndarray:
+def _power_sums(z: np.ndarray, shift, starts=(0,)) -> np.ndarray:
+    """Count of z >= shift, sum v and sum v^2 for v = (z - shift)_+.
+
+    Sums are taken per row and per column segment; segments begin at
+    ``starts`` and run to the next start (the last one to the end of z). The
+    result has shape (3, blocks, len(starts)).
+    """
+    v = z - shift
+    np.maximum(v, 0.0, out=v)
+    out = np.empty((3, z.shape[0], len(starts)))
+    for k, (a, b) in enumerate(zip(starts, (*starts[1:], z.shape[1]))):
+        seg = v[:, a:b]
+        out[0, :, k] = np.count_nonzero(z[:, a:b] >= shift, axis=1)
+        out[1, :, k] = seg.sum(axis=1)
+        out[2, :, k] = np.einsum("ij,ij->i", seg, seg)
+    return out
+
+
+def _shaped_sum(coef, sums: np.ndarray) -> np.ndarray:
+    """Sum of R_tilde = c0 + c1 v + c2 v^2 over the entries behind ``sums``."""
+    c0, c1, c2 = coef
+    return c0 * sums[0] + c1 * sums[1] + c2 * sums[2]
+
+
+def _tail_gradient(eta, at_r: np.ndarray, at_t: np.ndarray, spec: SyntheticSpec, m: int):
+    """(1/m) sum_i (1/alpha) 1{z_i >= r} R_tilde(z_i) S(z_i) from power sums; (blocks, d).
+
+    ``eta`` = (r, mu, sigma). ``at_r`` holds the power sums at shift r, shape
+    (3, blocks, 1); expanded around r, R_tilde has no constant term, so ties
+    at r add nothing. ``at_t`` holds them at shift t_c, shape (3, blocks, d).
+    Since 1{z >= r} 1{z >= t_c} = 1{z >= max(r, t_c)}, the upper sum comes
+    from ``at_r`` where r >= t_c and from ``at_t`` elsewhere.
+    """
+    consts, thresholds, sbar = _spec_constants(spec)
+    r = eta[0]
+    total = _shaped_sum(_shaped_coefficients(*eta, consts.c_tilde_n, r), at_r)
+    above_t = _shaped_sum(_shaped_coefficients(*eta, consts.c_tilde_n, thresholds), at_t)
+    upper = np.where(r >= thresholds, total, above_t)
+    return (upper - sbar * total) / (spec.alpha * m)
+
+
+def _tea_block(z: np.ndarray, spec: SyntheticSpec, eps_sigma: float):
+    """Raw TEA per row of z: induced gradient (blocks, d), and any advantage nonzero.
+
+    Entries outside the top-q slice have zero advantage: they lie below r_hat,
+    or tie with it and get R_tilde(r_hat) = 0 exactly.
+    """
     consts, _, _ = _spec_constants(spec)
-    r, mu, sigma = _batch_tail_stats(z, spec.alpha, eps_sigma)
-    shaped = _shaped(z, r[:, None], mu[:, None], sigma[:, None], consts.c_tilde_n)
-    return np.where(z >= r[:, None], shaped / spec.alpha, 0.0)
+    top, r, mu, sigma = _batch_tail_stats(z, spec.alpha, eps_sigma)
+    adv = _shaped(top, r[:, None], mu[:, None], sigma[:, None], consts.c_tilde_n)
+    grads = _score_sums(adv, top, spec) / (spec.alpha * z.shape[1])
+    return grads, (adv != 0.0).any(axis=1)
 
 
-def _oracle_block(z: np.ndarray, spec: SyntheticSpec) -> np.ndarray:
-    consts, _, _ = _spec_constants(spec)
-    sdel = float(np.sqrt(consts.delta_alpha))
-    shaped = _shaped(z, consts.z_alpha, consts.lambda_alpha, sdel, consts.c_tilde_n)
-    return np.where(z >= consts.z_alpha, shaped / spec.alpha, 0.0)
+def _oracle_block(z: np.ndarray, spec: SyntheticSpec):
+    """Raw rule at the population tail vector: induced gradient and any nonzero."""
+    consts, thresholds, _ = _spec_constants(spec)
+    r = consts.z_alpha
+    eta = (r, consts.lambda_alpha, np.sqrt(consts.delta_alpha))
+    at_r = _power_sums(z, r)
+    at_t = np.concatenate([_power_sums(z, t) for t in thresholds], axis=2)
+    return _tail_gradient(eta, at_r, at_t, spec, z.shape[1]), at_r[1, :, 0] > 0
 
 
 class _PrefixCrossFit:
@@ -250,33 +321,48 @@ class _PrefixCrossFit:
         self.consts = consts
         # control features: prefix means of 1{z>=z_a}, z 1{z>=z_a}, z^2 1{z>=z_a}
         z_a = consts.z_alpha
-        dens = float(stats.norm.pdf(z_a))
+        dens = float(norm_pdf(z_a))
         self.control_means = np.array([spec.alpha, dens, spec.alpha + z_a * dens])
 
     def block(self, rng: np.random.Generator):
-        """One block: actual estimator values, RB values, centered controls."""
-        spec, consts = self.spec, self.consts
+        """One block: actual estimator values, RB values, centered controls, nonzero."""
         z_a = rng.standard_normal((BLOCK_SIZE, self.n))
         z_b = rng.standard_normal((BLOCK_SIZE, self.n))
-        ind = z_a >= consts.z_alpha
-        z_ind = np.where(ind, z_a, 0.0)
-        z2_ind = np.where(ind, z_a * z_a, 0.0)
+        return self.measure(z_a, z_b)
+
+    def measure(self, z_a: np.ndarray, z_b: np.ndarray):
+        """The block's outputs for tail batches z_a and evaluation batches z_b.
+
+        Sums at the fixed thresholds (z_alpha on z_a, t_c on z_b) are taken per
+        segment between consecutive prefix ends and cumulated once, so prefix
+        j's sums are the first j segments'; the sums above each row's own
+        r_hat_j take one masked pass per prefix.
+        """
+        spec, consts, sizes = self.spec, self.consts, self.sizes
+        _, thresholds, _ = _spec_constants(spec)
+        blocks = z_a.shape[0]
+        starts = (0,) + sizes[:-1]
+        z_a, z_b = z_a[:, : sizes[-1]], z_b[:, : sizes[-1]]
+        # prefix sums of 1, z, z^2 over z >= z_alpha, from those of v = z - z_alpha
+        z_al = consts.z_alpha
+        n, v1, v2 = np.cumsum(_power_sums(z_a, z_al, starts=starts), axis=2)
+        features = np.stack([n, v1 + z_al * n, v2 + z_al * (2.0 * v1 + z_al * n)], axis=2)
+        features /= np.asarray(sizes, dtype=float)[:, None]
+        controls = features.reshape(blocks, -1) - np.tile(self.control_means, len(sizes))
+        at_t = np.stack(
+            [np.cumsum(_power_sums(z_b, t, starts=starts), axis=2) for t in thresholds], axis=3
+        )
         d = len(spec.score_thresholds)
-        actual = np.zeros((BLOCK_SIZE, d))
-        rao = np.zeros((BLOCK_SIZE, d))
-        controls = np.empty((BLOCK_SIZE, 3 * len(self.sizes)))
-        nonzero = np.zeros(BLOCK_SIZE, dtype=bool)
-        for j, (w, size) in enumerate(zip(self.weights, self.sizes)):
-            r, mu, sigma = _batch_tail_stats(z_a[:, :size], spec.alpha, self.eps_sigma)
+        actual = np.zeros((blocks, d))
+        rao = np.zeros((blocks, d))
+        nonzero = np.zeros(blocks, dtype=bool)
+        for j, (w, size) in enumerate(zip(self.weights, sizes)):
+            _, r, mu, sigma = _batch_tail_stats(z_a[:, :size], spec.alpha, self.eps_sigma)
             rao += w * _h_batch(r, mu, sigma, spec)
-            zb = z_b[:, :size]
-            shaped = _shaped(zb, r[:, None], mu[:, None], sigma[:, None], consts.c_tilde_n)
-            phi_vals = np.where(zb >= r[:, None], shaped / spec.alpha, 0.0)
-            nonzero |= np.any(phi_vals != 0.0, axis=1)
-            actual += w * _induced_gradient(phi_vals, zb, spec)
-            controls[:, 3 * j] = ind[:, :size].mean(axis=1) - self.control_means[0]
-            controls[:, 3 * j + 1] = z_ind[:, :size].mean(axis=1) - self.control_means[1]
-            controls[:, 3 * j + 2] = z2_ind[:, :size].mean(axis=1) - self.control_means[2]
+            eta = (r[:, None], mu[:, None], sigma[:, None])
+            at_r = _power_sums(z_b[:, :size], eta[0])
+            nonzero |= at_r[1, :, 0] > 0  # some z > r_hat_j
+            actual += w * _tail_gradient(eta, at_r, at_t[:, :, j], spec, size)
         return actual, rao, controls, nonzero
 
 
@@ -288,7 +374,7 @@ def _prefix_practical_block(
     combined = np.zeros_like(z)
     for w, rho, size in zip(weights, ratios, sizes):
         zj = z[:, :size]
-        r, mu, sigma = _batch_tail_stats(zj, spec.alpha, params.eps_sigma)
+        _, r, mu, sigma = _batch_tail_stats(zj, spec.alpha, params.eps_sigma)
         shaped = _shaped(zj, r[:, None], mu[:, None], sigma[:, None], consts.c_tilde_n)
         combined[:, :size] += w * rho * np.where(zj >= r[:, None], shaped / spec.alpha, 0.0)
     return combined
@@ -300,35 +386,54 @@ def default_replications(m: int) -> int:
 
 
 class _MomentAccumulator:
-    """Streaming raw moments per component (block sums, then totals)."""
+    """Streaming central moments per component, stable at any offset.
+
+    Each block's mean and central power sums M2..M4 are taken in two passes,
+    then merged into the running totals by the pairwise update of Chan, Golub
+    and LeVeque (1979) as extended to M3 and M4 by Pebay (2008).
+    """
 
     def __init__(self, dim: int):
         self.n = 0
-        self.sums = np.zeros((4, dim))
+        self.mu = np.zeros(dim)
+        self.m2 = np.zeros(dim)
+        self.m3 = np.zeros(dim)
+        self.m4 = np.zeros(dim)
 
     def add(self, values: np.ndarray) -> None:
-        self.n += values.shape[0]
-        for p in range(4):
-            self.sums[p] += (values ** (p + 1)).sum(axis=0)
+        nb = values.shape[0]
+        mu_b = values.mean(axis=0)
+        dev = values - mu_b
+        dev2 = dev * dev
+        m2b, m3b, m4b = dev2.sum(axis=0), (dev2 * dev).sum(axis=0), (dev2 * dev2).sum(axis=0)
+        na = self.n
+        n = na + nb
+        delta = mu_b - self.mu
+        self.m4 += (
+            m4b
+            + delta**4 * na * nb * (na * na - na * nb + nb * nb) / n**3
+            + 6.0 * delta**2 * (na * na * m2b + nb * nb * self.m2) / n**2
+            + 4.0 * delta * (na * m3b - nb * self.m3) / n
+        )
+        self.m3 += (
+            m3b
+            + delta**3 * na * nb * (na - nb) / n**2
+            + 3.0 * delta * (na * m2b - nb * self.m2) / n
+        )
+        self.m2 += m2b + delta**2 * na * nb / n
+        self.mu += delta * nb / n
+        self.n = n
 
     def mean(self) -> np.ndarray:
-        return self.sums[0] / self.n
+        return self.mu
 
     def var(self) -> np.ndarray:
-        mean = self.mean()
-        return self.sums[1] / self.n - mean**2
+        return self.m2 / self.n
 
     def var_se(self) -> float:
         """se of the variance trace (per-component normal-theory, summed)."""
-        mean = self.mean()
-        m2 = self.sums[1] / self.n - mean**2
-        m4 = (
-            self.sums[3] / self.n
-            - 4 * mean * self.sums[2] / self.n
-            + 6 * mean**2 * self.sums[1] / self.n
-            - 3 * mean**4
-        )
-        var_of_var = np.maximum(m4 - m2**2, 0.0) / self.n
+        m2 = self.m2 / self.n
+        var_of_var = np.maximum(self.m4 / self.n - m2**2, 0.0) / self.n
         return float(np.sqrt(var_of_var.sum()))
 
 
@@ -449,17 +554,17 @@ def estimator_bias_variance(
             take = min(BLOCK_SIZE, replications - done)
             z = rng.standard_normal((BLOCK_SIZE, m))[:take]
             if rule == "tea":
-                adv = _tea_raw_block(z, spec, params.eps_sigma)
+                grads, nonzero = _tea_block(z, spec, params.eps_sigma)
             elif rule == "oracle":
-                adv = _oracle_block(z, spec)
-            elif rule == "prefix-tea-practical":
-                adv = _prefix_practical_block(z, spec, params, sizes, weights, ratios)
+                grads, nonzero = _oracle_block(z, spec)
             else:
-                adv = np.stack(
-                    [compute_rule(rule, row, params).values for row in z], axis=0
-                )
-            zero_rows += int((adv == 0.0).all(axis=1).sum())
-            acc.add(_induced_gradient(adv, z, spec))
+                if rule == "prefix-tea-practical":
+                    adv = _prefix_practical_block(z, spec, params, sizes, weights, ratios)
+                else:
+                    adv = np.stack([compute_rule(rule, row, params).values for row in z], axis=0)
+                grads, nonzero = _induced_gradient(adv, z, spec), (adv != 0.0).any(axis=1)
+            zero_rows += int(take - nonzero.sum())
+            acc.add(grads)
             done += take
         bias_vec = acc.mean() - g_true
         bias_se = np.sqrt(acc.var() / acc.n)

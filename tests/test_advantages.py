@@ -32,7 +32,7 @@ from bontea import (
     tea,
     tea_raw,
 )
-from bontea.advantages import RULE_NAMES, with_group_seed
+from bontea.advantages import RULE_NAMES, _subset_max_weights, with_group_seed
 
 C_TILDE_128 = 2.692398465223146  # high-precision oracle, alpha = 1/4
 
@@ -207,6 +207,38 @@ class TestBonMean:
             rtol=0,
             atol=1e-12,
         )
+
+    def test_weights_match_exact_rationals(self):
+        # own weights C(i-1, k-1)/C(m, k) and upper weights C(i-2, k-2)/C(m, k)
+        from fractions import Fraction
+        from math import comb
+
+        for m in range(2, 21):
+            for k in range(1, m):
+                for shift in (0, 1):
+                    got = _subset_max_weights(m, k, shift)
+                    exact = [
+                        Fraction(comb(i - 1 - shift, k - 1 - shift), comb(m, k))
+                        if k - 1 - shift >= 0 and i - 1 - shift >= 0
+                        else Fraction(0)
+                        for i in range(1, m + 1)
+                    ]
+                    for g, e in zip(got, exact):
+                        if e == 0:
+                            assert g == 0.0
+                        else:
+                            assert abs(Fraction(g) - e) <= Fraction(1, 10**12) * e
+
+    def test_finite_beyond_float_binomials(self):
+        # C(4096, 512) and C(2048, 1500) overflow a float
+        rng = np.random.default_rng(9)
+        for m, k in ((4096, 512), (2048, 1500)):
+            # hockey-stick identities: the own weights sum to 1, the upper ones to k/m
+            assert_allclose(_subset_max_weights(m, k, 0).sum(), 1.0, rtol=1e-10)
+            assert_allclose(_subset_max_weights(m, k, 1).sum(), k / m, rtol=1e-10)
+            rewards = rng.standard_normal(m)
+            assert np.all(np.isfinite(bon_mean_raw(rewards, k)))
+            assert np.all(np.isfinite(bon_mean(rewards, k).values))
 
     def test_rejects_bad_k(self):
         with pytest.raises(InputError):

@@ -9,7 +9,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bontea import RuleParams, build_scheme, tea
+from bontea import (
+    DegenerateError,
+    EmpiricalPool,
+    RuleParams,
+    build_scheme,
+    compute_rule,
+    gradient_alignment,
+    oracle_advantage,
+    tea,
+)
+from bontea.advantages import with_group_seed
 from bontea.cli import main
 
 
@@ -105,6 +115,19 @@ class TestAdvantageCommand:
         main(["advantage", "-i", str(pools_path), "-o", str(out1), "--rule", "chow"])
         main(["advantage", "-i", str(pools_path), "-o", str(out2), "--rule", "chow"])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_bon_mean_on_large_group(self, tmp_path):
+        # C(4096, 512) is far beyond float range; the weights never form it
+        src = tmp_path / "big.jsonl"
+        rewards = np.random.default_rng(17).standard_normal(4096)
+        write_groups(src, [{"prompt_id": "big", "rewards": rewards.tolist()}])
+        out = tmp_path / "adv.jsonl"
+        code = main(
+            ["advantage", "-i", str(src), "-o", str(out), "--rule", "bon-mean", "--bon-k", "512"]
+        )
+        assert code == 0
+        row = json.loads(out.read_text().splitlines()[1])
+        assert np.all(np.isfinite(row["advantages"]))
 
 
 class TestWeightsCommand:
@@ -225,6 +248,54 @@ class TestAlignCommand:
 
     def test_requires_scores(self, tmp_path, pools_path):
         assert main(["align", "-i", str(pools_path)]) == 2
+
+    def test_degenerate_groups_are_skipped(self, tmp_path, capsys):
+        # tea gives all-zero advantages when its top-q rewards tie (the binary
+        # group) and, at m = 16, on a few Gaussian groups whose tail-shaped
+        # rewards are all negative; alignment is undefined for those groups,
+        # and the rest are still scored
+        rng = np.random.default_rng(29)
+        groups = [
+            {
+                "prompt_id": f"p{i}",
+                "rewards": rng.standard_normal(16).tolist(),
+                "scores": rng.standard_normal((16, 3)).tolist(),
+            }
+            for i in range(100)
+        ]
+        groups.insert(40, {
+            "prompt_id": "binary",
+            "rewards": [0.0] * 10 + [1.0] * 6,
+            "scores": rng.standard_normal((16, 3)).tolist(),
+        })
+        expected = {}
+        for index, g in enumerate(groups):
+            rewards, scores = np.array(g["rewards"]), np.array(g["scores"])
+            oracle = oracle_advantage(EmpiricalPool.from_values(rewards), 128)
+            params = with_group_seed(RuleParams(), index)
+            try:
+                expected[g["prompt_id"]] = [
+                    gradient_alignment(compute_rule(rule, rewards, params), scores, oracle)
+                    for rule in ("tea", "grpo")
+                ]
+            except DegenerateError:
+                pass
+        assert "binary" not in expected and len(expected) > 90
+        src = tmp_path / "scored.jsonl"
+        write_groups(src, groups)
+        out = tmp_path / "align.csv"
+        assert main(["align", "-i", str(src), "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        skipped = [g["prompt_id"] for g in groups if g["prompt_id"] not in expected]
+        assert all(f"prompt {pid}:" in err for pid in skipped)
+        _, rows = read_csv(out)
+        data = rows[1:-1]
+        assert [row[0] for row in data] == list(expected)
+        values = np.array([[float(v) for v in row[1:]] for row in data])
+        assert_allclose(values, list(expected.values()), rtol=0, atol=0)
+        mean = np.array([float(v) for v in rows[-1][1:]])
+        assert rows[-1][0] == "MEAN" and np.all(np.isfinite(mean))
+        assert_allclose(mean, values.mean(axis=0), rtol=1e-12)
 
 
 class TestTrainSynthCommand:

@@ -7,10 +7,16 @@ quadrature for the expected-maximum integrals) and are frozen here.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import bontea
 from bontea import (
     DegenerateError,
     InputError,
@@ -20,6 +26,7 @@ from bontea import (
     qq_tail_fit,
     tail_constants,
 )
+from bontea.gauss import norm_pdf
 
 # high-precision oracle values at alpha = 1/4
 Z_ALPHA = 0.6744897501960817
@@ -160,3 +167,19 @@ class TestQqTailFit:
     def test_rejects_bad_window(self):
         with pytest.raises(InputError):
             qq_tail_fit(np.arange(100.0), 0.99, 0.80)
+
+
+class TestNormPdf:
+    def test_bitwise_equal_to_scipy(self):
+        from scipy import stats
+
+        grid = np.concatenate([np.linspace(-40.0, 40.0, 200_001), [0.0, -0.0, np.inf, -np.inf]])
+        assert np.array_equal(norm_pdf(grid), stats.norm.pdf(grid))
+        for x in (0.6744897501960817, -1.5, 38.5):
+            assert norm_pdf(x) == stats.norm.pdf(x)
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        src = str(Path(bontea.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, bontea.cli; sys.exit('scipy.stats' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

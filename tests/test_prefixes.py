@@ -17,9 +17,12 @@ from numpy.testing import assert_allclose
 from bontea import (
     InputError,
     PrefixScheme,
+    RuleParams,
     build_scheme,
     cancellation_weights,
+    compute_rule,
     practical_prefixes,
+    prefixes,
     theory_prefixes,
 )
 
@@ -132,3 +135,18 @@ class TestBuildScheme:
                 m=64, k=2, j_count=4, sizes=REFERENCE_SIZES,
                 ratios=(1.6, 64 / 48, 64 / 56, 1.0), weights=(0.5, 0.5, 0.5, 0.5),
             )
+
+    def test_prefix_tea_groups_of_one_size_solve_once(self, monkeypatch):
+        calls = []
+        solve = prefixes.cancellation_weights
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(prefixes, "cancellation_weights", counting)
+        build_scheme.cache_clear()
+        for rewards in np.random.default_rng(4).standard_normal((1000, 48)):
+            compute_rule("prefix-tea", rewards, RuleParams())
+        assert len(calls) == 1
+        assert build_scheme(48, 2, 4) is build_scheme(48, 2, 4)

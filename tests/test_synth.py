@@ -27,6 +27,7 @@ from bontea import (
 )
 from bontea.gauss import tail_constants
 from bontea.synth import (
+    _MomentAccumulator,
     default_replications,
     population_tail_vector,
     score_matrix,
@@ -208,3 +209,32 @@ class TestMseFrontier:
     def test_rejects_empty_grids(self):
         with pytest.raises(InputError):
             mse_frontier([], [64], replications=4_000)
+
+
+class TestMomentAccumulator:
+    def test_stable_at_large_offset(self):
+        # raw power sums lose the variance entirely at mean/sd = 1e7
+        rng = np.random.default_rng(21)
+        values = 1e7 + rng.standard_normal((40_000, 2)) * np.array([1.0, 3.0])
+        acc = _MomentAccumulator(2)
+        for block in np.array_split(values, [1, 4096, 9000, 20_000, 31_111]):
+            acc.add(block)
+        mean = values.mean(axis=0)
+        dev = values - mean
+        m2 = (dev**2).mean(axis=0)
+        m4 = (dev**4).mean(axis=0)
+        assert acc.n == values.shape[0]
+        assert_allclose(acc.mean(), mean, rtol=1e-13)
+        assert_allclose(acc.var(), values.var(axis=0), rtol=1e-9)
+        assert acc.var_se() > 0
+        assert_allclose(acc.var_se(), np.sqrt(((m4 - m2**2) / values.shape[0]).sum()), rtol=1e-9)
+
+    def test_blocking_does_not_matter(self):
+        values = np.random.default_rng(22).standard_exponential((10_000, 3))
+        one, many = _MomentAccumulator(3), _MomentAccumulator(3)
+        one.add(values)
+        for block in np.array_split(values, 37):
+            many.add(block)
+        assert_allclose(many.mean(), one.mean(), rtol=1e-13)
+        assert_allclose(many.var(), one.var(), rtol=1e-12)
+        assert_allclose(many.var_se(), one.var_se(), rtol=1e-12)
