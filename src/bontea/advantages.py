@@ -57,18 +57,12 @@ class RuleParams:
     cat_n_target: int | None = None
     seed: int = 0
 
-    def digest(self, *keys: str) -> str:
-        """Canonical ``key=value`` encoding of the named parameters."""
-        return ",".join(f"{k}={getattr(self, k)!r}" for k in keys)
-
 
 @dataclass(frozen=True)
 class AdvantageVector:
-    """Length-m advantages with the producing rule's tag and parameter digest."""
+    """Length-m advantages of one group."""
 
     values: np.ndarray
-    rule_tag: str
-    params_digest: str
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -78,9 +72,7 @@ class AdvantageVector:
 
 
 def _rewards_of(group: RewardGroup | np.ndarray | list[float]) -> np.ndarray:
-    if isinstance(group, RewardGroup):
-        return group.rewards
-    rewards = np.asarray(group, dtype=float)
+    rewards = group.rewards if isinstance(group, RewardGroup) else np.asarray(group, dtype=float)
     if rewards.ndim != 1 or rewards.size < 2:
         raise InputError("rewards must be a 1-d array with m >= 2")
     if not np.all(np.isfinite(rewards)):
@@ -110,14 +102,14 @@ def tea_raw(group: RewardGroup | np.ndarray, params: RuleParams) -> AdvantageVec
     eta = empirical_tail_vector(grp, params.alpha, params.eps_sigma)
     c_tilde = tail_constants(params.alpha, params.n_target).c_tilde_n
     values = _tea_raw_values(rewards, eta, params.alpha, c_tilde)
-    return AdvantageVector(values, "tea-raw", params.digest("alpha", "n_target", "eps_sigma"))
+    return AdvantageVector(values)
 
 
 def tea(group: RewardGroup | np.ndarray, params: RuleParams) -> AdvantageVector:
     """Stabilized TEA: positive part of the raw rule, centered to sum zero."""
     raw = tea_raw(group, params)
     pos = np.maximum(raw.values, 0.0)
-    return AdvantageVector(pos - pos.mean(), "tea", raw.params_digest)
+    return AdvantageVector(pos - pos.mean())
 
 
 def prefix_tea(group: RewardGroup | np.ndarray, params: RuleParams) -> AdvantageVector:
@@ -137,26 +129,20 @@ def prefix_tea(group: RewardGroup | np.ndarray, params: RuleParams) -> Advantage
     for w, rho, size, eta in zip(scheme.weights, scheme.ratios, scheme.sizes, etas):
         raw_j = _tea_raw_values(rewards[:size], eta, params.alpha, c_tilde)
         combined[:size] += w * rho * np.maximum(raw_j, 0.0)
-    return AdvantageVector(
-        combined - combined.mean(),
-        "prefix-tea",
-        params.digest("alpha", "n_target", "eps_sigma", "k", "j_count"),
-    )
+    return AdvantageVector(combined - combined.mean())
 
 
 def grpo(group: RewardGroup | np.ndarray) -> AdvantageVector:
     """Mean-centered rewards."""
     rewards = _rewards_of(group)
-    return AdvantageVector(rewards - rewards.mean(), "grpo", "")
+    return AdvantageVector(rewards - rewards.mean())
 
 
 def grpo_z(group: RewardGroup | np.ndarray, eps_norm: float = DEFAULT_EPS_NORM) -> AdvantageVector:
     """Group-normalized rewards: (R - mean) / (population std + eps)."""
     rewards = _rewards_of(group)
     centered = rewards - rewards.mean()
-    return AdvantageVector(
-        centered / (rewards.std() + eps_norm), "grpo-z", f"eps_norm={eps_norm!r}"
-    )
+    return AdvantageVector(centered / (rewards.std() + eps_norm))
 
 
 def bon_max(group: RewardGroup | np.ndarray, variant: str) -> AdvantageVector:
@@ -174,7 +160,7 @@ def bon_max(group: RewardGroup | np.ndarray, variant: str) -> AdvantageVector:
         values[i_star] = rewards[i_star] - rewards.mean()
     else:
         values[i_star] = rewards[i_star] - np.partition(rewards, -2)[-2]
-    return AdvantageVector(values, f"bonmax-{variant}", "")
+    return AdvantageVector(values)
 
 
 def _subset_max_weights(m: int, k: int, s: int) -> np.ndarray:
@@ -224,9 +210,7 @@ def bon_mean(
     """Subset-max transformed rewards (``bon_mean_raw``), normalized like grpo_z."""
     b = bon_mean_raw(group, bon_k)
     centered = b - b.mean()
-    return AdvantageVector(
-        centered / (b.std() + eps_norm), "bon-mean", f"bon_k={bon_k},eps_norm={eps_norm!r}"
-    )
+    return AdvantageVector(centered / (b.std() + eps_norm))
 
 
 def _chow_values(
@@ -264,9 +248,7 @@ def chow_bon_rl(group: RewardGroup | np.ndarray, params: RuleParams) -> Advantag
     lam = params.lambda_nsel if params.lambda_nsel is not None else float(n_sel - 1)
     perm = np.random.default_rng(params.seed).permutation(m)
     values = _chow_values(rewards, perm[:n_sel], perm[n_sel:], lam)
-    return AdvantageVector(
-        values, "chow", params.digest("n_sel", "m_corr", "lambda_nsel", "seed")
-    )
+    return AdvantageVector(values)
 
 
 def cat_bon(
@@ -286,11 +268,7 @@ def cat_bon(
     below = np.searchsorted(np.sort(rewards), rewards, side="left") / m
     weights = cat_n_target * below ** (cat_n_target - 1)
     scaled = weights / (weights.mean() + eps_norm)
-    return AdvantageVector(
-        scaled * grpo_z(rewards, eps_norm).values,
-        "cat-bon",
-        f"cat_n_target={cat_n_target},eps_norm={eps_norm!r}",
-    )
+    return AdvantageVector(scaled * grpo_z(rewards, eps_norm).values)
 
 
 def compute_rule(rule: str, group: RewardGroup | np.ndarray, params: RuleParams) -> AdvantageVector:

@@ -7,6 +7,8 @@ shortest round-tripping decimal (Python repr), so writing and re-reading any
 output reproduces the values bit-exactly. Commands are pure functions of
 (inputs, config, seed).
 
+Each command declares its options once, with ``@command``; see there.
+
 Exit codes: 0 clean, 2 input error, 3 numerical/degenerate error. Partial
 outputs are flushed before a nonzero exit.
 """
@@ -15,11 +17,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -38,7 +42,7 @@ from .bon_eval import (
 from .errors import DegenerateError, InputError
 from .gauss import DEFAULT_QQ_GRID, predict_vn, qq_tail_fit, tail_constants
 from .prefixes import build_scheme
-from .synth import DEFAULT_P_GRID, SyntheticSpec, estimator_bias_variance
+from .synth import DEFAULT_P_GRID, SyntheticSpec, estimator_bias_variance, frontier_row_seed
 from .tailstats import RewardGroup, empirical_tail_vector
 from .trainer import ToyTask, TrainConfig, train
 
@@ -46,19 +50,17 @@ _EXIT_INPUT = 2
 _EXIT_DEGENERATE = 3
 
 
-def _fmt(value: Any) -> Any:
-    """JSON-ready copy with floats as shortest round-trip values."""
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
+def _json_default(value: Any) -> Any:
+    """``json`` hook: arrays become lists and NumPy scalars Python scalars.
+
+    Python floats (and NumPy float64, a float subclass) are written by
+    ``json`` as their repr, the shortest round-trip decimal.
+    """
     if isinstance(value, np.ndarray):
-        return [_fmt(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_fmt(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _fmt(v) for k, v in value.items()}
-    return value
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _cell(value: Any) -> str:
@@ -89,34 +91,6 @@ def load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-class Resolver:
-    """Per-key resolution: CLI flag wins, then config file, then default."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file_values = load_config_file(args.config) if args.config else {}
-        self.resolved: dict[str, Any] = {}
-
-    def get(self, name: str, cast: Callable[[str], Any], default: Any) -> Any:
-        flag = getattr(self.args, name, None)
-        if flag is not None:
-            value = flag
-        elif name in self.file_values:
-            try:
-                value = cast(self.file_values[name])
-            except (ValueError, TypeError) as exc:
-                raise InputError(f"config key {name}: {exc}") from exc
-        else:
-            value = default
-        self.resolved[name] = value
-        return value
-
-    def echo(self) -> dict[str, Any]:
-        meta = {"version": __version__}
-        meta.update({k: _fmt(v) for k, v in self.resolved.items()})
-        return meta
-
-
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in text.split(",") if part)
@@ -134,24 +108,93 @@ def _str_list(text: str) -> tuple[str, ...]:
     return values
 
 
-def _rule_params(res: Resolver) -> RuleParams:
-    kwargs: dict[str, Any] = dict(
-        alpha=res.get("alpha", float, 0.25),
-        n_target=res.get("n_target", int, 128),
-        eps_sigma=res.get("eps_sigma", float, 1e-6),
-        eps_norm=res.get("eps_norm", float, 1e-8),
-        k=res.get("k", int, 2),
-        j_count=res.get("j_count", int, 4),
-        seed=res.get("seed", int, 0),
+class Option(NamedTuple):
+    """One config key: flag ``--name`` (dashes for underscores) and file key ``name``."""
+
+    name: str
+    cast: Callable[[str], Any]
+    default: Any
+    help: str
+    choices: Sequence[str] | None = None
+
+
+def _default(func: Callable, name: str) -> Any:
+    """Default of the library function's parameter ``name``."""
+    return inspect.signature(func).parameters[name].default
+
+
+_RULE = RuleParams()
+_TRAIN = TrainConfig()
+_RULE_OPTION = Option("rule", str, _TRAIN.rule, "advantage rule", RULE_NAMES)
+
+#: RuleParams fields, in the order the echoed configuration lists them.
+RULE_OPTIONS = {
+    option.name: option
+    for option in (
+        Option("alpha", float, _RULE.alpha, "tail level"),
+        Option("n_target", int, _RULE.n_target, "deployment best-of-N"),
+        Option("eps_sigma", float, _RULE.eps_sigma, "tail sigma floor"),
+        Option("eps_norm", float, _RULE.eps_norm, "normalization floor"),
+        Option("k", int, _RULE.k, "cancellation order"),
+        Option("j_count", int, _RULE.j_count, "number of prefixes"),
+        Option("seed", int, _RULE.seed, "base RNG seed"),
+        Option("bon_k", int, _RULE.bon_k, "subset size for the bon-mean rule"),
+        Option("n_sel", int, _RULE.n_sel, "selected-prompt count for the chow rule"),
+        Option("m_corr", int, _RULE.m_corr, "correction-set size for the chow rule"),
+        Option("cat_n_target", int, _RULE.cat_n_target, "target N for the cat-bon rule"),
+        Option("lambda_nsel", float, _RULE.lambda_nsel, "correction weight for the chow rule"),
     )
-    for optional in ("bon_k", "n_sel", "m_corr", "cat_n_target"):
-        value = res.get(optional, int, None)
-        if value is not None:
-            kwargs[optional] = value
-    lam = res.get("lambda_nsel", float, None)
-    if lam is not None:
-        kwargs["lambda_nsel"] = lam
-    return RuleParams(**kwargs)
+}
+
+#: name -> (run, help, options in echo order, needs --input)
+COMMANDS: dict[str, tuple[Callable[..., int], str, tuple[Option, ...], bool]] = {}
+
+
+def command(name: str, help_text: str, *options: Option, needs_input: bool = True):
+    """Declare ``func`` as subcommand ``name`` taking ``options``.
+
+    The options build the flags and their help, cast config-file values,
+    supply the defaults and fix the order of the echoed configuration. An
+    option listed again later (a rule field the command already declared)
+    keeps its first place.
+    """
+    table: dict[str, Option] = {}
+    for option in options:
+        table.setdefault(option.name, option)
+
+    def register(func: Callable[..., int]) -> Callable[..., int]:
+        COMMANDS[name] = (func, help_text, tuple(table.values()), needs_input)
+        return func
+
+    return register
+
+
+def _resolve(args: argparse.Namespace, options: Sequence[Option]) -> dict[str, Any]:
+    """Each option's value in table order: flag, else config file, else default."""
+    file_values = load_config_file(args.config) if args.config else {}
+    config: dict[str, Any] = {}
+    for option in options:
+        value = getattr(args, option.name)
+        if value is None and option.name in file_values:
+            try:
+                value = option.cast(file_values[option.name])
+            except (ValueError, TypeError) as exc:
+                raise InputError(f"config key {option.name}: {exc}") from exc
+        config[option.name] = option.default if value is None else value
+    return config
+
+
+def _echo(config: dict[str, Any]) -> dict[str, Any]:
+    """The resolved configuration as every output embeds it."""
+    echoed: dict[str, Any] = {"version": __version__}
+    for name, value in config.items():
+        echoed[name] = list(value) if isinstance(value, tuple) else value
+    return echoed
+
+
+def _build(cls: Any, config: dict[str, Any], **given: Any) -> Any:
+    """Dataclass ``cls`` from the config keys that name its fields."""
+    return cls(**{f.name: config[f.name] for f in fields(cls) if f.name in config}, **given)
 
 
 # --- JSONL input --------------------------------------------------------------
@@ -172,6 +215,8 @@ def read_reward_groups(path: str) -> Iterator[tuple[int, RewardGroup]]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+            except RecursionError as exc:
+                raise InputError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from exc
             if not isinstance(record, dict) or "rewards" not in record:
                 raise InputError(f"{path}:{lineno}: expected an object with a 'rewards' field")
             prompt_id = str(record.get("prompt_id", f"line-{lineno}"))
@@ -182,115 +227,104 @@ def read_reward_groups(path: str) -> Iterator[tuple[int, RewardGroup]]:
                     rewards=np.asarray(record["rewards"], dtype=float),
                     scores=None if scores is None else np.asarray(scores, dtype=float),
                 )
-            except (InputError, ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OverflowError) as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
             yield lineno, group
 
 
 def _load_groups(path: str) -> list[RewardGroup]:
-    return [group for _, group in read_reward_groups(path)]
+    groups = [group for _, group in read_reward_groups(path)]
+    if not groups:
+        raise InputError(f"{path}: no reward groups")
+    return groups
 
 
-def _open_output(path: str | None) -> TextIO:
+@contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """Stdout for no path or '-', else the file; what was written stays on error."""
     if path is None or path == "-":
-        return sys.stdout
+        yield sys.stdout
+        return
     try:
-        return open(path, "w", encoding="utf-8")
+        handle = open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
+    with handle:
+        yield handle
 
 
-def _write_json(out: TextIO, payload: dict[str, Any]) -> None:
-    json.dump(_fmt(payload), out, indent=2)
+def _write_json(out: TextIO, payload: dict[str, Any], indent: int | None = None) -> None:
+    out.write(json.dumps(payload, indent=indent, default=_json_default))
     out.write("\n")
     out.flush()
 
 
+def _write_doc(path: str | None, config: dict[str, Any], **fields: Any) -> None:
+    """One indented JSON document: the echoed config, then ``fields``."""
+    with _output(path) as out:
+        _write_json(out, {"config": _echo(config), **fields}, indent=2)
+
+
 def _write_csv(
-    out: TextIO, meta: dict[str, Any], header: Sequence[str], rows: Iterator[Sequence[Any]]
+    path: str | None, config: dict[str, Any], header: Sequence[str], rows: Iterable[Sequence[Any]]
 ) -> None:
-    for key, value in meta.items():
-        out.write(f"# {key}={_cell(value)}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-        out.flush()
+    """'# key=value' lines of the echoed config, the header, then each row as it comes."""
+    with _output(path) as out:
+        for key, value in _echo(config).items():
+            out.write(f"# {key}={_cell(value)}\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_cell(v) for v in row])
+            out.flush()
 
 
 # --- commands ------------------------------------------------------------------
 
 
-def cmd_advantage(args: argparse.Namespace) -> int:
-    res = Resolver(args)
-    rule = res.get("rule", str, "tea")
-    params = _rule_params(res)
+@command("advantage", "per-group advantages as JSONL", _RULE_OPTION, *RULE_OPTIONS.values())
+def cmd_advantage(args: argparse.Namespace, config: dict[str, Any]) -> int:
+    rule = config["rule"]
+    params = _build(RuleParams, config)
     if rule not in RULE_NAMES:
         raise InputError(f"unknown rule {rule!r}; expected one of {RULE_NAMES}")
-    out = _open_output(args.output)
     exit_code = 0
-    try:
-        _write_json_line(out, {"config": res.echo(), "rule": rule})
+    with _output(args.output) as out:
+        _write_json(out, {"config": _echo(config), "rule": rule})
         for index, (lineno, group) in enumerate(read_reward_groups(args.input)):
             try:
                 adv = compute_rule(rule, group, with_group_seed(params, index))
-            except DegenerateError as exc:
+            except (DegenerateError, InputError) as exc:
                 print(f"error: prompt {group.prompt_id} (line {lineno}): {exc}", file=sys.stderr)
-                exit_code = max(exit_code, _EXIT_DEGENERATE)
+                degenerate = isinstance(exc, DegenerateError)
+                exit_code = max(exit_code, _EXIT_DEGENERATE) if degenerate else _EXIT_INPUT
                 continue
-            except InputError as exc:
-                print(f"error: prompt {group.prompt_id} (line {lineno}): {exc}", file=sys.stderr)
-                exit_code = _EXIT_INPUT
-                continue
-            _write_json_line(
-                out, {"prompt_id": group.prompt_id, "advantages": adv.values}
-            )
-    finally:
-        if out is not sys.stdout:
-            out.close()
+            _write_json(out, {"prompt_id": group.prompt_id, "advantages": adv.values})
     return exit_code
 
 
-def _write_json_line(out: TextIO, payload: dict[str, Any]) -> None:
-    out.write(json.dumps(_fmt(payload)))
-    out.write("\n")
-    out.flush()
-
-
-def cmd_weights(args: argparse.Namespace) -> int:
-    res = Resolver(args)
-    m = res.get("m", int, 64)
-    k = res.get("k", int, 2)
-    j_count = res.get("j_count", int, 4)
-    scheme = build_scheme(m, k, j_count)
-    out = _open_output(args.output)
-    try:
-        _write_json(
-            out,
-            {
-                "config": res.echo(),
-                "m": scheme.m,
-                "k": scheme.k,
-                "j_count": scheme.j_count,
-                "sizes": list(scheme.sizes),
-                "ratios": list(scheme.ratios),
-                "weights": list(scheme.weights),
-            },
-        )
-    finally:
-        if out is not sys.stdout:
-            out.close()
+@command(
+    "weights", "prefix sizes, ratios, and cancellation weights",
+    Option("m", int, 64, "group size"), RULE_OPTIONS["k"], RULE_OPTIONS["j_count"],
+    needs_input=False,
+)
+def cmd_weights(args: argparse.Namespace, config: dict[str, Any]) -> int:
+    scheme = build_scheme(config["m"], config["k"], config["j_count"])
+    _write_doc(
+        args.output, config, m=scheme.m, k=scheme.k, j_count=scheme.j_count,
+        sizes=scheme.sizes, ratios=scheme.ratios, weights=scheme.weights,
+    )
     return 0
 
 
-def cmd_predict_bon(args: argparse.Namespace) -> int:
-    res = Resolver(args)
-    alpha = res.get("alpha", float, 0.25)
-    eps_sigma = res.get("eps_sigma", float, 1e-6)
-    budgets = res.get("budgets", _int_list, (1, 2, 4, 8, 16, 32, 64, 128))
+@command(
+    "predict-bon", "tail-based best-of-N predictions",
+    RULE_OPTIONS["alpha"], RULE_OPTIONS["eps_sigma"],
+    Option("budgets", _int_list, (1, 2, 4, 8, 16, 32, 64, 128), "N budgets"),
+)
+def cmd_predict_bon(args: argparse.Namespace, config: dict[str, Any]) -> int:
+    alpha, eps_sigma, budgets = config["alpha"], config["eps_sigma"], config["budgets"]
     groups = _load_groups(args.input)
-    if not groups:
-        raise InputError(f"{args.input}: no reward groups")
     constants = {n: tail_constants(alpha, n) for n in budgets}
     per_prompt = []
     totals = dict.fromkeys(budgets, 0.0)
@@ -306,47 +340,30 @@ def cmd_predict_bon(args: argparse.Namespace) -> int:
                 "predicted": {str(n): v for n, v in predictions.items()},
             }
         )
-    out = _open_output(args.output)
-    try:
-        _write_json(
-            out,
-            {
-                "config": res.echo(),
-                "budgets": list(budgets),
-                "mean_predicted": {str(n): totals[n] / len(groups) for n in budgets},
-                "per_prompt": per_prompt,
-            },
-        )
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_doc(
+        args.output, config, budgets=budgets,
+        mean_predicted={str(n): totals[n] / len(groups) for n in budgets},
+        per_prompt=per_prompt,
+    )
     return 0
 
 
 def _curve_payload(curve) -> dict[str, Any]:
-    return {
-        "n": list(curve.n_values),
-        "mean": list(curve.means),
-        "per_prompt": curve.per_prompt,
-    }
+    return {"n": curve.n_values, "mean": curve.means, "per_prompt": curve.per_prompt}
 
 
-def cmd_eval_bon(args: argparse.Namespace) -> int:
-    res = Resolver(args)
-    budgets = res.get("budgets", _int_list, (1, 2, 4, 8))
-    resamples = res.get("resamples", int, DEFAULT_RESAMPLES)
-    seed = res.get("seed", int, 0)
-    tie_tol = res.get("tie_tol", float, DEFAULT_TIE_TOL)
+@command(
+    "eval-bon", "grouped best-of-N curve and comparisons",
+    Option("budgets", _int_list, (1, 2, 4, 8), "N budgets"),
+    Option("resamples", int, DEFAULT_RESAMPLES, "bootstrap resamples"),
+    Option("seed", int, _default(paired_bootstrap_delta, "seed"), "bootstrap seed"),
+    Option("tie_tol", float, DEFAULT_TIE_TOL, "win/tie/loss tolerance"),
+)
+def cmd_eval_bon(args: argparse.Namespace, config: dict[str, Any]) -> int:
+    budgets = config["budgets"]
     groups = _load_groups(args.input)
-    if not groups:
-        raise InputError(f"{args.input}: no reward groups")
-    samples = _pool_matrix(groups, args.input)
-    curve = grouped_bon_curve(samples, budgets)
-    payload: dict[str, Any] = {
-        "config": res.echo(),
-        "budgets": list(budgets),
-        "curve": _curve_payload(curve),
-    }
+    curve = grouped_bon_curve(_pool_matrix(groups, args.input), budgets)
+    payload: dict[str, Any] = {"budgets": budgets, "curve": _curve_payload(curve)}
     if args.baseline is not None:
         base_groups = _load_groups(args.baseline)
         if len(base_groups) != len(groups):
@@ -361,18 +378,15 @@ def cmd_eval_bon(args: argparse.Namespace) -> int:
         for idx, n in enumerate(budgets):
             a = curve.per_prompt[:, idx]
             b = base_curve.per_prompt[:, idx]
-            delta, lo, hi = paired_bootstrap_delta(a, b, resamples=resamples, seed=seed)
+            delta, lo, hi = paired_bootstrap_delta(
+                a, b, resamples=config["resamples"], seed=config["seed"]
+            )
             deltas[str(n)] = {"delta": delta, "ci_lo": lo, "ci_hi": hi}
-            win, tie, loss = win_tie_loss(a, b, tol=tie_tol)
+            win, tie, loss = win_tie_loss(a, b, tol=config["tie_tol"])
             wtl[str(n)] = {"win": win, "tie": tie, "loss": loss}
         payload["deltas"] = deltas
         payload["win_tie_loss"] = wtl
-    out = _open_output(args.output)
-    try:
-        _write_json(out, payload)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_doc(args.output, config, **payload)
     return 0
 
 
@@ -383,17 +397,20 @@ def _pool_matrix(groups: list[RewardGroup], path: str) -> np.ndarray:
     return np.stack([g.rewards for g in groups])
 
 
-def cmd_synth_bias_variance(args: argparse.Namespace) -> int:
-    res = Resolver(args)
-    rules = res.get("rules", _str_list, ("tea", "prefix-tea"))
-    m_grid = res.get("m_grid", _int_list, (256, 512, 1024, 2048, 4096))
-    p_grid = res.get("p_grid", _int_list, DEFAULT_P_GRID)
-    replications = res.get("replications", int, None)
-    seed = res.get("seed", int, 0)
-    alpha = res.get("alpha", float, 0.25)
-    n_target = res.get("n_target", int, 128)
-    spec = SyntheticSpec(alpha=alpha, n_target=n_target)
-    params = _rule_params(res)
+@command(
+    "synth-bias-variance", "synthetic-lab bias/variance CSV",
+    Option("rules", _str_list, ("tea", "prefix-tea"), "estimator tags"),
+    Option("m_grid", _int_list, (256, 512, 1024, 2048, 4096), "group sizes"),
+    Option("p_grid", _int_list, DEFAULT_P_GRID, "prompt-batch sizes"),
+    Option("replications", int, None, "Monte Carlo replications per row"),
+    RULE_OPTIONS["seed"], RULE_OPTIONS["alpha"], RULE_OPTIONS["n_target"],
+    *RULE_OPTIONS.values(),
+    needs_input=False,
+)
+def cmd_synth_bias_variance(args: argparse.Namespace, config: dict[str, Any]) -> int:
+    rules, m_grid, p_grid = config["rules"], config["m_grid"], config["p_grid"]
+    spec = _build(SyntheticSpec, config)
+    params = _build(RuleParams, config)
     header = (
         ["estimator", "m", "bias_norm", "variance"]
         + [f"mse_p{p}" for p in p_grid]
@@ -403,10 +420,9 @@ def cmd_synth_bias_variance(args: argparse.Namespace) -> int:
     def rows() -> Iterator[Sequence[Any]]:
         for i, rule in enumerate(rules):
             for j, m in enumerate(m_grid):
-                row_seed = int(np.random.SeedSequence([seed, i, j]).generate_state(1)[0])
                 row = estimator_bias_variance(
-                    rule, spec, m, replications=replications, seed=row_seed,
-                    params=params, p_grid=tuple(p_grid),
+                    rule, spec, m, replications=config["replications"],
+                    seed=frontier_row_seed(config["seed"], i, j), params=params, p_grid=p_grid,
                 )
                 print(
                     f"{rule} m={m}: bias_norm={row.bias_norm:.6g}"
@@ -420,26 +436,22 @@ def cmd_synth_bias_variance(args: argparse.Namespace) -> int:
                     + [row.replications, row.seed]
                 )
 
-    out = _open_output(args.output)
-    try:
-        _write_csv(out, res.echo(), header, rows())
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_csv(args.output, config, header, rows())
     return 0
 
 
-def cmd_align(args: argparse.Namespace) -> int:
-    res = Resolver(args)
-    rules = res.get("rules", _str_list, ("tea", "grpo"))
-    n_target = res.get("n_target", int, 128)
-    params = _rule_params(res)
+@command(
+    "align", "cosine table of rules against the exact oracle",
+    Option("rules", _str_list, ("tea", "grpo"), "rules"),
+    RULE_OPTIONS["n_target"], *RULE_OPTIONS.values(),
+)
+def cmd_align(args: argparse.Namespace, config: dict[str, Any]) -> int:
+    rules = config["rules"]
+    params = _build(RuleParams, config)
     for rule in rules:
         if rule not in RULE_NAMES:
             raise InputError(f"unknown rule {rule!r}; expected one of {RULE_NAMES}")
     groups = _load_groups(args.input)
-    if not groups:
-        raise InputError(f"{args.input}: no reward groups")
     header = ["prompt_id"] + [f"cosine_{rule}" for rule in rules]
     totals = np.zeros(len(rules))
     table: list[list[Any]] = []
@@ -449,7 +461,7 @@ def cmd_align(args: argparse.Namespace) -> int:
             raise InputError(f"prompt {group.prompt_id}: alignment needs per-sample scores")
         try:
             pool = EmpiricalPool.from_values(group.rewards)
-            oracle = oracle_advantage(pool, n_target)
+            oracle = oracle_advantage(pool, config["n_target"])
             cosines = [
                 gradient_alignment(
                     compute_rule(rule, group, with_group_seed(params, index)).values,
@@ -466,74 +478,61 @@ def cmd_align(args: argparse.Namespace) -> int:
         table.append([group.prompt_id, *cosines])
     if table:
         table.append(["MEAN"] + (totals / len(table)).tolist())
-    out = _open_output(args.output)
-    try:
-        _write_csv(out, res.echo(), header, iter(table))
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_csv(args.output, config, header, table)
     return exit_code
 
 
-def cmd_train_synth(args: argparse.Namespace) -> int:
-    res = Resolver(args)
-    rule = res.get("rule", str, "tea")
-    m = res.get("m", int, 64)
-    p_batch = res.get("p_batch", int, 4)
-    beta = res.get("beta", float, 0.0)
-    gamma = res.get("gamma", float, 0.1)
-    steps = res.get("steps", int, 200)
-    seed = res.get("seed", int, 0)
-    eval_n = res.get("eval_n", _int_list, (1, 8, 128))
-    eval_every = res.get("eval_every", int, 20)
-    eval_samples = res.get("eval_samples", int, 512)
-    n_prompts = res.get("n_prompts", int, 8)
-    n_actions = res.get("n_actions", int, 32)
-    task_seed = res.get("task_seed", int, 0)
-    reward_scale = res.get("reward_scale", float, 1.0)
-    params = _rule_params(res)
-    task = ToyTask.random(n_prompts, n_actions, seed=task_seed, reward_scale=reward_scale)
-    config = TrainConfig(
-        rule=rule, params=params, m=m, p_batch=p_batch, beta=beta, gamma=gamma,
-        steps=steps, seed=seed, eval_n=eval_n, eval_every=eval_every,
-        eval_samples=eval_samples,
+@command(
+    "train-synth", "toy softmax training trajectory CSV",
+    _RULE_OPTION,
+    Option("m", int, _TRAIN.m, "rollouts per prompt"),
+    Option("p_batch", int, _TRAIN.p_batch, "prompts per step"),
+    Option("beta", float, _TRAIN.beta, "KL coefficient"),
+    Option("gamma", float, _TRAIN.gamma, "step size"),
+    Option("steps", int, _TRAIN.steps, "training steps"),
+    Option("seed", int, _TRAIN.seed, "base RNG seed"),
+    Option("eval_n", _int_list, _TRAIN.eval_n, "evaluation best-of-N budgets"),
+    Option("eval_every", int, _TRAIN.eval_every, "evaluation interval"),
+    Option("eval_samples", int, _TRAIN.eval_samples, "samples per prompt per eval"),
+    Option("n_prompts", int, _default(ToyTask.random, "n_prompts"), "task prompts"),
+    Option("n_actions", int, _default(ToyTask.random, "n_actions"), "task actions per prompt"),
+    Option("task_seed", int, _default(ToyTask.random, "seed"), "reward-table seed"),
+    Option("reward_scale", float, _default(ToyTask.random, "reward_scale"), "reward-table scale"),
+    *RULE_OPTIONS.values(),
+    needs_input=False,
+)
+def cmd_train_synth(args: argparse.Namespace, config: dict[str, Any]) -> int:
+    task = ToyTask.random(
+        config["n_prompts"], config["n_actions"],
+        seed=config["task_seed"], reward_scale=config["reward_scale"],
     )
-    result = train(task, config)
+    result = train(task, _build(TrainConfig, config, params=_build(RuleParams, config)))
+    eval_n = config["eval_n"]
     header = ["step", "kl", "mean_reward"] + [f"bon_{n}" for n in eval_n]
     rows = (
         [point.step, point.kl, point.mean_reward] + [point.bon[n] for n in eval_n]
         for point in result.trajectory
     )
-    out = _open_output(args.output)
-    try:
-        _write_csv(out, res.echo(), header, rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_csv(args.output, config, header, rows)
     return 0
 
 
-def cmd_qq_fit(args: argparse.Namespace) -> int:
-    res = Resolver(args)
-    q_lo = res.get("q_lo", float, 0.80)
-    q_hi = res.get("q_hi", float, 0.99)
-    grid = res.get("grid", int, DEFAULT_QQ_GRID)
+@command(
+    "qq-fit", "Gaussian tail QQ fit per prompt",
+    Option("q_lo", float, 0.80, "lower quantile of the fit window"),
+    Option("q_hi", float, 0.99, "upper quantile of the fit window"),
+    Option("grid", int, DEFAULT_QQ_GRID, "quantile grid points"),
+)
+def cmd_qq_fit(args: argparse.Namespace, config: dict[str, Any]) -> int:
     groups = _load_groups(args.input)
-    if not groups:
-        raise InputError(f"{args.input}: no reward groups")
     header = ["prompt_id", "a", "b", "r_squared"]
 
     def rows() -> Iterator[Sequence[Any]]:
         for group in groups:
-            fit = qq_tail_fit(group.rewards, q_lo, q_hi, grid_points=grid)
+            fit = qq_tail_fit(group.rewards, config["q_lo"], config["q_hi"], grid_points=config["grid"])
             yield [group.prompt_id, fit.a, fit.b, fit.r_squared]
 
-    out = _open_output(args.output)
-    try:
-        _write_csv(out, res.echo(), header, rows())
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_csv(args.output, config, header, rows())
     return 0
 
 
@@ -551,83 +550,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, func, help_text: str, needs_input: bool = False):
+    for name, (run, help_text, options, needs_input) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(run=run, options=options)
         p.add_argument("--config", help="flat key=value config file (flags win)")
         p.add_argument("--output", "-o", help="output path (default stdout)")
         if needs_input:
             p.add_argument("--input", "-i", required=True, help="input JSONL path")
-        return p
-
-    def add_param_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--alpha", type=float, help="tail level (default 0.25)")
-        p.add_argument("--n-target", type=int, help="deployment best-of-N (default 128)")
-        p.add_argument("--k", type=int, help="cancellation order (default 2)")
-        p.add_argument("--j-count", type=int, help="number of prefixes (default 4)")
-        p.add_argument("--eps-sigma", type=float, help="tail sigma floor (default 1e-6)")
-        p.add_argument("--eps-norm", type=float, help="normalization floor (default 1e-8)")
-        p.add_argument("--seed", type=int, help="base RNG seed (default 0)")
-        p.add_argument("--bon-k", type=int, help="subset size for the bon-mean rule")
-        p.add_argument("--n-sel", type=int, help="selected-prompt count for the chow rule")
-        p.add_argument("--m-corr", type=int, help="correction-set size for the chow rule")
-        p.add_argument("--lambda-nsel", type=float, help="correction weight for the chow rule")
-        p.add_argument("--cat-n-target", type=int, help="target N for the cat-bon rule")
-
-    p = add("advantage", cmd_advantage, "per-group advantages as JSONL", needs_input=True)
-    p.add_argument("--rule", choices=RULE_NAMES, help="advantage rule (default tea)")
-    add_param_flags(p)
-
-    p = add("weights", cmd_weights, "prefix sizes, ratios, and cancellation weights")
-    p.add_argument("--m", type=int, help="group size (default 64)")
-    p.add_argument("--k", type=int, help="cancellation order (default 2)")
-    p.add_argument("--j-count", type=int, help="number of prefixes (default 4)")
-
-    p = add("predict-bon", cmd_predict_bon, "tail-based best-of-N predictions", needs_input=True)
-    p.add_argument("--alpha", type=float, help="tail level (default 0.25)")
-    p.add_argument("--eps-sigma", type=float, help="tail sigma floor (default 1e-6)")
-    p.add_argument("--budgets", type=_int_list, help="comma-separated N budgets")
-
-    p = add("eval-bon", cmd_eval_bon, "grouped best-of-N curve and comparisons", needs_input=True)
-    p.add_argument("--budgets", type=_int_list, help="comma-separated N budgets")
-    p.add_argument("--baseline", help="baseline JSONL for paired deltas and W/T/L")
-    p.add_argument("--resamples", type=int, help="bootstrap resamples (default 1000)")
-    p.add_argument("--seed", type=int, help="bootstrap seed (default 0)")
-    p.add_argument("--tie-tol", type=float, help="win/tie/loss tolerance (default 1e-9)")
-
-    p = add("synth-bias-variance", cmd_synth_bias_variance, "synthetic-lab bias/variance CSV")
-    p.add_argument("--rules", type=_str_list, help="comma-separated estimator tags")
-    p.add_argument("--m-grid", type=_int_list, help="comma-separated group sizes")
-    p.add_argument("--p-grid", type=_int_list, help="comma-separated prompt-batch sizes")
-    p.add_argument("--replications", type=int, help="Monte Carlo replications per row")
-    add_param_flags(p)
-
-    p = add("align", cmd_align, "cosine table of rules against the exact oracle", needs_input=True)
-    p.add_argument("--rules", type=_str_list, help="comma-separated rules (default tea,grpo)")
-    add_param_flags(p)
-
-    p = add("train-synth", cmd_train_synth, "toy softmax training trajectory CSV")
-    p.add_argument("--rule", choices=RULE_NAMES, help="advantage rule (default tea)")
-    p.add_argument("--m", type=int, help="rollouts per prompt (default 64)")
-    p.add_argument("--p-batch", type=int, help="prompts per step (default 4)")
-    p.add_argument("--beta", type=float, help="KL coefficient (default 0)")
-    p.add_argument("--gamma", type=float, help="step size (default 0.1)")
-    p.add_argument("--steps", type=int, help="training steps (default 200)")
-    p.add_argument("--eval-n", type=_int_list, help="evaluation best-of-N budgets")
-    p.add_argument("--eval-every", type=int, help="evaluation interval (default 20)")
-    p.add_argument("--eval-samples", type=int, help="samples per prompt per eval (default 512)")
-    p.add_argument("--n-prompts", type=int, help="task prompts (default 8)")
-    p.add_argument("--n-actions", type=int, help="task actions per prompt (default 32)")
-    p.add_argument("--task-seed", type=int, help="reward-table seed (default 0)")
-    p.add_argument("--reward-scale", type=float, help="reward-table scale (default 1)")
-    add_param_flags(p)
-
-    p = add("qq-fit", cmd_qq_fit, "Gaussian tail QQ fit per prompt", needs_input=True)
-    p.add_argument("--q-lo", type=float, help="lower quantile of the fit window (default 0.80)")
-    p.add_argument("--q-hi", type=float, help="upper quantile of the fit window (default 0.99)")
-    p.add_argument("--grid", type=int, help="quantile grid points (default 20)")
-
+        for option in options:
+            default = option.default
+            if isinstance(default, tuple):
+                default = ",".join(map(str, default))
+            shown = "" if default is None else f" (default {default})"
+            p.add_argument(
+                "--" + option.name.replace("_", "-"),
+                type=option.cast, choices=option.choices, help=option.help + shown,
+            )
+    # a second input path: like --input, a flag only, not a config key
+    sub.choices["eval-bon"].add_argument(
+        "--baseline", help="baseline JSONL for paired deltas and W/T/L"
+    )
     return parser
 
 
@@ -635,7 +577,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.run(args, _resolve(args, args.options))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT

@@ -576,6 +576,15 @@ def estimator_bias_variance(
     return _finish_row(rule, m, bias_vec, bias_se, acc, replications, seed, p_grid)
 
 
+def frontier_row_seed(seed: int, rule_index: int, m_index: int) -> int:
+    """Seed of the frontier row for (rule index, m index) under base ``seed``.
+
+    A row's seed depends only on these three numbers, so adding rules or
+    budgets never reshuffles existing rows.
+    """
+    return int(np.random.SeedSequence([seed, rule_index, m_index]).generate_state(1)[0])
+
+
 def mse_frontier(
     rules: list[str] | tuple[str, ...],
     m_grid: list[int] | tuple[int, ...],
@@ -587,8 +596,7 @@ def mse_frontier(
 ) -> MseFrontier:
     """Bias/variance rows over a (rule, m) grid plus the prefix/tea MSE ratio.
 
-    Each row draws from a seed derived from (seed, rule index, m index), so
-    adding rules or budgets never reshuffles existing rows.
+    Row (i, j) draws from ``frontier_row_seed(seed, i, j)``.
     """
     if not rules or not m_grid or not p_grid:
         raise InputError("rules, m_grid, and p_grid must be nonempty")
@@ -598,9 +606,9 @@ def mse_frontier(
     by_tag: dict[str, dict[int, BiasVarianceRow]] = {}
     for i, rule in enumerate(rules):
         for j, m in enumerate(m_grid):
-            row_seed = int(np.random.SeedSequence([seed, i, j]).generate_state(1)[0])
             row = estimator_bias_variance(
-                rule, spec, m, replications=replications, seed=row_seed, params=params, p_grid=p_grid
+                rule, spec, m, replications=replications, seed=frontier_row_seed(seed, i, j),
+                params=params, p_grid=p_grid,
             )
             rows.append(row)
             by_tag.setdefault(rule, {})[m] = row

@@ -10,11 +10,11 @@ the debiased and cross-fitted estimators built on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, isfinite
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DegenerateError, InputError
 
 #: Default lower clip for the tail standard deviation, in reward units.
 DEFAULT_EPS_SIGMA = 1e-6
@@ -46,6 +46,8 @@ class RewardGroup:
                 raise InputError(
                     f"group {self.prompt_id!r}: scores must be (m, d) with m = {rewards.size}"
                 )
+            if not np.all(np.isfinite(scores)):
+                raise InputError(f"group {self.prompt_id!r}: scores must be finite")
             object.__setattr__(self, "scores", scores)
 
     def __len__(self) -> int:
@@ -76,12 +78,10 @@ def _tail_stats(rewards: np.ndarray, alpha: float, eps_sigma: float) -> TailVect
     m = rewards.size
     q = tail_count(m, alpha)
     top = np.sort(rewards)[m - q :]
-    return TailVector(
-        r=float(top[0]),
-        mu=float(top.mean()),
-        sigma=float(max(top.std(), eps_sigma)),
-        q=q,
-    )
+    r, mu, sigma = float(top[0]), float(top.mean()), float(max(top.std(), eps_sigma))
+    if not (isfinite(r) and isfinite(mu) and isfinite(sigma)):
+        raise DegenerateError(f"tail statistics overflow: r={r}, mu={mu}, sigma={sigma}")
+    return TailVector(r=r, mu=mu, sigma=sigma, q=q)
 
 
 def empirical_tail_vector(
@@ -92,7 +92,8 @@ def empirical_tail_vector(
     The top-q slice is taken by value; rewards tied with the threshold beyond
     rank q are excluded deterministically (smallest arrival index kept), which
     never changes (r, mu, sigma) because tied values are interchangeable.
-    sigma uses the population (divide-by-q) standard deviation.
+    sigma uses the population (divide-by-q) standard deviation. Rewards whose
+    top-q mean or spread overflows float range raise ``DegenerateError``.
     """
     _check_alpha(alpha)
     if eps_sigma <= 0:

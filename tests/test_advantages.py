@@ -15,6 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bontea import (
+    DegenerateError,
     InputError,
     RewardGroup,
     RuleParams,
@@ -65,7 +66,6 @@ class TestTeaFamily:
         expected = np.zeros(8)
         expected[7] = 4.0
         assert_allclose(raw.values, expected)
-        assert raw.rule_tag == "tea-raw"
 
     def test_non_tail_entries_exactly_zero(self):
         rng = np.random.default_rng(0)
@@ -318,6 +318,18 @@ class TestDispatch:
         adv = compute_rule(rule, rewards, params)
         assert len(adv) == 16
         assert np.all(np.isfinite(adv.values))
+
+    @pytest.mark.parametrize("rule", RULE_NAMES)
+    def test_one_reward_group_is_input_error(self, rule):
+        with pytest.raises(InputError, match="m >= 2"):
+            compute_rule(rule, RewardGroup("one", np.array([1.0])), RuleParams(bon_k=1))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("rule", ["tea", "tea-raw", "prefix-tea"])
+    def test_overflowing_tail_is_degenerate(self, rule):
+        rewards = np.array([1e200 * i for i in range(1, 9)])
+        with pytest.raises(DegenerateError, match="overflow"):
+            compute_rule(rule, rewards, RuleParams(j_count=2, k=1))
 
     def test_bon_mean_requires_k(self):
         with pytest.raises(InputError):

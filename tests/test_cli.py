@@ -340,6 +340,52 @@ class TestQqFitCommand:
         assert any(c.startswith("# q_lo=") for c in comments)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+class TestHostileGroups:
+    def test_integer_beyond_float_range_names_line(self, tmp_path, capsys):
+        src = tmp_path / "huge.jsonl"
+        src.write_text('{"rewards": [1, 2]}\n{"rewards": [1' + "0" * 400 + ', 2]}\n')
+        code = main(["advantage", "-i", str(src), "-o", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert f"{src}:2:" in capsys.readouterr().err
+
+    def test_overflowing_tail_skips_the_group(self, tmp_path, capsys):
+        src = tmp_path / "big.jsonl"
+        write_groups(
+            src,
+            [
+                {"prompt_id": "big", "rewards": [1e200 * i for i in range(1, 9)]},
+                {"prompt_id": "ok", "rewards": list(range(16))},
+            ],
+        )
+        for rule in ("tea", "prefix-tea"):
+            out = tmp_path / f"{rule}.jsonl"
+            code = main(["advantage", "-i", str(src), "-o", str(out), "--rule", rule, "--k", "1",
+                         "--j-count", "2"])
+            assert code == 3
+            assert "error: prompt big (line 1): tail statistics overflow" in capsys.readouterr().err
+            rows = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+            assert [r["prompt_id"] for r in rows] == ["ok"]
+        assert main(["predict-bon", "-i", str(src), "-o", str(tmp_path / "p.json")]) == 3
+
+    def test_nonfinite_scores_are_input_error(self, tmp_path, capsys):
+        src = tmp_path / "scored.jsonl"
+        src.write_text(
+            json.dumps({"rewards": [0.0, 1.0, 2.0, 3.0], "scores": [[float("nan")]] * 4}) + "\n"
+        )
+        assert main(["align", "-i", str(src), "-o", str(tmp_path / "a.csv")]) == 2
+        assert "scores must be finite" in capsys.readouterr().err
+
+    def test_one_reward_group_is_input_error(self, tmp_path, capsys):
+        src = tmp_path / "one.jsonl"
+        write_groups(src, [{"prompt_id": "one", "rewards": [1.0]}, {"prompt_id": "two", "rewards": [1.0, 2.0]}])
+        out = tmp_path / "adv.jsonl"
+        assert main(["advantage", "-i", str(src), "-o", str(out), "--rule", "bonmax-second"]) == 2
+        assert "prompt one (line 1): rewards must be a 1-d array with m >= 2" in capsys.readouterr().err
+        rows = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+        assert rows == [{"prompt_id": "two", "advantages": [0.0, 1.0]}]
+
+
 class TestConfigResolution:
     def test_flag_beats_file_beats_default(self, tmp_path, pools_path):
         cfg = tmp_path / "run.cfg"

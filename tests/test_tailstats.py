@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bontea import InputError, RewardGroup, empirical_tail_vector, prefix_tail_vectors, split_halves
+from bontea import DegenerateError, InputError, RewardGroup, empirical_tail_vector, prefix_tail_vectors, split_halves
 from bontea.tailstats import DEFAULT_EPS_SIGMA, tail_count
 
 
@@ -25,6 +25,10 @@ class TestRewardGroup:
     def test_rejects_nonfinite(self):
         with pytest.raises(InputError):
             group([1.0, np.nan])
+
+    def test_rejects_nonfinite_scores(self):
+        with pytest.raises(InputError, match="scores must be finite"):
+            group([1.0, 2.0], scores=np.array([[0.5], [np.nan]]))
 
     def test_rejects_score_shape_mismatch(self):
         with pytest.raises(InputError):
@@ -82,6 +86,20 @@ class TestEmpiricalTailVector:
     def test_rejects_single_sample(self):
         with pytest.raises(InputError):
             empirical_tail_vector(group([1.0]), 0.25)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+class TestTailOverflow:
+    # the top-q spread of rewards near 1e200 overflows float range
+    REWARDS = [1e200 * i for i in range(1, 9)]
+
+    def test_tail_vector_is_degenerate(self):
+        with pytest.raises(DegenerateError, match="overflow"):
+            empirical_tail_vector(group(self.REWARDS), 0.25)
+
+    def test_prefix_tail_vectors_are_degenerate(self):
+        with pytest.raises(DegenerateError, match="overflow"):
+            prefix_tail_vectors(group(self.REWARDS), [4, 8], 0.25)
 
 
 class TestPrefixTailVectors:
