@@ -21,6 +21,7 @@ from .advantages import (
     cat_bon,
     chow_bon_rl,
     compute_rule,
+    compute_rules,
     grpo,
     grpo_z,
     prefix_tea,
@@ -83,6 +84,7 @@ __all__ = [
     "cat_bon",
     "chow_bon_rl",
     "compute_rule",
+    "compute_rules",
     "cross_fit_gradient",
     "empirical_tail_vector",
     "estimator_bias_variance",

@@ -1,6 +1,9 @@
-"""Per-group advantage rules: TEA, Prefix-TEA, and the baseline family.
+"""Advantage rules: TEA, Prefix-TEA, and the baseline family.
 
-Every rule maps one group's rewards to a length-m advantage vector. The TEA
+Every rule maps a (B, m) reward matrix, one group per row, to a (B, m)
+advantage matrix; ``compute_rules`` reaches each rule's kernel by name, and
+the per-group functions (``compute_rule``, ``tea``, ``grpo``, ...) are the
+case B = 1. The TEA
 family is built on the tail-shaped reward
 
     R_tilde(u) = (u - r) + (c_tilde / (2 sigma)) ((u - mu)^2 - (r - mu)^2)
@@ -15,20 +18,15 @@ rank-scaled CAT-BoN) share the same rewards-in, advantages-out interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import InputError
 from .gauss import tail_constants
 from .prefixes import build_scheme
-from .tailstats import (
-    DEFAULT_EPS_SIGMA,
-    RewardGroup,
-    TailVector,
-    empirical_tail_vector,
-    prefix_tail_vectors,
-)
+from .tailstats import DEFAULT_EPS_SIGMA, RewardGroup, TailVector, row_moments, tail_stats
 
 #: Default denominator guard for normalized rules.
 DEFAULT_EPS_NORM = 1e-8
@@ -71,13 +69,33 @@ class AdvantageVector:
         return int(self.values.size)
 
 
-def _rewards_of(group: RewardGroup | np.ndarray | list[float]) -> np.ndarray:
-    rewards = group.rewards if isinstance(group, RewardGroup) else np.asarray(group, dtype=float)
-    if rewards.ndim != 1 or rewards.size < 2:
-        raise InputError("rewards must be a 1-d array with m >= 2")
+def _matrix(rewards: np.ndarray) -> np.ndarray:
+    """Rewards as a validated (B, m) matrix of finite floats with m >= 2."""
+    rewards = np.asarray(rewards, dtype=float)
+    if rewards.ndim != 2 or rewards.shape[1] < 2:
+        raise InputError(f"rewards must be a (B, m) array with m >= 2, got shape {rewards.shape}")
     if not np.all(np.isfinite(rewards)):
         raise InputError("rewards must be finite")
     return rewards
+
+
+def _row(group: RewardGroup | np.ndarray | list[float]) -> np.ndarray:
+    """One group's rewards as a validated (1, m) matrix."""
+    rewards = group.rewards if isinstance(group, RewardGroup) else np.asarray(group, dtype=float)
+    if rewards.ndim != 1 or rewards.size < 2:
+        raise InputError("rewards must be a 1-d array with m >= 2")
+    return _matrix(rewards[None, :])
+
+
+def _centered(x: np.ndarray) -> np.ndarray:
+    """Each row minus its mean, with the bits of ``x - x.mean(axis=1, keepdims=True)``."""
+    return x - np.add.reduce(x, axis=1, keepdims=True) / x.shape[1]
+
+
+def _shaped(u, r, mu, sigma, c_tilde: float):
+    """R_tilde(u) for tail vectors (r, mu, sigma) that broadcast against u."""
+    # 0.5 * c / sigma has the bits of c / (2 sigma): halving is exact
+    return (u - r) + 0.5 * c_tilde / sigma * ((u - mu) ** 2 - (r - mu) ** 2)
 
 
 def tail_shaped_reward(
@@ -86,81 +104,55 @@ def tail_shaped_reward(
     """Tail-shaped reward R_tilde(u); accepts scalar or vector u."""
     if eta.sigma <= 0:
         raise InputError(f"tail sigma must be positive, got {eta.sigma}")
-    quad = (u - eta.mu) ** 2 - (eta.r - eta.mu) ** 2
-    return (u - eta.r) + c_tilde / (2.0 * eta.sigma) * quad
+    return _shaped(u, eta.r, eta.mu, eta.sigma, c_tilde)
 
 
-def _tea_raw_values(rewards: np.ndarray, eta: TailVector, alpha: float, c_tilde: float) -> np.ndarray:
-    shaped = tail_shaped_reward(eta, rewards, c_tilde)
-    return np.where(rewards >= eta.r, shaped / alpha, 0.0)
+# --- batch kernels: (B, m) rewards in, (B, m) advantages out -------------------
 
 
-def tea_raw(group: RewardGroup | np.ndarray, params: RuleParams) -> AdvantageVector:
-    """Raw plug-in rule: (1/alpha) 1{R_i >= r_hat} R_tilde(R_i), uncentered."""
-    rewards = _rewards_of(group)
-    grp = group if isinstance(group, RewardGroup) else RewardGroup("", rewards)
-    eta = empirical_tail_vector(grp, params.alpha, params.eps_sigma)
+def _tea_raw_values(rewards: np.ndarray, alpha: float, eps_sigma: float, c_tilde: float) -> np.ndarray:
+    """(1/alpha) 1{R_i >= r_hat} R_tilde(R_i) per row, at each row's own tail vector."""
+    r, mu, sigma = tail_stats(rewards, alpha, eps_sigma)
+    return np.where(rewards >= r, _shaped(rewards, r, mu, sigma, c_tilde) / alpha, 0.0)
+
+
+def _tea_raw(rewards: np.ndarray, params: RuleParams) -> np.ndarray:
     c_tilde = tail_constants(params.alpha, params.n_target).c_tilde_n
-    values = _tea_raw_values(rewards, eta, params.alpha, c_tilde)
-    return AdvantageVector(values)
+    # squares of rewards far below the tail may overflow; their entries are zero
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _tea_raw_values(rewards, params.alpha, params.eps_sigma, c_tilde)
 
 
-def tea(group: RewardGroup | np.ndarray, params: RuleParams) -> AdvantageVector:
-    """Stabilized TEA: positive part of the raw rule, centered to sum zero."""
-    raw = tea_raw(group, params)
-    pos = np.maximum(raw.values, 0.0)
-    return AdvantageVector(pos - pos.mean())
+def _tea(rewards: np.ndarray, params: RuleParams) -> np.ndarray:
+    return _centered(np.maximum(_tea_raw(rewards, params), 0.0))
 
 
-def prefix_tea(group: RewardGroup | np.ndarray, params: RuleParams) -> AdvantageVector:
-    """Prefix-debiased TEA on practical prefixes.
-
-    C_i = sum_j w_j rho_j (A_raw_{i,j})_+ where A_raw_{i,j} applies the raw
-    rule with prefix j's tail vector and the membership indicator 1{i <= m_j};
-    the output is C centered to sum zero.
-    """
-    rewards = _rewards_of(group)
-    grp = group if isinstance(group, RewardGroup) else RewardGroup("", rewards)
-    m = rewards.size
-    scheme = build_scheme(m, params.k, params.j_count)
-    etas = prefix_tail_vectors(grp, scheme.sizes, params.alpha, params.eps_sigma)
+def _prefix_tea(rewards: np.ndarray, params: RuleParams) -> np.ndarray:
+    scheme = build_scheme(rewards.shape[1], params.k, params.j_count)
     c_tilde = tail_constants(params.alpha, params.n_target).c_tilde_n
-    combined = np.zeros(m)
-    for w, rho, size, eta in zip(scheme.weights, scheme.ratios, scheme.sizes, etas):
-        raw_j = _tea_raw_values(rewards[:size], eta, params.alpha, c_tilde)
-        combined[:size] += w * rho * np.maximum(raw_j, 0.0)
-    return AdvantageVector(combined - combined.mean())
+    combined = np.zeros_like(rewards)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, rho, size in zip(scheme.weights, scheme.ratios, scheme.sizes):
+            raw_j = _tea_raw_values(rewards[:, :size], params.alpha, params.eps_sigma, c_tilde)
+            combined[:, :size] += w * rho * np.maximum(raw_j, 0.0)
+    return _centered(combined)
 
 
-def grpo(group: RewardGroup | np.ndarray) -> AdvantageVector:
-    """Mean-centered rewards."""
-    rewards = _rewards_of(group)
-    return AdvantageVector(rewards - rewards.mean())
+def _grpo_z(rewards: np.ndarray, eps_norm: float) -> np.ndarray:
+    _, centered, sd = row_moments(rewards)
+    return centered / (sd + eps_norm)
 
 
-def grpo_z(group: RewardGroup | np.ndarray, eps_norm: float = DEFAULT_EPS_NORM) -> AdvantageVector:
-    """Group-normalized rewards: (R - mean) / (population std + eps)."""
-    rewards = _rewards_of(group)
-    centered = rewards - rewards.mean()
-    return AdvantageVector(centered / (rewards.std() + eps_norm))
-
-
-def bon_max(group: RewardGroup | np.ndarray, variant: str) -> AdvantageVector:
-    """Advantage only at the argmax: R* - mean(R) or R* - runner-up.
-
-    Argmax ties break to the smallest arrival index; the runner-up is the
-    second-largest value counting duplicates of the maximum.
-    """
-    rewards = _rewards_of(group)
-    if variant not in ("mean", "second"):
-        raise InputError(f"variant must be 'mean' or 'second', got {variant!r}")
-    i_star = int(np.argmax(rewards))
-    values = np.zeros_like(rewards)
+def _bon_max(rewards: np.ndarray, variant: str) -> np.ndarray:
+    rows = np.arange(rewards.shape[0])
+    i_star = np.argmax(rewards, axis=1)
     if variant == "mean":
-        values[i_star] = rewards[i_star] - rewards.mean()
+        other = rewards.mean(axis=1)
     else:
-        values[i_star] = rewards[i_star] - np.partition(rewards, -2)[-2]
-    return AdvantageVector(values)
+        other = np.partition(rewards, -2, axis=1)[:, -2]
+    values = np.zeros_like(rewards)
+    values[rows, i_star] = rewards[rows, i_star] - other
+    return values
 
 
 def _subset_max_weights(m: int, k: int, s: int) -> np.ndarray:
@@ -180,124 +172,94 @@ def _subset_max_weights(m: int, k: int, s: int) -> np.ndarray:
     return w
 
 
-def bon_mean_raw(group: RewardGroup | np.ndarray, bon_k: int) -> np.ndarray:
-    """Subset-max transformed rewards in arrival order, unnormalized.
-
-    In ascending sorted order the transform is
-
-        B_(i) = r_(i) C(i-1, k-1)/C(m, k) + sum_{j>i} r_(j) C(j-2, k-2)/C(m, k)
-
-    (binomials with impossible arguments are zero), so that sum_i B_i equals
-    k times the average maximum over all C(m, k) subsets.
-    """
-    rewards = _rewards_of(group)
-    m = rewards.size
+def _bon_mean_raw(rewards: np.ndarray, bon_k: int) -> np.ndarray:
+    m = rewards.shape[1]
     if not 1 <= bon_k < m:
         raise InputError(f"need 1 <= bon_k < m, got bon_k={bon_k}, m={m}")
-    order = np.argsort(rewards, kind="stable")
-    r_sorted = rewards[order]
+    order = np.argsort(rewards, axis=1, kind="stable")
+    r_sorted = np.take_along_axis(rewards, order, axis=1)
     tail_terms = r_sorted * _subset_max_weights(m, bon_k, 1)
-    suffix = np.concatenate([np.cumsum(tail_terms[::-1])[::-1][1:], [0.0]])
-    b_sorted = r_sorted * _subset_max_weights(m, bon_k, 0) + suffix
-    b = np.empty_like(b_sorted)
-    b[order] = b_sorted
+    # suffix sums over j > i, accumulated from the top rank down
+    suffix = np.zeros_like(tail_terms)
+    suffix[:, :-1] = np.cumsum(tail_terms[:, :0:-1], axis=1)[:, ::-1]
+    b = np.empty_like(r_sorted)
+    np.put_along_axis(b, order, r_sorted * _subset_max_weights(m, bon_k, 0) + suffix, axis=1)
     return b
 
 
-def bon_mean(
-    group: RewardGroup | np.ndarray, bon_k: int, eps_norm: float = DEFAULT_EPS_NORM
-) -> AdvantageVector:
-    """Subset-max transformed rewards (``bon_mean_raw``), normalized like grpo_z."""
-    b = bon_mean_raw(group, bon_k)
-    centered = b - b.mean()
-    return AdvantageVector(centered / (b.std() + eps_norm))
-
-
-def _chow_values(
-    rewards: np.ndarray,
-    sel_idx: np.ndarray,
-    cor_idx: np.ndarray,
-    lambda_nsel: float,
-) -> np.ndarray:
-    m = rewards.size
-    m_corr = cor_idx.size
-    sel_rewards = rewards[sel_idx]
-    i_star = int(sel_idx[np.argmax(sel_rewards)])
-    r_star = rewards[i_star]
-    values = np.zeros_like(rewards)
-    values[i_star] = m * r_star
-    exceeds = cor_idx[rewards[cor_idx] > r_star]
-    values[exceeds] = -m * (lambda_nsel / m_corr) * r_star
-    return values
-
-
-def chow_bon_rl(group: RewardGroup | np.ndarray, params: RuleParams) -> AdvantageVector:
-    """Selection/correction split estimator of the best-of-N gradient.
-
-    A seeded uniform permutation assigns the first n_sel indices to the
-    selection set S and the rest to the correction set C; the winner of S gets
-    m R*, and correction samples beating R* get -m (lambda / m_corr) R*.
-    lambda defaults to n_sel - 1 when not set.
-    """
-    rewards = _rewards_of(group)
-    m = rewards.size
+def _chow(rewards: np.ndarray, params: RuleParams, seeds: Sequence[int] | None) -> np.ndarray:
+    n_rows, m = rewards.shape
     n_sel = params.n_sel if params.n_sel is not None else m // 2
     m_corr = params.m_corr if params.m_corr is not None else m - n_sel
     if n_sel < 1 or m_corr < 1 or n_sel + m_corr != m:
         raise InputError(f"need n_sel + m_corr = m with both >= 1, got ({n_sel}, {m_corr}, m={m})")
     lam = params.lambda_nsel if params.lambda_nsel is not None else float(n_sel - 1)
-    perm = np.random.default_rng(params.seed).permutation(m)
-    values = _chow_values(rewards, perm[:n_sel], perm[n_sel:], lam)
-    return AdvantageVector(values)
+    if seeds is None:
+        perms = np.broadcast_to(np.random.default_rng(params.seed).permutation(m), rewards.shape)
+    else:
+        if len(seeds) != n_rows:
+            raise InputError(f"need one seed per row, got {len(seeds)} seeds for {n_rows} rows")
+        perms = np.stack([np.random.default_rng(int(seed)).permutation(m) for seed in seeds])
+    sel, cor = perms[:, :n_sel], perms[:, n_sel:]
+    rows = np.arange(n_rows)
+    i_star = sel[rows, np.argmax(np.take_along_axis(rewards, sel, axis=1), axis=1)]
+    r_star = rewards[rows, i_star]
+    values = np.zeros_like(rewards)
+    values[rows, i_star] = m * r_star
+    row, col = np.nonzero(np.take_along_axis(rewards, cor, axis=1) > r_star[:, None])
+    values[row, cor[row, col]] = (-m * (lam / m_corr) * r_star)[row]
+    return values
 
 
-def cat_bon(
-    group: RewardGroup | np.ndarray,
-    cat_n_target: int,
-    eps_norm: float = DEFAULT_EPS_NORM,
-) -> AdvantageVector:
-    """Rank-scaled GRPO-Z: weights N F<(R_i)^(N-1) from the strictly-below rank.
+def _strictly_below(rewards: np.ndarray) -> np.ndarray:
+    """Per entry, how many rewards of its row are strictly smaller."""
+    m = rewards.shape[1]
+    order = np.argsort(rewards, axis=1, kind="stable")
+    r_sorted = np.take_along_axis(rewards, order, axis=1)
+    # a run of tied values starts where the sorted value changes
+    starts = np.ones(rewards.shape, dtype=bool)
+    starts[:, 1:] = r_sorted[:, 1:] != r_sorted[:, :-1]
+    rank = np.maximum.accumulate(np.where(starts, np.arange(m), 0), axis=1)
+    below = np.empty_like(rank)
+    np.put_along_axis(below, order, rank, axis=1)
+    return below
 
-    F< counts strictly smaller rewards only; weights are normalized by their
-    mean (plus eps) and multiply the grpo_z advantage elementwise.
-    """
-    rewards = _rewards_of(group)
+
+def _cat_bon(rewards: np.ndarray, cat_n_target: int, eps_norm: float) -> np.ndarray:
     if cat_n_target < 1:
         raise InputError(f"cat_n_target must be >= 1, got {cat_n_target}")
-    m = rewards.size
-    below = np.searchsorted(np.sort(rewards), rewards, side="left") / m
+    below = _strictly_below(rewards) / rewards.shape[1]
     weights = cat_n_target * below ** (cat_n_target - 1)
-    scaled = weights / (weights.mean() + eps_norm)
-    return AdvantageVector(scaled * grpo_z(rewards, eps_norm).values)
+    scaled = weights / (weights.mean(axis=1, keepdims=True) + eps_norm)
+    return scaled * _grpo_z(rewards, eps_norm)
 
 
-def compute_rule(rule: str, group: RewardGroup | np.ndarray, params: RuleParams) -> AdvantageVector:
-    """Dispatch a rule by its CLI name."""
-    if rule == "tea":
-        return tea(group, params)
-    if rule == "tea-raw":
-        return tea_raw(group, params)
-    if rule == "prefix-tea":
-        return prefix_tea(group, params)
-    if rule == "grpo":
-        return grpo(group)
-    if rule == "grpo-z":
-        return grpo_z(group, params.eps_norm)
-    if rule == "bonmax-mean":
-        return bon_max(group, "mean")
-    if rule == "bonmax-second":
-        return bon_max(group, "second")
-    if rule == "bon-mean":
-        if params.bon_k is None:
-            raise InputError("rule 'bon-mean' requires bon_k")
-        return bon_mean(group, params.bon_k, params.eps_norm)
-    if rule == "chow":
-        return chow_bon_rl(group, params)
-    if rule == "cat-bon":
-        target = params.cat_n_target if params.cat_n_target is not None else params.n_target
-        return cat_bon(group, target, params.eps_norm)
-    raise InputError(f"unknown rule {rule!r}; known: {', '.join(RULE_NAMES)}")
+def _bon_mean_rule(rewards: np.ndarray, params: RuleParams) -> np.ndarray:
+    if params.bon_k is None:
+        raise InputError("rule 'bon-mean' requires bon_k")
+    return _grpo_z(_bon_mean_raw(rewards, params.bon_k), params.eps_norm)
 
+
+def _cat_bon_rule(rewards: np.ndarray, params: RuleParams) -> np.ndarray:
+    target = params.cat_n_target if params.cat_n_target is not None else params.n_target
+    return _cat_bon(rewards, target, params.eps_norm)
+
+
+_Kernel = Callable[[np.ndarray, RuleParams, Optional[Sequence[int]]], np.ndarray]
+
+#: Rule name -> batch kernel (rewards, params, per-row seeds); only chow reads the seeds.
+_KERNELS: dict[str, _Kernel] = {
+    "tea": lambda x, params, seeds: _tea(x, params),
+    "tea-raw": lambda x, params, seeds: _tea_raw(x, params),
+    "prefix-tea": lambda x, params, seeds: _prefix_tea(x, params),
+    "grpo": lambda x, params, seeds: _centered(x),
+    "grpo-z": lambda x, params, seeds: _grpo_z(x, params.eps_norm),
+    "bonmax-mean": lambda x, params, seeds: _bon_max(x, "mean"),
+    "bonmax-second": lambda x, params, seeds: _bon_max(x, "second"),
+    "bon-mean": lambda x, params, seeds: _bon_mean_rule(x, params),
+    "chow": _chow,
+    "cat-bon": lambda x, params, seeds: _cat_bon_rule(x, params),
+}
 
 RULE_NAMES = (
     "tea",
@@ -312,6 +274,121 @@ RULE_NAMES = (
 )
 
 
-def with_group_seed(params: RuleParams, group_index: int) -> RuleParams:
-    """Derive per-group params whose seed is offset by the group's position."""
-    return replace(params, seed=params.seed + group_index)
+def _kernel(rule: str) -> _Kernel:
+    try:
+        return _KERNELS[rule]
+    except KeyError:
+        raise InputError(f"unknown rule {rule!r}; known: {', '.join(RULE_NAMES)}") from None
+
+
+def compute_rules(
+    rule: str, rewards: np.ndarray, params: RuleParams, seeds: Sequence[int] | None = None
+) -> np.ndarray:
+    """Advantages of every row of a (B, m) reward matrix under a rule named as in the CLI.
+
+    Row b is one group in arrival order; the result has the shape of
+    ``rewards``. ``seeds`` gives one seed per row to the rules that draw
+    (``chow``); without it every row uses ``params.seed``.
+    """
+    kernel = _kernel(rule)
+    return kernel(_matrix(rewards), params, seeds)
+
+
+def compute_rule(
+    rule: str, group: RewardGroup | np.ndarray, params: RuleParams, seed: int | None = None
+) -> AdvantageVector:
+    """One group's advantages: the case B = 1 of ``compute_rules``.
+
+    ``seed``, when given, replaces ``params.seed`` for the rules that draw.
+    """
+    kernel = _kernel(rule)
+    return AdvantageVector(kernel(_row(group), params, None if seed is None else (seed,))[0])
+
+
+# --- the per-group API ----------------------------------------------------------
+
+
+def tea_raw(group: RewardGroup | np.ndarray, params: RuleParams) -> AdvantageVector:
+    """Raw plug-in rule: (1/alpha) 1{R_i >= r_hat} R_tilde(R_i), uncentered."""
+    return AdvantageVector(_tea_raw(_row(group), params)[0])
+
+
+def tea(group: RewardGroup | np.ndarray, params: RuleParams) -> AdvantageVector:
+    """Stabilized TEA: positive part of the raw rule, centered to sum zero."""
+    return AdvantageVector(_tea(_row(group), params)[0])
+
+
+def prefix_tea(group: RewardGroup | np.ndarray, params: RuleParams) -> AdvantageVector:
+    """Prefix-debiased TEA on practical prefixes.
+
+    C_i = sum_j w_j rho_j (A_raw_{i,j})_+ where A_raw_{i,j} applies the raw
+    rule with prefix j's tail vector and the membership indicator 1{i <= m_j};
+    the output is C centered to sum zero.
+    """
+    return AdvantageVector(_prefix_tea(_row(group), params)[0])
+
+
+def grpo(group: RewardGroup | np.ndarray) -> AdvantageVector:
+    """Mean-centered rewards."""
+    return AdvantageVector(_centered(_row(group))[0])
+
+
+def grpo_z(group: RewardGroup | np.ndarray, eps_norm: float = DEFAULT_EPS_NORM) -> AdvantageVector:
+    """Group-normalized rewards: (R - mean) / (population std + eps)."""
+    return AdvantageVector(_grpo_z(_row(group), eps_norm)[0])
+
+
+def bon_max(group: RewardGroup | np.ndarray, variant: str) -> AdvantageVector:
+    """Advantage only at the argmax: R* - mean(R) or R* - runner-up.
+
+    Argmax ties break to the smallest arrival index; the runner-up is the
+    second-largest value counting duplicates of the maximum.
+    """
+    rewards = _row(group)
+    if variant not in ("mean", "second"):
+        raise InputError(f"variant must be 'mean' or 'second', got {variant!r}")
+    return AdvantageVector(_bon_max(rewards, variant)[0])
+
+
+def bon_mean_raw(group: RewardGroup | np.ndarray, bon_k: int) -> np.ndarray:
+    """Subset-max transformed rewards in arrival order, unnormalized.
+
+    In ascending sorted order the transform is
+
+        B_(i) = r_(i) C(i-1, k-1)/C(m, k) + sum_{j>i} r_(j) C(j-2, k-2)/C(m, k)
+
+    (binomials with impossible arguments are zero), so that sum_i B_i equals
+    k times the average maximum over all C(m, k) subsets.
+    """
+    return _bon_mean_raw(_row(group), bon_k)[0]
+
+
+def bon_mean(
+    group: RewardGroup | np.ndarray, bon_k: int, eps_norm: float = DEFAULT_EPS_NORM
+) -> AdvantageVector:
+    """Subset-max transformed rewards (``bon_mean_raw``), normalized like grpo_z."""
+    return AdvantageVector(_grpo_z(_bon_mean_raw(_row(group), bon_k), eps_norm)[0])
+
+
+def chow_bon_rl(group: RewardGroup | np.ndarray, params: RuleParams) -> AdvantageVector:
+    """Selection/correction split estimator of the best-of-N gradient.
+
+    A seeded uniform permutation assigns the first n_sel indices to the
+    selection set S and the rest to the correction set C; the winner of S gets
+    m R*, and correction samples beating R* get -m (lambda / m_corr) R*.
+    lambda defaults to n_sel - 1 when not set.
+    """
+    return AdvantageVector(_chow(_row(group), params, None)[0])
+
+
+def cat_bon(
+    group: RewardGroup | np.ndarray,
+    cat_n_target: int,
+    eps_norm: float = DEFAULT_EPS_NORM,
+) -> AdvantageVector:
+    """Rank-scaled GRPO-Z: weights N F<(R_i)^(N-1) from the strictly-below rank.
+
+    F< counts strictly smaller rewards only; weights are normalized by their
+    mean (plus eps) and multiply the grpo_z advantage elementwise.
+    """
+    return AdvantageVector(_cat_bon(_row(group), cat_n_target, eps_norm)[0])

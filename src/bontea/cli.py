@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, Text
 import numpy as np
 
 from . import __version__
-from .advantages import RULE_NAMES, RuleParams, compute_rule, with_group_seed
+from .advantages import RULE_NAMES, RuleParams, compute_rule
 from .bon_eval import (
     DEFAULT_RESAMPLES,
     DEFAULT_TIE_TOL,
@@ -48,6 +48,8 @@ from .trainer import ToyTask, TrainConfig, train
 
 _EXIT_INPUT = 2
 _EXIT_DEGENERATE = 3
+#: Paths that only flags set; a config file naming them is refused.
+_FLAG_ONLY = ("input", "output", "baseline")
 
 
 def _json_default(value: Any) -> Any:
@@ -170,8 +172,17 @@ def command(name: str, help_text: str, *options: Option, needs_input: bool = Tru
 
 
 def _resolve(args: argparse.Namespace, options: Sequence[Option]) -> dict[str, Any]:
-    """Each option's value in table order: flag, else config file, else default."""
+    """Each option's value in table order: flag, else config file, else default.
+
+    A config-file key that is not one of ``options`` raises ``InputError``.
+    """
     file_values = load_config_file(args.config) if args.config else {}
+    names = {option.name for option in options}
+    for key in file_values:
+        if key in _FLAG_ONLY:
+            raise InputError(f"config key {key}: a flag only (--{key}), not a config key")
+        if key not in names:
+            raise InputError(f"config key {key}: not an option of {args.command}")
     config: dict[str, Any] = {}
     for option in options:
         value = getattr(args, option.name)
@@ -241,9 +252,15 @@ def _load_groups(path: str) -> list[RewardGroup]:
 
 @contextmanager
 def _output(path: str | None) -> Iterator[TextIO]:
-    """Stdout for no path or '-', else the file; what was written stays on error."""
+    """Stdout for no path or '-', else the file; flushed once, when it closes.
+
+    What was written stays on error: the file is closed and stdout flushed.
+    """
     if path is None or path == "-":
-        yield sys.stdout
+        try:
+            yield sys.stdout
+        finally:
+            sys.stdout.flush()
         return
     try:
         handle = open(path, "w", encoding="utf-8")
@@ -256,7 +273,6 @@ def _output(path: str | None) -> Iterator[TextIO]:
 def _write_json(out: TextIO, payload: dict[str, Any], indent: int | None = None) -> None:
     out.write(json.dumps(payload, indent=indent, default=_json_default))
     out.write("\n")
-    out.flush()
 
 
 def _write_doc(path: str | None, config: dict[str, Any], **fields: Any) -> None:
@@ -276,7 +292,6 @@ def _write_csv(
         writer.writerow(header)
         for row in rows:
             writer.writerow([_cell(v) for v in row])
-            out.flush()
 
 
 # --- commands ------------------------------------------------------------------
@@ -293,11 +308,11 @@ def cmd_advantage(args: argparse.Namespace, config: dict[str, Any]) -> int:
         _write_json(out, {"config": _echo(config), "rule": rule})
         for index, (lineno, group) in enumerate(read_reward_groups(args.input)):
             try:
-                adv = compute_rule(rule, group, with_group_seed(params, index))
+                adv = compute_rule(rule, group, params, seed=params.seed + index)
             except (DegenerateError, InputError) as exc:
                 print(f"error: prompt {group.prompt_id} (line {lineno}): {exc}", file=sys.stderr)
                 degenerate = isinstance(exc, DegenerateError)
-                exit_code = max(exit_code, _EXIT_DEGENERATE) if degenerate else _EXIT_INPUT
+                exit_code = max(exit_code, _EXIT_DEGENERATE if degenerate else _EXIT_INPUT)
                 continue
             _write_json(out, {"prompt_id": group.prompt_id, "advantages": adv.values})
     return exit_code
@@ -464,7 +479,7 @@ def cmd_align(args: argparse.Namespace, config: dict[str, Any]) -> int:
             oracle = oracle_advantage(pool, config["n_target"])
             cosines = [
                 gradient_alignment(
-                    compute_rule(rule, group, with_group_seed(params, index)).values,
+                    compute_rule(rule, group, params, seed=params.seed + index).values,
                     group.scores,
                     oracle,
                 )

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import ndtr
 
-from .advantages import RuleParams, compute_rule
+from .advantages import RuleParams, compute_rules
 from .errors import DegenerateError, InputError
 from .gauss import norm_pdf, tail_constants
 from .prefixes import cancellation_weights, theory_prefixes
@@ -484,8 +484,8 @@ def estimator_bias_variance(
     measures the cross-fitted split-halves estimator, with variance from the
     actual estimator and bias from the Rao-Blackwellized path (control-variate
     corrected; the pilot block that calibrates the coefficients is excluded
-    from the bias mean). Any other registered rule is measured as-is via the
-    per-group rule code.
+    from the bias mean). Any other registered rule is measured as-is, one
+    ``compute_rules`` call per block.
 
     Raises ``DegenerateError`` when the rule emits all-zero advantages on more
     than 99% of replications.
@@ -561,7 +561,7 @@ def estimator_bias_variance(
                 if rule == "prefix-tea-practical":
                     adv = _prefix_practical_block(z, spec, params, sizes, weights, ratios)
                 else:
-                    adv = np.stack([compute_rule(rule, row, params).values for row in z], axis=0)
+                    adv = compute_rules(rule, z, params)
                 grads, nonzero = _induced_gradient(adv, z, spec), (adv != 0.0).any(axis=1)
             zero_rows += int(take - nonzero.sum())
             acc.add(grads)

@@ -3,14 +3,16 @@
 A group's tail vector eta = (r, mu, sigma) summarizes the upper-alpha slice of
 its rewards: r is the q-th largest reward with q = ceil(alpha * m), mu the mean
 of the top-q rewards, and sigma their population standard deviation clipped
-below by eps_sigma. Prefix-restricted variants and an A/B half split support
-the debiased and cross-fitted estimators built on top.
+below by eps_sigma. ``tail_stats`` computes it for every row of a (B, m)
+reward matrix; the per-group tail vector, the prefix-restricted variants and
+an A/B half split support the debiased and cross-fitted estimators built on
+top.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, isfinite
+from math import ceil
 
 import numpy as np
 
@@ -69,19 +71,56 @@ def tail_count(m: int, alpha: float) -> int:
     return int(ceil(alpha * m))
 
 
-def _check_alpha(alpha: float) -> None:
+def row_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, deviations from it and population std of each row of x.
+
+    The mean and std have shape (B, 1). They carry the same bits as
+    ``x.mean(axis=1)`` and ``x.std(axis=1)``, which compute these same sums
+    in the same order, but the mean is taken once and without their
+    per-call overhead, which dominates on short rows.
+    """
+    mean = np.add.reduce(x, axis=1, keepdims=True) / x.shape[1]
+    dev = x - mean
+    return mean, dev, np.sqrt(np.add.reduce(dev * dev, axis=1, keepdims=True) / x.shape[1])
+
+
+def tail_stats(
+    rewards: np.ndarray, alpha: float, eps_sigma: float = DEFAULT_EPS_SIGMA
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tail vector (r, mu, sigma) of each row of a (B, m) reward matrix.
+
+    Each of r, mu and sigma has shape (B, 1), so it broadcasts against the
+    rows. The top-q slice is taken from a row sort; sigma is the population
+    (divide-by-q) standard deviation clipped below by ``eps_sigma``. The
+    squares behind sigma may overflow: call this under
+    ``np.errstate(over="ignore", invalid="ignore")``, once per batch. A row
+    whose statistics are not finite raises ``DegenerateError`` naming the
+    first such row's values.
+    """
     if not 0.0 < alpha < 0.5:
         raise InputError(f"alpha must lie in (0, 1/2), got {alpha}")
+    if not eps_sigma > 0:
+        raise InputError("eps_sigma must be positive")
+    m = rewards.shape[1]
+    top = np.sort(rewards, axis=1)[:, m - tail_count(m, alpha) :]
+    r = top[:, :1]
+    mu, _, sd = row_moments(top)
+    sigma = np.maximum(sd, eps_sigma)
+    # with finite rewards, an overflowing mean also makes sigma inf or nan
+    finite = np.isfinite(sigma)
+    if not finite.all():
+        b = int(np.argmin(finite[:, 0]))
+        raise DegenerateError(
+            f"tail statistics overflow: r={float(r[b, 0])}, mu={float(mu[b, 0])},"
+            f" sigma={float(sigma[b, 0])}"
+        )
+    return r, mu, sigma
 
 
-def _tail_stats(rewards: np.ndarray, alpha: float, eps_sigma: float) -> TailVector:
-    m = rewards.size
-    q = tail_count(m, alpha)
-    top = np.sort(rewards)[m - q :]
-    r, mu, sigma = float(top[0]), float(top.mean()), float(max(top.std(), eps_sigma))
-    if not (isfinite(r) and isfinite(mu) and isfinite(sigma)):
-        raise DegenerateError(f"tail statistics overflow: r={r}, mu={mu}, sigma={sigma}")
-    return TailVector(r=r, mu=mu, sigma=sigma, q=q)
+def _tail_vector(rewards: np.ndarray, alpha: float, eps_sigma: float) -> TailVector:
+    r, mu, sigma = tail_stats(rewards[None, :], alpha, eps_sigma)
+    q = tail_count(rewards.size, alpha)
+    return TailVector(r=float(r[0, 0]), mu=float(mu[0, 0]), sigma=float(sigma[0, 0]), q=q)
 
 
 def empirical_tail_vector(
@@ -89,18 +128,16 @@ def empirical_tail_vector(
 ) -> TailVector:
     """Tail vector of a group: q-th largest reward, top-q mean, clipped top-q std.
 
-    The top-q slice is taken by value; rewards tied with the threshold beyond
-    rank q are excluded deterministically (smallest arrival index kept), which
-    never changes (r, mu, sigma) because tied values are interchangeable.
-    sigma uses the population (divide-by-q) standard deviation. Rewards whose
-    top-q mean or spread overflows float range raise ``DegenerateError``.
+    The case B = 1 of ``tail_stats``. The top-q slice is taken by value;
+    rewards tied with the threshold beyond rank q are excluded
+    deterministically, which never changes (r, mu, sigma) because tied values
+    are interchangeable. Rewards whose top-q mean or spread overflows float
+    range raise ``DegenerateError``.
     """
-    _check_alpha(alpha)
-    if eps_sigma <= 0:
-        raise InputError("eps_sigma must be positive")
     if len(group) < 2:
         raise InputError(f"group {group.prompt_id!r}: need m >= 2 rewards, got {len(group)}")
-    return _tail_stats(group.rewards, alpha, eps_sigma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _tail_vector(group.rewards, alpha, eps_sigma)
 
 
 def prefix_tail_vectors(
@@ -110,7 +147,6 @@ def prefix_tail_vectors(
     eps_sigma: float = DEFAULT_EPS_SIGMA,
 ) -> list[TailVector]:
     """Tail vector of each arrival-order prefix ``rewards[:m_j]``."""
-    _check_alpha(alpha)
     sizes = [int(p) for p in prefixes]
     if sizes != sorted(sizes):
         raise InputError(f"prefixes must be ascending, got {prefixes}")
@@ -118,7 +154,8 @@ def prefix_tail_vectors(
         raise InputError(f"prefix {sizes[-1]} exceeds group size {len(group)}")
     if any(p < 2 for p in sizes):
         raise InputError(f"every prefix must be >= 2, got {prefixes}")
-    return [_tail_stats(group.rewards[:p], alpha, eps_sigma) for p in sizes]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [_tail_vector(group.rewards[:p], alpha, eps_sigma) for p in sizes]
 
 
 def split_halves(group: RewardGroup) -> tuple[RewardGroup, RewardGroup]:

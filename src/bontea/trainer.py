@@ -2,9 +2,9 @@
 
 A toy task is a fixed reward table over (prompt, action) pairs; the policy is
 one logit vector per prompt. Each step samples a prompt batch, draws m actions
-per prompt, converts rewards to advantages with the configured rule, and
-ascends theta along the advantage-weighted score direction minus a
-KL-to-reference penalty:
+per prompt, converts the batch's rewards to advantages with one call of the
+configured rule, and ascends theta along the advantage-weighted score
+direction minus a KL-to-reference penalty:
 
     theta <- theta + gamma * (1/P) sum_p [ (1/m) sum_i A_i S_i - beta grad KL ].
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import log_softmax, softmax
 
-from .advantages import RULE_NAMES, RuleParams, compute_rule, with_group_seed
+from .advantages import RULE_NAMES, RuleParams, compute_rules
 from .bon_eval import BonCurve, grouped_bon_curve
 from .errors import DegenerateError, InputError
 
@@ -173,21 +173,26 @@ def enumerate_policy_bon(task: ToyTask, thetas: np.ndarray, n: int) -> np.ndarra
     return out
 
 
-def _prompt_gradient(
+def _step_gradient(
     task: ToyTask,
     thetas: np.ndarray,
-    prompt: int,
+    prompts: np.ndarray,
     config: TrainConfig,
-    params: RuleParams,
     rng: np.random.Generator,
+    seeds: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(1/m) sum_i A_i (one-hot(a_i) - pi) for one sampled prompt."""
-    p = softmax(thetas[prompt])
-    actions = rng.choice(task.n_actions, size=config.m, p=p)
-    rewards = task.rewards[prompt, actions]
-    adv = compute_rule(config.rule, rewards, params).values
-    grad = np.bincount(actions, weights=adv, minlength=task.n_actions) / config.m
-    return grad - adv.mean() * p
+    """(1/m) sum_i A_i (one-hot(a_i) - pi) for each of the distinct ``prompts``; (P, V).
+
+    Each prompt's m actions are drawn in turn, then one rule call turns the
+    (P, m) rewards into advantages, with ``seeds`` as the per-prompt seeds.
+    """
+    probs = softmax(thetas[prompts], axis=1)
+    actions = np.stack([rng.choice(task.n_actions, size=config.m, p=p) for p in probs])
+    adv = compute_rules(config.rule, task.rewards[prompts[:, None], actions], config.params, seeds)
+    n, v = probs.shape
+    bins = (np.arange(n)[:, None] * v + actions).ravel()
+    counts = np.bincount(bins, weights=adv.ravel(), minlength=n * v).reshape(n, v)
+    return counts / config.m - adv.mean(axis=1, keepdims=True) * probs
 
 
 def train(task: ToyTask, config: TrainConfig) -> TrainResult:
@@ -221,13 +226,13 @@ def train(task: ToyTask, config: TrainConfig) -> TrainResult:
     trajectory = [log_point(0)]
     for step in range(1, config.steps + 1):
         prompts = rng.choice(task.n_prompts, size=config.p_batch, replace=False)
+        seeds = config.params.seed + step * task.n_prompts + prompts
+        grads = _step_gradient(task, thetas, prompts, config, rng, seeds)
+        if config.beta > 0:
+            for grad, prompt in zip(grads, prompts):
+                grad -= config.beta * kl_grad(thetas[prompt], task.reference_logits[prompt])
         update = np.zeros_like(thetas)
-        for prompt in prompts:
-            params = with_group_seed(config.params, step * task.n_prompts + int(prompt))
-            grad = _prompt_gradient(task, thetas, int(prompt), config, params, rng)
-            if config.beta > 0:
-                grad = grad - config.beta * kl_grad(thetas[prompt], task.reference_logits[prompt])
-            update[prompt] += grad
+        update[prompts] = grads
         thetas = thetas + config.gamma * update / config.p_batch
         if np.abs(thetas).max() > LOGIT_GUARD:
             raise DegenerateError(f"training diverged at step {step}: |logit| > {LOGIT_GUARD:g}")

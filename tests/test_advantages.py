@@ -33,7 +33,7 @@ from bontea import (
     tea,
     tea_raw,
 )
-from bontea.advantages import RULE_NAMES, _subset_max_weights, with_group_seed
+from bontea.advantages import RULE_NAMES, _subset_max_weights
 
 C_TILDE_128 = 2.692398465223146  # high-precision oracle, alpha = 1/4
 
@@ -324,7 +324,6 @@ class TestDispatch:
         with pytest.raises(InputError, match="m >= 2"):
             compute_rule(rule, RewardGroup("one", np.array([1.0])), RuleParams(bon_k=1))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("rule", ["tea", "tea-raw", "prefix-tea"])
     def test_overflowing_tail_is_degenerate(self, rule):
         rewards = np.array([1e200 * i for i in range(1, 9)])
@@ -339,10 +338,11 @@ class TestDispatch:
         with pytest.raises(InputError):
             compute_rule("ppo", np.arange(8.0), RuleParams())
 
-    def test_group_seed_offsets(self):
-        params = RuleParams(seed=5)
-        assert with_group_seed(params, 3).seed == 8
-        assert with_group_seed(params, 0) == params
+    def test_group_seed_replaces_params_seed(self):
+        rewards = np.random.default_rng(13).standard_normal(16)
+        seeded = compute_rule("chow", rewards, RuleParams(seed=5), seed=8).values
+        assert np.array_equal(seeded, compute_rule("chow", rewards, RuleParams(seed=8)).values)
+        assert not np.array_equal(seeded, compute_rule("chow", rewards, RuleParams(seed=5)).values)
 
     def test_accepts_reward_group_and_array(self):
         rewards = np.array([0.0] * 6 + [1.0, 2.0])

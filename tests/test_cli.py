@@ -19,7 +19,6 @@ from bontea import (
     oracle_advantage,
     tea,
 )
-from bontea.advantages import with_group_seed
 from bontea.cli import main
 
 
@@ -272,7 +271,7 @@ class TestAlignCommand:
         for index, g in enumerate(groups):
             rewards, scores = np.array(g["rewards"]), np.array(g["scores"])
             oracle = oracle_advantage(EmpiricalPool.from_values(rewards), 128)
-            params = with_group_seed(RuleParams(), index)
+            params = RuleParams(seed=index)
             try:
                 expected[g["prompt_id"]] = [
                     gradient_alignment(compute_rule(rule, rewards, params), scores, oracle)
@@ -340,7 +339,6 @@ class TestQqFitCommand:
         assert any(c.startswith("# q_lo=") for c in comments)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 class TestHostileGroups:
     def test_integer_beyond_float_range_names_line(self, tmp_path, capsys):
         src = tmp_path / "huge.jsonl"
@@ -376,6 +374,37 @@ class TestHostileGroups:
         assert main(["align", "-i", str(src), "-o", str(tmp_path / "a.csv")]) == 2
         assert "scores must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overflow_first", [True, False])
+    def test_degenerate_exit_code_whatever_the_order(self, tmp_path, overflow_first):
+        groups = [
+            {"prompt_id": "big", "rewards": [1e200 * i for i in range(1, 9)]},
+            {"prompt_id": "one", "rewards": [1.0]},
+        ]
+        src = tmp_path / "bad.jsonl"
+        write_groups(src, groups if overflow_first else groups[::-1])
+        assert main(["advantage", "-i", str(src), "-o", str(tmp_path / "adv.jsonl")]) == 3
+
+    def test_overflowing_tail_prints_only_the_error_line(self, tmp_path):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import bontea
+
+        src = tmp_path / "big.jsonl"
+        write_groups(src, [{"prompt_id": "big", "rewards": [1e200 * i for i in range(1, 9)]}])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from bontea.cli import main; sys.exit(main())",
+             "advantage", "-i", str(src), "-o", str(tmp_path / "adv.jsonl")],
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": str(Path(bontea.__file__).parents[1])},
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "error: prompt big (line 1): tail statistics overflow:"
+            " r=7e+200, mu=7.499999999999999e+200, sigma=inf"
+        ]
+
     def test_one_reward_group_is_input_error(self, tmp_path, capsys):
         src = tmp_path / "one.jsonl"
         write_groups(src, [{"prompt_id": "one", "rewards": [1.0]}, {"prompt_id": "two", "rewards": [1.0, 2.0]}])
@@ -406,6 +435,23 @@ class TestConfigResolution:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("rule grpo\n")
         assert main(["advantage", "-i", str(pools_path), "--config", str(cfg)]) == 2
+
+    def test_unknown_config_key_is_input_error(self, tmp_path, pools_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpah = 0.3\n")
+        out = tmp_path / "p.json"
+        assert main(["predict-bon", "-i", str(pools_path), "-o", str(out), "--config", str(cfg)]) == 2
+        assert "config key alpah: not an option of predict-bon" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["input", "output", "baseline"])
+    def test_path_config_keys_are_flags_only(self, tmp_path, pools_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {pools_path}\n")
+        code = main(["eval-bon", "-i", str(pools_path), "-o", str(tmp_path / "e.json"),
+                     "--config", str(cfg)])
+        assert code == 2
+        assert f"config key {key}: a flag only (--{key})" in capsys.readouterr().err
 
     def test_missing_input_is_input_error(self, tmp_path):
         assert main(["advantage", "-i", str(tmp_path / "nope.jsonl")]) == 2

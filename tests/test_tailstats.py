@@ -88,7 +88,6 @@ class TestEmpiricalTailVector:
             empirical_tail_vector(group([1.0]), 0.25)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 class TestTailOverflow:
     # the top-q spread of rewards near 1e200 overflows float range
     REWARDS = [1e200 * i for i in range(1, 9)]

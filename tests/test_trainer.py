@@ -131,7 +131,7 @@ class TestTrain:
         # E[(1/m) sum (R_i - Rbar) S_i] = (1 - 1/m) * sum_a p_a r_a (e_a - p):
         # the group-centered REINFORCE estimator with the exact shrinkage
         # factor from using the in-group mean as baseline
-        from bontea.trainer import _prompt_gradient
+        from bontea.trainer import _step_gradient
 
         rewards = np.array([[1.0, -0.5, 2.0, 0.3]])
         task = ToyTask(rewards=rewards, reference_logits=np.zeros((1, 4)))
@@ -146,7 +146,7 @@ class TestTrain:
         reps = 125_000
         acc = np.zeros(4)
         for _ in range(reps):
-            acc += _prompt_gradient(task, thetas, 0, config, RuleParams(), rng)
+            acc += _step_gradient(task, thetas, np.array([0]), config, rng)[0]
         assert_allclose(acc / reps, exact, rtol=0, atol=1e-3)
 
     def test_monotone_greedy_probability_with_single_good_action(self):
