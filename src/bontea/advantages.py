@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DegenerateError, InputError
 from .gauss import tail_constants
 from .prefixes import build_scheme
 from .tailstats import DEFAULT_EPS_SIGMA, RewardGroup, TailVector, row_moments, tail_stats
@@ -139,7 +139,19 @@ def _prefix_tea(rewards: np.ndarray, params: RuleParams) -> np.ndarray:
 
 
 def _grpo_z(rewards: np.ndarray, eps_norm: float) -> np.ndarray:
-    _, centered, sd = row_moments(rewards)
+    """Rows normalized by their std; a row whose std overflows raises ``DegenerateError``."""
+    try:
+        # cheaper than a finiteness check after the fact, on a path run once per group
+        with np.errstate(over="raise", invalid="raise"):
+            _, centered, sd = row_moments(rewards)
+    except FloatingPointError:
+        # with finite rewards, an overflowing mean also makes sd inf or nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, _, sd = row_moments(rewards)
+        b = int(np.argmin(np.isfinite(sd[:, 0])))
+        raise DegenerateError(
+            f"reward statistics overflow: mean={float(mean[b, 0])}, std={float(sd[b, 0])}"
+        ) from None
     return centered / (sd + eps_norm)
 
 

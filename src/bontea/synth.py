@@ -15,12 +15,22 @@ mean is H(eta_hat) = (1/alpha) int_r^inf R_tilde(z) S(z) phi(z) dz, available
 in closed form. A control-variate layer (prefix tail moments with exactly
 known means, coefficients fit on a pilot block and applied only beyond it)
 removes most of the remaining tail-vector noise without biasing the mean.
+
+Replications are drawn in blocks, each from its own SeedSequence child. The
+calling thread draws a block's normals in chunks of rows, in stream order, and
+a thread pool measures each chunk while the next one is drawn (NumPy releases
+the GIL in both). Every kernel output is per row, and the chunk outputs are
+joined in row order before the block is merged, so a row's numbers depend only
+on its seed and replication count, not on the chunk size or the thread count.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy import integrate
@@ -29,13 +39,19 @@ from scipy.special import ndtr
 from .advantages import RuleParams, compute_rules
 from .errors import DegenerateError, InputError
 from .gauss import norm_pdf, tail_constants
-from .prefixes import cancellation_weights, theory_prefixes
+from .prefixes import build_scheme, cancellation_weights, theory_prefixes
 from .tailstats import DEFAULT_EPS_SIGMA, RewardGroup, TailVector, empirical_tail_vector, tail_count
 
-#: Replications are processed in fixed-size blocks; each block draws from its
-#: own SeedSequence-derived child stream, so a row's draws depend only on its
-#: seed and replication count, not on how blocks are scheduled.
+#: Replications per block. Each block draws from its own SeedSequence child,
+#: and the block is the unit the moments are merged in.
 BLOCK_SIZE = 4096
+#: Rows per chunk: a block is drawn and measured this many rows at a time, so
+#: each kernel pass works on data that stays in cache.
+_CHUNK_ROWS = 256
+#: Threads that measure chunks; the calling thread draws them.
+_THREADS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 #: Pilot replications used to fit control-variate coefficients.
 PILOT_SIZE = 50_000
 #: Default Monte Carlo prompt-batch grid for the MSE frontier.
@@ -324,14 +340,8 @@ class _PrefixCrossFit:
         dens = float(norm_pdf(z_a))
         self.control_means = np.array([spec.alpha, dens, spec.alpha + z_a * dens])
 
-    def block(self, rng: np.random.Generator):
-        """One block: actual estimator values, RB values, centered controls, nonzero."""
-        z_a = rng.standard_normal((BLOCK_SIZE, self.n))
-        z_b = rng.standard_normal((BLOCK_SIZE, self.n))
-        return self.measure(z_a, z_b)
-
     def measure(self, z_a: np.ndarray, z_b: np.ndarray):
-        """The block's outputs for tail batches z_a and evaluation batches z_b.
+        """Outputs for the rows of tail batches z_a and evaluation batches z_b.
 
         Sums at the fixed thresholds (z_alpha on z_a, t_c on z_b) are taken per
         segment between consecutive prefix ends and cumulated once, so prefix
@@ -383,6 +393,71 @@ def _prefix_practical_block(
 def default_replications(m: int) -> int:
     """Default replication count: 2e5 up to m = 1024, 5e4 above."""
     return 200_000 if m <= 1024 else 50_000
+
+
+def _gradient_kernel(rule: str, spec: SyntheticSpec, m: int, params: RuleParams):
+    """Chunk measurement z -> (induced gradient per row, any advantage nonzero)."""
+    if rule == "tea":
+        return partial(_tea_block, spec=spec, eps_sigma=params.eps_sigma)
+    if rule == "oracle":
+        return partial(_oracle_block, spec=spec)
+    if rule == "prefix-tea-practical":
+        scheme = build_scheme(m, params.k, params.j_count)
+        advantages = partial(
+            _prefix_practical_block, spec=spec, params=params,
+            sizes=scheme.sizes, weights=scheme.weights, ratios=scheme.ratios,
+        )
+    else:
+        advantages = partial(compute_rules, rule, params=params)
+
+    def measure(z: np.ndarray):
+        adv = advantages(z)
+        return _induced_gradient(adv, z, spec), (adv != 0.0).any(axis=1)
+
+    return measure
+
+
+def _draw_chunks(rng: np.random.Generator, m: int, take: int, halves: bool):
+    """The first ``take`` rows of a block of normals, as row chunks in stream order.
+
+    With ``halves`` a row is a tail batch and an evaluation batch of m/2 each:
+    the stream holds a whole block of tail batches before the evaluation
+    batches, so those are drawn first, in full.
+    """
+    width = m // 2 if halves else m
+    if halves:
+        z_a = rng.standard_normal((BLOCK_SIZE, width))
+    for start in range(0, take, _CHUNK_ROWS):
+        rows = min(_CHUNK_ROWS, take - start)
+        z = rng.standard_normal((rows, width))
+        yield (z_a[start : start + rows], z) if halves else (z,)
+
+
+def _measure_block(pool: ThreadPoolExecutor, measure, chunks) -> list[np.ndarray]:
+    """``measure(*chunk)`` for each chunk on the pool, outputs joined in row order.
+
+    At most two chunks per thread wait or run at a time, so the draws run
+    ahead of the kernels by a bounded amount of memory.
+    """
+    pending: deque = deque()
+    parts = []
+    for chunk in chunks:
+        pending.append(pool.submit(measure, *chunk))
+        if len(pending) > 2 * _THREADS:
+            parts.append(pending.popleft().result())
+    parts.extend(future.result() for future in pending)
+    return [np.concatenate(outputs) for outputs in zip(*parts)]
+
+
+def _block_outputs(measure, m: int, replications: int, seed: int, halves: bool = False):
+    """Each block's row count and ``measure``'s outputs over its rows, in block order."""
+    n_blocks = (replications + BLOCK_SIZE - 1) // BLOCK_SIZE
+    streams = np.random.SeedSequence(seed).spawn(n_blocks)
+    with ThreadPoolExecutor(max_workers=_THREADS) as pool:
+        for i, stream in enumerate(streams):
+            take = min(BLOCK_SIZE, replications - i * BLOCK_SIZE)
+            chunks = _draw_chunks(np.random.default_rng(stream), m, take, halves)
+            yield take, _measure_block(pool, measure, chunks)
 
 
 class _MomentAccumulator:
@@ -498,8 +573,6 @@ def estimator_bias_variance(
         raise InputError(f"need at least 1e3 replications, got {replications}")
     g_true = true_gradient(spec)
     d = len(spec.score_thresholds)
-    n_blocks = (replications + BLOCK_SIZE - 1) // BLOCK_SIZE
-    streams = np.random.SeedSequence(seed).spawn(n_blocks)
     acc = _MomentAccumulator(d)
     zero_rows = 0
 
@@ -512,17 +585,8 @@ def estimator_bias_variance(
         rao_acc = _MomentAccumulator(d)
         n_pilot = 0
         lam = None
-        done = 0
-        for stream in streams:
-            rng = np.random.default_rng(stream)
-            take = min(BLOCK_SIZE, replications - done)
-            actual, rao, controls, nonzero = kernel.block(rng)
-            actual, rao, controls, nonzero = (
-                actual[:take],
-                rao[:take],
-                controls[:take],
-                nonzero[:take],
-            )
+        blocks = _block_outputs(kernel.measure, m, replications, seed, halves=True)
+        for take, (actual, rao, controls, nonzero) in blocks:
             acc.add(actual)
             zero_rows += int(take - nonzero.sum())
             if use_cv and lam is None:
@@ -535,37 +599,16 @@ def estimator_bias_variance(
                     lam, *_ = np.linalg.lstsq(ctl, rao_all - rao_all.mean(axis=0), rcond=None)
             else:
                 rao_acc.add(rao - controls @ lam if use_cv else rao)
-            done += take
         if rao_acc.n == 0:  # all replications consumed by the pilot
             rao_all = np.concatenate(pilot_rao)
             rao_acc.add(rao_all)
         bias_vec = rao_acc.mean() - g_true
         bias_se = np.sqrt(rao_acc.var() / rao_acc.n)
     else:
-        done = 0
-        sizes = weights = ratios = None
-        if rule == "prefix-tea-practical":
-            from .prefixes import build_scheme
-
-            scheme = build_scheme(m, params.k, params.j_count)
-            sizes, weights, ratios = scheme.sizes, scheme.weights, scheme.ratios
-        for stream in streams:
-            rng = np.random.default_rng(stream)
-            take = min(BLOCK_SIZE, replications - done)
-            z = rng.standard_normal((BLOCK_SIZE, m))[:take]
-            if rule == "tea":
-                grads, nonzero = _tea_block(z, spec, params.eps_sigma)
-            elif rule == "oracle":
-                grads, nonzero = _oracle_block(z, spec)
-            else:
-                if rule == "prefix-tea-practical":
-                    adv = _prefix_practical_block(z, spec, params, sizes, weights, ratios)
-                else:
-                    adv = compute_rules(rule, z, params)
-                grads, nonzero = _induced_gradient(adv, z, spec), (adv != 0.0).any(axis=1)
+        measure = _gradient_kernel(rule, spec, m, params)
+        for take, (grads, nonzero) in _block_outputs(measure, m, replications, seed):
             zero_rows += int(take - nonzero.sum())
             acc.add(grads)
-            done += take
         bias_vec = acc.mean() - g_true
         bias_se = np.sqrt(acc.var() / acc.n)
 

@@ -330,6 +330,12 @@ class TestDispatch:
         with pytest.raises(DegenerateError, match="overflow"):
             compute_rule(rule, rewards, RuleParams(j_count=2, k=1))
 
+    @pytest.mark.parametrize("rule", ["grpo-z", "bon-mean", "cat-bon"])
+    def test_overflowing_spread_is_degenerate(self, rule):
+        rewards = np.array([1e160 * i for i in range(1, 9)])
+        with pytest.raises(DegenerateError, match="reward statistics overflow"):
+            compute_rule(rule, rewards, RuleParams(bon_k=2))
+
     def test_bon_mean_requires_k(self):
         with pytest.raises(InputError):
             compute_rule("bon-mean", np.arange(8.0), RuleParams())

@@ -405,6 +405,30 @@ class TestHostileGroups:
             " r=7e+200, mu=7.499999999999999e+200, sigma=inf"
         ]
 
+    @pytest.mark.parametrize("rule", ["grpo-z", "bon-mean", "cat-bon"])
+    def test_overflowing_spread_prints_only_the_error_line(self, tmp_path, rule):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import bontea
+
+        src = tmp_path / "big.jsonl"
+        write_groups(src, [{"prompt_id": "big", "rewards": [1e160 * i for i in range(1, 9)]},
+                           {"prompt_id": "ok", "rewards": list(range(8))}])
+        out = tmp_path / "adv.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from bontea.cli import main; sys.exit(main())",
+             "advantage", "-i", str(src), "-o", str(out), "--rule", rule, "--bon-k", "2"],
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": str(Path(bontea.__file__).parents[1])},
+        )
+        assert proc.returncode == 3
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: prompt big (line 1): reward statistics overflow: mean=")
+        rows = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+        assert [r["prompt_id"] for r in rows] == ["ok"]
+
     def test_one_reward_group_is_input_error(self, tmp_path, capsys):
         src = tmp_path / "one.jsonl"
         write_groups(src, [{"prompt_id": "one", "rewards": [1.0]}, {"prompt_id": "two", "rewards": [1.0, 2.0]}])

@@ -22,6 +22,7 @@ from bontea.gauss import norm_pdf
 from bontea.synth import (
     BLOCK_SIZE,
     SyntheticSpec,
+    _block_outputs,
     _h_batch,
     _oracle_block,
     _PrefixCrossFit,
@@ -156,8 +157,8 @@ class TestPrefix:
 
     def test_block_measures_its_draws(self):
         kernel = _PrefixCrossFit(64, SPEC, RuleParams())
-        got = kernel.block(np.random.default_rng(5))
-        rng = np.random.default_rng(5)
+        [(_, got)] = _block_outputs(kernel.measure, 64, BLOCK_SIZE, seed=5, halves=True)
+        rng = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
         z_a = rng.standard_normal((BLOCK_SIZE, 32))
         z_b = rng.standard_normal((BLOCK_SIZE, 32))
         for a, b in zip(got, kernel.measure(z_a, z_b)):

@@ -188,6 +188,35 @@ class TestMeasurementEngine:
         assert_allclose(grads.mean(axis=0) - true_gradient(SPEC), row.bias_vec, atol=1e-12)
 
 
+class TestSchedule:
+    """Rows depend on the seed and replication count only, not on how blocks are split."""
+
+    # two whole blocks and a partial one; the prefix pilot fits on the first block
+    REPLICATIONS = 2 * 4096 + 1000
+    SCHEDULES = [(threads, rows) for threads in (1, 2) for rows in (64, 256, 4096)]
+
+    @pytest.mark.parametrize(
+        "rule, m",
+        [("tea", 64), ("oracle", 64), ("prefix-tea", 64), ("prefix-tea-practical", 64), ("grpo-z", 16)],
+    )
+    def test_rows_are_bitwise_identical_on_every_schedule(self, monkeypatch, rule, m):
+        import bontea.synth as synth
+
+        assert synth.BLOCK_SIZE == 4096 and self.REPLICATIONS % synth.BLOCK_SIZE
+        rows = []
+        for threads, chunk_rows in self.SCHEDULES:
+            monkeypatch.setattr(synth, "_THREADS", threads)
+            monkeypatch.setattr(synth, "_CHUNK_ROWS", chunk_rows)
+            rows.append(estimator_bias_variance(rule, SPEC, m, self.REPLICATIONS, seed=23))
+        first = rows[0]
+        for row in rows[1:]:
+            np.testing.assert_array_equal(row.bias_vec, first.bias_vec)
+            np.testing.assert_array_equal(row.bias_se, first.bias_se)
+            assert row.variance == first.variance
+            assert row.variance_se == first.variance_se
+            assert row.mse_at_p == first.mse_at_p
+
+
 class TestMseFrontier:
     def test_rows_and_ratio_consistent(self):
         frontier = mse_frontier(
