@@ -2,10 +2,10 @@
 
 The lab draws rewards Z ~ N(0,1) with the bounded score
 S_c(Z) = 1{Z >= t_c} - (1 - Phi(t_c)) per threshold t_c, so the target
-gradient g = (1/alpha) E[1{Z >= z_alpha} R_tilde_eta(Z) S(Z)] has an exact
-quadrature value. ``estimator_bias_variance`` measures any advantage rule's
-induced gradient (1/m) sum_i A_i S(Z_i) against that target over many
-replications; for the TEA family the raw (uncentered, 1/alpha-weighted)
+gradient g = (1/alpha) E[1{Z >= z_alpha} R_tilde_eta(Z) S(Z)] has a closed
+form through Gaussian partial moments. ``estimator_bias_variance`` measures
+any advantage rule's induced gradient (1/m) sum_i A_i S(Z_i) against that
+target over many replications; for the TEA family the raw (uncentered, 1/alpha-weighted)
 estimator is measured so the target is the population tail gradient.
 
 The prefix rule is measured on its cross-fitted split-halves form: the tail
@@ -33,12 +33,10 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy import integrate
-from scipy.special import ndtr
 
 from .advantages import RuleParams, compute_rules
 from .errors import DegenerateError, InputError
-from .gauss import norm_pdf, tail_constants
+from .gauss import ndtr, norm_pdf, tail_constants
 from .prefixes import build_scheme, cancellation_weights, theory_prefixes
 from .tailstats import DEFAULT_EPS_SIGMA, RewardGroup, TailVector, empirical_tail_vector, tail_count
 
@@ -145,28 +143,6 @@ def _shaped(z: np.ndarray, r, mu, sigma, c_tilde: float) -> np.ndarray:
     return u * (b1 + a2 * u)
 
 
-@lru_cache(maxsize=None)
-def true_gradient(spec: SyntheticSpec) -> np.ndarray:
-    """Exact target gradient by adaptive quadrature at the population tail."""
-    consts, thresholds, sbar = _spec_constants(spec)
-    z_a, lam = consts.z_alpha, consts.lambda_alpha
-    sdel = float(np.sqrt(consts.delta_alpha))
-    out = np.empty(thresholds.size)
-    for c, (t, sb) in enumerate(zip(thresholds, sbar)):
-
-        def integrand(z: float) -> float:
-            shaped = _shaped(z, z_a, lam, sdel, consts.c_tilde_n)
-            return shaped * (float(z >= t) - sb) * norm_pdf(z) / spec.alpha
-
-        interior = [t] if z_a < t < 12.0 else []
-        value, _ = integrate.quad(
-            integrand, z_a, 12.0, points=interior, epsabs=1e-10, epsrel=1e-12, limit=400
-        )
-        out[c] = value
-    out.setflags(write=False)
-    return out
-
-
 def _h_batch(r: np.ndarray, mu: np.ndarray, sigma: np.ndarray, spec: SyntheticSpec) -> np.ndarray:
     """H(eta) for batched tail vectors; shape (..., d).
 
@@ -181,16 +157,15 @@ def _h_batch(r: np.ndarray, mu: np.ndarray, sigma: np.ndarray, spec: SyntheticSp
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     a0, a1, a2 = _shaped_coefficients(r, mu, sigma, consts.c_tilde_n)
-
-    def t_upper(b: np.ndarray) -> np.ndarray:
-        # int_b^inf (a0 + a1 z + a2 z^2) phi(z) dz via Gaussian partial moments
-        surv = 1.0 - ndtr(b)
-        dens = norm_pdf(b)
-        return a0[..., None] * surv + a1[..., None] * dens + a2[..., None] * (surv + b * dens)
-
-    lower = np.maximum(r[..., None], thresholds)
-    t_r = a0 * (1.0 - ndtr(r)) + a1 * norm_pdf(r) + a2 * (1.0 - ndtr(r) + r * norm_pdf(r))
-    return (t_upper(lower) - sbar * t_r[..., None]) / spec.alpha
+    surv = 1.0 - ndtr(r)
+    dens = norm_pdf(r)
+    t_r = a0 * surv + a1 * dens + a2 * (surv + r * dens)
+    # T(max(r, t_c)) is T(r) where r >= t_c and T(t_c) elsewhere, with 1 - Phi(t_c) = sbar_c
+    a0, a1, a2 = a0[..., None], a1[..., None], a2[..., None]
+    dens_t = norm_pdf(thresholds)
+    t_t = a0 * sbar + a1 * dens_t + a2 * (sbar + thresholds * dens_t)
+    t_upper = np.where(r[..., None] >= thresholds, t_r[..., None], t_t)
+    return (t_upper - sbar * t_r[..., None]) / spec.alpha
 
 
 def h_population(eta: TailVector, spec: SyntheticSpec) -> np.ndarray:
@@ -198,11 +173,16 @@ def h_population(eta: TailVector, spec: SyntheticSpec) -> np.ndarray:
 
     Evaluated in closed form through Gaussian partial moments (the integrand
     is a quadratic times the density); tests pin agreement with adaptive
-    quadrature. At the population tail vector this equals ``true_gradient``.
+    quadrature. At the population tail vector this is ``true_gradient``.
     """
     if eta.sigma <= 0:
         raise InputError(f"tail sigma must be positive, got {eta.sigma}")
     return _h_batch(np.float64(eta.r), np.float64(eta.mu), np.float64(eta.sigma), spec)
+
+
+def true_gradient(spec: SyntheticSpec) -> np.ndarray:
+    """Exact target gradient: H at the population tail vector, in closed form."""
+    return h_population(population_tail_vector(spec), spec)
 
 
 def cross_fit_gradient(
@@ -366,9 +346,10 @@ class _PrefixCrossFit:
         actual = np.zeros((blocks, d))
         rao = np.zeros((blocks, d))
         nonzero = np.zeros(blocks, dtype=bool)
-        for j, (w, size) in enumerate(zip(self.weights, sizes)):
-            _, r, mu, sigma = _batch_tail_stats(z_a[:, :size], spec.alpha, self.eps_sigma)
-            rao += w * _h_batch(r, mu, sigma, spec)
+        tails = [_batch_tail_stats(z_a[:, :size], spec.alpha, self.eps_sigma)[1:] for size in sizes]
+        h = _h_batch(*(np.stack(v) for v in zip(*tails)), spec)  # all prefixes in one call
+        for j, (w, size, (r, mu, sigma)) in enumerate(zip(self.weights, sizes, tails)):
+            rao += w * h[j]
             eta = (r[:, None], mu[:, None], sigma[:, None])
             at_r = _power_sums(z_b[:, :size], eta[0])
             nonzero |= at_r[1, :, 0] > 0  # some z > r_hat_j

@@ -19,7 +19,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import log_softmax, softmax
 
 from .advantages import RULE_NAMES, RuleParams, compute_rules
 from .bon_eval import BonCurve, grouped_bon_curve
@@ -110,6 +109,21 @@ class TrainResult:
     thetas: np.ndarray
     trajectory: list[TrajectoryPoint]
     config: TrainConfig
+
+
+def softmax(x: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """exp(x) / sum exp(x) along ``axis``, shifted by the max; scipy.special.softmax's bits."""
+    x_max = np.max(x, axis=axis, keepdims=True)
+    exp_x = np.exp(x - x_max)
+    return exp_x / np.sum(exp_x, axis=axis, keepdims=True)
+
+
+def log_softmax(x: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """x - log sum exp(x) along ``axis``, shifted by a finite max; scipy.special.log_softmax's bits."""
+    x_max = np.max(x, axis=axis, keepdims=True)
+    shifted = x - np.where(np.isfinite(x_max), x_max, 0.0)
+    with np.errstate(divide="ignore"):
+        return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
 def policy_logprob_grad(theta: np.ndarray, action: int) -> np.ndarray:

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from bontea import (
     qq_tail_fit,
     tail_constants,
 )
-from bontea.gauss import norm_pdf
+from bontea.gauss import DEFAULT_QQ_GRID, ndtr, ndtri, norm_pdf
 
 # high-precision oracle values at alpha = 1/4
 Z_ALPHA = 0.6744897501960817
@@ -49,7 +50,7 @@ class TestExpectedGaussMax:
 
     @pytest.mark.parametrize("n, expected", sorted(C_N_ORACLE.items()))
     def test_oracle_values(self, n, expected):
-        assert_allclose(expected_gauss_max(n), expected, rtol=0, atol=1e-9)
+        assert_allclose(expected_gauss_max(n), expected, rtol=1e-13, atol=0)
 
     def test_c2_closed_form(self):
         assert_allclose(expected_gauss_max(2), 1.0 / np.sqrt(np.pi), rtol=0, atol=1e-10)
@@ -178,8 +179,38 @@ class TestNormPdf:
         for x in (0.6744897501960817, -1.5, 38.5):
             assert norm_pdf(x) == stats.norm.pdf(x)
 
-    def test_cli_import_leaves_scipy_stats_out(self):
-        src = str(Path(bontea.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        code = "import sys, bontea.cli; sys.exit('scipy.stats' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+class TestNormalCdfAndQuantile:
+    """The NumPy ndtr and ndtri against scipy.special, kept as the test reference."""
+
+    def test_ndtr_matches_scipy(self):
+        from scipy import special
+
+        grid = np.linspace(-12.0, 12.0, 480_001)  # every branch: |x| / sqrt(2) up to 8.5
+        assert_allclose(ndtr(grid), special.ndtr(grid), rtol=1e-15, atol=0)
+        for x in (-11.5, -1.2, 0.0, 0.3, 1.2, 11.5):
+            assert ndtr(x).shape == ()
+            assert_allclose(ndtr(x), special.ndtr(x), rtol=1e-15, atol=0)
+
+    def test_ndtri_matches_scipy_on_the_levels_used(self):
+        from scipy import special
+
+        qq_levels = np.concatenate(
+            [np.linspace(0.80, 0.99, DEFAULT_QQ_GRID), np.linspace(0.7, 0.95, 10)]
+        )
+        upper = 1.0 - np.linspace(0.0, 0.5, 1001)[1:-1]  # 1 - alpha, alpha in (0, 1/2)
+        for p in (qq_levels, upper):
+            assert_allclose(ndtri(p), special.ndtri(p), rtol=1e-15, atol=0)
+
+    def test_ndtri_is_as241(self):
+        p = np.concatenate([np.linspace(1e-12, 1.0 - 1e-12, 20_001), [1e-300, 0.075, 0.925]])
+        assert np.array_equal(ndtri(p), [NormalDist().inv_cdf(v) for v in p])
+
+
+@pytest.mark.parametrize("module", ["bontea", "bontea.cli", "bontea.trainer", "bontea.synth"])
+def test_import_loads_no_scipy(module):
+    src = str(Path(bontea.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = f"import sys, {module}; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

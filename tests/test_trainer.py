@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import special
 from scipy.special import log_softmax, softmax
 
 from bontea import (
@@ -22,6 +23,7 @@ from bontea import (
     policy_logprob_grad,
     train,
 )
+from bontea import trainer
 from bontea.trainer import enumerate_policy_bon, kl_value
 
 
@@ -33,6 +35,22 @@ def fd_gradient(func, theta: np.ndarray, step: float = 1e-5) -> np.ndarray:
         down[i] -= step
         grad[i] = (func(up) - func(down)) / (2 * step)
     return grad
+
+
+class TestSoftmax:
+    @pytest.mark.parametrize("name", ["softmax", "log_softmax"])
+    @pytest.mark.parametrize("axis", [None, 1])
+    def test_bitwise_equal_to_scipy(self, name, axis):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((12, 9)) * 4.0
+        x[1] += 1e3
+        x[2] -= 1e3
+        x[3, ::3] = -np.inf
+        x[4, 0] = -np.inf
+        ours, reference = getattr(trainer, name), getattr(special, name)
+        assert np.array_equal(ours(x, axis=axis), reference(x, axis=axis))
+        for row in x[:5]:
+            assert np.array_equal(ours(row), reference(row))
 
 
 class TestPolicyLogprobGrad:
