@@ -227,6 +227,17 @@ def predict_vn(tail: TailVector, constants: TailConstants) -> float:
     return tail.mu + constants.c_tilde_n * tail.sigma
 
 
+@lru_cache(maxsize=None)
+def _qq_design(q_lo: float, q_hi: float, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levels of a QQ fit window and the design matrix [1, Phi^-1(level)], read-only."""
+    levels = np.linspace(q_lo, q_hi, grid_points)
+    x = ndtri(levels)
+    design = np.column_stack([np.ones_like(x), x])
+    levels.setflags(write=False)
+    design.setflags(write=False)
+    return levels, design
+
+
 def qq_tail_fit(
     samples: np.ndarray,
     q_lo: float,
@@ -246,13 +257,11 @@ def qq_tail_fit(
         raise InputError(f"need 0 < q_lo < q_hi < 1, got ({q_lo}, {q_hi})")
     if grid_points < 2:
         raise InputError(f"grid_points must be >= 2, got {grid_points}")
-    levels = np.linspace(q_lo, q_hi, grid_points)
+    levels, design = _qq_design(q_lo, q_hi, grid_points)
     y = np.quantile(samples, levels)
     ss_tot = float(((y - y.mean()) ** 2).sum())
     if ss_tot == 0.0:
         raise DegenerateError("all quantiles in the fit window are equal; R^2 undefined")
-    x = ndtri(levels)
-    design = np.column_stack([np.ones_like(x), x])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     r_squared = 1.0 - float(resid @ resid) / ss_tot

@@ -52,6 +52,10 @@ class TestExpectedGaussMax:
     def test_oracle_values(self, n, expected):
         assert_allclose(expected_gauss_max(n), expected, rtol=1e-13, atol=0)
 
+    def test_oracle_value_at_a_million(self):
+        # high-precision oracle; Phi(z)^(n-1) must not lose n ulps where Phi(z) is near 1
+        assert_allclose(expected_gauss_max(10**6), 4.8628974861964627, rtol=1e-13, atol=0)
+
     def test_c2_closed_form(self):
         assert_allclose(expected_gauss_max(2), 1.0 / np.sqrt(np.pi), rtol=0, atol=1e-10)
 
