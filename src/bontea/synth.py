@@ -5,8 +5,9 @@ S_c(Z) = 1{Z >= t_c} - (1 - Phi(t_c)) per threshold t_c, so the target
 gradient g = (1/alpha) E[1{Z >= z_alpha} R_tilde_eta(Z) S(Z)] has a closed
 form through Gaussian partial moments. ``estimator_bias_variance`` measures
 any advantage rule's induced gradient (1/m) sum_i A_i S(Z_i) against that
-target over many replications; for the TEA family the raw (uncentered, 1/alpha-weighted)
-estimator is measured so the target is the population tail gradient.
+target over many replications; for the TEA family the raw (uncentered,
+1/alpha-weighted) estimator is measured so the target is the population tail
+gradient.
 
 The prefix rule is measured on its cross-fitted split-halves form: the tail
 vector comes from batch A, the score average from batch B, and the bias is

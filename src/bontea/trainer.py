@@ -112,14 +112,14 @@ class TrainResult:
 
 
 def softmax(x: np.ndarray, axis: int | None = None) -> np.ndarray:
-    """exp(x) / sum exp(x) along ``axis``, shifted by the max; scipy.special.softmax's bits."""
+    """exp(x) / sum exp(x) along ``axis``, shifted by the max, as scipy.special.softmax."""
     x_max = np.max(x, axis=axis, keepdims=True)
     exp_x = np.exp(x - x_max)
     return exp_x / np.sum(exp_x, axis=axis, keepdims=True)
 
 
 def log_softmax(x: np.ndarray, axis: int | None = None) -> np.ndarray:
-    """x - log sum exp(x) along ``axis``, shifted by a finite max; scipy.special.log_softmax's bits."""
+    """x - log sum exp(x) along ``axis``, shifted by a finite max, as scipy.special.log_softmax."""
     x_max = np.max(x, axis=axis, keepdims=True)
     shifted = x - np.where(np.isfinite(x_max), x_max, 0.0)
     with np.errstate(divide="ignore"):
