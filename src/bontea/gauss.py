@@ -117,7 +117,7 @@ def _polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
 
 
 def ndtr(x: float | np.ndarray) -> np.ndarray:
-    """Standard normal CDF Phi(x), elementwise, for finite x.
+    """Standard normal CDF Phi(x), elementwise.
 
     Cephes' ndtr, the algorithm of scipy.special.ndtr: with u = x / sqrt(2),
     0.5 + 0.5 erf(u) for |u| < sqrt(1/2) and otherwise 0.5 erfc(|u|),
@@ -125,7 +125,7 @@ def ndtr(x: float | np.ndarray) -> np.ndarray:
     times exp(-u^2) above. Each fit is evaluated only on the elements it serves.
     """
     x = np.asarray(x, dtype=float)
-    u = x.reshape(-1) * _SQRT_HALF
+    u = np.clip(x.reshape(-1), -40.0, 40.0) * _SQRT_HALF  # Phi is 0 or 1 beyond |x| = 38.5
     u2 = u * u
     erf = u * _polevl(u2, _ERF_T) / _polevl(u2, _ERF_U)
     out = 0.5 + 0.5 * erf

@@ -181,9 +181,12 @@ def h_population(eta: TailVector, spec: SyntheticSpec) -> np.ndarray:
     return _h_batch(np.float64(eta.r), np.float64(eta.mu), np.float64(eta.sigma), spec)
 
 
+@lru_cache(maxsize=None)
 def true_gradient(spec: SyntheticSpec) -> np.ndarray:
-    """Exact target gradient: H at the population tail vector, in closed form."""
-    return h_population(population_tail_vector(spec), spec)
+    """Exact target gradient: H at the population tail vector, in closed form; read-only."""
+    out = h_population(population_tail_vector(spec), spec)
+    out.setflags(write=False)
+    return out
 
 
 def cross_fit_gradient(

@@ -196,6 +196,7 @@ class TestNormalCdfAndQuantile:
         for x in (-11.5, -1.2, 0.0, 0.3, 1.2, 11.5):
             assert ndtr(x).shape == ()
             assert_allclose(ndtr(x), special.ndtr(x), rtol=1e-15, atol=0)
+        assert ndtr([-np.inf, -1e200, 1e200, np.inf]).tolist() == [0.0, 0.0, 1.0, 1.0]
 
     def test_ndtri_matches_scipy_on_the_levels_used(self):
         from scipy import special
