@@ -184,7 +184,6 @@ class TestNormPdf:
             assert norm_pdf(x) == stats.norm.pdf(x)
 
 
-
 class TestNormalCdfAndQuantile:
     """The NumPy ndtr and ndtri against scipy.special, kept as the test reference."""
 
