@@ -15,19 +15,9 @@ from .advantages import (
     AdvantageVector,
     RULE_NAMES,
     RuleParams,
-    bon_max,
-    bon_mean,
     bon_mean_raw,
-    cat_bon,
-    chow_bon_rl,
     compute_rule,
     compute_rules,
-    grpo,
-    grpo_z,
-    prefix_tea,
-    tail_shaped_reward,
-    tea,
-    tea_raw,
 )
 from .bon_eval import (
     BonCurve,
@@ -44,15 +34,11 @@ from .gauss import QqFit, TailConstants, expected_gauss_max, predict_vn, qq_tail
 from .prefixes import PrefixScheme, build_scheme, cancellation_weights, practical_prefixes, theory_prefixes
 from .synth import (
     BiasVarianceRow,
-    MseFrontier,
     SyntheticSpec,
-    cross_fit_gradient,
     estimator_bias_variance,
-    h_population,
-    mse_frontier,
     true_gradient,
 )
-from .tailstats import RewardGroup, TailVector, empirical_tail_vector, prefix_tail_vectors, split_halves
+from .tailstats import RewardGroup, TailVector, empirical_tail_vector
 from .trainer import ToyTask, TrainConfig, TrainResult, evaluate_policy_bon, kl_grad, policy_logprob_grad, train
 
 __version__ = "0.1.0"
@@ -64,7 +50,6 @@ __all__ = [
     "DegenerateError",
     "EmpiricalPool",
     "InputError",
-    "MseFrontier",
     "PrefixScheme",
     "QqFit",
     "RULE_NAMES",
@@ -76,16 +61,11 @@ __all__ = [
     "ToyTask",
     "TrainConfig",
     "TrainResult",
-    "bon_max",
-    "bon_mean",
     "bon_mean_raw",
     "build_scheme",
     "cancellation_weights",
-    "cat_bon",
-    "chow_bon_rl",
     "compute_rule",
     "compute_rules",
-    "cross_fit_gradient",
     "empirical_tail_vector",
     "estimator_bias_variance",
     "evaluate_policy_bon",
@@ -93,24 +73,14 @@ __all__ = [
     "expected_max",
     "gradient_alignment",
     "grouped_bon_curve",
-    "grpo",
-    "grpo_z",
-    "h_population",
     "kl_grad",
-    "mse_frontier",
     "oracle_advantage",
     "paired_bootstrap_delta",
     "policy_logprob_grad",
     "practical_prefixes",
     "predict_vn",
-    "prefix_tail_vectors",
-    "prefix_tea",
     "qq_tail_fit",
-    "split_halves",
     "tail_constants",
-    "tail_shaped_reward",
-    "tea",
-    "tea_raw",
     "theory_prefixes",
     "train",
     "true_gradient",

@@ -2,16 +2,16 @@
 
 Every rule maps a (B, m) reward matrix, one group per row, to a (B, m)
 advantage matrix; ``compute_rules`` reaches each rule's kernel by name, and
-the per-group functions (``compute_rule``, ``tea``, ``grpo``, ...) are the
-case B = 1. The TEA
-family is built on the tail-shaped reward
+``compute_rule`` is the case B = 1. The TEA family is built on the
+tail-shaped reward
 
     R_tilde(u) = (u - r) + (c_tilde / (2 sigma)) ((u - mu)^2 - (r - mu)^2)
 
 evaluated at the group's empirical tail vector (r, mu, sigma): the raw
 estimator weights tail members by R_tilde / alpha, and the stabilized training
 rule takes positive parts and centers. Prefix-TEA combines the raw rule on
-nested arrival-order prefixes with moment-cancellation weights. The baselines
+nested arrival-order prefixes with moment-cancellation weights; its raw form
+(``prefix-tea-raw``) skips the positive parts and the centring. The baselines
 (GRPO, GRPO-Z, BoN-max, BoN mean, a selection/correction split rule, and
 rank-scaled CAT-BoN) share the same rewards-in, advantages-out interface.
 """
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DegenerateError, InputError
 from .gauss import tail_constants
 from .prefixes import build_scheme
-from .tailstats import DEFAULT_EPS_SIGMA, RewardGroup, TailVector, row_moments, tail_stats
+from .tailstats import DEFAULT_EPS_SIGMA, RewardGroup, row_moments, tail_stats
 
 #: Default denominator guard for normalized rules.
 DEFAULT_EPS_NORM = 1e-8
@@ -93,18 +93,9 @@ def _centered(x: np.ndarray) -> np.ndarray:
 
 
 def _shaped(u, r, mu, sigma, c_tilde: float):
-    """R_tilde(u) for tail vectors (r, mu, sigma) that broadcast against u."""
+    """R_tilde(u) for tail vectors (r, mu, sigma) that broadcast against u; 0 at u = r exactly."""
     # 0.5 * c / sigma has the bits of c / (2 sigma): halving is exact
     return (u - r) + 0.5 * c_tilde / sigma * ((u - mu) ** 2 - (r - mu) ** 2)
-
-
-def tail_shaped_reward(
-    eta: TailVector, u: float | np.ndarray, c_tilde: float
-) -> float | np.ndarray:
-    """Tail-shaped reward R_tilde(u); accepts scalar or vector u."""
-    if eta.sigma <= 0:
-        raise InputError(f"tail sigma must be positive, got {eta.sigma}")
-    return _shaped(u, eta.r, eta.mu, eta.sigma, c_tilde)
 
 
 # --- batch kernels: (B, m) rewards in, (B, m) advantages out -------------------
@@ -127,15 +118,20 @@ def _tea(rewards: np.ndarray, params: RuleParams) -> np.ndarray:
     return _centered(np.maximum(_tea_raw(rewards, params), 0.0))
 
 
-def _prefix_tea(rewards: np.ndarray, params: RuleParams) -> np.ndarray:
+def _prefix_tea(rewards: np.ndarray, params: RuleParams, raw: bool = False) -> np.ndarray:
+    """C_i = sum_j w_j rho_j (A_raw_{i,j})_+, centered; with ``raw``, no positive part or centring.
+
+    A_raw_{i,j} applies the raw rule with prefix j's tail vector and the
+    membership indicator 1{i <= m_j}.
+    """
     scheme = build_scheme(rewards.shape[1], params.k, params.j_count)
     c_tilde = tail_constants(params.alpha, params.n_target).c_tilde_n
     combined = np.zeros_like(rewards)
     with np.errstate(over="ignore", invalid="ignore"):
         for w, rho, size in zip(scheme.weights, scheme.ratios, scheme.sizes):
             raw_j = _tea_raw_values(rewards[:, :size], params.alpha, params.eps_sigma, c_tilde)
-            combined[:, :size] += w * rho * np.maximum(raw_j, 0.0)
-    return _centered(combined)
+            combined[:, :size] += w * rho * (raw_j if raw else np.maximum(raw_j, 0.0))
+    return combined if raw else _centered(combined)
 
 
 def _grpo_z(rewards: np.ndarray, eps_norm: float) -> np.ndarray:
@@ -156,6 +152,7 @@ def _grpo_z(rewards: np.ndarray, eps_norm: float) -> np.ndarray:
 
 
 def _bon_max(rewards: np.ndarray, variant: str) -> np.ndarray:
+    """R* - mean(R) or R* - runner-up at the first argmax; the runner-up counts duplicates of R*."""
     rows = np.arange(rewards.shape[0])
     i_star = np.argmax(rewards, axis=1)
     if variant == "mean":
@@ -200,6 +197,11 @@ def _bon_mean_raw(rewards: np.ndarray, bon_k: int) -> np.ndarray:
 
 
 def _chow(rewards: np.ndarray, params: RuleParams, seeds: Sequence[int] | None) -> np.ndarray:
+    """Selection/correction split: a seeded permutation's first n_sel indices select.
+
+    The winner of the selection set gets m R*, and correction samples beating
+    R* get -m (lambda / m_corr) R*; lambda defaults to n_sel - 1.
+    """
     n_rows, m = rewards.shape
     n_sel = params.n_sel if params.n_sel is not None else m // 2
     m_corr = params.m_corr if params.m_corr is not None else m - n_sel
@@ -238,6 +240,7 @@ def _strictly_below(rewards: np.ndarray) -> np.ndarray:
 
 
 def _cat_bon(rewards: np.ndarray, cat_n_target: int, eps_norm: float) -> np.ndarray:
+    """GRPO-Z scaled by weights N F<(R_i)^(N-1) over their mean; F< counts strictly smaller."""
     if cat_n_target < 1:
         raise InputError(f"cat_n_target must be >= 1, got {cat_n_target}")
     below = _strictly_below(rewards) / rewards.shape[1]
@@ -264,6 +267,7 @@ _KERNELS: dict[str, _Kernel] = {
     "tea": lambda x, params, seeds: _tea(x, params),
     "tea-raw": lambda x, params, seeds: _tea_raw(x, params),
     "prefix-tea": lambda x, params, seeds: _prefix_tea(x, params),
+    "prefix-tea-raw": lambda x, params, seeds: _prefix_tea(x, params, raw=True),
     "grpo": lambda x, params, seeds: _centered(x),
     "grpo-z": lambda x, params, seeds: _grpo_z(x, params.eps_norm),
     "bonmax-mean": lambda x, params, seeds: _bon_max(x, "mean"),
@@ -317,51 +321,6 @@ def compute_rule(
     return AdvantageVector(kernel(_row(group), params, None if seed is None else (seed,))[0])
 
 
-# --- the per-group API ----------------------------------------------------------
-
-
-def tea_raw(group: RewardGroup | np.ndarray, params: RuleParams) -> AdvantageVector:
-    """Raw plug-in rule: (1/alpha) 1{R_i >= r_hat} R_tilde(R_i), uncentered."""
-    return AdvantageVector(_tea_raw(_row(group), params)[0])
-
-
-def tea(group: RewardGroup | np.ndarray, params: RuleParams) -> AdvantageVector:
-    """Stabilized TEA: positive part of the raw rule, centered to sum zero."""
-    return AdvantageVector(_tea(_row(group), params)[0])
-
-
-def prefix_tea(group: RewardGroup | np.ndarray, params: RuleParams) -> AdvantageVector:
-    """Prefix-debiased TEA on practical prefixes.
-
-    C_i = sum_j w_j rho_j (A_raw_{i,j})_+ where A_raw_{i,j} applies the raw
-    rule with prefix j's tail vector and the membership indicator 1{i <= m_j};
-    the output is C centered to sum zero.
-    """
-    return AdvantageVector(_prefix_tea(_row(group), params)[0])
-
-
-def grpo(group: RewardGroup | np.ndarray) -> AdvantageVector:
-    """Mean-centered rewards."""
-    return AdvantageVector(_centered(_row(group))[0])
-
-
-def grpo_z(group: RewardGroup | np.ndarray, eps_norm: float = DEFAULT_EPS_NORM) -> AdvantageVector:
-    """Group-normalized rewards: (R - mean) / (population std + eps)."""
-    return AdvantageVector(_grpo_z(_row(group), eps_norm)[0])
-
-
-def bon_max(group: RewardGroup | np.ndarray, variant: str) -> AdvantageVector:
-    """Advantage only at the argmax: R* - mean(R) or R* - runner-up.
-
-    Argmax ties break to the smallest arrival index; the runner-up is the
-    second-largest value counting duplicates of the maximum.
-    """
-    rewards = _row(group)
-    if variant not in ("mean", "second"):
-        raise InputError(f"variant must be 'mean' or 'second', got {variant!r}")
-    return AdvantageVector(_bon_max(rewards, variant)[0])
-
-
 def bon_mean_raw(group: RewardGroup | np.ndarray, bon_k: int) -> np.ndarray:
     """Subset-max transformed rewards in arrival order, unnormalized.
 
@@ -373,34 +332,3 @@ def bon_mean_raw(group: RewardGroup | np.ndarray, bon_k: int) -> np.ndarray:
     k times the average maximum over all C(m, k) subsets.
     """
     return _bon_mean_raw(_row(group), bon_k)[0]
-
-
-def bon_mean(
-    group: RewardGroup | np.ndarray, bon_k: int, eps_norm: float = DEFAULT_EPS_NORM
-) -> AdvantageVector:
-    """Subset-max transformed rewards (``bon_mean_raw``), normalized like grpo_z."""
-    return AdvantageVector(_grpo_z(_bon_mean_raw(_row(group), bon_k), eps_norm)[0])
-
-
-def chow_bon_rl(group: RewardGroup | np.ndarray, params: RuleParams) -> AdvantageVector:
-    """Selection/correction split estimator of the best-of-N gradient.
-
-    A seeded uniform permutation assigns the first n_sel indices to the
-    selection set S and the rest to the correction set C; the winner of S gets
-    m R*, and correction samples beating R* get -m (lambda / m_corr) R*.
-    lambda defaults to n_sel - 1 when not set.
-    """
-    return AdvantageVector(_chow(_row(group), params, None)[0])
-
-
-def cat_bon(
-    group: RewardGroup | np.ndarray,
-    cat_n_target: int,
-    eps_norm: float = DEFAULT_EPS_NORM,
-) -> AdvantageVector:
-    """Rank-scaled GRPO-Z: weights N F<(R_i)^(N-1) from the strictly-below rank.
-
-    F< counts strictly smaller rewards only; weights are normalized by their
-    mean (plus eps) and multiply the grpo_z advantage elementwise.
-    """
-    return AdvantageVector(_cat_bon(_row(group), cat_n_target, eps_norm)[0])

@@ -4,8 +4,8 @@ Treating a finite reward pool as an empirical distribution gives closed forms
 for the expected best-of-N maximum and each sample's marginal contribution to
 it (the oracle advantage). The evaluation half implements grouped best-of-N
 curves over stored samples (consecutive partitions), the paired prompt
-bootstrap, the win/tie/loss rule, the top-k validation score, and the
-gradient-alignment cosine diagnostic.
+bootstrap, the win/tie/loss rule, and the gradient-alignment cosine
+diagnostic.
 """
 
 from __future__ import annotations
@@ -140,17 +140,6 @@ def win_tie_loss(
     ties = diff.size - wins - losses
     scale = 100.0 / diff.size
     return wins * scale, ties * scale, losses * scale
-
-
-def topk_validation_score(per_prompt_samples: np.ndarray, k: int = 10) -> float:
-    """Prompt-average of each prompt's mean top-k sample reward."""
-    samples = np.asarray(per_prompt_samples, dtype=float)
-    if samples.ndim == 1:
-        samples = samples[None, :]
-    if k < 1 or k > samples.shape[1]:
-        raise InputError(f"need 1 <= k <= samples per prompt, got k={k}, M={samples.shape[1]}")
-    top = np.partition(samples, samples.shape[1] - k, axis=1)[:, samples.shape[1] - k :]
-    return float(top.mean(axis=1).mean())
 
 
 def gradient_alignment(

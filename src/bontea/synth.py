@@ -35,11 +35,11 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .advantages import RuleParams, compute_rules
+from .advantages import RuleParams, _shaped, compute_rules
 from .errors import DegenerateError, InputError
 from .gauss import ndtr, norm_pdf, tail_constants
-from .prefixes import build_scheme, cancellation_weights, theory_prefixes
-from .tailstats import DEFAULT_EPS_SIGMA, RewardGroup, TailVector, empirical_tail_vector, tail_count
+from .prefixes import cancellation_weights, theory_prefixes
+from .tailstats import slice_tail_stats, tail_count
 
 #: Replications per block. Each block draws from its own SeedSequence child,
 #: and the block is the unit the moments are merged in.
@@ -88,39 +88,11 @@ class BiasVarianceRow:
     variance_se: float
 
 
-@dataclass(frozen=True)
-class MseFrontier:
-    """Rows per (rule, m) plus the log10 MSE ratio prefix-tea / tea."""
-
-    rows: list[BiasVarianceRow]
-    m_grid: tuple[int, ...]
-    p_grid: tuple[int, ...]
-    ratio_log10: np.ndarray | None
-
-
 @lru_cache(maxsize=None)
 def _spec_constants(spec: SyntheticSpec):
     consts = tail_constants(spec.alpha, spec.n_target)
     thresholds = np.asarray(spec.score_thresholds, dtype=float)
     return consts, thresholds, 1.0 - ndtr(thresholds)
-
-
-def population_tail_vector(spec: SyntheticSpec) -> TailVector:
-    """Population tail vector (z_alpha, lambda_alpha, sqrt(delta_alpha))."""
-    consts, _, _ = _spec_constants(spec)
-    return TailVector(
-        r=consts.z_alpha,
-        mu=consts.lambda_alpha,
-        sigma=float(np.sqrt(consts.delta_alpha)),
-        q=0,
-    )
-
-
-def score_matrix(spec: SyntheticSpec, z: np.ndarray) -> np.ndarray:
-    """Centered threshold scores S(z), shape z.shape + (d,)."""
-    _, thresholds, sbar = _spec_constants(spec)
-    z = np.asarray(z, dtype=float)
-    return (z[..., None] >= thresholds) - sbar
 
 
 def _shaped_coefficients(r, mu, sigma, c_tilde: float, shift=0.0):
@@ -137,15 +109,8 @@ def _shaped_coefficients(r, mu, sigma, c_tilde: float, shift=0.0):
     return e * (b1 + a2 * e), b1 + 2.0 * a2 * e, a2
 
 
-def _shaped(z: np.ndarray, r, mu, sigma, c_tilde: float) -> np.ndarray:
-    """Tail-shaped reward R_tilde(z) = (z - r)(b1 + a2 (z - r)), exactly zero at z = r."""
-    _, b1, a2 = _shaped_coefficients(r, mu, sigma, c_tilde, r)
-    u = z - r
-    return u * (b1 + a2 * u)
-
-
 def _h_batch(r: np.ndarray, mu: np.ndarray, sigma: np.ndarray, spec: SyntheticSpec) -> np.ndarray:
-    """H(eta) for batched tail vectors; shape (..., d).
+    """H(eta) = (1/alpha) int_r^inf R_tilde(z) S(z) phi(z) dz for batched tail vectors; (..., d).
 
     R_tilde is the quadratic a0 + a1 z + a2 z^2, so the integral against the
     Gaussian density reduces to partial moments: with T(b) the integral of
@@ -169,47 +134,16 @@ def _h_batch(r: np.ndarray, mu: np.ndarray, sigma: np.ndarray, spec: SyntheticSp
     return (t_upper - sbar * t_r[..., None]) / spec.alpha
 
 
-def h_population(eta: TailVector, spec: SyntheticSpec) -> np.ndarray:
-    """Conditional mean H(eta) = (1/alpha) int_r^inf R_tilde(z) S(z) phi(z) dz.
-
-    Evaluated in closed form through Gaussian partial moments (the integrand
-    is a quadratic times the density); tests pin agreement with adaptive
-    quadrature. At the population tail vector this is ``true_gradient``.
-    """
-    if eta.sigma <= 0:
-        raise InputError(f"tail sigma must be positive, got {eta.sigma}")
-    return _h_batch(np.float64(eta.r), np.float64(eta.mu), np.float64(eta.sigma), spec)
-
-
 @lru_cache(maxsize=None)
 def true_gradient(spec: SyntheticSpec) -> np.ndarray:
-    """Exact target gradient: H at the population tail vector, in closed form; read-only."""
-    out = h_population(population_tail_vector(spec), spec)
+    """Exact target gradient: H at the population tail vector, in closed form; read-only.
+
+    The population tail vector is (z_alpha, lambda_alpha, sqrt(delta_alpha)).
+    """
+    consts, _, _ = _spec_constants(spec)
+    out = _h_batch(consts.z_alpha, consts.lambda_alpha, np.sqrt(consts.delta_alpha), spec)
     out.setflags(write=False)
     return out
-
-
-def cross_fit_gradient(
-    group_a: RewardGroup,
-    group_b: RewardGroup,
-    spec: SyntheticSpec,
-    eps_sigma: float = DEFAULT_EPS_SIGMA,
-) -> np.ndarray:
-    """Tail vector from batch A, shaped-score average over batch B.
-
-    Returns (1/n) sum_i (1/alpha) 1{R_i^B >= r_hat^A} R_tilde_{eta^A}(R_i^B) s_i^B
-    with s_i^B taken from ``group_b.scores`` when present, else from the
-    threshold scores that ``spec`` defines.
-    """
-    if len(group_a) != len(group_b):
-        raise InputError("cross-fit batches must have equal size")
-    consts, _, _ = _spec_constants(spec)
-    eta = empirical_tail_vector(group_a, spec.alpha, eps_sigma)
-    z_b = group_b.rewards
-    shaped = _shaped(z_b, eta.r, eta.mu, eta.sigma, consts.c_tilde_n)
-    weights = np.where(z_b >= eta.r, shaped / spec.alpha, 0.0)
-    scores = group_b.scores if group_b.scores is not None else score_matrix(spec, z_b)
-    return weights @ scores / len(group_b)
 
 
 # --- vectorized per-block measurement kernels -------------------------------
@@ -220,13 +154,11 @@ def cross_fit_gradient(
 # v = z - b over z >= b, which the quadratic R_tilde turns into exact sums.
 
 
-def _batch_tail_stats(z: np.ndarray, alpha: float, eps_sigma: float):
-    """Top-q slice of each row of z, shape (blocks, q), and its r, mu, sigma."""
+def _top_slice(z: np.ndarray, alpha: float) -> np.ndarray:
+    """Top-q slice of each row of z, shape (blocks, q), with the q-th largest value first."""
     m = z.shape[1]
     q = tail_count(m, alpha)
-    top = np.partition(z, m - q, axis=1)[:, m - q :]
-    # the partition puts the q-th largest value first in the slice
-    return top, top[:, 0], top.mean(axis=1), np.maximum(top.std(axis=1), eps_sigma)
+    return np.partition(z, m - q, axis=1)[:, m - q :]
 
 
 def _score_sums(adv: np.ndarray, z: np.ndarray, spec: SyntheticSpec) -> np.ndarray:
@@ -290,8 +222,8 @@ def _tea_block(z: np.ndarray, spec: SyntheticSpec, eps_sigma: float):
     or tie with it and get R_tilde(r_hat) = 0 exactly.
     """
     consts, _, _ = _spec_constants(spec)
-    top, r, mu, sigma = _batch_tail_stats(z, spec.alpha, eps_sigma)
-    adv = _shaped(top, r[:, None], mu[:, None], sigma[:, None], consts.c_tilde_n)
+    top = _top_slice(z, spec.alpha)
+    adv = _shaped(top, *slice_tail_stats(top, eps_sigma), consts.c_tilde_n)
     grads = _score_sums(adv, top, spec) / (spec.alpha * z.shape[1])
     return grads, (adv != 0.0).any(axis=1)
 
@@ -350,29 +282,16 @@ class _PrefixCrossFit:
         actual = np.zeros((blocks, d))
         rao = np.zeros((blocks, d))
         nonzero = np.zeros(blocks, dtype=bool)
-        tails = [_batch_tail_stats(z_a[:, :size], spec.alpha, self.eps_sigma)[1:] for size in sizes]
-        h = _h_batch(*(np.stack(v) for v in zip(*tails)), spec)  # all prefixes in one call
-        for j, (w, size, (r, mu, sigma)) in enumerate(zip(self.weights, sizes, tails)):
+        tails = [
+            slice_tail_stats(_top_slice(z_a[:, :size], spec.alpha), self.eps_sigma) for size in sizes
+        ]
+        h = _h_batch(*(np.stack(v)[..., 0] for v in zip(*tails)), spec)  # all prefixes in one call
+        for j, (w, size, eta) in enumerate(zip(self.weights, sizes, tails)):
             rao += w * h[j]
-            eta = (r[:, None], mu[:, None], sigma[:, None])
             at_r = _power_sums(z_b[:, :size], eta[0])
             nonzero |= at_r[1, :, 0] > 0  # some z > r_hat_j
             actual += w * _tail_gradient(eta, at_r, at_t[:, :, j], spec, size)
         return actual, rao, controls, nonzero
-
-
-def _prefix_practical_block(
-    z: np.ndarray, spec: SyntheticSpec, params: RuleParams, sizes, weights, ratios
-) -> np.ndarray:
-    """Same-group raw prefix combination C_i = sum_j w_j rho_j A_raw_{i,j}."""
-    consts, _, _ = _spec_constants(spec)
-    combined = np.zeros_like(z)
-    for w, rho, size in zip(weights, ratios, sizes):
-        zj = z[:, :size]
-        _, r, mu, sigma = _batch_tail_stats(zj, spec.alpha, params.eps_sigma)
-        shaped = _shaped(zj, r[:, None], mu[:, None], sigma[:, None], consts.c_tilde_n)
-        combined[:, :size] += w * rho * np.where(zj >= r[:, None], shaped / spec.alpha, 0.0)
-    return combined
 
 
 def default_replications(m: int) -> int:
@@ -380,20 +299,20 @@ def default_replications(m: int) -> int:
     return 200_000 if m <= 1024 else 50_000
 
 
-def _gradient_kernel(rule: str, spec: SyntheticSpec, m: int, params: RuleParams):
+#: Lab tags measured by a block kernel of their own: (spec, params) -> kernel.
+_BLOCK_KERNELS = {
+    "tea": lambda spec, params: partial(_tea_block, spec=spec, eps_sigma=params.eps_sigma),
+    "oracle": lambda spec, params: partial(_oracle_block, spec=spec),
+}
+#: Lab tags that measure a rule registered under another name.
+_RULE_ALIASES = {"prefix-tea-practical": "prefix-tea-raw"}
+
+
+def _gradient_kernel(rule: str, spec: SyntheticSpec, params: RuleParams):
     """Chunk measurement z -> (induced gradient per row, any advantage nonzero)."""
-    if rule == "tea":
-        return partial(_tea_block, spec=spec, eps_sigma=params.eps_sigma)
-    if rule == "oracle":
-        return partial(_oracle_block, spec=spec)
-    if rule == "prefix-tea-practical":
-        scheme = build_scheme(m, params.k, params.j_count)
-        advantages = partial(
-            _prefix_practical_block, spec=spec, params=params,
-            sizes=scheme.sizes, weights=scheme.weights, ratios=scheme.ratios,
-        )
-    else:
-        advantages = partial(compute_rules, rule, params=params)
+    if rule in _BLOCK_KERNELS:
+        return _BLOCK_KERNELS[rule](spec, params)
+    advantages = partial(compute_rules, _RULE_ALIASES.get(rule, rule), params=params)
 
     def measure(z: np.ndarray):
         adv = advantages(z)
@@ -539,8 +458,9 @@ def estimator_bias_variance(
 
     Draws ``replications`` groups of m standard normals; each group's induced
     gradient is (1/m) sum_i A_i S(Z_i). Tags 'tea' and 'prefix-tea-practical'
-    measure the raw (uncentered) estimators so the target is the population
-    tail gradient; 'oracle' plugs in the population tail vector; 'prefix-tea'
+    measure the raw (uncentered) estimators, the rules 'tea-raw' and
+    'prefix-tea-raw', so the target is the population tail gradient; 'oracle'
+    plugs in the population tail vector; 'prefix-tea'
     measures the cross-fitted split-halves estimator, with variance from the
     actual estimator and bias from the Rao-Blackwellized path (control-variate
     corrected; the pilot block that calibrates the coefficients is excluded
@@ -590,7 +510,7 @@ def estimator_bias_variance(
         bias_vec = rao_acc.mean() - g_true
         bias_se = np.sqrt(rao_acc.var() / rao_acc.n)
     else:
-        measure = _gradient_kernel(rule, spec, m, params)
+        measure = _gradient_kernel(rule, spec, params)
         for take, (grads, nonzero) in _block_outputs(measure, m, replications, seed):
             zero_rows += int(take - nonzero.sum())
             acc.add(grads)
@@ -611,41 +531,3 @@ def frontier_row_seed(seed: int, rule_index: int, m_index: int) -> int:
     budgets never reshuffles existing rows.
     """
     return int(np.random.SeedSequence([seed, rule_index, m_index]).generate_state(1)[0])
-
-
-def mse_frontier(
-    rules: list[str] | tuple[str, ...],
-    m_grid: list[int] | tuple[int, ...],
-    p_grid: list[int] | tuple[int, ...] = DEFAULT_P_GRID,
-    spec: SyntheticSpec = SyntheticSpec(),
-    replications: int | None = None,
-    seed: int = 0,
-    params: RuleParams | None = None,
-) -> MseFrontier:
-    """Bias/variance rows over a (rule, m) grid plus the prefix/tea MSE ratio.
-
-    Row (i, j) draws from ``frontier_row_seed(seed, i, j)``.
-    """
-    if not rules or not m_grid or not p_grid:
-        raise InputError("rules, m_grid, and p_grid must be nonempty")
-    m_grid = tuple(int(m) for m in m_grid)
-    p_grid = tuple(int(p) for p in p_grid)
-    rows = []
-    by_tag: dict[str, dict[int, BiasVarianceRow]] = {}
-    for i, rule in enumerate(rules):
-        for j, m in enumerate(m_grid):
-            row = estimator_bias_variance(
-                rule, spec, m, replications=replications, seed=frontier_row_seed(seed, i, j),
-                params=params, p_grid=p_grid,
-            )
-            rows.append(row)
-            by_tag.setdefault(rule, {})[m] = row
-    ratio = None
-    if "prefix-tea" in by_tag and "tea" in by_tag:
-        ratio = np.empty((len(m_grid), len(p_grid)))
-        for a, m in enumerate(m_grid):
-            for b, p in enumerate(p_grid):
-                ratio[a, b] = np.log10(
-                    by_tag["prefix-tea"][m].mse_at_p[p] / by_tag["tea"][m].mse_at_p[p]
-                )
-    return MseFrontier(rows=rows, m_grid=m_grid, p_grid=p_grid, ratio_log10=ratio)

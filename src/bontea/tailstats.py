@@ -27,8 +27,8 @@ class RewardGroup:
     """One prompt's rewards in arrival order, optionally with score vectors.
 
     ``rewards`` has shape (m,); ``scores``, when present, has shape (m, d) and
-    row i belongs to reward i. Arrival order is meaningful: prefix operations
-    and the half split slice it directly.
+    row i belongs to reward i. Arrival order is meaningful: prefix rules slice
+    it directly.
     """
 
     prompt_id: str
@@ -84,25 +84,20 @@ def row_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mean, dev, np.sqrt(np.add.reduce(dev * dev, axis=1, keepdims=True) / x.shape[1])
 
 
-def tail_stats(
-    rewards: np.ndarray, alpha: float, eps_sigma: float = DEFAULT_EPS_SIGMA
+def slice_tail_stats(
+    top: np.ndarray, eps_sigma: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tail vector (r, mu, sigma) of each row of a (B, m) reward matrix.
+    """Tail vector (r, mu, sigma) of each row of a (B, q) top-q slice.
 
-    Each of r, mu and sigma has shape (B, 1), so it broadcasts against the
-    rows. The top-q slice is taken from a row sort; sigma is the population
-    (divide-by-q) standard deviation clipped below by ``eps_sigma``. The
-    squares behind sigma may overflow: call this under
+    Each row holds a group's q largest rewards in any order, except that its
+    first entry is the q-th largest, as a sort or ``np.partition`` at m - q
+    leaves it. Each of r, mu and sigma has shape (B, 1); sigma is the
+    population (divide-by-q) standard deviation clipped below by
+    ``eps_sigma``. The squares behind sigma may overflow: call this under
     ``np.errstate(over="ignore", invalid="ignore")``, once per batch. A row
     whose statistics are not finite raises ``DegenerateError`` naming the
     first such row's values.
     """
-    if not 0.0 < alpha < 0.5:
-        raise InputError(f"alpha must lie in (0, 1/2), got {alpha}")
-    if not eps_sigma > 0:
-        raise InputError("eps_sigma must be positive")
-    m = rewards.shape[1]
-    top = np.sort(rewards, axis=1)[:, m - tail_count(m, alpha) :]
     r = top[:, :1]
     mu, _, sd = row_moments(top)
     sigma = np.maximum(sd, eps_sigma)
@@ -117,10 +112,20 @@ def tail_stats(
     return r, mu, sigma
 
 
-def _tail_vector(rewards: np.ndarray, alpha: float, eps_sigma: float) -> TailVector:
-    r, mu, sigma = tail_stats(rewards[None, :], alpha, eps_sigma)
-    q = tail_count(rewards.size, alpha)
-    return TailVector(r=float(r[0, 0]), mu=float(mu[0, 0]), sigma=float(sigma[0, 0]), q=q)
+def tail_stats(
+    rewards: np.ndarray, alpha: float, eps_sigma: float = DEFAULT_EPS_SIGMA
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tail vector (r, mu, sigma) of each row of a (B, m) reward matrix.
+
+    ``slice_tail_stats`` of the top-q slice of a row sort, with its shapes,
+    clip, overflow error and ``np.errstate`` requirement.
+    """
+    if not 0.0 < alpha < 0.5:
+        raise InputError(f"alpha must lie in (0, 1/2), got {alpha}")
+    if not eps_sigma > 0:
+        raise InputError("eps_sigma must be positive")
+    m = rewards.shape[1]
+    return slice_tail_stats(np.sort(rewards, axis=1)[:, m - tail_count(m, alpha) :], eps_sigma)
 
 
 def empirical_tail_vector(
@@ -137,36 +142,6 @@ def empirical_tail_vector(
     if len(group) < 2:
         raise InputError(f"group {group.prompt_id!r}: need m >= 2 rewards, got {len(group)}")
     with np.errstate(over="ignore", invalid="ignore"):
-        return _tail_vector(group.rewards, alpha, eps_sigma)
-
-
-def prefix_tail_vectors(
-    group: RewardGroup,
-    prefixes: tuple[int, ...] | list[int],
-    alpha: float,
-    eps_sigma: float = DEFAULT_EPS_SIGMA,
-) -> list[TailVector]:
-    """Tail vector of each arrival-order prefix ``rewards[:m_j]``."""
-    sizes = [int(p) for p in prefixes]
-    if sizes != sorted(sizes):
-        raise InputError(f"prefixes must be ascending, got {prefixes}")
-    if sizes and sizes[-1] > len(group):
-        raise InputError(f"prefix {sizes[-1]} exceeds group size {len(group)}")
-    if any(p < 2 for p in sizes):
-        raise InputError(f"every prefix must be >= 2, got {prefixes}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [_tail_vector(group.rewards[:p], alpha, eps_sigma) for p in sizes]
-
-
-def split_halves(group: RewardGroup) -> tuple[RewardGroup, RewardGroup]:
-    """Split a group into its first and second half, preserving arrival order."""
-    m = len(group)
-    if m % 2 != 0 or m < 4:
-        raise InputError(f"group {group.prompt_id!r}: half split needs even m >= 4, got {m}")
-    n = m // 2
-    scores_a = group.scores[:n] if group.scores is not None else None
-    scores_b = group.scores[n:] if group.scores is not None else None
-    return (
-        RewardGroup(group.prompt_id, group.rewards[:n], scores_a),
-        RewardGroup(group.prompt_id, group.rewards[n:], scores_b),
-    )
+        r, mu, sigma = tail_stats(group.rewards[None, :], alpha, eps_sigma)
+    q = tail_count(len(group), alpha)
+    return TailVector(r=float(r[0, 0]), mu=float(mu[0, 0]), sigma=float(sigma[0, 0]), q=q)

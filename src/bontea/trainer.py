@@ -9,13 +9,11 @@ direction minus a KL-to-reference penalty:
     theta <- theta + gamma * (1/P) sum_p [ (1/m) sum_i A_i S_i - beta grad KL ].
 
 Everything is exact at this scale: the score is one-hot(a) - softmax(theta),
-the KL term is computed from the two distributions in closed form, and the
-best-of-N value of a policy can be enumerated for small V and N.
+and the KL term is computed from the two distributions in closed form.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,19 +170,6 @@ def evaluate_policy_bon(
         actions = rng.choice(task.n_actions, size=samples_per_prompt, p=probs[x])
         samples[x] = task.rewards[x, actions]
     return grouped_bon_curve(samples, n_budgets)
-
-
-def enumerate_policy_bon(task: ToyTask, thetas: np.ndarray, n: int) -> np.ndarray:
-    """Exact per-prompt E[max of n draws] by summing over all V^n tuples."""
-    if task.n_actions**n > 300_000:
-        raise InputError(f"enumeration over {task.n_actions}^{n} tuples is too large")
-    probs = softmax(np.asarray(thetas, dtype=float), axis=1)
-    out = np.zeros(task.n_prompts)
-    for x in range(task.n_prompts):
-        for actions in itertools.product(range(task.n_actions), repeat=n):
-            weight = np.prod(probs[x, list(actions)])
-            out[x] += weight * task.rewards[x, list(actions)].max()
-    return out
 
 
 def _step_gradient(

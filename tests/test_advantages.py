@@ -19,49 +19,36 @@ from bontea import (
     InputError,
     RewardGroup,
     RuleParams,
-    TailVector,
-    bon_max,
-    bon_mean,
     bon_mean_raw,
-    cat_bon,
-    chow_bon_rl,
     compute_rule,
-    grpo,
-    grpo_z,
-    prefix_tea,
-    tail_shaped_reward,
-    tea,
-    tea_raw,
 )
-from bontea.advantages import RULE_NAMES, _subset_max_weights
+from bontea.advantages import RULE_NAMES, _shaped, _subset_max_weights
 
 C_TILDE_128 = 2.692398465223146  # high-precision oracle, alpha = 1/4
 
 
 class TestTailShapedReward:
+    """``_shaped(u, r, mu, sigma, c_tilde)``, the one pointwise R_tilde."""
+
     def test_zero_at_threshold(self):
-        eta = TailVector(r=1.3, mu=2.0, sigma=0.7, q=3)
-        assert tail_shaped_reward(eta, 1.3, 5.0) == 0.0
+        assert _shaped(1.3, 1.3, 2.0, 0.7, 5.0) == 0.0
 
     def test_quadratic_term_vanishes_by_symmetry(self):
-        eta = TailVector(r=1.0, mu=1.5, sigma=0.5, q=2)
-        assert_allclose(tail_shaped_reward(eta, 2.0, -3.7), 1.0)
-        assert_allclose(tail_shaped_reward(eta, 2.0, 9.9), 1.0)
+        assert_allclose(_shaped(2.0, 1.0, 1.5, 0.5, -3.7), 1.0)
+        assert_allclose(_shaped(2.0, 1.0, 1.5, 0.5, 9.9), 1.0)
 
     def test_hand_value(self):
-        eta = TailVector(r=0.0, mu=0.0, sigma=1.0, q=1)
-        assert_allclose(tail_shaped_reward(eta, 2.0, 1.0), 4.0)
+        assert_allclose(_shaped(2.0, 0.0, 0.0, 1.0, 1.0), 4.0)
 
     def test_vectorized(self):
-        eta = TailVector(r=0.0, mu=0.0, sigma=1.0, q=1)
         u = np.array([0.0, 1.0, 2.0])
-        assert_allclose(tail_shaped_reward(eta, u, 1.0), [0.0, 1.5, 4.0])
+        assert_allclose(_shaped(u, 0.0, 0.0, 1.0, 1.0), [0.0, 1.5, 4.0])
 
 
 class TestTeaFamily:
     def test_raw_hand_example(self):
         rewards = np.array([0.0] * 6 + [1.0, 2.0])
-        raw = tea_raw(rewards, RuleParams())
+        raw = compute_rule("tea-raw", rewards, RuleParams())
         # tail {1, 2}: r=1, mu=1.5, sigma=0.5; R_tilde(1)=0, R_tilde(2)=1
         expected = np.zeros(8)
         expected[7] = 4.0
@@ -70,18 +57,18 @@ class TestTeaFamily:
     def test_non_tail_entries_exactly_zero(self):
         rng = np.random.default_rng(0)
         rewards = rng.standard_normal(64)
-        raw = tea_raw(rewards, RuleParams())
+        raw = compute_rule("tea-raw", rewards, RuleParams())
         r_hat = np.sort(rewards)[-16]
         assert np.all(raw.values[rewards < r_hat] == 0.0)
 
     def test_stabilized_hand_example(self):
         rewards = np.array([0.0] * 6 + [1.0, 2.0])
-        adv = tea(rewards, RuleParams())
+        adv = compute_rule("tea", rewards, RuleParams())
         assert_allclose(adv.values, [-0.5] * 7 + [3.5])
 
     def test_centered_to_zero_sum(self):
         rng = np.random.default_rng(1)
-        adv = tea(rng.standard_normal(48), RuleParams())
+        adv = compute_rule("tea", rng.standard_normal(48), RuleParams())
         assert abs(adv.values.sum()) < 1e-10
 
     def test_max_at_group_maximum(self):
@@ -90,15 +77,15 @@ class TestTeaFamily:
         rng = np.random.default_rng(2)
         for _ in range(20):
             rewards = rng.standard_normal(32)
-            adv = tea(rewards, RuleParams())
+            adv = compute_rule("tea", rewards, RuleParams())
             assert np.argmax(adv.values) == np.argmax(rewards)
 
     def test_scales_with_c_tilde(self):
         # q=3 tail {1, 2, 4} is asymmetric about its mean, so the quadratic
         # term is active at the maximum and grows with the target N
         rewards = np.array([0.0] * 9 + [1.0, 2.0, 4.0])
-        raw_small = tea_raw(rewards, RuleParams(n_target=2))
-        raw_large = tea_raw(rewards, RuleParams(n_target=512))
+        raw_small = compute_rule("tea-raw", rewards, RuleParams(n_target=2))
+        raw_large = compute_rule("tea-raw", rewards, RuleParams(n_target=512))
         assert raw_large.values[-1] > raw_small.values[-1]
 
 
@@ -107,12 +94,16 @@ class TestPrefixTea:
         rng = np.random.default_rng(3)
         rewards = rng.standard_normal(64)
         params = RuleParams(k=1, j_count=1)
-        assert_allclose(prefix_tea(rewards, params).values, tea(rewards, params).values, atol=1e-12)
+        assert_allclose(
+            compute_rule("prefix-tea", rewards, params).values,
+            compute_rule("tea", rewards, params).values,
+            atol=1e-12,
+        )
 
     def test_zero_sum_and_prefix_structure(self):
         rng = np.random.default_rng(4)
         rewards = rng.standard_normal(64)
-        adv = prefix_tea(rewards, RuleParams())
+        adv = compute_rule("prefix-tea", rewards, RuleParams())
         assert abs(adv.values.sum()) < 1e-10
 
     def test_combination_matches_manual_sum(self):
@@ -126,47 +117,44 @@ class TestPrefixTea:
         for w, rho, size in zip(scheme.weights, scheme.ratios, scheme.sizes):
             prefix = rewards[:size]
             eta = empirical_tail_vector(RewardGroup("", prefix), 0.25)
-            shaped = tail_shaped_reward(eta, prefix, C_TILDE_128)
+            shaped = _shaped(prefix, eta.r, eta.mu, eta.sigma, C_TILDE_128)
             raw = np.where(prefix >= eta.r, shaped / 0.25, 0.0)
             manual[:size] += w * rho * np.maximum(raw, 0.0)
         manual -= manual.mean()
-        assert_allclose(prefix_tea(rewards, params).values, manual, atol=1e-9)
+        assert_allclose(compute_rule("prefix-tea", rewards, params).values, manual, atol=1e-9)
 
 
 class TestGrpoFamily:
     def test_grpo_hand_example(self):
-        assert_allclose(grpo(np.array([1.0, 2.0, 3.0])).values, [-1.0, 0.0, 1.0])
+        adv = compute_rule("grpo", np.array([1.0, 2.0, 3.0]), RuleParams())
+        assert_allclose(adv.values, [-1.0, 0.0, 1.0])
 
     def test_grpo_z_unit_scale(self):
         rng = np.random.default_rng(6)
         rewards = rng.standard_normal(32) * 5 + 2
-        adv = grpo_z(rewards)
+        adv = compute_rule("grpo-z", rewards, RuleParams())
         assert abs(adv.values.mean()) < 1e-12
         assert_allclose(adv.values.std(), 1.0, rtol=1e-6)
 
     def test_grpo_z_constant_group_is_zero(self):
-        adv = grpo_z(np.full(8, 3.0))
+        adv = compute_rule("grpo-z", np.full(8, 3.0), RuleParams())
         assert_allclose(adv.values, np.zeros(8))
 
 
 class TestBonMax:
     def test_mean_variant(self):
         rewards = np.array([0.5, 2.0, -1.0, 2.0])
-        adv = bon_max(rewards, "mean")
+        adv = compute_rule("bonmax-mean", rewards, RuleParams())
         expected = np.zeros(4)
         expected[1] = 2.0 - rewards.mean()  # first argmax wins ties
         assert_allclose(adv.values, expected)
 
     def test_second_variant(self):
         rewards = np.array([0.5, 3.0, -1.0, 2.0])
-        adv = bon_max(rewards, "second")
+        adv = compute_rule("bonmax-second", rewards, RuleParams())
         expected = np.zeros(4)
         expected[1] = 1.0
         assert_allclose(adv.values, expected)
-
-    def test_rejects_unknown_variant(self):
-        with pytest.raises(InputError):
-            bon_max(np.array([1.0, 2.0]), "median")
 
 
 class TestBonMean:
@@ -202,8 +190,8 @@ class TestBonMean:
         rng = np.random.default_rng(8)
         rewards = rng.standard_normal(16)
         assert_allclose(
-            bon_mean(rewards, 1, eps_norm=0.0).values,
-            grpo_z(rewards, eps_norm=0.0).values,
+            compute_rule("bon-mean", rewards, RuleParams(bon_k=1, eps_norm=0.0)).values,
+            compute_rule("grpo-z", rewards, RuleParams(eps_norm=0.0)).values,
             rtol=0,
             atol=1e-12,
         )
@@ -238,13 +226,14 @@ class TestBonMean:
             assert_allclose(_subset_max_weights(m, k, 1).sum(), k / m, rtol=1e-10)
             rewards = rng.standard_normal(m)
             assert np.all(np.isfinite(bon_mean_raw(rewards, k)))
-            assert np.all(np.isfinite(bon_mean(rewards, k).values))
+            adv = compute_rule("bon-mean", rewards, RuleParams(bon_k=k))
+            assert np.all(np.isfinite(adv.values))
 
     def test_rejects_bad_k(self):
         with pytest.raises(InputError):
-            bon_mean(np.arange(4.0), 4)
+            compute_rule("bon-mean", np.arange(4.0), RuleParams(bon_k=4))
         with pytest.raises(InputError):
-            bon_mean(np.arange(4.0), 0)
+            compute_rule("bon-mean", np.arange(4.0), RuleParams(bon_k=0))
 
 
 class TestChow:
@@ -252,7 +241,7 @@ class TestChow:
         rng = np.random.default_rng(9)
         rewards = rng.standard_normal(16)
         params = RuleParams(seed=11)
-        adv = chow_bon_rl(rewards, params)
+        adv = compute_rule("chow", rewards, params)
         values = adv.values
         m = 16
         perm = np.random.default_rng(11).permutation(m)
@@ -273,15 +262,15 @@ class TestChow:
     def test_seed_determinism(self):
         rng = np.random.default_rng(10)
         rewards = rng.standard_normal(12)
-        a = chow_bon_rl(rewards, RuleParams(seed=3)).values
-        b = chow_bon_rl(rewards, RuleParams(seed=3)).values
-        c = chow_bon_rl(rewards, RuleParams(seed=4)).values
+        a = compute_rule("chow", rewards, RuleParams(seed=3)).values
+        b = compute_rule("chow", rewards, RuleParams(seed=3)).values
+        c = compute_rule("chow", rewards, RuleParams(seed=4)).values
         assert_allclose(a, b)
         assert not np.allclose(a, c)
 
     def test_rejects_inconsistent_split(self):
         with pytest.raises(InputError):
-            chow_bon_rl(np.arange(8.0), RuleParams(n_sel=8, m_corr=4))
+            compute_rule("chow", np.arange(8.0), RuleParams(n_sel=8, m_corr=4))
 
 
 class TestCatBon:
@@ -289,15 +278,15 @@ class TestCatBon:
         rng = np.random.default_rng(11)
         rewards = rng.standard_normal(16)
         assert_allclose(
-            cat_bon(rewards, 1, eps_norm=0.0).values,
-            grpo_z(rewards, eps_norm=0.0).values,
+            compute_rule("cat-bon", rewards, RuleParams(cat_n_target=1, eps_norm=0.0)).values,
+            compute_rule("grpo-z", rewards, RuleParams(eps_norm=0.0)).values,
             rtol=0,
             atol=1e-12,
         )
 
     def test_weights_favor_top_ranks(self):
         rewards = np.arange(8.0)
-        adv = cat_bon(rewards, 16)
+        adv = compute_rule("cat-bon", rewards, RuleParams(cat_n_target=16))
         # the maximum carries almost all weight at large N
         assert adv.values[-1] > 4.0
         assert np.all(np.abs(adv.values[:4]) < 1e-4)
@@ -305,7 +294,7 @@ class TestCatBon:
     def test_strictly_below_rank_on_ties(self):
         # tied minimum rewards share F_< = 0, so their weights are 0 for N > 1
         rewards = np.array([1.0, 1.0, 2.0, 3.0])
-        adv = cat_bon(rewards, 4)
+        adv = compute_rule("cat-bon", rewards, RuleParams(cat_n_target=4))
         assert adv.values[0] == adv.values[1] == 0.0
 
 
@@ -352,6 +341,6 @@ class TestDispatch:
 
     def test_accepts_reward_group_and_array(self):
         rewards = np.array([0.0] * 6 + [1.0, 2.0])
-        a = tea(RewardGroup("p", rewards), RuleParams())
-        b = tea(rewards, RuleParams())
+        a = compute_rule("tea", RewardGroup("p", rewards), RuleParams())
+        b = compute_rule("tea", rewards, RuleParams())
         assert_allclose(a.values, b.values)

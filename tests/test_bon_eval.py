@@ -24,7 +24,17 @@ from bontea import (
     paired_bootstrap_delta,
     win_tie_loss,
 )
-from bontea.bon_eval import topk_validation_score
+
+
+def topk_validation_score(per_prompt_samples: np.ndarray, k: int = 10) -> float:
+    """Prompt-average of each prompt's mean top-k sample reward."""
+    samples = np.asarray(per_prompt_samples, dtype=float)
+    if samples.ndim == 1:
+        samples = samples[None, :]
+    if k < 1 or k > samples.shape[1]:
+        raise InputError(f"need 1 <= k <= samples per prompt, got k={k}, M={samples.shape[1]}")
+    top = np.partition(samples, samples.shape[1] - k, axis=1)[:, samples.shape[1] - k :]
+    return float(top.mean(axis=1).mean())
 
 
 def enumerate_expected_max(values: np.ndarray, n: int) -> float:

@@ -17,7 +17,6 @@ from bontea import (
     compute_rule,
     gradient_alignment,
     oracle_advantage,
-    tea,
 )
 from bontea.cli import main
 
@@ -64,7 +63,7 @@ class TestAdvantageCommand:
         assert len(rows) == 5
         source = [json.loads(line) for line in open(pools_path)]
         for src, row in zip(source, rows):
-            expected = tea(np.array(src["rewards"]), RuleParams()).values
+            expected = compute_rule("tea", np.array(src["rewards"]), RuleParams()).values
             # bit-exact round trip through decimal serialization
             assert row["advantages"] == expected.tolist()
 

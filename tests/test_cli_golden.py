@@ -4,12 +4,19 @@ Inputs and expected outputs live in ``tests/golden``. Each case runs twice,
 once writing to ``-o`` and once to stdout, and both must match the stored
 bytes. Running this file as a script rewrites the expected files from the
 current code; do that only for a deliberate change of output.
+
+``python tests/test_cli_golden.py --compare`` writes nothing: it reruns every
+case and reports the worst |new - golden| / (1 + |golden|) over the floats of
+each output. It fails on any other difference (text, integers, exit code,
+stderr, option strings) and on any float gap above ``COMPARE_TOL``.
 """
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -21,6 +28,10 @@ from bontea.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 EXPECTED = GOLDEN / "expected"
+#: Largest float gap |new - golden| / (1 + |golden|) that ``--compare`` accepts.
+COMPARE_TOL = 1e-12
+#: A number standing alone: not part of a word, a version string or another number.
+_NUMBER = re.compile(r"(?<![\w.])-?(?:\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|inf|nan)(?![\w.])")
 
 _ADVANTAGE = ["advantage", "-i", "groups.jsonl"]
 
@@ -130,11 +141,60 @@ def test_option_strings_per_command():
     assert _option_strings() == expected
 
 
-if __name__ == "__main__":
-    import os
+def _is_float(token: str) -> bool:
+    return any(c in token for c in ".eE")
 
+
+def _float_gap(golden: str, new: str) -> tuple[float, int]:
+    """Worst |new - golden| / (1 + |golden|) over the floats of two outputs, and their count.
+
+    Raises ``ValueError`` where the outputs differ in anything but float values.
+    """
+    if _NUMBER.split(golden) != _NUMBER.split(new):
+        raise ValueError("text differs")
+    worst, count = 0.0, 0
+    for a, b in zip(_NUMBER.findall(golden), _NUMBER.findall(new)):
+        if not (_is_float(a) and _is_float(b)):
+            if a != b:  # integers, inf and nan match exactly
+                raise ValueError(f"{a} became {b}")
+            continue
+        count += 1
+        worst = max(worst, abs(float(b) - float(a)) / (1.0 + abs(float(a))))
+    return worst, count
+
+
+def compare() -> int:
+    """Rerun every case against the stored files, print the float gaps; 0 when all pass."""
+    failures, worst, worst_case = [], 0.0, ""
+    for name, (argv, expected_code) in CASES.items():
+        code, stdout, stderr = _run(argv)
+        if code != expected_code:
+            failures.append(f"{name}: exit {code}, golden {expected_code}")
+        if stderr != (EXPECTED / f"{name}.err").read_text(encoding="utf-8"):
+            failures.append(f"{name}: stderr differs")
+        golden = (EXPECTED / f"{name}.out").read_text(encoding="utf-8")
+        try:
+            gap, count = _float_gap(golden, stdout)
+        except ValueError as exc:
+            failures.append(f"{name}: {exc}")
+            continue
+        state = "identical" if stdout == golden else f"worst gap {gap:.2e}"
+        print(f"{name}: {count} floats, {state}")
+        if gap > worst:
+            worst, worst_case = gap, name
+    if _option_strings() != json.loads((EXPECTED / "options.json").read_text(encoding="utf-8")):
+        failures.append("options.json: option strings differ")
+    print(f"worst |new - golden| / (1 + |golden|): {worst:.2e}" + (f" ({worst_case})" if worst else ""))
+    if worst > COMPARE_TOL:
+        failures.append(f"worst float gap {worst:.2e} exceeds {COMPARE_TOL:g}")
+    for failure in failures:
+        print(f"FAIL {failure}")
+    return 1 if failures else 0
+
+
+def regenerate() -> None:
+    """Rewrite every expected file from the current code."""
     EXPECTED.mkdir(exist_ok=True)
-    os.chdir(GOLDEN)
     for name, (argv, expected_code) in CASES.items():
         code, stdout, stderr = _run(argv)
         if code != expected_code:
@@ -144,3 +204,17 @@ if __name__ == "__main__":
     (EXPECTED / "options.json").write_text(
         json.dumps(_option_strings(), indent=2) + "\n", encoding="utf-8"
     )
+
+
+if __name__ == "__main__":
+    import os
+
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--compare", action="store_true", help="compare with the stored files; write nothing"
+    )
+    args = parser.parse_args()
+    os.chdir(GOLDEN)
+    if args.compare:
+        sys.exit(compare())
+    regenerate()

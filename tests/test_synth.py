@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
@@ -19,20 +21,22 @@ from bontea import (
     RewardGroup,
     RuleParams,
     SyntheticSpec,
-    cross_fit_gradient,
     estimator_bias_variance,
-    h_population,
-    mse_frontier,
     true_gradient,
 )
+from bontea.advantages import _shaped
+from bontea.cli import main
 from bontea.gauss import tail_constants
 from bontea.synth import (
+    _h_batch,
     _MomentAccumulator,
+    _score_sums,
+    _shaped_coefficients,
+    _shaped_sum,
+    _spec_constants,
     default_replications,
-    population_tail_vector,
-    score_matrix,
 )
-from bontea.tailstats import TailVector, empirical_tail_vector
+from bontea.tailstats import DEFAULT_EPS_SIGMA, TailVector, empirical_tail_vector, tail_stats
 
 # 50-digit quadrature oracle for the default spec's target gradient
 TRUE_GRADIENT = (0.33439550343569121, 0.49397152505308593)
@@ -62,13 +66,18 @@ def quadrature_h(eta: TailVector, spec: SyntheticSpec) -> np.ndarray:
     return np.array(out)
 
 
+def h_population(eta: TailVector, spec: SyntheticSpec) -> np.ndarray:
+    return _h_batch(eta.r, eta.mu, eta.sigma, spec)
+
+
 class TestExactTargets:
     def test_true_gradient_frozen_oracle(self):
         assert_allclose(true_gradient(SPEC), TRUE_GRADIENT, rtol=0, atol=1e-9)
 
     def test_h_at_population_tail_equals_true_gradient(self):
-        h = h_population(population_tail_vector(SPEC), SPEC)
-        assert np.array_equal(h, true_gradient(SPEC))
+        consts = tail_constants(SPEC.alpha, SPEC.n_target)
+        eta = TailVector(consts.z_alpha, consts.lambda_alpha, float(np.sqrt(consts.delta_alpha)), 0)
+        assert np.array_equal(h_population(eta, SPEC), true_gradient(SPEC))
 
     def test_h_closed_form_matches_quadrature(self):
         rng = np.random.default_rng(0)
@@ -81,13 +90,10 @@ class TestExactTargets:
             )
             assert_allclose(h_population(eta, SPEC), quadrature_h(eta, SPEC), rtol=0, atol=1e-9)
 
-    def test_h_rejects_nonpositive_sigma(self):
-        with pytest.raises(InputError):
-            h_population(TailVector(r=1.0, mu=1.2, sigma=0.0, q=0), SPEC)
-
     def test_score_matrix_centering(self):
+        # the lab's score sums of one entry per row are that entry's scores S(z)
         z = np.linspace(-4, 4, 100_001)
-        scores = score_matrix(SPEC, z)
+        scores = _score_sums(np.ones((z.size, 1)), z[:, None], SPEC)
         assert scores.shape == (z.size, 2)
         # centered indicators: values are {-(1-Phi(t)), Phi(t)} scaled
         uniques = np.unique(scores[:, 0])
@@ -95,7 +101,73 @@ class TestExactTargets:
         assert_allclose(uniques.sum(), 1.0 - 2 * (1.0 - stats.norm.cdf(1.0)), atol=1e-12)
 
 
+class TestShapedCoefficients:
+    """The lab's power-sum form of R_tilde against the rules' pointwise ``_shaped``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.integers(min_value=8, max_value=256),
+        spread=st.sampled_from([1e-6, 4e-6, 0.5, 3.0]),
+        loc=st.sampled_from([0.0, -2.0, 1.5, 100.0]),
+        decimals=st.sampled_from([None, 0, 1]),
+        n_target=st.sampled_from([2, 128, 4096]),
+        t_offsets=st.lists(st.floats(min_value=0.01, max_value=6.0), min_size=1, max_size=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_sums_reproduce_pointwise_reward(
+        self, m, spread, loc, decimals, n_target, t_offsets, seed
+    ):
+        # narrow tails (spread near eps_sigma, so sigma ~ 1e-6) and wide ones,
+        # with ties at r_hat when the draws are rounded
+        steps = np.random.default_rng(seed).standard_normal(m)
+        x = loc + spread * (steps if decimals is None else np.round(steps, decimals))
+        r, mu, sigma = (float(v[0, 0]) for v in tail_stats(x[None, :], SPEC.alpha))
+        c_tilde = tail_constants(SPEC.alpha, n_target).c_tilde_n
+        # the lab expands around r, and around each t_c > r for entries above t_c
+        for shift in (r, *(r + t * sigma for t in t_offsets)):
+            u = np.append(x[x >= shift], shift)
+            v = u - shift
+            coef = _shaped_coefficients(r, mu, sigma, c_tilde, shift)
+            summed = _shaped_sum(coef, np.stack([np.ones_like(v), v, v * v]))
+            pointwise = _shaped(u, r, mu, sigma, c_tilde)
+            assert np.abs(summed - pointwise).max() <= 1e-12 * np.abs(pointwise).max()
+        # at u = r both forms vanish exactly
+        assert _shaped(r, r, mu, sigma, c_tilde) == 0.0
+        assert _shaped_sum(_shaped_coefficients(r, mu, sigma, c_tilde, r), [1.0, 0.0, 0.0]) == 0.0
+
+
+def score_matrix(spec: SyntheticSpec, z: np.ndarray) -> np.ndarray:
+    """Centered threshold scores S(z), shape z.shape + (d,)."""
+    _, thresholds, sbar = _spec_constants(spec)
+    return (np.asarray(z, dtype=float)[..., None] >= thresholds) - sbar
+
+
 class TestCrossFit:
+    @staticmethod
+    def cross_fit_gradient(
+        group_a: RewardGroup,
+        group_b: RewardGroup,
+        spec: SyntheticSpec,
+        eps_sigma: float = DEFAULT_EPS_SIGMA,
+    ) -> np.ndarray:
+        """Reference: tail vector from batch A, shaped-score average over batch B.
+
+        (1/n) sum_i (1/alpha) 1{R_i^B >= r_hat^A} R_tilde_{eta^A}(R_i^B) s_i^B,
+        with s_i^B from ``group_b.scores`` when present, else the spec's
+        threshold scores.
+        """
+        if len(group_a) != len(group_b):
+            raise InputError("cross-fit batches must have equal size")
+        c_tilde = tail_constants(spec.alpha, spec.n_target).c_tilde_n
+        eta = empirical_tail_vector(group_a, spec.alpha, eps_sigma)
+        z_b = group_b.rewards
+        shaped = (z_b - eta.r) + c_tilde / (2 * eta.sigma) * (
+            (z_b - eta.mu) ** 2 - (eta.r - eta.mu) ** 2
+        )
+        weights = np.where(z_b >= eta.r, shaped / spec.alpha, 0.0)
+        scores = group_b.scores if group_b.scores is not None else score_matrix(spec, z_b)
+        return weights @ scores / len(group_b)
+
     def test_conditional_mean_matches_h(self):
         # with the tail batch fixed, averaging the estimator over fresh
         # evaluation batches must converge to the closed-form H(eta_hat)
@@ -107,7 +179,7 @@ class TestCrossFit:
         values = np.empty((reps, 2))
         for i in range(reps):
             group_b = RewardGroup("b", rng.standard_normal(256))
-            values[i] = cross_fit_gradient(group_a, group_b, SPEC)
+            values[i] = self.cross_fit_gradient(group_a, group_b, SPEC)
         se = values.std(axis=0) / np.sqrt(reps)
         assert np.all(np.abs(values.mean(axis=0) - target) < 5 * se)
 
@@ -116,19 +188,19 @@ class TestCrossFit:
         rewards_a = rng.standard_normal(64)
         rewards_b = rng.standard_normal(64)
         scores_b = score_matrix(SPEC, rewards_b)
-        with_scores = cross_fit_gradient(
+        with_scores = self.cross_fit_gradient(
             RewardGroup("a", rewards_a),
             RewardGroup("b", rewards_b, scores=scores_b),
             SPEC,
         )
-        without = cross_fit_gradient(
+        without = self.cross_fit_gradient(
             RewardGroup("a", rewards_a), RewardGroup("b", rewards_b), SPEC
         )
         assert_allclose(with_scores, without)
 
     def test_rejects_unequal_batches(self):
         with pytest.raises(InputError):
-            cross_fit_gradient(
+            self.cross_fit_gradient(
                 RewardGroup("a", np.zeros(8) + 1.0),
                 RewardGroup("b", np.ones(16)),
                 SPEC,
@@ -218,26 +290,16 @@ class TestSchedule:
 
 
 class TestMseFrontier:
-    def test_rows_and_ratio_consistent(self):
-        frontier = mse_frontier(
-            ["tea", "prefix-tea"], [64, 128], p_grid=(1, 256), replications=4_000, seed=11
-        )
-        assert len(frontier.rows) == 4
-        by = {(r.estimator_tag, r.m): r for r in frontier.rows}
-        for a, m in enumerate(frontier.m_grid):
-            for b, p in enumerate(frontier.p_grid):
-                expected = np.log10(
-                    by[("prefix-tea", m)].mse_at_p[p] / by[("tea", m)].mse_at_p[p]
-                )
-                assert_allclose(frontier.ratio_log10[a, b], expected)
+    """The CLI's ``synth-bias-variance`` runs the (rule, m) frontier loop."""
 
-    def test_no_ratio_without_both_rules(self):
-        frontier = mse_frontier(["tea"], [64], replications=4_000, seed=12)
-        assert frontier.ratio_log10 is None
-
-    def test_rejects_empty_grids(self):
-        with pytest.raises(InputError):
-            mse_frontier([], [64], replications=4_000)
+    def test_rejects_empty_grids(self, tmp_path, capsys):
+        argv = ["synth-bias-variance", "--rules", "tea", "--m-grid", "64", "--replications", "4000"]
+        for flag in ("--rules", "--m-grid", "--p-grid"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv + [flag, "", "-o", str(tmp_path / "out.csv")])
+            assert exit_info.value.code == 2
+            assert f"argument {flag}: invalid" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestMomentAccumulator:

@@ -1,13 +1,15 @@
-"""Reward groups, empirical tail vectors, prefix restrictions, and half splits."""
+"""Reward groups, empirical tail vectors and the tail statistics of prefixes and slices."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from bontea import DegenerateError, InputError, RewardGroup, empirical_tail_vector, prefix_tail_vectors, split_halves
-from bontea.tailstats import DEFAULT_EPS_SIGMA, tail_count
+from bontea import DegenerateError, InputError, RewardGroup, empirical_tail_vector
+from bontea.tailstats import DEFAULT_EPS_SIGMA, slice_tail_stats, tail_count, tail_stats
 
 
 def group(rewards, scores=None, prompt_id="g"):
@@ -97,8 +99,11 @@ class TestTailOverflow:
             empirical_tail_vector(group(self.REWARDS), 0.25)
 
     def test_prefix_tail_vectors_are_degenerate(self):
+        # the prefix rules take tail_stats of each prefix, the shortest first
         with pytest.raises(DegenerateError, match="overflow"):
-            prefix_tail_vectors(group(self.REWARDS), [4, 8], 0.25)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for size in (4, 8):
+                    tail_stats(np.asarray(self.REWARDS)[None, :size], 0.25)
 
 
 class TestPrefixTailVectors:
@@ -106,34 +111,63 @@ class TestPrefixTailVectors:
         rng = np.random.default_rng(7)
         g = group(rng.standard_normal(64))
         sizes = (40, 48, 56, 64)
-        etas = prefix_tail_vectors(g, sizes, 0.25)
-        for size, eta in zip(sizes, etas):
+        r, mu, sigma = zip(*(tail_stats(g.rewards[None, :size], 0.25) for size in sizes))
+        for size, eta in zip(sizes, zip(r, mu, sigma)):
             direct = empirical_tail_vector(group(g.rewards[:size]), 0.25)
-            assert eta == direct
-
-    def test_rejects_descending_prefixes(self):
-        g = group(np.arange(16.0))
-        with pytest.raises(InputError):
-            prefix_tail_vectors(g, (12, 8), 0.25)
-
-    def test_rejects_prefix_beyond_group(self):
-        g = group(np.arange(16.0))
-        with pytest.raises(InputError):
-            prefix_tail_vectors(g, (8, 32), 0.25)
+            assert tuple(float(v[0, 0]) for v in eta) == (direct.r, direct.mu, direct.sigma)
 
 
-class TestSplitHalves:
-    def test_slices_rewards_and_scores(self):
-        rng = np.random.default_rng(2)
-        g = group(rng.standard_normal(10), scores=rng.standard_normal((10, 3)))
-        a, b = split_halves(g)
-        assert_allclose(a.rewards, g.rewards[:5])
-        assert_allclose(b.rewards, g.rewards[5:])
-        assert_allclose(a.scores, g.scores[:5])
-        assert_allclose(b.scores, g.scores[5:])
+class TestSliceTailStats:
+    """The lab's partition slice and the rules' sorted slice give one tail vector."""
 
-    def test_rejects_odd_or_tiny(self):
-        with pytest.raises(InputError):
-            split_halves(group(np.arange(7.0)))
-        with pytest.raises(InputError):
-            split_halves(group(np.arange(2.0)))
+    @staticmethod
+    def slices(x, alpha):
+        m = x.shape[1]
+        q = tail_count(m, alpha)
+        return np.partition(x, m - q, axis=1)[:, m - q :], np.sort(x, axis=1)[:, m - q :]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.integers(min_value=1, max_value=6),
+        m=st.integers(min_value=2, max_value=300),
+        levels=st.integers(min_value=1, max_value=50),
+        unit=st.sampled_from([1e-9, 1e-6, 1.0, 1e5]),
+        offset=st.sampled_from([0.0, -3.5, 1e4]),
+        alpha=st.sampled_from([0.05, 0.25, 0.49]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_partition_matches_sort_with_ties(self, rows, m, levels, unit, offset, alpha, seed):
+        # rewards on a grid of `levels` values, so the threshold is often tied
+        rng = np.random.default_rng(seed)
+        x = offset + unit * rng.integers(0, levels, (rows, m))
+        part, full = self.slices(x, alpha)
+        r_p, mu_p, sigma_p = slice_tail_stats(part, DEFAULT_EPS_SIGMA)
+        r_s, mu_s, sigma_s = slice_tail_stats(full, DEFAULT_EPS_SIGMA)
+        assert np.array_equal(r_p, r_s)
+        np.testing.assert_allclose(mu_p, mu_s, rtol=1e-12, atol=0)
+        # the two orders round the mean differently, and a two-pass std carries
+        # that rounding squared: (eps |mu| / sigma)^2 relative, which passes
+        # 1e-12 only where |mu| / sigma passes 1e10 (rewards near 1e4, sigma 1e-6)
+        cond = (4.0 * np.finfo(float).eps * np.abs(mu_s) / sigma_s) ** 2
+        assert np.all(np.abs(sigma_p - sigma_s) <= (1e-12 + cond) * sigma_s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(min_value=1, max_value=6),
+        m=st.integers(min_value=8, max_value=200),
+        exponent=st.integers(min_value=160, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_partition_and_sort_raise_the_same_overflow(self, rows, m, exponent, seed):
+        # one row's top-q spread overflows float range; both slices name it alike
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((rows, m))
+        bad = int(rng.integers(rows))
+        x[bad] = 10.0**exponent * (1 + rng.permutation(m))
+        messages = []
+        for top in self.slices(x, 0.25):
+            with pytest.raises(DegenerateError, match="tail statistics overflow") as info:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    slice_tail_stats(top, DEFAULT_EPS_SIGMA)
+            messages.append(str(info.value).split(",")[0])
+        assert messages[0] == messages[1]

@@ -7,6 +7,8 @@ the closed-form expectation of the group-centered REINFORCE estimator.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -24,7 +26,20 @@ from bontea import (
     train,
 )
 from bontea import trainer
-from bontea.trainer import enumerate_policy_bon, kl_value
+from bontea.trainer import kl_value
+
+
+def enumerate_policy_bon(task: ToyTask, thetas: np.ndarray, n: int) -> np.ndarray:
+    """Reference: exact per-prompt E[max of n draws] by summing over all V^n tuples."""
+    if task.n_actions**n > 300_000:
+        raise InputError(f"enumeration over {task.n_actions}^{n} tuples is too large")
+    probs = softmax(np.asarray(thetas, dtype=float), axis=1)
+    out = np.zeros(task.n_prompts)
+    for x in range(task.n_prompts):
+        for actions in itertools.product(range(task.n_actions), repeat=n):
+            weight = np.prod(probs[x, list(actions)])
+            out[x] += weight * task.rewards[x, list(actions)].max()
+    return out
 
 
 def fd_gradient(func, theta: np.ndarray, step: float = 1e-5) -> np.ndarray:
