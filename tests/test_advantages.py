@@ -113,15 +113,19 @@ class TestPrefixTea:
         from bontea import build_scheme, empirical_tail_vector
 
         scheme = build_scheme(64, 2, 4)
-        manual = np.zeros(64)
+        manual, manual_raw = np.zeros(64), np.zeros(64)
         for w, rho, size in zip(scheme.weights, scheme.ratios, scheme.sizes):
             prefix = rewards[:size]
             eta = empirical_tail_vector(RewardGroup("", prefix), 0.25)
             shaped = _shaped(prefix, eta.r, eta.mu, eta.sigma, C_TILDE_128)
             raw = np.where(prefix >= eta.r, shaped / 0.25, 0.0)
             manual[:size] += w * rho * np.maximum(raw, 0.0)
+            manual_raw[:size] += w * rho * raw
         manual -= manual.mean()
         assert_allclose(compute_rule("prefix-tea", rewards, params).values, manual, atol=1e-9)
+        # the raw form skips the positive parts and the centring
+        raw_adv = compute_rule("prefix-tea-raw", rewards, params)
+        assert_allclose(raw_adv.values, manual_raw, atol=1e-9)
 
 
 class TestGrpoFamily:
@@ -313,7 +317,7 @@ class TestDispatch:
         with pytest.raises(InputError, match="m >= 2"):
             compute_rule(rule, RewardGroup("one", np.array([1.0])), RuleParams(bon_k=1))
 
-    @pytest.mark.parametrize("rule", ["tea", "tea-raw", "prefix-tea"])
+    @pytest.mark.parametrize("rule", ["tea", "tea-raw", "prefix-tea", "prefix-tea-raw"])
     def test_overflowing_tail_is_degenerate(self, rule):
         rewards = np.array([1e200 * i for i in range(1, 9)])
         with pytest.raises(DegenerateError, match="overflow"):

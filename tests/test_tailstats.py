@@ -147,7 +147,8 @@ class TestSliceTailStats:
         np.testing.assert_allclose(mu_p, mu_s, rtol=1e-12, atol=0)
         # the two orders round the mean differently, and a two-pass std carries
         # that rounding squared: (eps |mu| / sigma)^2 relative, which passes
-        # 1e-12 only where |mu| / sigma passes 1e10 (rewards near 1e4, sigma 1e-6)
+        # 1e-12 only where |mu| / sigma passes about 5e9 (rewards near 1e4 with
+        # sigma at the 1e-6 clip)
         cond = (4.0 * np.finfo(float).eps * np.abs(mu_s) / sigma_s) ** 2
         assert np.all(np.abs(sigma_p - sigma_s) <= (1e-12 + cond) * sigma_s)
 
