@@ -134,8 +134,25 @@ def _prefix_tea(rewards: np.ndarray, params: RuleParams, raw: bool = False) -> n
     return combined if raw else _centered(combined)
 
 
+def _normalized(x: np.ndarray, scale: np.ndarray, eps_norm: float, what: str) -> np.ndarray:
+    """x / (scale + eps_norm) for a scale >= 0; a zero denominator raises ``DegenerateError``.
+
+    The denominator can vanish only at eps_norm = 0, which is allowed so that
+    rule identities hold exactly on groups with a spread.
+    """
+    den = scale + eps_norm
+    if eps_norm == 0.0 and not den.all():
+        raise DegenerateError(f"{what} is zero and eps_norm = 0; set eps_norm > 0")
+    return x / den
+
+
 def _grpo_z(rewards: np.ndarray, eps_norm: float) -> np.ndarray:
-    """Rows normalized by their std; a row whose std overflows raises ``DegenerateError``."""
+    """Rows normalized by their std; a row whose std overflows raises ``DegenerateError``.
+
+    ``eps_norm`` must be finite and >= 0; at 0 a constant row is degenerate.
+    """
+    if not 0.0 <= eps_norm < np.inf:
+        raise InputError(f"eps_norm must be finite and >= 0, got {eps_norm}")
     try:
         # cheaper than a finiteness check after the fact, on a path run once per group
         with np.errstate(over="raise", invalid="raise"):
@@ -148,7 +165,7 @@ def _grpo_z(rewards: np.ndarray, eps_norm: float) -> np.ndarray:
         raise DegenerateError(
             f"reward statistics overflow: mean={float(mean[b, 0])}, std={float(sd[b, 0])}"
         ) from None
-    return centered / (sd + eps_norm)
+    return _normalized(centered, sd, eps_norm, "reward std")
 
 
 def _bon_max(rewards: np.ndarray, variant: str) -> np.ndarray:
@@ -243,10 +260,11 @@ def _cat_bon(rewards: np.ndarray, cat_n_target: int, eps_norm: float) -> np.ndar
     """GRPO-Z scaled by weights N F<(R_i)^(N-1) over their mean; F< counts strictly smaller."""
     if cat_n_target < 1:
         raise InputError(f"cat_n_target must be >= 1, got {cat_n_target}")
+    z_scores = _grpo_z(rewards, eps_norm)
     below = _strictly_below(rewards) / rewards.shape[1]
     weights = cat_n_target * below ** (cat_n_target - 1)
-    scaled = weights / (weights.mean(axis=1, keepdims=True) + eps_norm)
-    return scaled * _grpo_z(rewards, eps_norm)
+    mean = weights.mean(axis=1, keepdims=True)
+    return _normalized(weights, mean, eps_norm, "mean rank weight") * z_scores
 
 
 def _bon_mean_rule(rewards: np.ndarray, params: RuleParams) -> np.ndarray:

@@ -93,20 +93,22 @@ def load_config_file(path: str) -> dict[str, str]:
     return values
 
 
+# The list casts raise ``ArgumentTypeError``, whose message argparse shows as
+# it is; ``_resolve`` turns it into an ``InputError`` for config-file values.
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in text.split(",") if part)
     except ValueError as exc:
-        raise InputError(f"expected comma-separated integers, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
     if not values:
-        raise InputError("expected at least one integer")
+        raise argparse.ArgumentTypeError("expected at least one integer")
     return values
 
 
 def _str_list(text: str) -> tuple[str, ...]:
     values = tuple(part.strip() for part in text.split(",") if part.strip())
     if not values:
-        raise InputError("expected at least one name")
+        raise argparse.ArgumentTypeError("expected at least one name")
     return values
 
 
@@ -189,7 +191,7 @@ def _resolve(args: argparse.Namespace, options: Sequence[Option]) -> dict[str, A
         if value is None and option.name in file_values:
             try:
                 value = option.cast(file_values[option.name])
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
                 raise InputError(f"config key {option.name}: {exc}") from exc
         config[option.name] = option.default if value is None else value
     return config

@@ -20,9 +20,14 @@ removes most of the remaining tail-vector noise without biasing the mean.
 Replications are drawn in blocks, each from its own SeedSequence child. The
 calling thread draws a block's normals in chunks of rows, in stream order, and
 a thread pool measures each chunk while the next one is drawn (NumPy releases
-the GIL in both). Every kernel output is per row, and the chunk outputs are
-joined in row order before the block is merged, so a row's numbers depend only
-on its seed and replication count, not on the chunk size or the thread count.
+the GIL in both). The prefix rule's block holds all its tail halves in the
+stream before its evaluation halves, so its measurement has two stages: each
+tail-half chunk goes to the pool as soon as it is drawn, and only its small
+per-row output (the tail vectors, controls and Rao-Blackwell term) is kept
+until the matching evaluation-half chunk is drawn; no whole block is ever
+held. Every kernel output is per row, and the chunk outputs are joined in row
+order before the block is merged, so a row's numbers depend only on its seed
+and replication count, not on the chunk size or the thread count.
 """
 
 from __future__ import annotations
@@ -42,10 +47,12 @@ from .prefixes import cancellation_weights, theory_prefixes
 from .tailstats import slice_tail_stats, tail_count
 
 #: Replications per block. Each block draws from its own SeedSequence child,
-#: and the block is the unit the moments are merged in.
+#: and the block is the unit the moments are merged in. A block is never held
+#: whole: only its per-row outputs are.
 BLOCK_SIZE = 4096
 #: Rows per chunk: a block is drawn and measured this many rows at a time, so
-#: each kernel pass works on data that stays in cache.
+#: each kernel pass works on data that stays in cache and at most a few chunks
+#: of draws are live at once.
 _CHUNK_ROWS = 256
 #: Threads that measure chunks; the calling thread draws them.
 _THREADS = (
@@ -174,19 +181,22 @@ def _induced_gradient(adv: np.ndarray, z: np.ndarray, spec: SyntheticSpec) -> np
     return _score_sums(adv, z, spec) / z.shape[1]
 
 
-def _power_sums(z: np.ndarray, shift, starts=(0,)) -> np.ndarray:
+def _power_sums(z: np.ndarray, shift, starts=(0,), count: bool = True) -> np.ndarray:
     """Count of z >= shift, sum v and sum v^2 for v = (z - shift)_+.
 
     Sums are taken per row and per column segment; segments begin at
     ``starts`` and run to the next start (the last one to the end of z). The
-    result has shape (3, blocks, len(starts)).
+    result has shape (3, blocks, len(starts)). Without ``count`` the counts
+    are left 0, which gives the same bits where they meet an R_tilde whose
+    constant term is exactly 0 (expanded around r, at shift r).
     """
     v = z - shift
     np.maximum(v, 0.0, out=v)
-    out = np.empty((3, z.shape[0], len(starts)))
+    out = np.zeros((3, z.shape[0], len(starts)))
     for k, (a, b) in enumerate(zip(starts, (*starts[1:], z.shape[1]))):
         seg = v[:, a:b]
-        out[0, :, k] = np.count_nonzero(z[:, a:b] >= shift, axis=1)
+        if count:
+            out[0, :, k] = np.count_nonzero(z[:, a:b] >= shift, axis=1)
         out[1, :, k] = seg.sum(axis=1)
         out[2, :, k] = np.einsum("ij,ij->i", seg, seg)
     return out
@@ -256,41 +266,58 @@ class _PrefixCrossFit:
         dens = float(norm_pdf(z_a))
         self.control_means = np.array([spec.alpha, dens, spec.alpha + z_a * dens])
 
-    def measure(self, z_a: np.ndarray, z_b: np.ndarray):
-        """Outputs for the rows of tail batches z_a and evaluation batches z_b.
+    def tail(self, z_a: np.ndarray):
+        """Tail stage on rows of tail halves: tail vectors, RB term and controls.
 
-        Sums at the fixed thresholds (z_alpha on z_a, t_c on z_b) are taken per
-        segment between consecutive prefix ends and cumulated once, so prefix
-        j's sums are the first j segments'; the sums above each row's own
-        r_hat_j take one masked pass per prefix.
+        Returns the per-prefix tail vectors as one (3, J, blocks) array of
+        (r_hat, mu, sigma), the Rao-Blackwell term H (blocks, d) and the
+        controls (blocks, 3J). Sums at z_alpha are taken per segment between
+        consecutive prefix ends and cumulated once, so prefix j's sums are the
+        first j segments'.
         """
         spec, consts, sizes = self.spec, self.consts, self.sizes
-        _, thresholds, _ = _spec_constants(spec)
         blocks = z_a.shape[0]
-        starts = (0,) + sizes[:-1]
-        z_a, z_b = z_a[:, : sizes[-1]], z_b[:, : sizes[-1]]
+        z_a = z_a[:, : sizes[-1]]
         # prefix sums of 1, z, z^2 over z >= z_alpha, from those of v = z - z_alpha
         z_al = consts.z_alpha
-        n, v1, v2 = np.cumsum(_power_sums(z_a, z_al, starts=starts), axis=2)
+        n, v1, v2 = np.cumsum(_power_sums(z_a, z_al, starts=(0,) + sizes[:-1]), axis=2)
         features = np.stack([n, v1 + z_al * n, v2 + z_al * (2.0 * v1 + z_al * n)], axis=2)
         features /= np.asarray(sizes, dtype=float)[:, None]
         controls = features.reshape(blocks, -1) - np.tile(self.control_means, len(sizes))
-        at_t = np.stack(
-            [np.cumsum(_power_sums(z_b, t, starts=starts), axis=2) for t in thresholds], axis=3
-        )
-        d = len(spec.score_thresholds)
-        actual = np.zeros((blocks, d))
-        rao = np.zeros((blocks, d))
-        nonzero = np.zeros(blocks, dtype=bool)
         tails = [
             slice_tail_stats(_top_slice(z_a[:, :size], spec.alpha), self.eps_sigma) for size in sizes
         ]
-        h = _h_batch(*(np.stack(v)[..., 0] for v in zip(*tails)), spec)  # all prefixes in one call
-        for j, (w, size, eta) in enumerate(zip(self.weights, sizes, tails)):
-            rao += w * h[j]
-            at_r = _power_sums(z_b[:, :size], eta[0])
+        # stacking copies r_hat out of each partition, which its slice view would keep alive
+        eta = np.stack([np.stack(v)[..., 0] for v in zip(*tails)])
+        h = _h_batch(*eta, spec)  # all prefixes in one call
+        rao = np.zeros((blocks, len(spec.score_thresholds)))
+        for w, h_j in zip(self.weights, h):
+            rao += w * h_j
+        return eta, rao, controls
+
+    def evaluate(self, z_b: np.ndarray, eta: np.ndarray, rao: np.ndarray, controls: np.ndarray):
+        """Evaluation stage on rows of evaluation halves, given their tail stage's output.
+
+        Returns (actual, rao, controls, nonzero): the cross-fitted estimator per
+        row, the tail stage's two outputs, and whether any advantage is
+        nonzero. Sums at each t_c are cumulated over prefix segments as in the
+        tail stage; those above each row's own r_hat_j take one masked pass
+        per prefix.
+        """
+        spec, sizes = self.spec, self.sizes
+        _, thresholds, _ = _spec_constants(spec)
+        starts = (0,) + sizes[:-1]
+        z_b = z_b[:, : sizes[-1]]
+        at_t = np.stack(
+            [np.cumsum(_power_sums(z_b, t, starts=starts), axis=2) for t in thresholds], axis=3
+        )
+        actual = np.zeros_like(rao)
+        nonzero = np.zeros(z_b.shape[0], dtype=bool)
+        for j, (w, size) in enumerate(zip(self.weights, sizes)):
+            eta_j = eta[:, j, :, None]
+            at_r = _power_sums(z_b[:, :size], eta_j[0], count=False)
             nonzero |= at_r[1, :, 0] > 0  # some z > r_hat_j
-            actual += w * _tail_gradient(eta, at_r, at_t[:, :, j], spec, size)
+            actual += w * _tail_gradient(eta_j, at_r, at_t[:, :, j], spec, size)
         return actual, rao, controls, nonzero
 
 
@@ -321,47 +348,66 @@ def _gradient_kernel(rule: str, spec: SyntheticSpec, params: RuleParams):
     return measure
 
 
-def _draw_chunks(rng: np.random.Generator, m: int, take: int, halves: bool):
-    """The first ``take`` rows of a block of normals, as row chunks in stream order.
+def _draw_chunks(rng: np.random.Generator, width: int, take: int, rows: int):
+    """The first ``take`` of the next ``rows`` rows of normals, as row chunks in stream order.
 
-    With ``halves`` a row is a tail batch and an evaluation batch of m/2 each:
-    the stream holds a whole block of tail batches before the evaluation
-    batches, so those are drawn first, in full.
+    The rows past ``take`` are drawn too, so the stream moves past all
+    ``rows``, but one chunk at a time and never yielded.
     """
-    width = m // 2 if halves else m
-    if halves:
-        z_a = rng.standard_normal((BLOCK_SIZE, width))
-    for start in range(0, take, _CHUNK_ROWS):
-        rows = min(_CHUNK_ROWS, take - start)
-        z = rng.standard_normal((rows, width))
-        yield (z_a[start : start + rows], z) if halves else (z,)
+    for start in range(0, rows, _CHUNK_ROWS):
+        z = rng.standard_normal((min(_CHUNK_ROWS, rows - start), width))
+        if start < take:
+            yield z[: take - start]
 
 
-def _measure_block(pool: ThreadPoolExecutor, measure, chunks) -> list[np.ndarray]:
-    """``measure(*chunk)`` for each chunk on the pool, outputs joined in row order.
+def _bounded_submit(pool: ThreadPoolExecutor):
+    """``pool.submit`` that waits on the oldest task once more than 2 per thread are in flight.
 
-    At most two chunks per thread wait or run at a time, so the draws run
-    ahead of the kernels by a bounded amount of memory.
+    The draws then run ahead of the kernels by a bounded amount of memory.
     """
     pending: deque = deque()
-    parts = []
-    for chunk in chunks:
-        pending.append(pool.submit(measure, *chunk))
+
+    def submit(fn, *args):
+        future = pool.submit(fn, *args)
+        pending.append(future)
         if len(pending) > 2 * _THREADS:
-            parts.append(pending.popleft().result())
-    parts.extend(future.result() for future in pending)
-    return [np.concatenate(outputs) for outputs in zip(*parts)]
+            pending.popleft().result()
+        return future
+
+    return submit
 
 
-def _block_outputs(measure, m: int, replications: int, seed: int, halves: bool = False):
-    """Each block's row count and ``measure``'s outputs over its rows, in block order."""
+def _after(measure, z: np.ndarray, tail_future):
+    """``measure`` on an evaluation-half chunk and its tail-half chunk's outputs."""
+    return measure(z, *tail_future.result())
+
+
+def _block_outputs(measure, m: int, replications: int, seed: int, tail=None):
+    """Each block's row count and ``measure``'s outputs over its rows, in block order.
+
+    Without ``tail`` a row is m normals and ``measure`` takes a chunk of rows.
+    With it a row is a tail half and an evaluation half of m/2 normals, and
+    the stream holds a whole block of tail halves first: each tail-half chunk
+    is measured by ``tail`` as it is drawn, and ``measure`` takes the
+    matching evaluation-half chunk followed by ``tail``'s outputs.
+    """
     n_blocks = (replications + BLOCK_SIZE - 1) // BLOCK_SIZE
     streams = np.random.SeedSequence(seed).spawn(n_blocks)
+    width = m if tail is None else m // 2
     with ThreadPoolExecutor(max_workers=_THREADS) as pool:
         for i, stream in enumerate(streams):
             take = min(BLOCK_SIZE, replications - i * BLOCK_SIZE)
-            chunks = _draw_chunks(np.random.default_rng(stream), m, take, halves)
-            yield take, _measure_block(pool, measure, chunks)
+            rng = np.random.default_rng(stream)
+            submit = _bounded_submit(pool)
+            chunks = _draw_chunks(rng, width, take, take if tail is None else BLOCK_SIZE)
+            if tail is None:
+                futures = [submit(measure, z) for z in chunks]
+            else:
+                tails = [submit(tail, z) for z in chunks]
+                evals = _draw_chunks(rng, width, take, take)
+                futures = [submit(_after, measure, z, t) for z, t in zip(evals, tails)]
+            parts = [future.result() for future in futures]
+            yield take, [np.concatenate(outputs) for outputs in zip(*parts)]
 
 
 class _MomentAccumulator:
@@ -490,7 +536,7 @@ def estimator_bias_variance(
         rao_acc = _MomentAccumulator(d)
         n_pilot = 0
         lam = None
-        blocks = _block_outputs(kernel.measure, m, replications, seed, halves=True)
+        blocks = _block_outputs(kernel.evaluate, m, replications, seed, tail=kernel.tail)
         for take, (actual, rao, controls, nonzero) in blocks:
             acc.add(actual)
             zero_rows += int(take - nonzero.sum())

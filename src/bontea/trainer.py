@@ -154,6 +154,19 @@ def kl_grad(theta: np.ndarray, theta_ref: np.ndarray) -> np.ndarray:
     return p * (diff - p @ diff)
 
 
+def _draw_actions(rng: np.random.Generator, probs: np.ndarray, size: int) -> np.ndarray:
+    """``size`` actions per row of ``probs``; (P, size).
+
+    ``Generator.choice``'s own inverse-CDF recipe, applied to all rows at
+    once: the actions and the stream state afterwards are those of
+    ``rng.choice(V, size, p=row)`` called for each row in turn.
+    """
+    cdf = np.cumsum(probs, axis=1)
+    cdf /= cdf[:, -1:]
+    uniform = rng.random((probs.shape[0], size))
+    return np.stack([row.searchsorted(u, side="right") for row, u in zip(cdf, uniform)])
+
+
 def evaluate_policy_bon(
     task: ToyTask,
     thetas: np.ndarray,
@@ -164,12 +177,8 @@ def evaluate_policy_bon(
     """Monte Carlo grouped best-of-N of the policy on the task's reward table."""
     rng = np.random.default_rng(seed)
     thetas = np.asarray(thetas, dtype=float)
-    probs = softmax(thetas, axis=1)
-    samples = np.empty((task.n_prompts, samples_per_prompt))
-    for x in range(task.n_prompts):
-        actions = rng.choice(task.n_actions, size=samples_per_prompt, p=probs[x])
-        samples[x] = task.rewards[x, actions]
-    return grouped_bon_curve(samples, n_budgets)
+    actions = _draw_actions(rng, softmax(thetas, axis=1), samples_per_prompt)
+    return grouped_bon_curve(np.take_along_axis(task.rewards, actions, axis=1), n_budgets)
 
 
 def _step_gradient(
@@ -186,7 +195,7 @@ def _step_gradient(
     (P, m) rewards into advantages, with ``seeds`` as the per-prompt seeds.
     """
     probs = softmax(thetas[prompts], axis=1)
-    actions = np.stack([rng.choice(task.n_actions, size=config.m, p=p) for p in probs])
+    actions = _draw_actions(rng, probs, config.m)
     adv = compute_rules(config.rule, task.rewards[prompts[:, None], actions], config.params, seeds)
     n, v = probs.shape
     bins = (np.arange(n)[:, None] * v + actions).ravel()
@@ -233,7 +242,7 @@ def train(task: ToyTask, config: TrainConfig) -> TrainResult:
         update = np.zeros_like(thetas)
         update[prompts] = grads
         thetas = thetas + config.gamma * update / config.p_batch
-        if np.abs(thetas).max() > LOGIT_GUARD:
+        if not np.abs(thetas).max() <= LOGIT_GUARD:  # NaN logits fail this too
             raise DegenerateError(f"training diverged at step {step}: |logit| > {LOGIT_GUARD:g}")
         if step % config.eval_every == 0 or step == config.steps:
             trajectory.append(log_point(step))

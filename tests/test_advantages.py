@@ -302,6 +302,38 @@ class TestCatBon:
         assert adv.values[0] == adv.values[1] == 0.0
 
 
+class TestNormalizationFloor:
+    """``eps_norm`` of grpo-z, bon-mean and cat-bon: >= 0 and finite; 0 needs a nonzero spread."""
+
+    NORMALIZED = ["grpo-z", "bon-mean", "cat-bon"]
+
+    @pytest.mark.parametrize("rule", NORMALIZED)
+    @pytest.mark.parametrize("eps_norm", [-1e-8, float("nan"), float("inf"), float("-inf")])
+    def test_bad_floor_is_input_error(self, rule, eps_norm):
+        with pytest.raises(InputError, match="eps_norm"):
+            compute_rule(rule, np.arange(8.0), RuleParams(bon_k=2, eps_norm=eps_norm))
+
+    @pytest.mark.parametrize("rule", NORMALIZED)
+    def test_constant_group_without_floor_is_degenerate(self, rule):
+        with pytest.raises(DegenerateError, match="eps_norm"):
+            compute_rule(rule, np.ones(4), RuleParams(bon_k=2, eps_norm=0.0))
+
+    def test_vanishing_cat_bon_weights_without_floor_are_degenerate(self):
+        # every weight N F<^(N-1) underflows to 0 though the group is not constant
+        with pytest.raises(DegenerateError, match="eps_norm"):
+            compute_rule("cat-bon", np.arange(4.0), RuleParams(cat_n_target=5000, eps_norm=0.0))
+
+    @pytest.mark.parametrize("rule", NORMALIZED)
+    def test_zero_floor_on_a_spread_group_is_finite(self, rule):
+        adv = compute_rule(rule, np.arange(8.0), RuleParams(bon_k=2, eps_norm=0.0)).values
+        assert np.all(np.isfinite(adv))
+
+    @pytest.mark.parametrize("rule", NORMALIZED)
+    def test_constant_group_with_default_floor_is_zero(self, rule):
+        adv = compute_rule(rule, np.ones(4), RuleParams(bon_k=2)).values
+        assert np.all(adv == 0.0)
+
+
 class TestDispatch:
     @pytest.mark.parametrize("rule", RULE_NAMES)
     def test_every_rule_runs(self, rule):

@@ -114,6 +114,29 @@ class TestAdvantageCommand:
         main(["advantage", "-i", str(pools_path), "-o", str(out2), "--rule", "chow"])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_zero_floor_on_constant_group_is_degenerate(self, tmp_path, capsys):
+        # NaN is not JSON: the group is reported and skipped, the others written
+        src = tmp_path / "flat.jsonl"
+        write_groups(
+            src,
+            [{"prompt_id": "flat", "rewards": [1, 1, 1, 1]}, {"prompt_id": "ok", "rewards": [1, 2, 3, 4]}],
+        )
+        out = tmp_path / "adv.jsonl"
+        argv = ["advantage", "-i", str(src), "-o", str(out), "--rule", "grpo-z", "--eps-norm", "0"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "prompt flat" in err and "eps_norm" in err
+        rows = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+        assert [row["prompt_id"] for row in rows] == ["ok"]
+        assert np.all(np.isfinite(rows[0]["advantages"]))
+
+    def test_negative_floor_is_input_error(self, tmp_path, pools_path, capsys):
+        out = tmp_path / "adv.jsonl"
+        argv = ["advantage", "-i", str(pools_path), "-o", str(out), "--rule", "grpo-z",
+                "--eps-norm=-1e-8"]
+        assert main(argv) == 2
+        assert "eps_norm" in capsys.readouterr().err
+
     def test_bon_mean_on_large_group(self, tmp_path):
         # C(4096, 512) is far beyond float range; the weights never form it
         src = tmp_path / "big.jsonl"
@@ -326,6 +349,15 @@ class TestTrainSynthCommand:
         assert len(rewards) == 1
 
 
+    def test_zero_floor_is_degenerate_not_a_crash(self, tmp_path, capsys):
+        # four actions and four rollouts: some prompt soon draws a constant group
+        out = tmp_path / "traj.csv"
+        argv = ["train-synth", "--rule", "grpo-z", "--eps-norm", "0", "--m", "4",
+                "--n-actions", "4", "--steps", "50", "-o", str(out)]
+        assert main(argv) == 3
+        assert "eps_norm" in capsys.readouterr().err
+
+
 class TestQqFitCommand:
     def test_table(self, tmp_path, pools_path):
         out = tmp_path / "qq.csv"
@@ -475,6 +507,19 @@ class TestConfigResolution:
                      "--config", str(cfg)])
         assert code == 2
         assert f"config key {key}: a flag only (--{key})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("rules =", "expected at least one name"), ("m_grid = 64,x", "expected comma-separated integers")],
+    )
+    def test_bad_list_in_config_is_input_error(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "s.csv"
+        assert main(["synth-bias-variance", "--config", str(cfg), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config key {line.split()[0]}: {message}" in err
+        assert not out.exists()
 
     def test_missing_input_is_input_error(self, tmp_path):
         assert main(["advantage", "-i", str(tmp_path / "nope.jsonl")]) == 2

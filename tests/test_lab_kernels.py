@@ -95,6 +95,11 @@ def ref_prefix(kernel, z_a, z_b):
     return actual, rao, controls, nonzero
 
 
+def measure(kernel, z_a, z_b):
+    """Both stages of the cross-fitted kernel on matching tail and evaluation halves."""
+    return kernel.evaluate(z_b, *kernel.tail(z_a))
+
+
 def assert_matches(got, ref):
     got, ref = np.asarray(got), np.asarray(ref)
     assert got.shape == ref.shape
@@ -152,16 +157,16 @@ class TestPrefix:
         kernel = _PrefixCrossFit(m, SPEC, RuleParams())
         rng = np.random.default_rng(200 + m)
         z_a, z_b = rng.standard_normal((2, 256, m // 2))
-        for got, ref in zip(kernel.measure(z_a, z_b), ref_prefix(kernel, z_a, z_b)):
+        for got, ref in zip(measure(kernel, z_a, z_b), ref_prefix(kernel, z_a, z_b)):
             assert_matches(got, ref)
 
     def test_block_measures_its_draws(self):
         kernel = _PrefixCrossFit(64, SPEC, RuleParams())
-        [(_, got)] = _block_outputs(kernel.measure, 64, BLOCK_SIZE, seed=5, halves=True)
+        [(_, got)] = _block_outputs(kernel.evaluate, 64, BLOCK_SIZE, seed=5, tail=kernel.tail)
         rng = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
         z_a = rng.standard_normal((BLOCK_SIZE, 32))
         z_b = rng.standard_normal((BLOCK_SIZE, 32))
-        for a, b in zip(got, kernel.measure(z_a, z_b)):
+        for a, b in zip(got, kernel.evaluate(z_b, *kernel.tail(z_a))):
             np.testing.assert_array_equal(a, b)
 
     def test_ties_between_batches(self):
@@ -169,7 +174,7 @@ class TestPrefix:
         kernel = _PrefixCrossFit(128, SPEC, RuleParams())
         rng = np.random.default_rng(6)
         z_a, z_b = tied_normals(rng, (2, 1000, 64), 1)
-        for got, ref in zip(kernel.measure(z_a, z_b), ref_prefix(kernel, z_a, z_b)):
+        for got, ref in zip(measure(kernel, z_a, z_b), ref_prefix(kernel, z_a, z_b)):
             assert_matches(got, ref)
 
     def test_control_means_are_exact(self):
@@ -201,5 +206,5 @@ def test_kernels_match_reference_with_ties(m, decimals, scale, seed):
     m_even = 2 * max(m // 2, 40)
     kernel = _PrefixCrossFit(m_even, SPEC, RuleParams())
     z_a, z_b = np.round(scale * rng.standard_normal((2, 64, m_even // 2)), decimals)
-    for got, ref in zip(kernel.measure(z_a, z_b), ref_prefix(kernel, z_a, z_b)):
+    for got, ref in zip(measure(kernel, z_a, z_b), ref_prefix(kernel, z_a, z_b)):
         assert_matches(got, ref)

@@ -289,6 +289,62 @@ class TestSchedule:
             assert row.mse_at_p == first.mse_at_p
 
 
+class TestFrozenRows:
+    """Rows pinned bit for bit, so a change to the lab's schedule or kernels cannot move them.
+
+    Two whole blocks and a partial one at m = 64, seed 31; the prefix-tea row
+    fits its control-variate coefficients on the first block (the pilot path).
+    Values are ``float.hex`` of bias_vec, bias_se, variance and variance_se.
+    """
+
+    ROWS = {
+        "tea": (
+            ("-0x1.f02d2fff49e90p-6", "-0x1.0b8bc44576264p-4"),
+            ("0x1.29561bb637e9ep-9", "0x1.0a40ffb58dccfp-9"),
+            "0x1.5d1cede273ae2p-4",
+            "0x1.0a2dc92dd164ep-10",
+        ),
+        "oracle": (
+            ("0x1.e526245e6b980p-8", "0x1.1e00c0ddb3080p-7"),
+            ("0x1.d2a481e691149p-9", "0x1.fd12be10ef1fbp-9"),
+            "0x1.054af084be4b1p-2",
+            "0x1.ea5d426ac2dd7p-9",
+        ),
+        "prefix-tea": (
+            ("-0x1.4cde23ca843ffp-2", "-0x1.20240dcb6ef0ep-2"),
+            ("0x1.d1dec331d0922p-6", "0x1.8188757127fd2p-6"),
+            "0x1.6559504b2b37cp+4",
+            "0x1.b235d52219c68p+0",
+        ),
+    }
+
+    @pytest.mark.parametrize("rule", sorted(ROWS))
+    def test_row_bits(self, rule):
+        row = estimator_bias_variance(rule, SPEC, 64, 2 * 4096 + 1000, seed=31)
+        bias, bias_se, variance, variance_se = self.ROWS[rule]
+        assert [float(x).hex() for x in row.bias_vec] == list(bias)
+        assert [float(x).hex() for x in row.bias_se] == list(bias_se)
+        assert row.variance.hex() == variance
+        assert row.variance_se.hex() == variance_se
+
+
+def test_prefix_row_never_holds_a_block(monkeypatch):
+    """With one measuring thread, a prefix-tea block of m = 1024 peaks below one (4096, 512) half."""
+    import tracemalloc
+
+    import bontea.synth as synth
+
+    monkeypatch.setattr(synth, "_THREADS", 1)
+    estimator_bias_variance("prefix-tea", SPEC, 64, 1000, seed=1)  # warm the caches
+    tracemalloc.start()
+    try:
+        estimator_bias_variance("prefix-tea", SPEC, 1024, synth.BLOCK_SIZE, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < synth.BLOCK_SIZE * 512 * 8
+
+
 class TestMseFrontier:
     """The CLI's ``synth-bias-variance`` runs the (rule, m) frontier loop."""
 
@@ -298,7 +354,7 @@ class TestMseFrontier:
             with pytest.raises(SystemExit) as exit_info:
                 main(argv + [flag, "", "-o", str(tmp_path / "out.csv")])
             assert exit_info.value.code == 2
-            assert f"argument {flag}: invalid" in capsys.readouterr().err
+            assert f"argument {flag}: expected at least one" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
 

@@ -123,6 +123,26 @@ class TestKlGrad:
         )
 
 
+class TestDrawActions:
+    """One draw for all rows gives the actions and stream state of rng.choice row by row."""
+
+    @pytest.mark.parametrize("shape", [(1, 4), (4, 64), (8, 512), (3, 7)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_choice_loop(self, shape, seed):
+        rows, size = shape
+        rng = np.random.default_rng(seed)
+        n_actions = int(rng.integers(4, 40))
+        logits = 3.0 * rng.standard_normal((rows, n_actions))
+        logits[:, 0] -= 40.0  # a near-zero probability; its actions must still agree
+        probs = softmax(logits, axis=1)
+        loop_rng = np.random.default_rng(seed + 100)
+        batch_rng = np.random.default_rng(seed + 100)
+        expected = np.stack([loop_rng.choice(n_actions, size=size, p=p) for p in probs])
+        got = trainer._draw_actions(batch_rng, probs, size)
+        np.testing.assert_array_equal(got, expected)
+        assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
 class TestEvaluatePolicyBon:
     def test_deterministic_policy_flat_curve(self):
         task = ToyTask.random(n_prompts=2, n_actions=4, seed=0)
