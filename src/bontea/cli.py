@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, Text
 import numpy as np
 
 from . import __version__
-from .advantages import RULE_NAMES, RuleParams, compute_rule
+from .advantages import RULE_NAMES, RuleParams, compute_rule, compute_rules
 from .bon_eval import (
     DEFAULT_RESAMPLES,
     DEFAULT_TIE_TOL,
@@ -299,6 +299,55 @@ def _write_csv(
 # --- commands ------------------------------------------------------------------
 
 
+#: Most rewards one ``compute_rules`` call of ``advantage`` takes: 64 groups of
+#: m = 64. Longer runs are no faster and hold more memory.
+_RUN_VALUES = 64 * 64
+
+_Run = list[tuple[int, int, RewardGroup]]  # (index, line, group), all of one m
+
+
+def _equal_size_runs(groups: Iterable[tuple[int, RewardGroup]]) -> Iterator[_Run]:
+    """Consecutive (line, group) pairs, indexed, in runs of one m and at most ``_RUN_VALUES`` rewards.
+
+    A read error propagates only after the run before it is yielded, so every
+    group before the bad line is written.
+    """
+    run: _Run = []
+    try:
+        for index, (lineno, group) in enumerate(groups):
+            m = len(group)
+            if run and (len(run[0][2]) != m or len(run) >= _RUN_VALUES // m):
+                yield run
+                run = []
+            run.append((index, lineno, group))
+    except InputError:
+        if run:
+            yield run
+        raise
+    if run:
+        yield run
+
+
+def _run_advantages(rule: str, params: RuleParams, run: _Run) -> list[list[float] | Exception]:
+    """Each group's advantages, or its error, from one ``compute_rules`` call on the run.
+
+    A run that raises is redone group by group, so each group fails exactly
+    as it would alone.
+    """
+    try:
+        rewards = np.stack([group.rewards for _, _, group in run])
+        return compute_rules(rule, rewards, params, seeds=[params.seed + i for i, _, _ in run]).tolist()
+    except (DegenerateError, InputError):
+        pass
+    results: list[list[float] | Exception] = []
+    for index, _, group in run:
+        try:
+            results.append(compute_rule(rule, group, params, seed=params.seed + index).values.tolist())
+        except (DegenerateError, InputError) as exc:
+            results.append(exc)
+    return results
+
+
 @command("advantage", "per-group advantages as JSONL", _RULE_OPTION, *RULE_OPTIONS.values())
 def cmd_advantage(args: argparse.Namespace, config: dict[str, Any]) -> int:
     rule = config["rule"]
@@ -308,15 +357,14 @@ def cmd_advantage(args: argparse.Namespace, config: dict[str, Any]) -> int:
     exit_code = 0
     with _output(args.output) as out:
         _write_json(out, {"config": _echo(config), "rule": rule})
-        for index, (lineno, group) in enumerate(read_reward_groups(args.input)):
-            try:
-                adv = compute_rule(rule, group, params, seed=params.seed + index)
-            except (DegenerateError, InputError) as exc:
-                print(f"error: prompt {group.prompt_id} (line {lineno}): {exc}", file=sys.stderr)
-                degenerate = isinstance(exc, DegenerateError)
+        for run in _equal_size_runs(read_reward_groups(args.input)):
+            for (_, lineno, group), adv in zip(run, _run_advantages(rule, params, run)):
+                if isinstance(adv, list):
+                    _write_json(out, {"prompt_id": group.prompt_id, "advantages": adv})
+                    continue
+                print(f"error: prompt {group.prompt_id} (line {lineno}): {adv}", file=sys.stderr)
+                degenerate = isinstance(adv, DegenerateError)
                 exit_code = max(exit_code, _EXIT_DEGENERATE if degenerate else _EXIT_INPUT)
-                continue
-            _write_json(out, {"prompt_id": group.prompt_id, "advantages": adv.values})
     return exit_code
 
 
@@ -388,6 +436,13 @@ def cmd_eval_bon(args: argparse.Namespace, config: dict[str, Any]) -> int:
                 f"baseline has {len(base_groups)} groups, input has {len(groups)};"
                 " paired evaluation needs equal counts"
             )
+        for position, (group, base) in enumerate(zip(groups, base_groups), 1):
+            if group.prompt_id != base.prompt_id:
+                raise InputError(
+                    f"baseline group {position} is prompt {base.prompt_id!r}, input group"
+                    f" {position} is {group.prompt_id!r}; paired evaluation needs the same"
+                    " prompts in the same order"
+                )
         base_curve = grouped_bon_curve(_pool_matrix(base_groups, args.baseline), budgets)
         payload["baseline_curve"] = _curve_payload(base_curve)
         deltas = {}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,13 +13,15 @@ from numpy.testing import assert_allclose
 from bontea import (
     DegenerateError,
     EmpiricalPool,
+    InputError,
     RuleParams,
     build_scheme,
     compute_rule,
     gradient_alignment,
     oracle_advantage,
 )
-from bontea.cli import main
+from bontea.advantages import RULE_NAMES
+from bontea.cli import main, read_reward_groups
 
 
 def write_groups(path, groups):
@@ -89,6 +92,22 @@ class TestAdvantageCommand:
         assert main(["advantage", "-i", str(src), "-o", str(tmp_path / "o.jsonl")]) == 2
         assert ":2:" in capsys.readouterr().err
 
+    def test_rows_before_a_malformed_line_are_written(self, tmp_path, capsys):
+        # the groups before the bad line are still pending in one run when it is read
+        rng = np.random.default_rng(3)
+        good = [{"prompt_id": f"p{i}", "rewards": rng.standard_normal(16).tolist()} for i in range(5)]
+        src = tmp_path / "bad.jsonl"
+        write_groups(src, good)
+        with open(src, "a", encoding="utf-8") as f:
+            f.write("not json\n")
+        out = tmp_path / "adv.jsonl"
+        assert main(["advantage", "-i", str(src), "-o", str(out), "--rule", "tea"]) == 2
+        assert f"{src}:6:" in capsys.readouterr().err
+        rows = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+        assert [r["prompt_id"] for r in rows] == [g["prompt_id"] for g in good]
+        for group, row in zip(good, rows):
+            assert row["advantages"] == compute_rule("tea", np.array(group["rewards"]), RuleParams()).values.tolist()
+
     def test_per_group_errors_continue_processing(self, tmp_path, capsys):
         # group "short" is too small for the prefix scheme; the command reports
         # it on stderr, keeps going, and exits with the input-error code
@@ -151,6 +170,82 @@ class TestAdvantageCommand:
         assert np.all(np.isfinite(row["advantages"]))
 
 
+def per_group_advantage(path, rule, params, header):
+    """``advantage``'s stdout, stderr and exit code from one ``compute_rule`` call per group.
+
+    The reference the batched command must match: its output lines, stderr
+    lines and exit codes, written the way the command wrote them before runs.
+    """
+    out, err, code = [header], [], 0
+    try:
+        for index, (lineno, group) in enumerate(read_reward_groups(str(path))):
+            try:
+                adv = compute_rule(rule, group, params, seed=params.seed + index)
+            except (DegenerateError, InputError) as exc:
+                err.append(f"error: prompt {group.prompt_id} (line {lineno}): {exc}")
+                code = max(code, 3 if isinstance(exc, DegenerateError) else 2)
+                continue
+            out.append(json.dumps({"prompt_id": group.prompt_id, "advantages": adv.values.tolist()}))
+    except InputError as exc:
+        err.append(f"error: {exc}")
+        code = 2
+    return "".join(line + "\n" for line in out), err, code
+
+
+class TestAdvantageRuns:
+    """The command computes runs of equal-size groups at once, with the per-group results."""
+
+    #: flags each rule needs, beyond the defaults
+    FLAGS = {"bon-mean": ["--bon-k", "2"]}
+
+    @staticmethod
+    def hostile_groups():
+        rng = np.random.default_rng(11)
+        groups = [rng.standard_normal(64) for _ in range(70)]  # more than one run of m = 64
+        groups[40] = 1e200 * np.arange(1.0, 65.0)  # overflows the tail and spread statistics
+        groups += [rng.standard_normal(16) for _ in range(3)]  # m changes mid-file
+        groups += [rng.standard_normal(6), rng.standard_normal(6)]  # too short for prefix-tea
+        groups += [np.array([1.5]), np.array([2.5])]  # m = 1: compute_rule's own message
+        groups += [rng.integers(0, 3, 64).astype(float) for _ in range(70)]  # ties
+        groups += [rng.standard_normal(16)]
+        return [{"prompt_id": f"g{i}", "rewards": g.tolist()} for i, g in enumerate(groups)]
+
+    @pytest.mark.parametrize(
+        "tail", ["", '{"prompt_id": "bad", "rewards": [NaN, 1.0]}\n'], ids=["clean", "nonfinite-last"]
+    )
+    @pytest.mark.parametrize("rule", RULE_NAMES)
+    def test_matches_the_per_group_loop(self, tmp_path, capsys, rule, tail):
+        src = tmp_path / "groups.jsonl"
+        write_groups(src, self.hostile_groups())
+        with open(src, "a", encoding="utf-8") as f:
+            f.write(tail)
+        out = tmp_path / "adv.jsonl"
+        argv = ["advantage", "-i", str(src), "-o", str(out), "--rule", rule, *self.FLAGS.get(rule, [])]
+        with warnings.catch_warnings(record=True) as batched_warnings:
+            warnings.simplefilter("always")
+            code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        header = out.read_text().splitlines()[0]
+        params = RuleParams(bon_k=2 if rule == "bon-mean" else None)
+        with warnings.catch_warnings(record=True) as loop_warnings:
+            warnings.simplefilter("always")
+            expected = per_group_advantage(src, rule, params, header)
+        assert (out.read_text(), err, code) == expected
+        assert [str(w.message) for w in batched_warnings] == [str(w.message) for w in loop_warnings]
+        assert len(err) >= 2 and code in (2, 3)  # the m = 1 groups at least fail
+
+    def test_chow_draws_each_group_from_its_own_seed(self, tmp_path):
+        # equal rows in one run must still get per-index permutations
+        src = tmp_path / "same.jsonl"
+        write_groups(src, [{"prompt_id": f"g{i}", "rewards": list(range(8))} for i in range(6)])
+        out = tmp_path / "adv.jsonl"
+        assert main(["advantage", "-i", str(src), "-o", str(out), "--rule", "chow", "--seed", "5"]) == 0
+        rows = [json.loads(line)["advantages"] for line in out.read_text().splitlines()[1:]]
+        for index, row in enumerate(rows):
+            assert row == compute_rule("chow", np.arange(8.0), RuleParams(seed=5), seed=5 + index).values.tolist()
+        assert len({tuple(row) for row in rows}) > 1
+
+
 class TestWeightsCommand:
     def test_matches_library(self, tmp_path):
         out = tmp_path / "w.json"
@@ -208,6 +303,15 @@ class TestPredictAndEval:
         for n in ("1", "2", "4"):
             assert payload["deltas"][n] == {"delta": 0.0, "ci_lo": 0.0, "ci_hi": 0.0}
             assert payload["win_tie_loss"][n] == {"win": 0.0, "tie": 100.0, "loss": 0.0}
+
+    def test_eval_bon_baseline_in_another_order_is_input_error(self, tmp_path, pools_path, capsys):
+        lines = pools_path.read_text().splitlines()
+        shuffled = tmp_path / "shuffled.jsonl"
+        shuffled.write_text("\n".join([lines[0], lines[2], lines[1], *lines[3:]]) + "\n")
+        out = tmp_path / "eval.json"
+        argv = ["eval-bon", "-i", str(pools_path), "--baseline", str(shuffled), "-o", str(out)]
+        assert main(argv) == 2
+        assert "baseline group 2 is prompt 'p2', input group 2 is 'p1'" in capsys.readouterr().err
 
     def test_eval_bon_rejects_nondivisible(self, tmp_path, pools_path):
         assert main(["eval-bon", "-i", str(pools_path), "--budgets", "3"]) == 2
