@@ -234,17 +234,6 @@ class TestAdvantageRuns:
         assert [str(w.message) for w in batched_warnings] == [str(w.message) for w in loop_warnings]
         assert len(err) >= 2 and code in (2, 3)  # the m = 1 groups at least fail
 
-    def test_chow_draws_each_group_from_its_own_seed(self, tmp_path):
-        # equal rows in one run must still get per-index permutations
-        src = tmp_path / "same.jsonl"
-        write_groups(src, [{"prompt_id": f"g{i}", "rewards": list(range(8))} for i in range(6)])
-        out = tmp_path / "adv.jsonl"
-        assert main(["advantage", "-i", str(src), "-o", str(out), "--rule", "chow", "--seed", "5"]) == 0
-        rows = [json.loads(line)["advantages"] for line in out.read_text().splitlines()[1:]]
-        for index, row in enumerate(rows):
-            assert row == compute_rule("chow", np.arange(8.0), RuleParams(seed=5), seed=5 + index).values.tolist()
-        assert len({tuple(row) for row in rows}) > 1
-
 
 class TestWeightsCommand:
     def test_matches_library(self, tmp_path):
