@@ -303,16 +303,16 @@ def _write_csv(
 #: m = 64. Longer runs are no faster and hold more memory.
 _RUN_VALUES = 64 * 64
 
-_Run = list[tuple[int, int, RewardGroup]]  # (index, line, group), all of one m
 
-
-def _equal_size_runs(groups: Iterable[tuple[int, RewardGroup]]) -> Iterator[_Run]:
-    """Consecutive (line, group) pairs, indexed, in runs of one m and at most ``_RUN_VALUES`` rewards.
+def _equal_size_runs(
+    groups: Iterable[tuple[int, RewardGroup]],
+) -> Iterator[list[tuple[int, int, RewardGroup]]]:
+    """Runs of (index, line, group): consecutive groups of one m, at most ``_RUN_VALUES`` rewards.
 
     A read error propagates only after the run before it is yielded, so every
     group before the bad line is written.
     """
-    run: _Run = []
+    run: list[tuple[int, int, RewardGroup]] = []
     try:
         for index, (lineno, group) in enumerate(groups):
             m = len(group)
@@ -328,26 +328,6 @@ def _equal_size_runs(groups: Iterable[tuple[int, RewardGroup]]) -> Iterator[_Run
         yield run
 
 
-def _run_advantages(rule: str, params: RuleParams, run: _Run) -> list[list[float] | Exception]:
-    """Each group's advantages, or its error, from one ``compute_rules`` call on the run.
-
-    A run that raises is redone group by group, so each group fails exactly
-    as it would alone.
-    """
-    try:
-        rewards = np.stack([group.rewards for _, _, group in run])
-        return compute_rules(rule, rewards, params, seeds=[params.seed + i for i, _, _ in run]).tolist()
-    except (DegenerateError, InputError):
-        pass
-    results: list[list[float] | Exception] = []
-    for index, _, group in run:
-        try:
-            results.append(compute_rule(rule, group, params, seed=params.seed + index).values.tolist())
-        except (DegenerateError, InputError) as exc:
-            results.append(exc)
-    return results
-
-
 @command("advantage", "per-group advantages as JSONL", _RULE_OPTION, *RULE_OPTIONS.values())
 def cmd_advantage(args: argparse.Namespace, config: dict[str, Any]) -> int:
     rule = config["rule"]
@@ -358,13 +338,21 @@ def cmd_advantage(args: argparse.Namespace, config: dict[str, Any]) -> int:
     with _output(args.output) as out:
         _write_json(out, {"config": _echo(config), "rule": rule})
         for run in _equal_size_runs(read_reward_groups(args.input)):
-            for (_, lineno, group), adv in zip(run, _run_advantages(rule, params, run)):
-                if isinstance(adv, list):
-                    _write_json(out, {"prompt_id": group.prompt_id, "advantages": adv})
+            rewards = np.stack([group.rewards for _, _, group in run])
+            try:
+                rows = compute_rules(rule, rewards, params, [params.seed + i for i, _, _ in run]).tolist()
+            except (DegenerateError, InputError):
+                rows = [None] * len(run)  # redone group by group, to fail exactly as alone
+            for (index, lineno, group), adv in zip(run, rows):
+                try:
+                    if adv is None:
+                        adv = compute_rule(rule, group, params, seed=params.seed + index).values
+                except (DegenerateError, InputError) as exc:
+                    print(f"error: prompt {group.prompt_id} (line {lineno}): {exc}", file=sys.stderr)
+                    degenerate = isinstance(exc, DegenerateError)
+                    exit_code = max(exit_code, _EXIT_DEGENERATE if degenerate else _EXIT_INPUT)
                     continue
-                print(f"error: prompt {group.prompt_id} (line {lineno}): {adv}", file=sys.stderr)
-                degenerate = isinstance(adv, DegenerateError)
-                exit_code = max(exit_code, _EXIT_DEGENERATE if degenerate else _EXIT_INPUT)
+                _write_json(out, {"prompt_id": group.prompt_id, "advantages": adv})
     return exit_code
 
 

@@ -106,7 +106,8 @@ class TestAdvantageCommand:
         rows = [json.loads(line) for line in out.read_text().splitlines()[1:]]
         assert [r["prompt_id"] for r in rows] == [g["prompt_id"] for g in good]
         for group, row in zip(good, rows):
-            assert row["advantages"] == compute_rule("tea", np.array(group["rewards"]), RuleParams()).values.tolist()
+            expected = compute_rule("tea", np.array(group["rewards"]), RuleParams()).values
+            assert row["advantages"] == expected.tolist()
 
     def test_per_group_errors_continue_processing(self, tmp_path, capsys):
         # group "short" is too small for the prefix scheme; the command reports
