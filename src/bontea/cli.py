@@ -300,7 +300,8 @@ def _write_csv(
 
 
 #: Most rewards one ``compute_rules`` call of ``advantage`` takes: 64 groups of
-#: m = 64. Longer runs are no faster and hold more memory.
+#: m = 64. Longer runs are no faster and hold more memory; a larger group is
+#: a run of its own.
 _RUN_VALUES = 64 * 64
 
 
