@@ -21,7 +21,7 @@ import inspect
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -40,10 +40,10 @@ from .bon_eval import (
     win_tie_loss,
 )
 from .errors import DegenerateError, InputError
-from .gauss import DEFAULT_QQ_GRID, predict_vn, qq_tail_fit, tail_constants
+from .gauss import DEFAULT_QQ_GRID, qq_tail_fits, qq_window, tail_constants
 from .prefixes import build_scheme
 from .synth import DEFAULT_P_GRID, SyntheticSpec, estimator_bias_variance, frontier_row_seed
-from .tailstats import RewardGroup, empirical_tail_vector
+from .tailstats import RewardGroup, tail_count, tail_stats
 from .trainer import ToyTask, TrainConfig, train
 
 _EXIT_INPUT = 2
@@ -233,23 +233,11 @@ def read_reward_groups(path: str) -> Iterator[tuple[int, RewardGroup]]:
             if not isinstance(record, dict) or "rewards" not in record:
                 raise InputError(f"{path}:{lineno}: expected an object with a 'rewards' field")
             prompt_id = str(record.get("prompt_id", f"line-{lineno}"))
-            scores = record.get("scores")
             try:
-                group = RewardGroup(
-                    prompt_id=prompt_id,
-                    rewards=np.asarray(record["rewards"], dtype=float),
-                    scores=None if scores is None else np.asarray(scores, dtype=float),
-                )
+                group = RewardGroup(prompt_id, record["rewards"], record.get("scores"))
             except (ValueError, TypeError, OverflowError) as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
             yield lineno, group
-
-
-def _load_groups(path: str) -> list[RewardGroup]:
-    groups = [group for _, group in read_reward_groups(path)]
-    if not groups:
-        raise InputError(f"{path}: no reward groups")
-    return groups
 
 
 @contextmanager
@@ -299,9 +287,8 @@ def _write_csv(
 # --- commands ------------------------------------------------------------------
 
 
-#: Most rewards one ``compute_rules`` call of ``advantage`` takes: 64 groups of
-#: m = 64. Longer runs are no faster and hold more memory; a larger group is
-#: a run of its own.
+#: Most rewards one batch call of a group command takes: 64 groups of m = 64. Longer
+#: runs are no faster and hold more memory; a larger group is a run of its own.
 _RUN_VALUES = 64 * 64
 
 
@@ -329,32 +316,77 @@ def _equal_size_runs(
         yield run
 
 
+class _Exit(Exception):
+    """Ends a command whose errors are on stderr already; its one argument is the exit code."""
+
+
+@dataclass
+class _Computed:
+    """(group, result) for each group of a JSONL file, in file order, one batch call per run.
+
+    ``batch(rewards, indices, groups)`` takes a run's (B, m) rewards, groups and
+    their indices in the file, and returns one result per group. If it raises,
+    the run is redone with ``alone(index, group)`` per group (by default
+    ``batch`` of the group), so each failure is the group's own. A failure is
+    reported with the group's prompt and line and skipped if one of ``skip``;
+    any other, or a bad line, ends the command. ``exit_code`` is the worst
+    failure. A file without groups is an input error unless ``allow_empty``.
+    """
+
+    path: str
+    batch: Callable[[np.ndarray, tuple[int, ...], tuple[RewardGroup, ...]], Sequence[Any]]
+    alone: Callable[[int, RewardGroup], Any] | None = None
+    skip: tuple[type[Exception], ...] = ()
+    allow_empty: bool = False
+    exit_code: int = 0
+
+    def __iter__(self) -> Iterator[tuple[RewardGroup, Any]]:
+        alone = self.alone or (lambda index, group: self.batch(group.rewards[None, :], (index,), (group,))[0])
+        run = None
+        try:
+            for run in _equal_size_runs(read_reward_groups(self.path)):
+                indices, _, groups = zip(*run)
+                try:
+                    results = self.batch(np.stack([group.rewards for group in groups]), indices, groups)
+                except (DegenerateError, InputError):
+                    results = None
+                for i, (index, lineno, group) in enumerate(run):
+                    try:
+                        result = alone(index, group) if results is None else results[i]
+                    except (DegenerateError, InputError) as exc:
+                        self._fail(f"prompt {group.prompt_id} (line {lineno}): {exc}", exc)
+                        continue
+                    yield group, result
+        except InputError as exc:  # a bad line; the groups' own errors are handled above
+            self._fail(str(exc), exc, end=True)
+        if run is None and not self.allow_empty:
+            raise InputError(f"{self.path}: no reward groups")
+
+    def _fail(self, message: str, exc: Exception, end: bool = False) -> None:
+        print(f"error: {message}", file=sys.stderr)
+        code = _EXIT_DEGENERATE if isinstance(exc, DegenerateError) else _EXIT_INPUT
+        self.exit_code = max(self.exit_code, code)
+        if end or not isinstance(exc, self.skip):
+            raise _Exit(self.exit_code)
+
+
 @command("advantage", "per-group advantages as JSONL", _RULE_OPTION, *RULE_OPTIONS.values())
 def cmd_advantage(args: argparse.Namespace, config: dict[str, Any]) -> int:
     rule = config["rule"]
     params = _build(RuleParams, config)
     if rule not in RULE_NAMES:
         raise InputError(f"unknown rule {rule!r}; expected one of {RULE_NAMES}")
-    exit_code = 0
+    groups = _Computed(
+        args.input,
+        lambda x, indices, _: compute_rules(rule, x, params, [params.seed + i for i in indices]).tolist(),
+        lambda index, group: compute_rule(rule, group, params, seed=params.seed + index).values,
+        skip=(DegenerateError, InputError), allow_empty=True,
+    )
     with _output(args.output) as out:
         _write_json(out, {"config": _echo(config), "rule": rule})
-        for run in _equal_size_runs(read_reward_groups(args.input)):
-            rewards = np.stack([group.rewards for _, _, group in run])
-            try:
-                rows = compute_rules(rule, rewards, params, [params.seed + i for i, _, _ in run]).tolist()
-            except (DegenerateError, InputError):
-                rows = [None] * len(run)  # redone group by group, to fail exactly as alone
-            for (index, lineno, group), adv in zip(run, rows):
-                try:
-                    if adv is None:
-                        adv = compute_rule(rule, group, params, seed=params.seed + index).values
-                except (DegenerateError, InputError) as exc:
-                    print(f"error: prompt {group.prompt_id} (line {lineno}): {exc}", file=sys.stderr)
-                    degenerate = isinstance(exc, DegenerateError)
-                    exit_code = max(exit_code, _EXIT_DEGENERATE if degenerate else _EXIT_INPUT)
-                    continue
-                _write_json(out, {"prompt_id": group.prompt_id, "advantages": adv})
-    return exit_code
+        for group, adv in groups:
+            _write_json(out, {"prompt_id": group.prompt_id, "advantages": adv})
+    return groups.exit_code
 
 
 @command(
@@ -378,27 +410,22 @@ def cmd_weights(args: argparse.Namespace, config: dict[str, Any]) -> int:
 )
 def cmd_predict_bon(args: argparse.Namespace, config: dict[str, Any]) -> int:
     alpha, eps_sigma, budgets = config["alpha"], config["eps_sigma"], config["budgets"]
-    groups = _load_groups(args.input)
-    constants = {n: tail_constants(alpha, n) for n in budgets}
-    per_prompt = []
-    totals = dict.fromkeys(budgets, 0.0)
-    for group in groups:
-        eta = empirical_tail_vector(group, alpha, eps_sigma)
-        predictions = {n: predict_vn(eta, constants[n]) for n in budgets}
-        for n, v in predictions.items():
-            totals[n] += v
-        per_prompt.append(
-            {
-                "prompt_id": group.prompt_id,
-                "tail": {"r": eta.r, "mu": eta.mu, "sigma": eta.sigma, "q": eta.q},
-                "predicted": {str(n): v for n, v in predictions.items()},
-            }
-        )
-    _write_doc(
-        args.output, config, budgets=budgets,
-        mean_predicted={str(n): totals[n] / len(groups) for n in budgets},
-        per_prompt=per_prompt,
-    )
+    c_tilde = np.array([tail_constants(alpha, n).c_tilde_n for n in budgets])
+
+    def tails(rewards: np.ndarray, *_: Any) -> list[list[float]]:
+        """Per group: r, mu, sigma, then mu + c_tilde_n sigma at each budget."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            r, mu, sigma = tail_stats(rewards, alpha, eps_sigma)
+        return np.hstack([r, mu, sigma, mu + c_tilde * sigma]).tolist()
+
+    keys = [str(n) for n in budgets]
+    totals, per_prompt = [0.0] * len(budgets), []  # totals: summed left to right
+    for group, (r, mu, sigma, *values) in _Computed(args.input, tails):
+        totals = [total + v for total, v in zip(totals, values)]
+        tail = {"r": r, "mu": mu, "sigma": sigma, "q": tail_count(len(group), alpha)}
+        per_prompt.append({"prompt_id": group.prompt_id, "tail": tail, "predicted": dict(zip(keys, values))})
+    mean = {key: total / len(per_prompt) for key, total in zip(keys, totals)}
+    _write_doc(args.output, config, budgets=budgets, mean_predicted=mean, per_prompt=per_prompt)
     return 0
 
 
@@ -415,24 +442,24 @@ def _curve_payload(curve) -> dict[str, Any]:
 )
 def cmd_eval_bon(args: argparse.Namespace, config: dict[str, Any]) -> int:
     budgets = config["budgets"]
-    groups = _load_groups(args.input)
-    curve = grouped_bon_curve(_pool_matrix(groups, args.input), budgets)
+    ids, pools = _pools(args.input)
+    curve = grouped_bon_curve(pools, budgets)
     payload: dict[str, Any] = {"budgets": budgets, "curve": _curve_payload(curve)}
     if args.baseline is not None:
-        base_groups = _load_groups(args.baseline)
-        if len(base_groups) != len(groups):
+        base_ids, base_pools = _pools(args.baseline)
+        if len(base_ids) != len(ids):
             raise InputError(
-                f"baseline has {len(base_groups)} groups, input has {len(groups)};"
+                f"baseline has {len(base_ids)} groups, input has {len(ids)};"
                 " paired evaluation needs equal counts"
             )
-        for position, (group, base) in enumerate(zip(groups, base_groups), 1):
-            if group.prompt_id != base.prompt_id:
+        for position, (prompt_id, base_id) in enumerate(zip(ids, base_ids), 1):
+            if prompt_id != base_id:
                 raise InputError(
-                    f"baseline group {position} is prompt {base.prompt_id!r}, input group"
-                    f" {position} is {group.prompt_id!r}; paired evaluation needs the same"
+                    f"baseline group {position} is prompt {base_id!r}, input group"
+                    f" {position} is {prompt_id!r}; paired evaluation needs the same"
                     " prompts in the same order"
                 )
-        base_curve = grouped_bon_curve(_pool_matrix(base_groups, args.baseline), budgets)
+        base_curve = grouped_bon_curve(base_pools, budgets)
         payload["baseline_curve"] = _curve_payload(base_curve)
         deltas = {}
         wtl = {}
@@ -451,11 +478,13 @@ def cmd_eval_bon(args: argparse.Namespace, config: dict[str, Any]) -> int:
     return 0
 
 
-def _pool_matrix(groups: list[RewardGroup], path: str) -> np.ndarray:
-    sizes = {len(g) for g in groups}
+def _pools(path: str) -> tuple[list[str], np.ndarray]:
+    """Prompt ids and the (prompts, M) reward matrix of a file of equal-size groups."""
+    rows = list(_Computed(path, lambda rewards, *_: rewards))
+    sizes = sorted({row.size for _, row in rows})
     if len(sizes) != 1:
-        raise InputError(f"{path}: grouped evaluation needs equal-length reward rows, got {sorted(sizes)}")
-    return np.stack([g.rewards for g in groups])
+        raise InputError(f"{path}: grouped evaluation needs equal-length reward rows, got {sizes}")
+    return [group.prompt_id for group, _ in rows], np.stack([row for _, row in rows])
 
 
 @command(
@@ -512,35 +541,30 @@ def cmd_align(args: argparse.Namespace, config: dict[str, Any]) -> int:
     for rule in rules:
         if rule not in RULE_NAMES:
             raise InputError(f"unknown rule {rule!r}; expected one of {RULE_NAMES}")
-    groups = _load_groups(args.input)
-    header = ["prompt_id"] + [f"cosine_{rule}" for rule in rules]
-    totals = np.zeros(len(rules))
-    table: list[list[Any]] = []
-    exit_code = 0
-    for index, group in enumerate(groups):
+
+    def cosines(group: RewardGroup, advantages: Iterable[np.ndarray]) -> list[float]:
         if group.scores is None:
-            raise InputError(f"prompt {group.prompt_id}: alignment needs per-sample scores")
-        try:
-            pool = EmpiricalPool.from_values(group.rewards)
-            oracle = oracle_advantage(pool, config["n_target"])
-            cosines = [
-                gradient_alignment(
-                    compute_rule(rule, group, params, seed=params.seed + index).values,
-                    group.scores,
-                    oracle,
-                )
-                for rule in rules
-            ]
-        except DegenerateError as exc:
-            print(f"error: prompt {group.prompt_id}: {exc}", file=sys.stderr)
-            exit_code = _EXIT_DEGENERATE
-            continue
-        totals += cosines
-        table.append([group.prompt_id, *cosines])
+            raise InputError("alignment needs per-sample scores")
+        oracle = oracle_advantage(EmpiricalPool.from_values(group.rewards), config["n_target"])
+        return [gradient_alignment(adv, group.scores, oracle) for adv in advantages]
+
+    def batch(rewards: np.ndarray, indices: tuple[int, ...], groups: tuple) -> list[list[float]]:
+        adv = [compute_rules(rule, rewards, params, [params.seed + i for i in indices]) for rule in rules]
+        return [cosines(group, [a[b] for a in adv]) for b, group in enumerate(groups)]
+
+    def alone(index: int, group: RewardGroup) -> list[float]:
+        seed = params.seed + index
+        return cosines(group, (compute_rule(rule, group, params, seed=seed).values for rule in rules))
+
+    computed = _Computed(args.input, batch, alone, skip=(DegenerateError,))
+    totals, table = np.zeros(len(rules)), []
+    for group, row in computed:
+        totals += row
+        table.append([group.prompt_id, *row])
     if table:
         table.append(["MEAN"] + (totals / len(table)).tolist())
-    _write_csv(args.output, config, header, table)
-    return exit_code
+    _write_csv(args.output, config, ["prompt_id"] + [f"cosine_{rule}" for rule in rules], table)
+    return computed.exit_code
 
 
 @command(
@@ -585,15 +609,11 @@ def cmd_train_synth(args: argparse.Namespace, config: dict[str, Any]) -> int:
     Option("grid", int, DEFAULT_QQ_GRID, "quantile grid points"),
 )
 def cmd_qq_fit(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    groups = _load_groups(args.input)
-    header = ["prompt_id", "a", "b", "r_squared"]
-
-    def rows() -> Iterator[Sequence[Any]]:
-        for group in groups:
-            fit = qq_tail_fit(group.rewards, config["q_lo"], config["q_hi"], grid_points=config["grid"])
-            yield [group.prompt_id, fit.a, fit.b, fit.r_squared]
-
-    _write_csv(args.output, config, header, rows())
+    q_lo, q_hi, grid = config["q_lo"], config["q_hi"], config["grid"]
+    qq_window(q_lo, q_hi, grid)  # a bad window fails before any output
+    fits = _Computed(args.input, lambda x, *_: np.column_stack(qq_tail_fits(x, q_lo, q_hi, grid)).tolist())
+    rows = ([group.prompt_id, *fit] for group, fit in fits)
+    _write_csv(args.output, config, ["prompt_id", "a", "b", "r_squared"], rows)
     return 0
 
 
@@ -639,12 +659,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args, _resolve(args, args.options))
-    except InputError as exc:
+    except _Exit as stop:
+        return stop.args[0]
+    except (InputError, DegenerateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
-    except DegenerateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DEGENERATE
+        return _EXIT_DEGENERATE if isinstance(exc, DegenerateError) else _EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -228,41 +228,48 @@ def predict_vn(tail: TailVector, constants: TailConstants) -> float:
 
 
 @lru_cache(maxsize=None)
-def _qq_design(q_lo: float, q_hi: float, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Levels of a QQ fit window and the design matrix [1, Phi^-1(level)], read-only."""
-    levels = np.linspace(q_lo, q_hi, grid_points)
-    x = ndtri(levels)
-    design = np.column_stack([np.ones_like(x), x])
-    levels.setflags(write=False)
-    design.setflags(write=False)
-    return levels, design
-
-
-def qq_tail_fit(
-    samples: np.ndarray,
-    q_lo: float,
-    q_hi: float,
-    grid_points: int = DEFAULT_QQ_GRID,
-) -> QqFit:
-    """Least-squares affine fit of upper-tail sample quantiles to Phi^-1(q).
-
-    Quantiles use linear interpolation between order statistics (numpy's
-    default, type 7). Raises ``DegenerateError`` when every quantile in the
-    window is equal, since R^2 is undefined there.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 20:
-        raise InputError(f"need at least 20 samples, got {samples.size}")
+def qq_window(q_lo: float, q_hi: float, grid_points: int = DEFAULT_QQ_GRID) -> tuple[np.ndarray, np.ndarray]:
+    """Levels of a QQ fit window and Phi^-1 of each, read-only; a bad window raises ``InputError``."""
     if not 0.0 < q_lo < q_hi < 1.0:
         raise InputError(f"need 0 < q_lo < q_hi < 1, got ({q_lo}, {q_hi})")
     if grid_points < 2:
         raise InputError(f"grid_points must be >= 2, got {grid_points}")
-    levels, design = _qq_design(q_lo, q_hi, grid_points)
-    y = np.quantile(samples, levels)
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    if ss_tot == 0.0:
+    levels = np.linspace(q_lo, q_hi, grid_points)
+    x = ndtri(levels)
+    levels.setflags(write=False)
+    x.setflags(write=False)
+    return levels, x
+
+
+def qq_tail_fits(samples: np.ndarray, q_lo: float, q_hi: float, grid_points: int = DEFAULT_QQ_GRID) -> tuple:
+    """(a, b, R^2), each (B,): the least-squares line a + b Phi^-1(level) through each row's quantiles.
+
+    ``samples`` is (B, m). The line is in closed form over deviations from the
+    means, each sum along a row of a C-contiguous (B, grid) matrix, so a row
+    has the same bits at any B. Quantiles interpolate linearly between order
+    statistics (numpy's default, type 7). A row whose window quantiles are all
+    equal (R^2 undefined) or whose fit is not finite raises ``DegenerateError``.
+    """
+    if samples.shape[1] < 20:
+        raise InputError(f"need at least 20 samples, got {samples.shape[1]}")
+    levels, x = qq_window(q_lo, q_hi, grid_points)
+    x_mean = np.add.reduce(x) / grid_points
+    xc = x - x_mean
+    with np.errstate(all="ignore"):
+        y = np.ascontiguousarray(np.quantile(samples, levels, axis=1).T)
+        y_mean = np.add.reduce(y, axis=1) / grid_points
+        yc = y - y_mean[:, None]
+        b = np.add.reduce(yc * xc, axis=1) / np.add.reduce(xc * xc)
+        resid, ss_tot = yc - b[:, None] * xc, np.add.reduce(yc * yc, axis=1)
+        fit = y_mean - b * x_mean, b, 1.0 - np.add.reduce(resid * resid, axis=1) / ss_tot
+    if (ss_tot == 0.0).any():
         raise DegenerateError("all quantiles in the fit window are equal; R^2 undefined")
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    r_squared = 1.0 - float(resid @ resid) / ss_tot
-    return QqFit(a=float(coef[0]), b=float(coef[1]), r_squared=r_squared, q_lo=q_lo, q_hi=q_hi)
+    if not np.isfinite(fit).all():
+        raise DegenerateError("QQ fit overflow: a, b or R^2 is not finite")
+    return fit
+
+
+def qq_tail_fit(samples: np.ndarray, q_lo: float, q_hi: float, grid_points: int = DEFAULT_QQ_GRID) -> QqFit:
+    """QQ fit of one sample vector: the case B = 1 of ``qq_tail_fits``."""
+    a, b, r_squared = qq_tail_fits(np.asarray(samples, dtype=float).reshape(1, -1), q_lo, q_hi, grid_points)
+    return QqFit(a=float(a[0]), b=float(b[0]), r_squared=float(r_squared[0]), q_lo=q_lo, q_hi=q_hi)

@@ -4,9 +4,8 @@ A group's tail vector eta = (r, mu, sigma) summarizes the upper-alpha slice of
 its rewards: r is the q-th largest reward with q = ceil(alpha * m), mu the mean
 of the top-q rewards, and sigma their population standard deviation clipped
 below by eps_sigma. ``tail_stats`` computes it for every row of a (B, m)
-reward matrix; the per-group tail vector, the prefix-restricted variants and
-an A/B half split support the debiased and cross-fitted estimators built on
-top.
+reward matrix and ``slice_tail_stats`` for a top-q slice already taken, as
+the lab takes it; ``empirical_tail_vector`` is the case of one group.
 """
 
 from __future__ import annotations
@@ -118,13 +117,15 @@ def tail_stats(
     """Tail vector (r, mu, sigma) of each row of a (B, m) reward matrix.
 
     ``slice_tail_stats`` of the top-q slice of a row sort, with its shapes,
-    clip, overflow error and ``np.errstate`` requirement.
+    clip, overflow error and ``np.errstate`` requirement. Needs m >= 2.
     """
     if not 0.0 < alpha < 0.5:
         raise InputError(f"alpha must lie in (0, 1/2), got {alpha}")
     if not eps_sigma > 0:
         raise InputError("eps_sigma must be positive")
     m = rewards.shape[1]
+    if m < 2:
+        raise InputError(f"need m >= 2 rewards, got {m}")
     return slice_tail_stats(np.sort(rewards, axis=1)[:, m - tail_count(m, alpha) :], eps_sigma)
 
 
@@ -139,8 +140,6 @@ def empirical_tail_vector(
     are interchangeable. Rewards whose top-q mean or spread overflows float
     range raise ``DegenerateError``.
     """
-    if len(group) < 2:
-        raise InputError(f"group {group.prompt_id!r}: need m >= 2 rewards, got {len(group)}")
     with np.errstate(over="ignore", invalid="ignore"):
         r, mu, sigma = tail_stats(group.rewards[None, :], alpha, eps_sigma)
     q = tail_count(len(group), alpha)

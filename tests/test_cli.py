@@ -17,8 +17,12 @@ from bontea import (
     RuleParams,
     build_scheme,
     compute_rule,
+    empirical_tail_vector,
     gradient_alignment,
     oracle_advantage,
+    predict_vn,
+    qq_tail_fit,
+    tail_constants,
 )
 from bontea.advantages import RULE_NAMES
 from bontea.cli import main, read_reward_groups
@@ -187,9 +191,9 @@ def per_group_advantage(path, rule, params, header):
                 code = max(code, 3 if isinstance(exc, DegenerateError) else 2)
                 continue
             out.append(json.dumps({"prompt_id": group.prompt_id, "advantages": adv.values.tolist()}))
-    except InputError as exc:
+    except InputError as exc:  # a bad line ends the file; the worst failure sets the exit code
         err.append(f"error: {exc}")
-        code = 2
+        code = max(code, 2)
     return "".join(line + "\n" for line in out), err, code
 
 
@@ -234,6 +238,175 @@ class TestAdvantageRuns:
         assert (out.read_text(), err, code) == expected
         assert [str(w.message) for w in batched_warnings] == [str(w.message) for w in loop_warnings]
         assert len(err) >= 2 and code in (2, 3)  # the m = 1 groups at least fail
+
+
+def _group_failure(group, lineno, exc):
+    """The stderr line and exit code of a group that fails on its own."""
+    code = 3 if isinstance(exc, DegenerateError) else 2
+    return f"error: prompt {group.prompt_id} (line {lineno}): {exc}", code
+
+
+def per_group_predict_bon(path, alpha, budgets):
+    """``predict-bon``'s payload after its config, stderr and exit code, one group at a time.
+
+    A failing group ends the command with nothing written (payload None).
+    """
+    constants = {n: tail_constants(alpha, n) for n in budgets}
+    totals, per_prompt = dict.fromkeys(budgets, 0.0), []
+    try:
+        for lineno, group in read_reward_groups(str(path)):
+            try:
+                eta = empirical_tail_vector(group, alpha)
+                predictions = {n: predict_vn(eta, constants[n]) for n in budgets}
+            except (DegenerateError, InputError) as exc:
+                line, code = _group_failure(group, lineno, exc)
+                return None, [line], code
+            for n, v in predictions.items():
+                totals[n] += v
+            per_prompt.append({
+                "prompt_id": group.prompt_id,
+                "tail": {"r": eta.r, "mu": eta.mu, "sigma": eta.sigma, "q": eta.q},
+                "predicted": {str(n): v for n, v in predictions.items()},
+            })
+    except InputError as exc:
+        return None, [f"error: {exc}"], 2
+    mean = {str(n): totals[n] / len(per_prompt) for n in budgets}
+    return {"budgets": list(budgets), "mean_predicted": mean, "per_prompt": per_prompt}, [], 0
+
+
+def per_group_qq_fit(path, q_lo, q_hi, grid):
+    """``qq-fit``'s CSV rows, stderr and exit code, one group at a time.
+
+    A failing group or a bad line ends the command; the rows before it stay.
+    """
+    rows = []
+    try:
+        for lineno, group in read_reward_groups(str(path)):
+            try:
+                fit = qq_tail_fit(group.rewards, q_lo, q_hi, grid_points=grid)
+            except (DegenerateError, InputError) as exc:
+                line, code = _group_failure(group, lineno, exc)
+                return rows, [line], code
+            rows.append(",".join([group.prompt_id, repr(fit.a), repr(fit.b), repr(fit.r_squared)]))
+    except InputError as exc:
+        return rows, [f"error: {exc}"], 2
+    return rows, [], 0
+
+
+def per_group_align(path, rules, params, n_target):
+    """``align``'s CSV rows, stderr and exit code, one group at a time.
+
+    A degenerate group is reported and left out; an input error or a bad line
+    ends the command with nothing written (rows None), with the worst exit code.
+    """
+    table, err, code = [], [], 0
+    try:
+        for index, (lineno, group) in enumerate(read_reward_groups(str(path))):
+            try:
+                if group.scores is None:
+                    raise InputError("alignment needs per-sample scores")
+                oracle = oracle_advantage(EmpiricalPool.from_values(group.rewards), n_target)
+                cosines = [
+                    gradient_alignment(
+                        compute_rule(rule, group, params, seed=params.seed + index).values,
+                        group.scores, oracle,
+                    )
+                    for rule in rules
+                ]
+            except (DegenerateError, InputError) as exc:
+                line, failed = _group_failure(group, lineno, exc)
+                err.append(line)
+                code = max(code, failed)
+                if isinstance(exc, InputError):
+                    return None, err, code
+                continue
+            table.append([group.prompt_id, *cosines])
+    except InputError as exc:
+        return None, err + [f"error: {exc}"], max(code, 2)
+    totals = np.zeros(len(rules))
+    for row in table:
+        totals += row[1:]
+    if table:
+        table.append(["MEAN", *(totals / len(table)).tolist()])
+    return [",".join([row[0], *map(repr, row[1:])]) for row in table], err, code
+
+
+class TestGroupCommandRuns:
+    """``predict-bon``, ``qq-fit`` and ``align`` compute runs at once, with the per-group results.
+
+    Each is compared with its per-group loop: bytes, stderr and exit code, on
+    files of more groups than one run, a change of m mid-file, groups that
+    fail, and a bad final line.
+    """
+
+    BAD_LINE = '{"prompt_id": "bad", "rewards": [NaN, 1.0]}'
+
+    @staticmethod
+    def groups(case):
+        rng = np.random.default_rng(17)
+        rewards = [rng.standard_normal(64) for _ in range(70)]  # more than one run of m = 64
+        rewards += [rng.standard_normal(24) for _ in range(5)]  # m changes mid-file
+        rewards += [rng.integers(0, 4, 64).astype(float) for _ in range(70)]  # ties
+        if case.startswith(("failing", "degenerate")):
+            rewards[40] = 1e200 * np.arange(1.0, 65.0)  # overflows the tail and the QQ fit
+            rewards[100] = np.full(64, 2.0)  # constant
+        if case.startswith("failing"):
+            rewards.append(np.array([0.5, 1.5, 2.5]))  # too short for a QQ fit
+            rewards.append(np.array([1.5]))  # m = 1
+        records = [
+            {"prompt_id": f"g{i}", "rewards": r.tolist(), "scores": rng.standard_normal((r.size, 3)).tolist()}
+            for i, r in enumerate(rewards)
+        ]
+        lines = [json.dumps(record) for record in records]
+        if case.endswith("bad-last"):
+            lines.append(TestGroupCommandRuns.BAD_LINE)
+        return "\n".join(lines) + "\n"
+
+    CASES = ["clean", "clean-bad-last", "failing", "failing-bad-last", "degenerate-bad-last"]
+
+    @staticmethod
+    def run(tmp_path, capsys, case, argv):
+        src = tmp_path / "groups.jsonl"
+        src.write_text(TestGroupCommandRuns.groups(case), encoding="utf-8")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([argv[0], "-i", str(src), "-o", str(out), *argv[1:]])
+        return src, out, capsys.readouterr().err.splitlines(), code
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_predict_bon(self, tmp_path, capsys, case):
+        budgets = (1, 4, 128)
+        src, out, err, code = self.run(tmp_path, capsys, case, ["predict-bon", "--budgets", "1,4,128"])
+        payload, expected_err, expected_code = per_group_predict_bon(src, 0.25, budgets)
+        assert (err, code) == (expected_err, expected_code)
+        if payload is None:
+            assert not out.exists()
+        else:
+            config = json.loads(out.read_text())["config"]
+            assert out.read_text() == json.dumps({"config": config, **payload}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_qq_fit(self, tmp_path, capsys, case):
+        src, out, err, code = self.run(tmp_path, capsys, case, ["qq-fit", "--q-lo", "0.7", "--grid", "12"])
+        rows, expected_err, expected_code = per_group_qq_fit(src, 0.7, 0.99, 12)
+        head = [line for line in out.read_text().splitlines() if line.startswith("#")]
+        expected = "".join(f"{line}\n" for line in [*head, "prompt_id,a,b,r_squared", *rows])
+        assert (out.read_text(), err, code) == (expected, expected_err, expected_code)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_align(self, tmp_path, capsys, case):
+        rules = ("tea", "grpo", "chow")
+        src, out, err, code = self.run(tmp_path, capsys, case, ["align", "--rules", ",".join(rules)])
+        rows, expected_err, expected_code = per_group_align(src, rules, RuleParams(), 128)
+        assert (err, code) == (expected_err, expected_code)
+        if rows is None:
+            assert not out.exists()
+        else:
+            head = [line for line in out.read_text().splitlines() if line.startswith("#")]
+            header = ",".join(["prompt_id", *(f"cosine_{rule}" for rule in rules)])
+            assert out.read_text() == "".join(f"{line}\n" for line in [*head, header, *rows])
+            assert len(rows) > 65  # more than one run
 
 
 class TestWeightsCommand:
@@ -402,7 +575,7 @@ class TestAlignCommand:
         assert main(["align", "-i", str(src), "-o", str(out)]) == 3
         err = capsys.readouterr().err
         skipped = [g["prompt_id"] for g in groups if g["prompt_id"] not in expected]
-        assert all(f"prompt {pid}:" in err for pid in skipped)
+        assert all(f"prompt {pid} (line " in err for pid in skipped)
         _, rows = read_csv(out)
         data = rows[1:-1]
         assert [row[0] for row in data] == list(expected)
@@ -463,6 +636,62 @@ class TestQqFitCommand:
             assert 0.0 <= float(row[3]) <= 1.0
         assert any(c.startswith("# q_lo=") for c in comments)
 
+    def test_bad_window_writes_nothing(self, tmp_path, pools_path, capsys):
+        out = tmp_path / "qq.csv"
+        assert main(["qq-fit", "-i", str(pools_path), "-o", str(out), "--q-lo", "0.9", "--q-hi", "0.5"]) == 2
+        assert not out.exists()
+        assert main(["qq-fit", "-i", str(pools_path), "--q-lo", "0.9", "--q-hi", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "need 0 < q_lo < q_hi < 1" in captured.err
+
+    def test_rows_before_a_malformed_line_are_written(self, tmp_path, pools_path, capsys):
+        src = tmp_path / "groups.jsonl"
+        src.write_text(pools_path.read_text() + "not json\n")
+        out = tmp_path / "qq.csv"
+        assert main(["qq-fit", "-i", str(src), "-o", str(out)]) == 2
+        _, rows = read_csv(out)
+        assert [row[0] for row in rows[1:]] == ["p0", "p1", "p2", "p3", "p4"]
+        assert f"{src}:6: invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rewards, message",
+        [
+            ([1.0, 2.0, 3.0], "error: prompt short (line 2): need at least 20 samples, got 3"),
+            ([2.0] * 32, "error: prompt short (line 2): all quantiles in the fit window are equal"),
+        ],
+    )
+    def test_group_errors_name_the_prompt(self, tmp_path, capsys, rewards, message):
+        src = tmp_path / "groups.jsonl"
+        write_groups(src, [{"prompt_id": "ok", "rewards": list(range(32))},
+                           {"prompt_id": "short", "rewards": rewards}])
+        out = tmp_path / "qq.csv"
+        assert main(["qq-fit", "-i", str(src), "-o", str(out)]) in (2, 3)
+        assert capsys.readouterr().err.startswith(message)
+        assert [row[0] for row in read_csv(out)[1][1:]] == ["ok"]
+
+    def test_overflowing_fit_prints_only_the_error_line(self, tmp_path):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import bontea
+
+        src = tmp_path / "big.jsonl"
+        write_groups(src, [{"prompt_id": "ok", "rewards": list(range(32))},
+                           {"prompt_id": "big", "rewards": [1e200 * i for i in range(1, 33)]}])
+        out = tmp_path / "qq.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from bontea.cli import main; sys.exit(main())",
+             "qq-fit", "-i", str(src), "-o", str(out)],
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": str(Path(bontea.__file__).parents[1])},
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "error: prompt big (line 2): QQ fit overflow: a, b or R^2 is not finite"
+        ]
+        assert [row[0] for row in read_csv(out)[1][1:]] == ["ok"]
+
 
 class TestHostileGroups:
     def test_integer_beyond_float_range_names_line(self, tmp_path, capsys):
@@ -490,6 +719,7 @@ class TestHostileGroups:
             rows = [json.loads(line) for line in out.read_text().splitlines()[1:]]
             assert [r["prompt_id"] for r in rows] == ["ok"]
         assert main(["predict-bon", "-i", str(src), "-o", str(tmp_path / "p.json")]) == 3
+        assert capsys.readouterr().err.startswith("error: prompt big (line 1): tail statistics overflow")
 
     def test_nonfinite_scores_are_input_error(self, tmp_path, capsys):
         src = tmp_path / "scored.jsonl"
@@ -553,6 +783,30 @@ class TestHostileGroups:
         assert line.startswith("error: prompt big (line 1): reward statistics overflow: mean=")
         rows = [json.loads(line) for line in out.read_text().splitlines()[1:]]
         assert [r["prompt_id"] for r in rows] == ["ok"]
+
+    def test_one_reward_group_in_align_names_the_prompt(self, tmp_path, capsys):
+        src = tmp_path / "one.jsonl"
+        write_groups(src, [{"prompt_id": "one", "rewards": [1.0], "scores": [[1.0, 2.0]]}])
+        assert main(["align", "-i", str(src), "-o", str(tmp_path / "a.csv")]) == 2
+        assert capsys.readouterr().err == "error: prompt one (line 1): rewards must be a 1-d array with m >= 2\n"
+
+    @pytest.mark.parametrize("command", ["advantage", "align"])
+    def test_a_failing_group_before_a_bad_line_keeps_its_exit_code(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(3)
+        src = tmp_path / "groups.jsonl"
+        write_groups(src, [
+            {"prompt_id": "big", "rewards": [1e200 * i for i in range(1, 9)], "scores": [[1.0]] * 8},
+            {"prompt_id": "ok", "rewards": rng.standard_normal(8).tolist(),
+             "scores": rng.standard_normal((8, 2)).tolist()},
+        ])
+        with open(src, "a", encoding="utf-8") as f:
+            f.write("not json\n")
+        assert main([command, "-i", str(src), "-o", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: prompt big (line 1): tail statistics overflow: r=7e+200, mu=7.499999999999999e+200,"
+            " sigma=inf",
+            f"error: {src}:3: invalid JSON (Expecting value)",
+        ]
 
     def test_one_reward_group_is_input_error(self, tmp_path, capsys):
         src = tmp_path / "one.jsonl"

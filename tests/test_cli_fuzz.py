@@ -1,9 +1,10 @@
 """Generated JSONL through the CLI: exit 0, 2 or 3, no traceback, finite numbers.
 
-``bontea advantage`` with every rule, ``bontea predict-bon`` and ``bontea
-align`` read lines that mix ordinary groups with malformed JSON, bad
-``rewards`` fields, integers beyond float range, magnitudes up to 1e300,
-groups of 1 to 3 rewards, ties, constant groups and NaN scores.
+``bontea advantage`` with every rule, ``bontea predict-bon``, ``bontea align``,
+``bontea qq-fit`` and ``bontea eval-bon`` read lines that mix ordinary groups
+with malformed JSON, bad ``rewards`` fields, integers beyond float range,
+magnitudes up to 1e300, groups of 1 to 3 rewards, ties, constant groups and NaN
+scores.
 """
 
 from __future__ import annotations
@@ -81,10 +82,16 @@ def _run(argv: list[str]) -> str:
     return out.getvalue()
 
 
+def _check_csv(text: str) -> None:
+    rows = [row for row in text.splitlines() if not row.startswith("#")]
+    for row in rows[1:]:
+        assert all(math.isfinite(float(cell)) for cell in row.split(",")[1:]), row
+
+
 # The explicit examples each crashed the CLI or wrote NaN once: an integer
 # beyond float range, a tail whose spread overflows (followed by an ordinary
-# group), NaN scores, a one-reward group and JSON nested past the recursion
-# limit.
+# group), a QQ fit whose R^2 overflows, NaN scores, a one-reward group and JSON
+# nested past the recursion limit.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(jsonl_line(), min_size=1, max_size=4))
@@ -93,6 +100,7 @@ def _run(argv: list[str]) -> str:
     json.dumps({"prompt_id": "big", "rewards": [1e200 * i for i in range(1, 9)]}),
     json.dumps({"prompt_id": "ok", "rewards": list(range(16))}),
 ])
+@example([json.dumps({"prompt_id": "big", "rewards": [1e200 * i for i in range(1, 33)]})])
 @example([json.dumps({"rewards": [0.0, 1.0, 2.0], "scores": [[float("nan")]] * 3})])
 @example([json.dumps({"prompt_id": "one", "rewards": [1.0]})])
 @example([MALFORMED[-1]])
@@ -107,7 +115,8 @@ def test_generated_lines(lines):
         text = _run(["predict-bon", "-i", str(path)])
         if text:
             json.loads(text, parse_constant=_reject_constant)
-        text = _run(["align", "-i", str(path), "--rules", ",".join(RULE_NAMES), "--bon-k", "2"])
-        rows = [row for row in text.splitlines() if not row.startswith("#")]
-        for row in rows[1:]:
-            assert all(math.isfinite(float(cell)) for cell in row.split(",")[1:]), row
+        _check_csv(_run(["align", "-i", str(path), "--rules", ",".join(RULE_NAMES), "--bon-k", "2"]))
+        _check_csv(_run(["qq-fit", "-i", str(path)]))
+        text = _run(["eval-bon", "-i", str(path), "--baseline", str(path), "--budgets", "1"])
+        if text:
+            json.loads(text, parse_constant=_reject_constant)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from statistics import NormalDist
 
@@ -27,7 +28,7 @@ from bontea import (
     qq_tail_fit,
     tail_constants,
 )
-from bontea.gauss import DEFAULT_QQ_GRID, ndtr, ndtri, norm_pdf
+from bontea.gauss import DEFAULT_QQ_GRID, ndtr, ndtri, norm_pdf, qq_tail_fits, qq_window
 
 # high-precision oracle values at alpha = 1/4
 Z_ALPHA = 0.6744897501960817
@@ -172,6 +173,42 @@ class TestQqTailFit:
     def test_rejects_bad_window(self):
         with pytest.raises(InputError):
             qq_tail_fit(np.arange(100.0), 0.99, 0.80)
+
+    def test_matches_least_squares(self):
+        samples = np.random.default_rng(4).gamma(2.0, size=300)
+        levels = np.linspace(0.7, 0.95, 10)
+        y = np.quantile(samples, levels)
+        design = np.column_stack([np.ones(10), ndtri(levels)])
+        (a, b), *_ = np.linalg.lstsq(design, y, rcond=None)
+        resid = y - design @ [a, b]
+        r_squared = 1.0 - resid @ resid / ((y - y.mean()) @ (y - y.mean()))
+        fit = qq_tail_fit(samples, 0.7, 0.95, grid_points=10)
+        assert_allclose([fit.a, fit.b, fit.r_squared], [a, b, r_squared], rtol=1e-13)
+
+    @pytest.mark.parametrize("run", [1, 7, 64])
+    def test_batch_rows_are_bitwise_single_fits(self, run):
+        rng = np.random.default_rng(run)
+        samples = rng.normal(rng.normal(size=(run, 1)), rng.uniform(0.1, 5.0, (run, 1)), (run, 48))
+        for q_lo, q_hi, grid in [(0.80, 0.99, DEFAULT_QQ_GRID), (0.7, 0.95, 10)]:
+            a, b, r_squared = qq_tail_fits(samples, q_lo, q_hi, grid)
+            for row, batched in zip(samples, zip(a, b, r_squared)):
+                fit = qq_tail_fit(row, q_lo, q_hi, grid)
+                assert (fit.a, fit.b, fit.r_squared) == batched
+
+    def test_overflowing_fit_is_degenerate_without_warnings(self):
+        samples = 1e200 * np.arange(1.0, 33.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateError, match="not finite"):
+                qq_tail_fit(samples, 0.80, 0.99)
+
+    def test_window_is_checked_alone(self):
+        levels, x = qq_window(0.7, 0.95, 10)
+        assert np.array_equal(x, ndtri(levels)) and not x.flags.writeable
+        with pytest.raises(InputError, match="q_lo < q_hi"):
+            qq_window(0.9, 0.5)
+        with pytest.raises(InputError, match="grid_points"):
+            qq_window(0.5, 0.9, 1)
 
 
 class TestNormPdf:
