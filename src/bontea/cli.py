@@ -419,7 +419,7 @@ def cmd_predict_bon(args: argparse.Namespace, config: dict[str, Any]) -> int:
         return np.hstack([r, mu, sigma, mu + c_tilde * sigma]).tolist()
 
     keys = [str(n) for n in budgets]
-    totals, per_prompt = [0.0] * len(budgets), []  # totals: summed left to right
+    totals, per_prompt = [0.0] * len(budgets), []  # summed left to right, not pairwise
     for group, (r, mu, sigma, *values) in _Computed(args.input, tails):
         totals = [total + v for total, v in zip(totals, values)]
         tail = {"r": r, "mu": mu, "sigma": sigma, "q": tail_count(len(group), alpha)}

@@ -784,11 +784,16 @@ class TestHostileGroups:
         rows = [json.loads(line) for line in out.read_text().splitlines()[1:]]
         assert [r["prompt_id"] for r in rows] == ["ok"]
 
-    def test_one_reward_group_in_align_names_the_prompt(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, message",
+        [("align", "rewards must be a 1-d array with m >= 2"), ("predict-bon", "need m >= 2 rewards, got 1")],
+    )
+    def test_one_reward_group_names_the_prompt(self, tmp_path, capsys, command, message):
         src = tmp_path / "one.jsonl"
         write_groups(src, [{"prompt_id": "one", "rewards": [1.0], "scores": [[1.0, 2.0]]}])
-        assert main(["align", "-i", str(src), "-o", str(tmp_path / "a.csv")]) == 2
-        assert capsys.readouterr().err == "error: prompt one (line 1): rewards must be a 1-d array with m >= 2\n"
+        assert main([command, "-i", str(src), "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: prompt one (line 1): {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["advantage", "align"])
     def test_a_failing_group_before_a_bad_line_keeps_its_exit_code(self, tmp_path, capsys, command):
