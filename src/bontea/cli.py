@@ -9,8 +9,8 @@ output reproduces the values bit-exactly. Commands are pure functions of
 
 Each command declares its options once, with ``@command``; see there.
 
-Exit codes: 0 clean, 2 input error, 3 numerical/degenerate error. Partial
-outputs are flushed before a nonzero exit.
+Exit codes: 0 clean, 2 input error, 3 numerical/degenerate error, the worst
+one when several groups fail. Partial outputs are flushed before a nonzero exit.
 """
 
 from __future__ import annotations
