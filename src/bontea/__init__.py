@@ -11,14 +11,7 @@ empirical best-of-N oracle, and a synthetic Gaussian lab that measures each
 rule's bias and variance against an exactly known gradient.
 """
 
-from .advantages import (
-    AdvantageVector,
-    RULE_NAMES,
-    RuleParams,
-    bon_mean_raw,
-    compute_rule,
-    compute_rules,
-)
+from .advantages import RULE_NAMES, RuleParams, bon_mean_raw, compute_rules
 from .bon_eval import (
     BonCurve,
     EmpiricalPool,
@@ -30,7 +23,7 @@ from .bon_eval import (
     win_tie_loss,
 )
 from .errors import DegenerateError, InputError
-from .gauss import QqFit, TailConstants, expected_gauss_max, predict_vn, qq_tail_fit, tail_constants
+from .gauss import TailConstants, expected_gauss_max, predict_vn, qq_tail_fits, tail_constants
 from .prefixes import PrefixScheme, build_scheme, cancellation_weights, practical_prefixes, theory_prefixes
 from .synth import (
     BiasVarianceRow,
@@ -38,35 +31,30 @@ from .synth import (
     estimator_bias_variance,
     true_gradient,
 )
-from .tailstats import RewardGroup, TailVector, empirical_tail_vector
+from .tailstats import RewardGroup, tail_stats
 from .trainer import ToyTask, TrainConfig, TrainResult, evaluate_policy_bon, kl_grad, policy_logprob_grad, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdvantageVector",
     "BiasVarianceRow",
     "BonCurve",
     "DegenerateError",
     "EmpiricalPool",
     "InputError",
     "PrefixScheme",
-    "QqFit",
     "RULE_NAMES",
     "RewardGroup",
     "RuleParams",
     "SyntheticSpec",
     "TailConstants",
-    "TailVector",
     "ToyTask",
     "TrainConfig",
     "TrainResult",
     "bon_mean_raw",
     "build_scheme",
     "cancellation_weights",
-    "compute_rule",
     "compute_rules",
-    "empirical_tail_vector",
     "estimator_bias_variance",
     "evaluate_policy_bon",
     "expected_gauss_max",
@@ -79,8 +67,9 @@ __all__ = [
     "policy_logprob_grad",
     "practical_prefixes",
     "predict_vn",
-    "qq_tail_fit",
+    "qq_tail_fits",
     "tail_constants",
+    "tail_stats",
     "theory_prefixes",
     "train",
     "true_gradient",

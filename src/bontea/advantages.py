@@ -2,8 +2,7 @@
 
 Every rule maps a (B, m) reward matrix, one group per row, to a (B, m)
 advantage matrix; ``compute_rules`` reaches each rule's kernel by name, and
-``compute_rule`` is the case B = 1. The TEA family is built on the
-tail-shaped reward
+one group is a (1, m) row. The TEA family is built on the tail-shaped reward
 
     R_tilde(u) = (u - r) + (c_tilde / (2 sigma)) ((u - mu)^2 - (r - mu)^2)
 
@@ -26,7 +25,7 @@ import numpy as np
 from .errors import DegenerateError, InputError
 from .gauss import tail_constants
 from .prefixes import build_scheme
-from .tailstats import DEFAULT_EPS_SIGMA, RewardGroup, row_moments, tail_stats
+from .tailstats import DEFAULT_EPS_SIGMA, row_moments, tail_stats
 
 #: Default denominator guard for normalized rules.
 DEFAULT_EPS_NORM = 1e-8
@@ -55,36 +54,30 @@ class RuleParams:
     cat_n_target: int | None = None
     seed: int = 0
 
-
-@dataclass(frozen=True)
-class AdvantageVector:
-    """Length-m advantages of one group."""
-
-    values: np.ndarray
-
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    def __len__(self) -> int:
-        return int(self.values.size)
+        """Check the ranges that do not depend on the group size, before any rewards are read."""
+        if not 0.0 < self.alpha < 0.5:
+            raise InputError(f"alpha must lie in (0, 1/2), got {self.alpha}")
+        if not self.eps_sigma > 0:
+            raise InputError("eps_sigma must be positive")
+        if not 0.0 <= self.eps_norm < np.inf:
+            raise InputError(f"eps_norm must be finite and >= 0, got {self.eps_norm}")
+        for name in ("n_target", "cat_n_target", "bon_k"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise InputError(f"{name} must be >= 1, got {value}")
 
 
 def _matrix(rewards: np.ndarray) -> np.ndarray:
     """Rewards as a validated (B, m) matrix of finite floats with m >= 2."""
     rewards = np.asarray(rewards, dtype=float)
-    if rewards.ndim != 2 or rewards.shape[1] < 2:
+    if rewards.ndim != 2:
         raise InputError(f"rewards must be a (B, m) array with m >= 2, got shape {rewards.shape}")
+    if rewards.shape[1] < 2:
+        raise InputError(f"need m >= 2 rewards, got {rewards.shape[1]}")
     if not np.all(np.isfinite(rewards)):
         raise InputError("rewards must be finite")
     return rewards
-
-
-def _row(group: RewardGroup | np.ndarray | list[float]) -> np.ndarray:
-    """One group's rewards as a validated (1, m) matrix."""
-    rewards = group.rewards if isinstance(group, RewardGroup) else np.asarray(group, dtype=float)
-    if rewards.ndim != 1 or rewards.size < 2:
-        raise InputError("rewards must be a 1-d array with m >= 2")
-    return _matrix(rewards[None, :])
 
 
 def _centered(x: np.ndarray) -> np.ndarray:
@@ -149,10 +142,8 @@ def _normalized(x: np.ndarray, scale: np.ndarray, eps_norm: float, what: str) ->
 def _grpo_z(rewards: np.ndarray, eps_norm: float) -> np.ndarray:
     """Rows normalized by their std; a row whose std overflows raises ``DegenerateError``.
 
-    ``eps_norm`` must be finite and >= 0; at 0 a constant row is degenerate.
+    At ``eps_norm`` = 0 a constant row is degenerate.
     """
-    if not 0.0 <= eps_norm < np.inf:
-        raise InputError(f"eps_norm must be finite and >= 0, got {eps_norm}")
     try:
         # cheaper than a finiteness check after the fact, on a path run once per group
         with np.errstate(over="raise", invalid="raise"):
@@ -198,7 +189,17 @@ def _subset_max_weights(m: int, k: int, s: int) -> np.ndarray:
     return w
 
 
-def _bon_mean_raw(rewards: np.ndarray, bon_k: int) -> np.ndarray:
+def bon_mean_raw(rewards: np.ndarray, bon_k: int) -> np.ndarray:
+    """Subset-max transformed rewards of each row of a (B, m) matrix, in arrival order, unnormalized.
+
+    In ascending sorted order the transform is
+
+        B_(i) = r_(i) C(i-1, k-1)/C(m, k) + sum_{j>i} r_(j) C(j-2, k-2)/C(m, k)
+
+    (binomials with impossible arguments are zero), so that sum_i B_i equals
+    k times the average maximum over all C(m, k) subsets.
+    """
+    rewards = _matrix(rewards)
     m = rewards.shape[1]
     if not 1 <= bon_k < m:
         raise InputError(f"need 1 <= bon_k < m, got bon_k={bon_k}, m={m}")
@@ -258,8 +259,6 @@ def _strictly_below(rewards: np.ndarray) -> np.ndarray:
 
 def _cat_bon(rewards: np.ndarray, cat_n_target: int, eps_norm: float) -> np.ndarray:
     """GRPO-Z scaled by weights N F<(R_i)^(N-1) over their mean; F< counts strictly smaller."""
-    if cat_n_target < 1:
-        raise InputError(f"cat_n_target must be >= 1, got {cat_n_target}")
     z_scores = _grpo_z(rewards, eps_norm)
     below = _strictly_below(rewards) / rewards.shape[1]
     weights = cat_n_target * below ** (cat_n_target - 1)
@@ -270,7 +269,7 @@ def _cat_bon(rewards: np.ndarray, cat_n_target: int, eps_norm: float) -> np.ndar
 def _bon_mean_rule(rewards: np.ndarray, params: RuleParams) -> np.ndarray:
     if params.bon_k is None:
         raise InputError("rule 'bon-mean' requires bon_k")
-    return _grpo_z(_bon_mean_raw(rewards, params.bon_k), params.eps_norm)
+    return _grpo_z(bon_mean_raw(rewards, params.bon_k), params.eps_norm)
 
 
 def _cat_bon_rule(rewards: np.ndarray, params: RuleParams) -> np.ndarray:
@@ -327,26 +326,3 @@ def compute_rules(
     kernel = _kernel(rule)
     return kernel(_matrix(rewards), params, seeds)
 
-
-def compute_rule(
-    rule: str, group: RewardGroup | np.ndarray, params: RuleParams, seed: int | None = None
-) -> AdvantageVector:
-    """One group's advantages: the case B = 1 of ``compute_rules``.
-
-    ``seed``, when given, replaces ``params.seed`` for the rules that draw.
-    """
-    kernel = _kernel(rule)
-    return AdvantageVector(kernel(_row(group), params, None if seed is None else (seed,))[0])
-
-
-def bon_mean_raw(group: RewardGroup | np.ndarray, bon_k: int) -> np.ndarray:
-    """Subset-max transformed rewards in arrival order, unnormalized.
-
-    In ascending sorted order the transform is
-
-        B_(i) = r_(i) C(i-1, k-1)/C(m, k) + sum_{j>i} r_(j) C(j-2, k-2)/C(m, k)
-
-    (binomials with impossible arguments are zero), so that sum_i B_i equals
-    k times the average maximum over all C(m, k) subsets.
-    """
-    return _bon_mean_raw(_row(group), bon_k)[0]

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .advantages import AdvantageVector
 from .errors import DegenerateError, InputError
 
 #: Paired bootstrap defaults: percentile 95% interval from 1000 resamples.
@@ -76,9 +75,7 @@ def oracle_advantage(pool: EmpiricalPool, n: int) -> np.ndarray:
     # E[max(r, M_{n-1})] = r F(r)^{n-1} + sum_{v > r} v (F(v)^{n-1} - F(v-)^{n-1})
     mass_above = unique * (pow_nm1 - pow_nm1_prev)
     suffix = np.concatenate([np.cumsum(mass_above[::-1])[::-1][1:], [0.0]])
-    e_max_given = unique * pow_nm1 + suffix
-    e_max_n = float(unique @ (cdf**n - cdf_prev**n))
-    per_unique = e_max_given - e_max_n
+    per_unique = unique * pow_nm1 + suffix - expected_max(pool, n)
     return per_unique[np.searchsorted(unique, pool.values)]
 
 
@@ -143,12 +140,12 @@ def win_tie_loss(
 
 
 def gradient_alignment(
-    advantages: AdvantageVector | np.ndarray,
+    advantages: np.ndarray,
     scores: np.ndarray,
     oracle: np.ndarray,
 ) -> float:
     """Cosine between the induced gradients sum_i A_i s_i and sum_i A*_i s_i."""
-    adv = advantages.values if isinstance(advantages, AdvantageVector) else np.asarray(advantages, dtype=float)
+    adv = np.asarray(advantages, dtype=float)
     scores = np.asarray(scores, dtype=float)
     oracle = np.asarray(oracle, dtype=float)
     if scores.ndim != 2 or scores.shape[0] != adv.size or oracle.size != adv.size:

@@ -22,13 +22,14 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from . import __version__
-from .advantages import RULE_NAMES, RuleParams, compute_rule, compute_rules
+from .advantages import RULE_NAMES, RuleParams, compute_rules
 from .bon_eval import (
     DEFAULT_RESAMPLES,
     DEFAULT_TIE_TOL,
@@ -40,7 +41,7 @@ from .bon_eval import (
     win_tie_loss,
 )
 from .errors import DegenerateError, InputError
-from .gauss import DEFAULT_QQ_GRID, qq_tail_fits, qq_window, tail_constants
+from .gauss import DEFAULT_QQ_GRID, predict_vn, qq_tail_fits, qq_window, tail_constants
 from .prefixes import build_scheme
 from .synth import DEFAULT_P_GRID, SyntheticSpec, estimator_bias_variance, frontier_row_seed
 from .tailstats import RewardGroup, tail_count, tail_stats
@@ -326,22 +327,20 @@ class _Computed:
 
     ``batch(rewards, indices, groups)`` takes a run's (B, m) rewards, groups and
     their indices in the file, and returns one result per group. If it raises,
-    the run is redone with ``alone(index, group)`` per group (by default
-    ``batch`` of the group), so each failure is the group's own. A failure is
-    reported with the group's prompt and line and skipped if one of ``skip``;
-    any other, or a bad line, ends the command. ``exit_code`` is the worst
-    failure. A file without groups is an input error unless ``allow_empty``.
+    the run is redone by calling ``batch`` on each group alone, as a (1, m) row,
+    so each failure is the group's own. A failure is reported with the group's
+    prompt and line and skipped if one of ``skip``; any other, or a bad line,
+    ends the command. ``exit_code`` is the worst failure. A file without groups
+    is an input error unless ``allow_empty``.
     """
 
     path: str
     batch: Callable[[np.ndarray, tuple[int, ...], tuple[RewardGroup, ...]], Sequence[Any]]
-    alone: Callable[[int, RewardGroup], Any] | None = None
     skip: tuple[type[Exception], ...] = ()
     allow_empty: bool = False
     exit_code: int = 0
 
     def __iter__(self) -> Iterator[tuple[RewardGroup, Any]]:
-        alone = self.alone or (lambda index, group: self.batch(group.rewards[None, :], (index,), (group,))[0])
         run = None
         try:
             for run in _equal_size_runs(read_reward_groups(self.path)):
@@ -352,7 +351,10 @@ class _Computed:
                     results = None
                 for i, (index, lineno, group) in enumerate(run):
                     try:
-                        result = alone(index, group) if results is None else results[i]
+                        if results is None:
+                            result = self.batch(group.rewards[None, :], (index,), (group,))[0]
+                        else:
+                            result = results[i]
                     except (DegenerateError, InputError) as exc:
                         self._fail(f"prompt {group.prompt_id} (line {lineno}): {exc}", exc)
                         continue
@@ -379,7 +381,6 @@ def cmd_advantage(args: argparse.Namespace, config: dict[str, Any]) -> int:
     groups = _Computed(
         args.input,
         lambda x, indices, _: compute_rules(rule, x, params, [params.seed + i for i in indices]).tolist(),
-        lambda index, group: compute_rule(rule, group, params, seed=params.seed + index).values,
         skip=(DegenerateError, InputError), allow_empty=True,
     )
     with _output(args.output) as out:
@@ -409,20 +410,20 @@ def cmd_weights(args: argparse.Namespace, config: dict[str, Any]) -> int:
     Option("budgets", _int_list, (1, 2, 4, 8, 16, 32, 64, 128), "N budgets"),
 )
 def cmd_predict_bon(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    alpha, eps_sigma, budgets = config["alpha"], config["eps_sigma"], config["budgets"]
-    c_tilde = np.array([tail_constants(alpha, n).c_tilde_n for n in budgets])
+    params, budgets = _build(RuleParams, config), config["budgets"]
+    c_tilde = np.array([tail_constants(params.alpha, n).c_tilde_n for n in budgets])
 
     def tails(rewards: np.ndarray, *_: Any) -> list[list[float]]:
-        """Per group: r, mu, sigma, then mu + c_tilde_n sigma at each budget."""
+        """Per group: r, mu, sigma, then the predicted best-of-N value at each budget."""
         with np.errstate(over="ignore", invalid="ignore"):
-            r, mu, sigma = tail_stats(rewards, alpha, eps_sigma)
-        return np.hstack([r, mu, sigma, mu + c_tilde * sigma]).tolist()
+            r, mu, sigma = tail_stats(rewards, params.alpha, params.eps_sigma)
+        return np.hstack([r, mu, sigma, predict_vn(mu, sigma, c_tilde)]).tolist()
 
     keys = [str(n) for n in budgets]
     totals, per_prompt = [0.0] * len(budgets), []  # summed left to right, not pairwise
     for group, (r, mu, sigma, *values) in _Computed(args.input, tails):
         totals = [total + v for total, v in zip(totals, values)]
-        tail = {"r": r, "mu": mu, "sigma": sigma, "q": tail_count(len(group), alpha)}
+        tail = {"r": r, "mu": mu, "sigma": sigma, "q": tail_count(len(group), params.alpha)}
         per_prompt.append({"prompt_id": group.prompt_id, "tail": tail, "predicted": dict(zip(keys, values))})
     mean = {key: total / len(per_prompt) for key, total in zip(keys, totals)}
     _write_doc(args.output, config, budgets=budgets, mean_predicted=mean, per_prompt=per_prompt)
@@ -542,21 +543,24 @@ def cmd_align(args: argparse.Namespace, config: dict[str, Any]) -> int:
         if rule not in RULE_NAMES:
             raise InputError(f"unknown rule {rule!r}; expected one of {RULE_NAMES}")
 
-    def cosines(group: RewardGroup, advantages: Iterable[np.ndarray]) -> list[float]:
-        if group.scores is None:
-            raise InputError("alignment needs per-sample scores")
-        oracle = oracle_advantage(EmpiricalPool.from_values(group.rewards), config["n_target"])
-        return [gradient_alignment(adv, group.scores, oracle) for adv in advantages]
+    def batch(rewards: np.ndarray, indices: tuple[int, ...], groups: tuple) -> list[tuple[float, ...]]:
+        """Per group, the cosine of each rule; the rules are computed and aligned one at a time.
 
-    def batch(rewards: np.ndarray, indices: tuple[int, ...], groups: tuple) -> list[list[float]]:
-        adv = [compute_rules(rule, rewards, params, [params.seed + i for i in indices]) for rule in rules]
-        return [cosines(group, [a[b] for a in adv]) for b, group in enumerate(groups)]
+        On one group this fails as a per-group loop would: a rule's degenerate
+        alignment before a later rule's input error.
+        """
+        oracles = []
+        for group in groups:
+            if group.scores is None:
+                raise InputError("alignment needs per-sample scores")
+            oracles.append(oracle_advantage(EmpiricalPool.from_values(group.rewards), params.n_target))
+        columns = []
+        for rule in rules:
+            adv = compute_rules(rule, rewards, params, [params.seed + i for i in indices])
+            columns.append([gradient_alignment(a, g.scores, o) for a, g, o in zip(adv, groups, oracles)])
+        return list(zip(*columns))
 
-    def alone(index: int, group: RewardGroup) -> list[float]:
-        seed = params.seed + index
-        return cosines(group, (compute_rule(rule, group, params, seed=seed).values for rule in rules))
-
-    computed = _Computed(args.input, batch, alone, skip=(DegenerateError,))
+    computed = _Computed(args.input, batch, skip=(DegenerateError,))
     totals, table = np.zeros(len(rules)), []
     for group, row in computed:
         totals += row
@@ -620,7 +624,9 @@ def cmd_qq_fit(args: argparse.Namespace, config: dict[str, Any]) -> int:
 # --- parser -------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process."""
     parser = argparse.ArgumentParser(
         prog="bontea",
         description=(

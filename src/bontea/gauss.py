@@ -10,7 +10,7 @@ For a tail level alpha the constants are
 
 For a Gaussian reward with tail vector (r, mu, sigma) the best-of-N value obeys
 the identity mu + c_tilde_n * sigma = mu_pop + c_n * sigma_pop, which is what
-``predict_vn`` extrapolates from an empirical tail vector.
+``predict_vn`` extrapolates from empirical tail statistics.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateError, InputError
-from .tailstats import TailVector
 
 #: Integration window for c_n; the integrand decays super-exponentially
 #: outside |z| = 12 for every n up to 1e6.
@@ -88,17 +87,6 @@ class TailConstants:
     delta_alpha: float
     c_n: float
     c_tilde_n: float
-
-
-@dataclass(frozen=True)
-class QqFit:
-    """Affine fit of empirical upper-tail quantiles against normal quantiles."""
-
-    a: float
-    b: float
-    r_squared: float
-    q_lo: float
-    q_hi: float
 
 
 def norm_pdf(x: float | np.ndarray) -> float | np.ndarray:
@@ -220,11 +208,17 @@ def tail_constants(alpha: float, n: int) -> TailConstants:
     )
 
 
-def predict_vn(tail: TailVector, constants: TailConstants) -> float:
-    """Best-of-N value predicted from a tail vector: mu + c_tilde_n * sigma."""
-    if tail.sigma <= 0:
-        raise InputError(f"tail sigma must be positive, got {tail.sigma}")
-    return tail.mu + constants.c_tilde_n * tail.sigma
+def predict_vn(
+    mu: float | np.ndarray, sigma: float | np.ndarray, c_tilde_n: float | np.ndarray
+) -> float | np.ndarray:
+    """Best-of-N value predicted from a tail mean and spread: mu + c_tilde_n * sigma.
+
+    The arguments broadcast: (B, 1) tail statistics against a row of c_tilde_n,
+    one per budget, give a (B, budgets) table.
+    """
+    if np.any(np.asarray(sigma) <= 0):
+        raise InputError(f"tail sigma must be positive, got {np.min(sigma)}")
+    return mu + c_tilde_n * sigma
 
 
 @lru_cache(maxsize=None)
@@ -268,8 +262,3 @@ def qq_tail_fits(samples: np.ndarray, q_lo: float, q_hi: float, grid_points: int
         raise DegenerateError("QQ fit overflow: a, b or R^2 is not finite")
     return fit
 
-
-def qq_tail_fit(samples: np.ndarray, q_lo: float, q_hi: float, grid_points: int = DEFAULT_QQ_GRID) -> QqFit:
-    """QQ fit of one sample vector: the case B = 1 of ``qq_tail_fits``."""
-    a, b, r_squared = qq_tail_fits(np.asarray(samples, dtype=float).reshape(1, -1), q_lo, q_hi, grid_points)
-    return QqFit(a=float(a[0]), b=float(b[0]), r_squared=float(r_squared[0]), q_lo=q_lo, q_hi=q_hi)

@@ -4,8 +4,8 @@ A group's tail vector eta = (r, mu, sigma) summarizes the upper-alpha slice of
 its rewards: r is the q-th largest reward with q = ceil(alpha * m), mu the mean
 of the top-q rewards, and sigma their population standard deviation clipped
 below by eps_sigma. ``tail_stats`` computes it for every row of a (B, m)
-reward matrix and ``slice_tail_stats`` for a top-q slice already taken, as
-the lab takes it; ``empirical_tail_vector`` is the case of one group.
+reward matrix, one group per row, and ``slice_tail_stats`` for a top-q slice
+already taken, as the lab takes it.
 """
 
 from __future__ import annotations
@@ -53,16 +53,6 @@ class RewardGroup:
 
     def __len__(self) -> int:
         return int(self.rewards.size)
-
-
-@dataclass(frozen=True)
-class TailVector:
-    """Clipped empirical tail vector (r, mu, sigma) with its tail count q."""
-
-    r: float
-    mu: float
-    sigma: float
-    q: int
 
 
 def tail_count(m: int, alpha: float) -> int:
@@ -118,6 +108,8 @@ def tail_stats(
 
     ``slice_tail_stats`` of the top-q slice of a row sort, with its shapes,
     clip, overflow error and ``np.errstate`` requirement. Needs m >= 2.
+    Rewards tied with the threshold beyond rank q are left out, which never
+    changes (r, mu, sigma) because tied values are interchangeable.
     """
     if not 0.0 < alpha < 0.5:
         raise InputError(f"alpha must lie in (0, 1/2), got {alpha}")
@@ -128,19 +120,3 @@ def tail_stats(
         raise InputError(f"need m >= 2 rewards, got {m}")
     return slice_tail_stats(np.sort(rewards, axis=1)[:, m - tail_count(m, alpha) :], eps_sigma)
 
-
-def empirical_tail_vector(
-    group: RewardGroup, alpha: float, eps_sigma: float = DEFAULT_EPS_SIGMA
-) -> TailVector:
-    """Tail vector of a group: q-th largest reward, top-q mean, clipped top-q std.
-
-    The case B = 1 of ``tail_stats``. The top-q slice is taken by value;
-    rewards tied with the threshold beyond rank q are excluded
-    deterministically, which never changes (r, mu, sigma) because tied values
-    are interchangeable. Rewards whose top-q mean or spread overflows float
-    range raise ``DegenerateError``.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        r, mu, sigma = tail_stats(group.rewards[None, :], alpha, eps_sigma)
-    q = tail_count(len(group), alpha)
-    return TailVector(r=float(r[0, 0]), mu=float(mu[0, 0]), sigma=float(sigma[0, 0]), q=q)

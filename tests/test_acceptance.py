@@ -21,11 +21,9 @@ from scipy.special import ndtri
 
 from bontea import (
     EmpiricalPool,
-    RewardGroup,
     RuleParams,
-    TailVector,
     bon_mean_raw,
-    compute_rule,
+    compute_rules,
     expected_gauss_max,
     expected_max,
     gradient_alignment,
@@ -110,13 +108,9 @@ def test_criterion_02_tail_prediction_identity():
         alpha = float(rng.uniform(0.02, 0.45))
         n = int(rng.choice(n_pool))
         constants = tail_constants(alpha, n)
-        tail = TailVector(
-            r=mu_pop + sigma_pop * constants.z_alpha,
-            mu=mu_pop + sigma_pop * constants.lambda_alpha,
-            sigma=sigma_pop * np.sqrt(constants.delta_alpha),
-            q=0,
-        )
-        predicted = predict_vn(tail, constants)
+        mu = mu_pop + sigma_pop * constants.lambda_alpha
+        sigma = sigma_pop * np.sqrt(constants.delta_alpha)
+        predicted = predict_vn(mu, sigma, constants.c_tilde_n)
         worst = max(worst, abs(predicted - (mu_pop + constants.c_n * sigma_pop)))
     elapsed = time.perf_counter() - t0
     _verdict(
@@ -277,28 +271,28 @@ def test_criterion_07_baseline_identities():
     exact = RuleParams(eps_norm=0.0)
     gap_mean = gap_cat = gap_prefix = gap_subset = 0.0
     for _ in range(50):
-        rewards = rng.standard_normal(32)
-        z = compute_rule("grpo-z", rewards, exact).values
+        rewards = rng.standard_normal((1, 32))  # one group
+        z = compute_rules("grpo-z", rewards, exact)
         gap_mean = max(
             gap_mean,
-            float(np.max(np.abs(compute_rule("bon-mean", rewards, replace(exact, bon_k=1)).values - z))),
+            float(np.max(np.abs(compute_rules("bon-mean", rewards, replace(exact, bon_k=1)) - z))),
         )
         gap_cat = max(
             gap_cat,
-            float(np.max(np.abs(compute_rule("cat-bon", rewards, replace(exact, cat_n_target=1)).values - z))),
+            float(np.max(np.abs(compute_rules("cat-bon", rewards, replace(exact, cat_n_target=1)) - z))),
         )
     for _ in range(50):
-        rewards = rng.standard_normal(64)
-        single = compute_rule("prefix-tea", rewards, RuleParams(k=1, j_count=1)).values
+        rewards = rng.standard_normal((1, 64))
+        single = compute_rules("prefix-tea", rewards, RuleParams(k=1, j_count=1))
         gap_prefix = max(
             gap_prefix,
-            float(np.max(np.abs(single - compute_rule("tea", rewards, RuleParams()).values))),
+            float(np.max(np.abs(single - compute_rules("tea", rewards, RuleParams())))),
         )
     for _ in range(200):
         m = int(rng.integers(2, 9))
         k = int(rng.integers(1, m))
         rewards = np.round(rng.standard_normal(m), 2)
-        raw = bon_mean_raw(RewardGroup("g", rewards), k)
+        raw = bon_mean_raw(rewards[None, :], k)[0]
         subset_mean = np.mean([max(c) for c in itertools.combinations(rewards, k)])
         gap_subset = max(gap_subset, abs(float(raw.sum()) - k * float(subset_mean)))
     _verdict(
@@ -428,10 +422,10 @@ def test_criterion_10_alignment_ordering():
         rewards = rng.standard_normal(64)
         oracle = oracle_advantage(EmpiricalPool.from_values(rewards), 128)
         tea_cos.append(
-            gradient_alignment(compute_rule("tea-raw", rewards, params), identity, oracle)
+            gradient_alignment(compute_rules("tea-raw", rewards[None, :], params)[0], identity, oracle)
         )
         grpo_cos.append(
-            gradient_alignment(compute_rule("grpo", rewards, params), identity, oracle)
+            gradient_alignment(compute_rules("grpo", rewards[None, :], params)[0], identity, oracle)
         )
     tea_mean, grpo_mean = float(np.mean(tea_cos)), float(np.mean(grpo_cos))
     _verdict(

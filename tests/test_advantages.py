@@ -14,17 +14,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bontea import (
-    DegenerateError,
-    InputError,
-    RewardGroup,
-    RuleParams,
-    bon_mean_raw,
-    compute_rule,
-)
+from bontea import DegenerateError, InputError, RuleParams, bon_mean_raw, compute_rules, tail_stats
 from bontea.advantages import RULE_NAMES, _shaped, _subset_max_weights
 
 C_TILDE_128 = 2.692398465223146  # high-precision oracle, alpha = 1/4
+
+
+def row(rewards) -> np.ndarray:
+    """One group's rewards as the (1, m) row the batch functions take."""
+    return np.asarray(rewards, dtype=float)[None, :]
 
 
 class TestTailShapedReward:
@@ -48,28 +46,28 @@ class TestTailShapedReward:
 class TestTeaFamily:
     def test_raw_hand_example(self):
         rewards = np.array([0.0] * 6 + [1.0, 2.0])
-        raw = compute_rule("tea-raw", rewards, RuleParams())
+        raw = compute_rules("tea-raw", row(rewards), RuleParams())[0]
         # tail {1, 2}: r=1, mu=1.5, sigma=0.5; R_tilde(1)=0, R_tilde(2)=1
         expected = np.zeros(8)
         expected[7] = 4.0
-        assert_allclose(raw.values, expected)
+        assert_allclose(raw, expected)
 
     def test_non_tail_entries_exactly_zero(self):
         rng = np.random.default_rng(0)
         rewards = rng.standard_normal(64)
-        raw = compute_rule("tea-raw", rewards, RuleParams())
+        raw = compute_rules("tea-raw", row(rewards), RuleParams())[0]
         r_hat = np.sort(rewards)[-16]
-        assert np.all(raw.values[rewards < r_hat] == 0.0)
+        assert np.all(raw[rewards < r_hat] == 0.0)
 
     def test_stabilized_hand_example(self):
         rewards = np.array([0.0] * 6 + [1.0, 2.0])
-        adv = compute_rule("tea", rewards, RuleParams())
-        assert_allclose(adv.values, [-0.5] * 7 + [3.5])
+        adv = compute_rules("tea", row(rewards), RuleParams())[0]
+        assert_allclose(adv, [-0.5] * 7 + [3.5])
 
     def test_centered_to_zero_sum(self):
         rng = np.random.default_rng(1)
-        adv = compute_rule("tea", rng.standard_normal(48), RuleParams())
-        assert abs(adv.values.sum()) < 1e-10
+        adv = compute_rules("tea", row(rng.standard_normal(48)), RuleParams())[0]
+        assert abs(adv.sum()) < 1e-10
 
     def test_max_at_group_maximum(self):
         # when the maximum clears both the threshold and the tail mean, the
@@ -77,16 +75,16 @@ class TestTeaFamily:
         rng = np.random.default_rng(2)
         for _ in range(20):
             rewards = rng.standard_normal(32)
-            adv = compute_rule("tea", rewards, RuleParams())
-            assert np.argmax(adv.values) == np.argmax(rewards)
+            adv = compute_rules("tea", row(rewards), RuleParams())[0]
+            assert np.argmax(adv) == np.argmax(rewards)
 
     def test_scales_with_c_tilde(self):
         # q=3 tail {1, 2, 4} is asymmetric about its mean, so the quadratic
         # term is active at the maximum and grows with the target N
         rewards = np.array([0.0] * 9 + [1.0, 2.0, 4.0])
-        raw_small = compute_rule("tea-raw", rewards, RuleParams(n_target=2))
-        raw_large = compute_rule("tea-raw", rewards, RuleParams(n_target=512))
-        assert raw_large.values[-1] > raw_small.values[-1]
+        raw_small = compute_rules("tea-raw", row(rewards), RuleParams(n_target=2))[0]
+        raw_large = compute_rules("tea-raw", row(rewards), RuleParams(n_target=512))[0]
+        assert raw_large[-1] > raw_small[-1]
 
 
 class TestPrefixTea:
@@ -95,70 +93,70 @@ class TestPrefixTea:
         rewards = rng.standard_normal(64)
         params = RuleParams(k=1, j_count=1)
         assert_allclose(
-            compute_rule("prefix-tea", rewards, params).values,
-            compute_rule("tea", rewards, params).values,
+            compute_rules("prefix-tea", row(rewards), params)[0],
+            compute_rules("tea", row(rewards), params)[0],
             atol=1e-12,
         )
 
     def test_zero_sum_and_prefix_structure(self):
         rng = np.random.default_rng(4)
         rewards = rng.standard_normal(64)
-        adv = compute_rule("prefix-tea", rewards, RuleParams())
-        assert abs(adv.values.sum()) < 1e-10
+        adv = compute_rules("prefix-tea", row(rewards), RuleParams())[0]
+        assert abs(adv.sum()) < 1e-10
 
     def test_combination_matches_manual_sum(self):
         rng = np.random.default_rng(5)
         rewards = rng.standard_normal(64)
         params = RuleParams()
-        from bontea import build_scheme, empirical_tail_vector
+        from bontea import build_scheme
 
         scheme = build_scheme(64, 2, 4)
         manual, manual_raw = np.zeros(64), np.zeros(64)
         for w, rho, size in zip(scheme.weights, scheme.ratios, scheme.sizes):
             prefix = rewards[:size]
-            eta = empirical_tail_vector(RewardGroup("", prefix), 0.25)
-            shaped = _shaped(prefix, eta.r, eta.mu, eta.sigma, C_TILDE_128)
-            raw = np.where(prefix >= eta.r, shaped / 0.25, 0.0)
+            r, mu, sigma = (float(v[0, 0]) for v in tail_stats(row(prefix), 0.25))
+            shaped = _shaped(prefix, r, mu, sigma, C_TILDE_128)
+            raw = np.where(prefix >= r, shaped / 0.25, 0.0)
             manual[:size] += w * rho * np.maximum(raw, 0.0)
             manual_raw[:size] += w * rho * raw
         manual -= manual.mean()
-        assert_allclose(compute_rule("prefix-tea", rewards, params).values, manual, atol=1e-9)
+        assert_allclose(compute_rules("prefix-tea", row(rewards), params)[0], manual, atol=1e-9)
         # the raw form skips the positive parts and the centring
-        raw_adv = compute_rule("prefix-tea-raw", rewards, params)
-        assert_allclose(raw_adv.values, manual_raw, atol=1e-9)
+        raw_adv = compute_rules("prefix-tea-raw", row(rewards), params)[0]
+        assert_allclose(raw_adv, manual_raw, atol=1e-9)
 
 
 class TestGrpoFamily:
     def test_grpo_hand_example(self):
-        adv = compute_rule("grpo", np.array([1.0, 2.0, 3.0]), RuleParams())
-        assert_allclose(adv.values, [-1.0, 0.0, 1.0])
+        adv = compute_rules("grpo", row(np.array([1.0, 2.0, 3.0])), RuleParams())[0]
+        assert_allclose(adv, [-1.0, 0.0, 1.0])
 
     def test_grpo_z_unit_scale(self):
         rng = np.random.default_rng(6)
         rewards = rng.standard_normal(32) * 5 + 2
-        adv = compute_rule("grpo-z", rewards, RuleParams())
-        assert abs(adv.values.mean()) < 1e-12
-        assert_allclose(adv.values.std(), 1.0, rtol=1e-6)
+        adv = compute_rules("grpo-z", row(rewards), RuleParams())[0]
+        assert abs(adv.mean()) < 1e-12
+        assert_allclose(adv.std(), 1.0, rtol=1e-6)
 
     def test_grpo_z_constant_group_is_zero(self):
-        adv = compute_rule("grpo-z", np.full(8, 3.0), RuleParams())
-        assert_allclose(adv.values, np.zeros(8))
+        adv = compute_rules("grpo-z", row(np.full(8, 3.0)), RuleParams())[0]
+        assert_allclose(adv, np.zeros(8))
 
 
 class TestBonMax:
     def test_mean_variant(self):
         rewards = np.array([0.5, 2.0, -1.0, 2.0])
-        adv = compute_rule("bonmax-mean", rewards, RuleParams())
+        adv = compute_rules("bonmax-mean", row(rewards), RuleParams())[0]
         expected = np.zeros(4)
         expected[1] = 2.0 - rewards.mean()  # first argmax wins ties
-        assert_allclose(adv.values, expected)
+        assert_allclose(adv, expected)
 
     def test_second_variant(self):
         rewards = np.array([0.5, 3.0, -1.0, 2.0])
-        adv = compute_rule("bonmax-second", rewards, RuleParams())
+        adv = compute_rules("bonmax-second", row(rewards), RuleParams())[0]
         expected = np.zeros(4)
         expected[1] = 1.0
-        assert_allclose(adv.values, expected)
+        assert_allclose(adv, expected)
 
 
 class TestBonMean:
@@ -169,7 +167,7 @@ class TestBonMean:
             m = int(rng.integers(3, 9))
             k = int(rng.integers(1, m))
             rewards = rng.standard_normal(m)
-            b = bon_mean_raw(rewards, k)
+            b = bon_mean_raw(row(rewards), k)[0]
             subset_maxima = [max(rewards[list(s)]) for s in combinations(range(m), k)]
             assert_allclose(b.sum(), k * np.mean(subset_maxima), rtol=0, atol=1e-12)
 
@@ -180,7 +178,7 @@ class TestBonMean:
             m = int(rng.integers(3, 9))
             k = int(rng.integers(1, m))
             rewards = rng.standard_normal(m)
-            b = bon_mean_raw(rewards, k)
+            b = bon_mean_raw(row(rewards), k)[0]
             from math import comb
 
             expected = np.zeros(m)
@@ -194,8 +192,8 @@ class TestBonMean:
         rng = np.random.default_rng(8)
         rewards = rng.standard_normal(16)
         assert_allclose(
-            compute_rule("bon-mean", rewards, RuleParams(bon_k=1, eps_norm=0.0)).values,
-            compute_rule("grpo-z", rewards, RuleParams(eps_norm=0.0)).values,
+            compute_rules("bon-mean", row(rewards), RuleParams(bon_k=1, eps_norm=0.0))[0],
+            compute_rules("grpo-z", row(rewards), RuleParams(eps_norm=0.0))[0],
             rtol=0,
             atol=1e-12,
         )
@@ -229,15 +227,15 @@ class TestBonMean:
             assert_allclose(_subset_max_weights(m, k, 0).sum(), 1.0, rtol=1e-10)
             assert_allclose(_subset_max_weights(m, k, 1).sum(), k / m, rtol=1e-10)
             rewards = rng.standard_normal(m)
-            assert np.all(np.isfinite(bon_mean_raw(rewards, k)))
-            adv = compute_rule("bon-mean", rewards, RuleParams(bon_k=k))
-            assert np.all(np.isfinite(adv.values))
+            assert np.all(np.isfinite(bon_mean_raw(row(rewards), k)[0]))
+            adv = compute_rules("bon-mean", row(rewards), RuleParams(bon_k=k))[0]
+            assert np.all(np.isfinite(adv))
 
     def test_rejects_bad_k(self):
         with pytest.raises(InputError):
-            compute_rule("bon-mean", np.arange(4.0), RuleParams(bon_k=4))
+            compute_rules("bon-mean", row(np.arange(4.0)), RuleParams(bon_k=4))
         with pytest.raises(InputError):
-            compute_rule("bon-mean", np.arange(4.0), RuleParams(bon_k=0))
+            compute_rules("bon-mean", row(np.arange(4.0)), RuleParams(bon_k=0))
 
 
 class TestChow:
@@ -245,8 +243,8 @@ class TestChow:
         rng = np.random.default_rng(9)
         rewards = rng.standard_normal(16)
         params = RuleParams(seed=11)
-        adv = compute_rule("chow", rewards, params)
-        values = adv.values
+        adv = compute_rules("chow", row(rewards), params)[0]
+        values = adv
         m = 16
         perm = np.random.default_rng(11).permutation(m)
         sel, cor = perm[:8], perm[8:]
@@ -266,15 +264,15 @@ class TestChow:
     def test_seed_determinism(self):
         rng = np.random.default_rng(10)
         rewards = rng.standard_normal(12)
-        a = compute_rule("chow", rewards, RuleParams(seed=3)).values
-        b = compute_rule("chow", rewards, RuleParams(seed=3)).values
-        c = compute_rule("chow", rewards, RuleParams(seed=4)).values
+        a = compute_rules("chow", row(rewards), RuleParams(seed=3))[0]
+        b = compute_rules("chow", row(rewards), RuleParams(seed=3))[0]
+        c = compute_rules("chow", row(rewards), RuleParams(seed=4))[0]
         assert_allclose(a, b)
         assert not np.allclose(a, c)
 
     def test_rejects_inconsistent_split(self):
         with pytest.raises(InputError):
-            compute_rule("chow", np.arange(8.0), RuleParams(n_sel=8, m_corr=4))
+            compute_rules("chow", row(np.arange(8.0)), RuleParams(n_sel=8, m_corr=4))
 
 
 class TestCatBon:
@@ -282,24 +280,24 @@ class TestCatBon:
         rng = np.random.default_rng(11)
         rewards = rng.standard_normal(16)
         assert_allclose(
-            compute_rule("cat-bon", rewards, RuleParams(cat_n_target=1, eps_norm=0.0)).values,
-            compute_rule("grpo-z", rewards, RuleParams(eps_norm=0.0)).values,
+            compute_rules("cat-bon", row(rewards), RuleParams(cat_n_target=1, eps_norm=0.0))[0],
+            compute_rules("grpo-z", row(rewards), RuleParams(eps_norm=0.0))[0],
             rtol=0,
             atol=1e-12,
         )
 
     def test_weights_favor_top_ranks(self):
         rewards = np.arange(8.0)
-        adv = compute_rule("cat-bon", rewards, RuleParams(cat_n_target=16))
+        adv = compute_rules("cat-bon", row(rewards), RuleParams(cat_n_target=16))[0]
         # the maximum carries almost all weight at large N
-        assert adv.values[-1] > 4.0
-        assert np.all(np.abs(adv.values[:4]) < 1e-4)
+        assert adv[-1] > 4.0
+        assert np.all(np.abs(adv[:4]) < 1e-4)
 
     def test_strictly_below_rank_on_ties(self):
         # tied minimum rewards share F_< = 0, so their weights are 0 for N > 1
         rewards = np.array([1.0, 1.0, 2.0, 3.0])
-        adv = compute_rule("cat-bon", rewards, RuleParams(cat_n_target=4))
-        assert adv.values[0] == adv.values[1] == 0.0
+        adv = compute_rules("cat-bon", row(rewards), RuleParams(cat_n_target=4))[0]
+        assert adv[0] == adv[1] == 0.0
 
 
 class TestNormalizationFloor:
@@ -311,26 +309,26 @@ class TestNormalizationFloor:
     @pytest.mark.parametrize("eps_norm", [-1e-8, float("nan"), float("inf"), float("-inf")])
     def test_bad_floor_is_input_error(self, rule, eps_norm):
         with pytest.raises(InputError, match="eps_norm"):
-            compute_rule(rule, np.arange(8.0), RuleParams(bon_k=2, eps_norm=eps_norm))
+            compute_rules(rule, row(np.arange(8.0)), RuleParams(bon_k=2, eps_norm=eps_norm))
 
     @pytest.mark.parametrize("rule", NORMALIZED)
     def test_constant_group_without_floor_is_degenerate(self, rule):
         with pytest.raises(DegenerateError, match="eps_norm"):
-            compute_rule(rule, np.ones(4), RuleParams(bon_k=2, eps_norm=0.0))
+            compute_rules(rule, row(np.ones(4)), RuleParams(bon_k=2, eps_norm=0.0))
 
     def test_vanishing_cat_bon_weights_without_floor_are_degenerate(self):
         # every weight N F<^(N-1) underflows to 0 though the group is not constant
         with pytest.raises(DegenerateError, match="eps_norm"):
-            compute_rule("cat-bon", np.arange(4.0), RuleParams(cat_n_target=5000, eps_norm=0.0))
+            compute_rules("cat-bon", row(np.arange(4.0)), RuleParams(cat_n_target=5000, eps_norm=0.0))
 
     @pytest.mark.parametrize("rule", NORMALIZED)
     def test_zero_floor_on_a_spread_group_is_finite(self, rule):
-        adv = compute_rule(rule, np.arange(8.0), RuleParams(bon_k=2, eps_norm=0.0)).values
+        adv = compute_rules(rule, row(np.arange(8.0)), RuleParams(bon_k=2, eps_norm=0.0))[0]
         assert np.all(np.isfinite(adv))
 
     @pytest.mark.parametrize("rule", NORMALIZED)
     def test_constant_group_with_default_floor_is_zero(self, rule):
-        adv = compute_rule(rule, np.ones(4), RuleParams(bon_k=2)).values
+        adv = compute_rules(rule, row(np.ones(4)), RuleParams(bon_k=2))[0]
         assert np.all(adv == 0.0)
 
 
@@ -340,43 +338,53 @@ class TestDispatch:
         rng = np.random.default_rng(12)
         rewards = rng.standard_normal(16)
         params = RuleParams(bon_k=2)
-        adv = compute_rule(rule, rewards, params)
+        adv = compute_rules(rule, row(rewards), params)[0]
         assert len(adv) == 16
-        assert np.all(np.isfinite(adv.values))
+        assert np.all(np.isfinite(adv))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("alpha", 0.7, r"alpha must lie in \(0, 1/2\), got 0.7"),
+            ("n_target", 0, "n_target must be >= 1, got 0"),
+            ("eps_sigma", 0.0, "eps_sigma must be positive"),
+            ("eps_norm", float("nan"), "eps_norm must be finite and >= 0, got nan"),
+            ("cat_n_target", 0, "cat_n_target must be >= 1, got 0"),
+            ("bon_k", 0, "bon_k must be >= 1, got 0"),
+        ],
+    )
+    def test_params_are_checked_before_any_rewards(self, field, value, message):
+        with pytest.raises(InputError, match=message):
+            RuleParams(**{field: value})
 
     @pytest.mark.parametrize("rule", RULE_NAMES)
     def test_one_reward_group_is_input_error(self, rule):
         with pytest.raises(InputError, match="m >= 2"):
-            compute_rule(rule, RewardGroup("one", np.array([1.0])), RuleParams(bon_k=1))
+            compute_rules(rule, row([1.0]), RuleParams(bon_k=1))
 
     @pytest.mark.parametrize("rule", ["tea", "tea-raw", "prefix-tea", "prefix-tea-raw"])
     def test_overflowing_tail_is_degenerate(self, rule):
         rewards = np.array([1e200 * i for i in range(1, 9)])
         with pytest.raises(DegenerateError, match="overflow"):
-            compute_rule(rule, rewards, RuleParams(j_count=2, k=1))
+            compute_rules(rule, row(rewards), RuleParams(j_count=2, k=1))
 
     @pytest.mark.parametrize("rule", ["grpo-z", "bon-mean", "cat-bon"])
     def test_overflowing_spread_is_degenerate(self, rule):
         rewards = np.array([1e160 * i for i in range(1, 9)])
         with pytest.raises(DegenerateError, match="reward statistics overflow"):
-            compute_rule(rule, rewards, RuleParams(bon_k=2))
+            compute_rules(rule, row(rewards), RuleParams(bon_k=2))
 
     def test_bon_mean_requires_k(self):
         with pytest.raises(InputError):
-            compute_rule("bon-mean", np.arange(8.0), RuleParams())
+            compute_rules("bon-mean", row(np.arange(8.0)), RuleParams())
 
     def test_unknown_rule(self):
         with pytest.raises(InputError):
-            compute_rule("ppo", np.arange(8.0), RuleParams())
+            compute_rules("ppo", row(np.arange(8.0)), RuleParams())
 
     def test_group_seed_replaces_params_seed(self):
         rewards = np.random.default_rng(13).standard_normal(16)
-        seeded = compute_rule("chow", rewards, RuleParams(seed=5), seed=8).values
-        assert np.array_equal(seeded, compute_rule("chow", rewards, RuleParams(seed=8)).values)
-        assert not np.array_equal(seeded, compute_rule("chow", rewards, RuleParams(seed=5)).values)
+        seeded = compute_rules("chow", row(rewards), RuleParams(seed=5), [8])[0]
+        assert np.array_equal(seeded, compute_rules("chow", row(rewards), RuleParams(seed=8))[0])
+        assert not np.array_equal(seeded, compute_rules("chow", row(rewards), RuleParams(seed=5))[0])
 
-    def test_accepts_reward_group_and_array(self):
-        rewards = np.array([0.0] * 6 + [1.0, 2.0])
-        a = compute_rule("tea", RewardGroup("p", rewards), RuleParams())
-        b = compute_rule("tea", rewards, RuleParams())
-        assert_allclose(a.values, b.values)

@@ -1,7 +1,7 @@
 """Batch rule kernels against their per-group case and a frozen per-group reference.
 
 ``compute_rules`` evaluates a rule over a (B, m) reward matrix. Its row b must
-equal, bit for bit, ``compute_rule`` on that row alone (the case B = 1), and
+equal, bit for bit, ``compute_rules`` on that row alone (the case B = 1), and
 must agree to 1e-12 of the largest reference value with ``Frozen``, a copy of
 the per-group formulas the rules had before they were batched. The trainer's
 batched step is held to a frozen copy of the per-prompt training loop it
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import softmax
 
-from bontea import DegenerateError, InputError, RuleParams, compute_rule, compute_rules
+from bontea import DegenerateError, InputError, RuleParams, compute_rules
 from bontea.advantages import RULE_NAMES, _subset_max_weights
 from bontea.gauss import tail_constants
 from bontea.prefixes import build_scheme
@@ -167,11 +167,11 @@ def test_batch_equals_per_group_and_frozen_reference(rule, x, draw_k):
         # a batch fails as its first failing row does alone
         with pytest.raises(type(exc)):
             for b in range(x.shape[0]):
-                compute_rule(rule, x[b], params, seed=int(seeds[b]))
+                compute_rules(rule, x[b : b + 1], params, seeds[b : b + 1])
         return
     assert batch.shape == x.shape
     for b in range(x.shape[0]):
-        single = compute_rule(rule, x[b], params, seed=int(seeds[b])).values
+        single = compute_rules(rule, x[b : b + 1], params, seeds[b : b + 1])[0]
         assert np.array_equal(batch[b], single)
         reference = Frozen.rule(rule, x[b], replace(params, seed=int(seeds[b])))
         scale = np.abs(reference).max()
@@ -181,8 +181,8 @@ def test_batch_equals_per_group_and_frozen_reference(rule, x, draw_k):
 def test_unseeded_rows_share_params_seed():
     x = np.random.default_rng(4).standard_normal((3, 12))
     batch = compute_rules("chow", x, RuleParams(seed=9))
-    for row, values in zip(x, batch):
-        assert np.array_equal(values, compute_rule("chow", row, RuleParams(seed=9)).values)
+    for b, values in enumerate(batch):
+        assert np.array_equal(values, compute_rules("chow", x[b : b + 1], RuleParams(seed=9))[0])
 
 
 def test_rejects_a_seed_count_other_than_the_row_count():

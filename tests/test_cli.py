@@ -16,16 +16,17 @@ from bontea import (
     InputError,
     RuleParams,
     build_scheme,
-    compute_rule,
-    empirical_tail_vector,
+    compute_rules,
     gradient_alignment,
     oracle_advantage,
     predict_vn,
-    qq_tail_fit,
+    qq_tail_fits,
     tail_constants,
+    tail_stats,
 )
 from bontea.advantages import RULE_NAMES
 from bontea.cli import main, read_reward_groups
+from bontea.tailstats import tail_count
 
 
 def write_groups(path, groups):
@@ -70,7 +71,7 @@ class TestAdvantageCommand:
         assert len(rows) == 5
         source = [json.loads(line) for line in open(pools_path)]
         for src, row in zip(source, rows):
-            expected = compute_rule("tea", np.array(src["rewards"]), RuleParams()).values
+            expected = compute_rules("tea", np.array([src["rewards"]]), RuleParams())[0]
             # bit-exact round trip through decimal serialization
             assert row["advantages"] == expected.tolist()
 
@@ -110,7 +111,7 @@ class TestAdvantageCommand:
         rows = [json.loads(line) for line in out.read_text().splitlines()[1:]]
         assert [r["prompt_id"] for r in rows] == [g["prompt_id"] for g in good]
         for group, row in zip(good, rows):
-            expected = compute_rule("tea", np.array(group["rewards"]), RuleParams()).values
+            expected = compute_rules("tea", np.array([group["rewards"]]), RuleParams())[0]
             assert row["advantages"] == expected.tolist()
 
     def test_per_group_errors_continue_processing(self, tmp_path, capsys):
@@ -176,7 +177,7 @@ class TestAdvantageCommand:
 
 
 def per_group_advantage(path, rule, params, header):
-    """``advantage``'s stdout, stderr and exit code from one ``compute_rule`` call per group.
+    """``advantage``'s stdout, stderr and exit code from one ``compute_rules`` call per group.
 
     The reference the batched command must match: its output lines, stderr
     lines and exit codes, written the way the command wrote them before runs.
@@ -185,12 +186,12 @@ def per_group_advantage(path, rule, params, header):
     try:
         for index, (lineno, group) in enumerate(read_reward_groups(str(path))):
             try:
-                adv = compute_rule(rule, group, params, seed=params.seed + index)
+                adv = compute_rules(rule, group.rewards[None, :], params, [params.seed + index])[0]
             except (DegenerateError, InputError) as exc:
                 err.append(f"error: prompt {group.prompt_id} (line {lineno}): {exc}")
                 code = max(code, 3 if isinstance(exc, DegenerateError) else 2)
                 continue
-            out.append(json.dumps({"prompt_id": group.prompt_id, "advantages": adv.values.tolist()}))
+            out.append(json.dumps({"prompt_id": group.prompt_id, "advantages": adv.tolist()}))
     except InputError as exc:  # a bad line ends the file; the worst failure sets the exit code
         err.append(f"error: {exc}")
         code = max(code, 2)
@@ -210,7 +211,7 @@ class TestAdvantageRuns:
         groups[40] = 1e200 * np.arange(1.0, 65.0)  # overflows the tail and spread statistics
         groups += [rng.standard_normal(16) for _ in range(3)]  # m changes mid-file
         groups += [rng.standard_normal(6), rng.standard_normal(6)]  # too short for prefix-tea
-        groups += [np.array([1.5]), np.array([2.5])]  # m = 1: compute_rule's own message
+        groups += [np.array([1.5]), np.array([2.5])]  # m = 1: the rule's own message
         groups += [rng.integers(0, 3, 64).astype(float) for _ in range(70)]  # ties
         groups += [rng.standard_normal(16)]
         return [{"prompt_id": f"g{i}", "rewards": g.tolist()} for i, g in enumerate(groups)]
@@ -251,13 +252,14 @@ def per_group_predict_bon(path, alpha, budgets):
 
     A failing group ends the command with nothing written (payload None).
     """
-    constants = {n: tail_constants(alpha, n) for n in budgets}
+    c_tilde = {n: tail_constants(alpha, n).c_tilde_n for n in budgets}
     totals, per_prompt = dict.fromkeys(budgets, 0.0), []
     try:
         for lineno, group in read_reward_groups(str(path)):
             try:
-                eta = empirical_tail_vector(group, alpha)
-                predictions = {n: predict_vn(eta, constants[n]) for n in budgets}
+                with np.errstate(over="ignore", invalid="ignore"):
+                    r, mu, sigma = (float(v[0, 0]) for v in tail_stats(group.rewards[None, :], alpha))
+                predictions = {n: predict_vn(mu, sigma, c_tilde[n]) for n in budgets}
             except (DegenerateError, InputError) as exc:
                 line, code = _group_failure(group, lineno, exc)
                 return None, [line], code
@@ -265,7 +267,7 @@ def per_group_predict_bon(path, alpha, budgets):
                 totals[n] += v
             per_prompt.append({
                 "prompt_id": group.prompt_id,
-                "tail": {"r": eta.r, "mu": eta.mu, "sigma": eta.sigma, "q": eta.q},
+                "tail": {"r": r, "mu": mu, "sigma": sigma, "q": tail_count(len(group), alpha)},
                 "predicted": {str(n): v for n, v in predictions.items()},
             })
     except InputError as exc:
@@ -283,11 +285,11 @@ def per_group_qq_fit(path, q_lo, q_hi, grid):
     try:
         for lineno, group in read_reward_groups(str(path)):
             try:
-                fit = qq_tail_fit(group.rewards, q_lo, q_hi, grid_points=grid)
+                fit = [float(column[0]) for column in qq_tail_fits(group.rewards[None, :], q_lo, q_hi, grid)]
             except (DegenerateError, InputError) as exc:
                 line, code = _group_failure(group, lineno, exc)
                 return rows, [line], code
-            rows.append(",".join([group.prompt_id, repr(fit.a), repr(fit.b), repr(fit.r_squared)]))
+            rows.append(",".join([group.prompt_id, *map(repr, fit)]))
     except InputError as exc:
         return rows, [f"error: {exc}"], 2
     return rows, [], 0
@@ -308,7 +310,7 @@ def per_group_align(path, rules, params, n_target):
                 oracle = oracle_advantage(EmpiricalPool.from_values(group.rewards), n_target)
                 cosines = [
                     gradient_alignment(
-                        compute_rule(rule, group, params, seed=params.seed + index).values,
+                        compute_rules(rule, group.rewards[None, :], params, [params.seed + index])[0],
                         group.scores, oracle,
                     )
                     for rule in rules
@@ -537,6 +539,16 @@ class TestAlignCommand:
     def test_requires_scores(self, tmp_path, pools_path):
         assert main(["align", "-i", str(pools_path)]) == 2
 
+    def test_a_rule_is_aligned_before_the_next_rule_is_computed(self, tmp_path, capsys):
+        # at m = 3, tea's alignment is degenerate (skipped, exit 3) before
+        # prefix-tea's input error (m < 2J) could end the command with exit 2
+        src = tmp_path / "three.jsonl"
+        write_groups(src, [{"prompt_id": "p", "rewards": [0.0, 1.0, 2.0], "scores": [[1.0], [0.5], [2.0]]}])
+        out = tmp_path / "align.csv"
+        assert main(["align", "-i", str(src), "--rules", "tea,prefix-tea", "-o", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: prompt p (line 1): gradient alignment undefined")
+        assert read_csv(out)[1] == [["prompt_id", "cosine_tea", "cosine_prefix-tea"]]
+
     def test_degenerate_groups_are_skipped(self, tmp_path, capsys):
         # tea gives all-zero advantages when its top-q rewards tie (the binary
         # group) and, at m = 16, on a few Gaussian groups whose tail-shaped
@@ -563,7 +575,7 @@ class TestAlignCommand:
             params = RuleParams(seed=index)
             try:
                 expected[g["prompt_id"]] = [
-                    gradient_alignment(compute_rule(rule, rewards, params), scores, oracle)
+                    gradient_alignment(compute_rules(rule, rewards[None, :], params)[0], scores, oracle)
                     for rule in ("tea", "grpo")
                 ]
             except DegenerateError:
@@ -784,16 +796,15 @@ class TestHostileGroups:
         rows = [json.loads(line) for line in out.read_text().splitlines()[1:]]
         assert [r["prompt_id"] for r in rows] == ["ok"]
 
-    @pytest.mark.parametrize(
-        "command, message",
-        [("align", "rewards must be a 1-d array with m >= 2"), ("predict-bon", "need m >= 2 rewards, got 1")],
-    )
-    def test_one_reward_group_names_the_prompt(self, tmp_path, capsys, command, message):
+    @pytest.mark.parametrize("command", ["advantage", "align", "predict-bon"])
+    def test_one_reward_group_names_the_prompt(self, tmp_path, capsys, command):
         src = tmp_path / "one.jsonl"
         write_groups(src, [{"prompt_id": "one", "rewards": [1.0], "scores": [[1.0, 2.0]]}])
-        assert main([command, "-i", str(src), "-o", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == f"error: prompt one (line 1): {message}\n"
-        assert not (tmp_path / "out").exists()
+        out = tmp_path / "out"
+        assert main([command, "-i", str(src), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: prompt one (line 1): need m >= 2 rewards, got 1\n"
+        # advantage writes its header and skips the group; the others stop before any output
+        assert out.exists() == (command == "advantage")
 
     @pytest.mark.parametrize("command", ["advantage", "align"])
     def test_a_failing_group_before_a_bad_line_keeps_its_exit_code(self, tmp_path, capsys, command):
@@ -818,7 +829,7 @@ class TestHostileGroups:
         write_groups(src, [{"prompt_id": "one", "rewards": [1.0]}, {"prompt_id": "two", "rewards": [1.0, 2.0]}])
         out = tmp_path / "adv.jsonl"
         assert main(["advantage", "-i", str(src), "-o", str(out), "--rule", "bonmax-second"]) == 2
-        assert "prompt one (line 1): rewards must be a 1-d array with m >= 2" in capsys.readouterr().err
+        assert "prompt one (line 1): need m >= 2 rewards, got 1" in capsys.readouterr().err
         rows = [json.loads(line) for line in out.read_text().splitlines()[1:]]
         assert rows == [{"prompt_id": "two", "advantages": [0.0, 1.0]}]
 
@@ -872,6 +883,24 @@ class TestConfigResolution:
         assert main(["synth-bias-variance", "--config", str(cfg), "-o", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"config key {line.split()[0]}: {message}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["advantage", "--alpha", "0.7"], "alpha must lie in (0, 1/2), got 0.7"),
+            (["predict-bon", "--eps-sigma", "0"], "eps_sigma must be positive"),
+            (["align", "--n-target", "0"], "n_target must be >= 1, got 0"),
+        ],
+        ids=["advantage", "predict-bon", "align"],
+    )
+    def test_bad_rule_parameter_is_reported_once_before_any_output(self, tmp_path, capsys, argv, message):
+        src = tmp_path / "scored.jsonl"
+        write_groups(src, [{"prompt_id": f"p{i}", "rewards": [0.0, 1.0, 2.0, 3.0], "scores": [[1.0]] * 4}
+                           for i in range(3)])
+        out = tmp_path / "out"
+        assert main([argv[0], "-i", str(src), "-o", str(out), *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_missing_input_is_input_error(self, tmp_path):

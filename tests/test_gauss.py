@@ -19,16 +19,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import bontea
-from bontea import (
-    DegenerateError,
-    InputError,
-    TailVector,
-    expected_gauss_max,
-    predict_vn,
-    qq_tail_fit,
-    tail_constants,
-)
-from bontea.gauss import DEFAULT_QQ_GRID, ndtr, ndtri, norm_pdf, qq_tail_fits, qq_window
+from bontea import DegenerateError, InputError, expected_gauss_max, predict_vn, qq_tail_fits, tail_constants
+from bontea.gauss import DEFAULT_QQ_GRID, ndtr, ndtri, norm_pdf, qq_window
 
 # high-precision oracle values at alpha = 1/4
 Z_ALPHA = 0.6744897501960817
@@ -100,29 +92,29 @@ class TestTailConstants:
             tail_constants(alpha, 2)
 
 
+def fit_one(samples, q_lo, q_hi, grid_points=DEFAULT_QQ_GRID):
+    """(a, b, R^2) of one sample vector, from ``qq_tail_fits`` on its (1, m) row."""
+    fits = qq_tail_fits(np.asarray(samples, dtype=float)[None, :], q_lo, q_hi, grid_points)
+    return tuple(float(column[0]) for column in fits)
+
+
 class TestPredictVn:
     def test_population_tail_recovers_c2(self):
-        tail = TailVector(r=Z_ALPHA, mu=LAMBDA_ALPHA, sigma=SQRT_DELTA, q=0)
-        assert_allclose(predict_vn(tail, tail_constants(0.25, 2)), C_N_ORACLE[2], atol=1e-9)
+        c_tilde = tail_constants(0.25, 2).c_tilde_n
+        assert_allclose(predict_vn(LAMBDA_ALPHA, SQRT_DELTA, c_tilde), C_N_ORACLE[2], atol=1e-9)
 
     def test_n1_returns_tail_mean_shift(self):
         # c_1 = 0, so the prediction collapses to mu + c_tilde_1 sigma with
         # c_tilde_1 = -lambda/sqrt(delta); at the population tail of
         # Normal(mu_pop, sigma_pop) that equals mu_pop exactly.
         mu_pop, sigma_pop = 3.5, 1.7
-        tail = TailVector(
-            r=mu_pop + sigma_pop * Z_ALPHA,
-            mu=mu_pop + sigma_pop * LAMBDA_ALPHA,
-            sigma=sigma_pop * SQRT_DELTA,
-            q=0,
-        )
-        assert_allclose(predict_vn(tail, tail_constants(0.25, 1)), mu_pop, atol=1e-10)
+        mu, sigma = mu_pop + sigma_pop * LAMBDA_ALPHA, sigma_pop * SQRT_DELTA
+        assert_allclose(predict_vn(mu, sigma, tail_constants(0.25, 1).c_tilde_n), mu_pop, atol=1e-10)
 
     def test_spot_value(self):
         # mu=10, sigma=2, alpha=0.25, N=2: 10 + 2 * c_tilde_2
-        tail = TailVector(r=9.0, mu=10.0, sigma=2.0, q=0)
         assert_allclose(
-            predict_vn(tail, tail_constants(0.25, 2)), 7.123816715789992, rtol=0, atol=1e-9
+            predict_vn(10.0, 2.0, tail_constants(0.25, 2).c_tilde_n), 7.123816715789992, rtol=0, atol=1e-9
         )
 
     def test_lemma_identity_across_populations(self):
@@ -133,46 +125,42 @@ class TestPredictVn:
             alpha = rng.uniform(0.05, 0.45)
             n = int(rng.integers(1, 600))
             c = tail_constants(float(alpha), n)
-            tail = TailVector(
-                r=mu_pop + sigma_pop * c.z_alpha,
-                mu=mu_pop + sigma_pop * c.lambda_alpha,
-                sigma=sigma_pop * float(np.sqrt(c.delta_alpha)),
-                q=0,
-            )
-            assert_allclose(predict_vn(tail, c), mu_pop + c.c_n * sigma_pop, rtol=0, atol=1e-10)
+            mu = mu_pop + sigma_pop * c.lambda_alpha
+            sigma = sigma_pop * float(np.sqrt(c.delta_alpha))
+            assert_allclose(predict_vn(mu, sigma, c.c_tilde_n), mu_pop + c.c_n * sigma_pop, rtol=0, atol=1e-10)
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(InputError):
-            predict_vn(TailVector(r=0.0, mu=0.0, sigma=0.0, q=0), tail_constants(0.25, 2))
+            predict_vn(np.zeros((2, 1)), np.array([[1.0], [0.0]]), tail_constants(0.25, 2).c_tilde_n)
 
 
 class TestQqTailFit:
     def test_recovers_gaussian_parameters(self):
         rng = np.random.default_rng(3)
         samples = rng.normal(loc=3.0, scale=2.0, size=10_000)
-        fit = qq_tail_fit(samples, 0.80, 0.99)
-        assert abs(fit.a - 3.0) < 0.1
-        assert abs(fit.b - 2.0) < 0.1
-        assert fit.r_squared >= 0.99
+        a, b, r_squared = fit_one(samples, 0.80, 0.99)
+        assert abs(a - 3.0) < 0.1
+        assert abs(b - 2.0) < 0.1
+        assert r_squared >= 0.99
 
     def test_median_r_squared_small_samples(self):
         r2 = []
         for seed in range(100):
             samples = np.random.default_rng(seed).standard_normal(512)
-            r2.append(qq_tail_fit(samples, 0.80, 0.99).r_squared)
+            r2.append(fit_one(samples, 0.80, 0.99)[2])
         assert np.median(r2) >= 0.95
 
     def test_constant_samples_degenerate(self):
         with pytest.raises(DegenerateError):
-            qq_tail_fit(np.full(100, 1.25), 0.80, 0.99)
+            fit_one(np.full(100, 1.25), 0.80, 0.99)
 
     def test_rejects_small_samples(self):
         with pytest.raises(InputError):
-            qq_tail_fit(np.arange(10.0), 0.80, 0.99)
+            fit_one(np.arange(10.0), 0.80, 0.99)
 
     def test_rejects_bad_window(self):
         with pytest.raises(InputError):
-            qq_tail_fit(np.arange(100.0), 0.99, 0.80)
+            fit_one(np.arange(100.0), 0.99, 0.80)
 
     def test_matches_least_squares(self):
         samples = np.random.default_rng(4).gamma(2.0, size=300)
@@ -182,8 +170,7 @@ class TestQqTailFit:
         (a, b), *_ = np.linalg.lstsq(design, y, rcond=None)
         resid = y - design @ [a, b]
         r_squared = 1.0 - resid @ resid / ((y - y.mean()) @ (y - y.mean()))
-        fit = qq_tail_fit(samples, 0.7, 0.95, grid_points=10)
-        assert_allclose([fit.a, fit.b, fit.r_squared], [a, b, r_squared], rtol=1e-13)
+        assert_allclose(fit_one(samples, 0.7, 0.95, grid_points=10), [a, b, r_squared], rtol=1e-13)
 
     @pytest.mark.parametrize("run", [1, 7, 64])
     def test_batch_rows_are_bitwise_single_fits(self, run):
@@ -192,15 +179,14 @@ class TestQqTailFit:
         for q_lo, q_hi, grid in [(0.80, 0.99, DEFAULT_QQ_GRID), (0.7, 0.95, 10)]:
             a, b, r_squared = qq_tail_fits(samples, q_lo, q_hi, grid)
             for row, batched in zip(samples, zip(a, b, r_squared)):
-                fit = qq_tail_fit(row, q_lo, q_hi, grid)
-                assert (fit.a, fit.b, fit.r_squared) == batched
+                assert fit_one(row, q_lo, q_hi, grid) == batched
 
     def test_overflowing_fit_is_degenerate_without_warnings(self):
         samples = 1e200 * np.arange(1.0, 33.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateError, match="not finite"):
-                qq_tail_fit(samples, 0.80, 0.99)
+                fit_one(samples, 0.80, 0.99)
 
     def test_window_is_checked_alone(self):
         levels, x = qq_window(0.7, 0.95, 10)

@@ -20,7 +20,7 @@ from bontea import (
     RuleParams,
     build_scheme,
     cancellation_weights,
-    compute_rule,
+    compute_rules,
     practical_prefixes,
     prefixes,
     theory_prefixes,
@@ -147,6 +147,6 @@ class TestBuildScheme:
         monkeypatch.setattr(prefixes, "cancellation_weights", counting)
         build_scheme.cache_clear()
         for rewards in np.random.default_rng(4).standard_normal((1000, 48)):
-            compute_rule("prefix-tea", rewards, RuleParams())
+            compute_rules("prefix-tea", rewards[None, :], RuleParams())
         assert len(calls) == 1
         assert build_scheme(48, 2, 4) is build_scheme(48, 2, 4)

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bontea import RuleParams, compute_rule
+from bontea import RuleParams, compute_rules
 from bontea.advantages import RULE_NAMES, bon_mean_raw
 from bontea.prefixes import build_scheme
 from bontea.tailstats import tail_count
@@ -60,7 +60,7 @@ def groups(draw, tie_free=False):
 
 
 def advantages(rule: str, x: np.ndarray) -> np.ndarray:
-    return compute_rule(rule, x, PARAMS).values
+    return compute_rules(rule, x[None, :], PARAMS)[0]
 
 
 def floor_binds(rule: str, x: np.ndarray) -> bool:
@@ -83,7 +83,7 @@ def floor_binds(rule: str, x: np.ndarray) -> bool:
 
 def spread(rule: str, x: np.ndarray) -> float:
     """The std a normalized rule divides by."""
-    return float((bon_mean_raw(x, PARAMS.bon_k) if rule == "bon-mean" else x).std())
+    return float((bon_mean_raw(x[None, :], PARAMS.bon_k)[0] if rule == "bon-mean" else x).std())
 
 
 def tolerance(rule: str, x: np.ndarray, magnitude: float, expected: np.ndarray, guard: float) -> float:

@@ -8,6 +8,8 @@ MSE bookkeeping.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,12 +38,23 @@ from bontea.synth import (
     _spec_constants,
     default_replications,
 )
-from bontea.tailstats import DEFAULT_EPS_SIGMA, TailVector, empirical_tail_vector, tail_stats
+from bontea.tailstats import DEFAULT_EPS_SIGMA, tail_stats
 
 # 50-digit quadrature oracle for the default spec's target gradient
 TRUE_GRADIENT = (0.33439550343569121, 0.49397152505308593)
 
 SPEC = SyntheticSpec()
+
+
+class TailVector(NamedTuple):
+    r: float
+    mu: float
+    sigma: float
+
+
+def empirical_tail_vector(group: RewardGroup, alpha: float, eps_sigma: float = DEFAULT_EPS_SIGMA) -> TailVector:
+    """A group's tail vector, from ``tail_stats`` on its (1, m) row."""
+    return TailVector(*(float(v[0, 0]) for v in tail_stats(group.rewards[None, :], alpha, eps_sigma)))
 
 
 def quadrature_h(eta: TailVector, spec: SyntheticSpec) -> np.ndarray:
@@ -76,7 +89,7 @@ class TestExactTargets:
 
     def test_h_at_population_tail_equals_true_gradient(self):
         consts = tail_constants(SPEC.alpha, SPEC.n_target)
-        eta = TailVector(consts.z_alpha, consts.lambda_alpha, float(np.sqrt(consts.delta_alpha)), 0)
+        eta = TailVector(consts.z_alpha, consts.lambda_alpha, float(np.sqrt(consts.delta_alpha)))
         assert np.array_equal(h_population(eta, SPEC), true_gradient(SPEC))
 
     def test_h_closed_form_matches_quadrature(self):
@@ -86,7 +99,6 @@ class TestExactTargets:
                 r=float(rng.uniform(0.2, 1.8)),
                 mu=float(rng.uniform(0.8, 2.2)),
                 sigma=float(rng.uniform(0.2, 1.0)),
-                q=0,
             )
             assert_allclose(h_population(eta, SPEC), quadrature_h(eta, SPEC), rtol=0, atol=1e-9)
 
@@ -248,14 +260,14 @@ class TestMeasurementEngine:
     def test_generic_rule_path_matches_direct_computation(self):
         # the per-replication fallback must produce the same induced gradients
         # as computing the rule directly on the same streams
-        from bontea.advantages import compute_rule
+        from bontea.advantages import compute_rules
         from bontea.synth import BLOCK_SIZE, _induced_gradient
 
         reps, m = 1_000, 16
         row = estimator_bias_variance("grpo", SPEC, m=m, replications=reps, seed=9)
         streams = np.random.SeedSequence(9).spawn(1)
         z = np.random.default_rng(streams[0]).standard_normal((BLOCK_SIZE, m))[:reps]
-        adv = np.stack([compute_rule("grpo", row_z, RuleParams()).values for row_z in z])
+        adv = np.stack([compute_rules("grpo", row_z[None, :], RuleParams())[0] for row_z in z])
         grads = _induced_gradient(adv, z, SPEC)
         assert_allclose(grads.mean(axis=0) - true_gradient(SPEC), row.bias_vec, atol=1e-12)
 

@@ -8,12 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from bontea import DegenerateError, InputError, RewardGroup, empirical_tail_vector
+from bontea import DegenerateError, InputError, RewardGroup
 from bontea.tailstats import DEFAULT_EPS_SIGMA, slice_tail_stats, tail_count, tail_stats
 
 
 def group(rewards, scores=None, prompt_id="g"):
     return RewardGroup(prompt_id=prompt_id, rewards=np.asarray(rewards, dtype=float), scores=scores)
+
+
+def tail_vector(rewards, alpha):
+    """(r, mu, sigma) of one group, from ``tail_stats`` on its (1, m) row."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple(float(v[0, 0]) for v in tail_stats(np.asarray(rewards, dtype=float)[None, :], alpha))
 
 
 class TestRewardGroup:
@@ -53,41 +59,39 @@ class TestTailCount:
 class TestEmpiricalTailVector:
     def test_hand_example(self):
         # m=8, alpha=0.25 -> q=2; tail = {1, 2}
-        eta = empirical_tail_vector(group([0, 0, 0, 0, 0, 0, 1, 2]), 0.25)
-        assert eta.q == 2
-        assert eta.r == 1.0
-        assert eta.mu == 1.5
-        assert_allclose(eta.sigma, 0.5)
+        r, mu, sigma = tail_vector([0, 0, 0, 0, 0, 0, 1, 2], 0.25)
+        assert tail_count(8, 0.25) == 2
+        assert r == 1.0
+        assert mu == 1.5
+        assert_allclose(sigma, 0.5)
 
     def test_population_std_not_sample_std(self):
         # tail {1, 3}: population std is 1, sample std would be sqrt(2)
-        eta = empirical_tail_vector(group([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 3.0]), 0.25)
-        assert_allclose(eta.sigma, 1.0)
+        _, _, sigma = tail_vector([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 3.0], 0.25)
+        assert_allclose(sigma, 1.0)
 
     def test_sigma_floor_on_tied_tail(self):
-        eta = empirical_tail_vector(group([0.0, 0.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0]), 0.25)
-        assert eta.sigma == DEFAULT_EPS_SIGMA
+        _, _, sigma = tail_vector([0.0, 0.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0], 0.25)
+        assert sigma == DEFAULT_EPS_SIGMA
 
     def test_order_invariance(self):
         rng = np.random.default_rng(0)
         rewards = rng.standard_normal(41)
-        a = empirical_tail_vector(group(rewards), 0.25)
-        b = empirical_tail_vector(group(np.sort(rewards)), 0.25)
-        assert a == b
+        assert tail_vector(rewards, 0.25) == tail_vector(np.sort(rewards), 0.25)
 
     def test_matches_sorted_slice(self):
         rng = np.random.default_rng(1)
         rewards = rng.standard_normal(37)
         q = tail_count(37, 0.25)
         top = np.sort(rewards)[-q:]
-        eta = empirical_tail_vector(group(rewards), 0.25)
-        assert eta.r == top[0]
-        assert_allclose(eta.mu, top.mean())
-        assert_allclose(eta.sigma, top.std())
+        r, mu, sigma = tail_vector(rewards, 0.25)
+        assert r == top[0]
+        assert_allclose(mu, top.mean())
+        assert_allclose(sigma, top.std())
 
     def test_rejects_single_sample(self):
-        with pytest.raises(InputError):
-            empirical_tail_vector(group([1.0]), 0.25)
+        with pytest.raises(InputError, match="need m >= 2 rewards, got 1"):
+            tail_vector([1.0], 0.25)
 
 
 class TestTailOverflow:
@@ -96,7 +100,7 @@ class TestTailOverflow:
 
     def test_tail_vector_is_degenerate(self):
         with pytest.raises(DegenerateError, match="overflow"):
-            empirical_tail_vector(group(self.REWARDS), 0.25)
+            tail_vector(self.REWARDS, 0.25)
 
     def test_prefix_tail_vectors_are_degenerate(self):
         # the prefix rules take tail_stats of each prefix, the shortest first
@@ -109,12 +113,12 @@ class TestTailOverflow:
 class TestPrefixTailVectors:
     def test_each_prefix_matches_direct_computation(self):
         rng = np.random.default_rng(7)
-        g = group(rng.standard_normal(64))
+        rewards = rng.standard_normal(64)
         sizes = (40, 48, 56, 64)
-        r, mu, sigma = zip(*(tail_stats(g.rewards[None, :size], 0.25) for size in sizes))
+        r, mu, sigma = zip(*(tail_stats(rewards[None, :size], 0.25) for size in sizes))
         for size, eta in zip(sizes, zip(r, mu, sigma)):
-            direct = empirical_tail_vector(group(g.rewards[:size]), 0.25)
-            assert tuple(float(v[0, 0]) for v in eta) == (direct.r, direct.mu, direct.sigma)
+            direct = tail_vector(rewards[:size].copy(), 0.25)
+            assert tuple(float(v[0, 0]) for v in eta) == direct
 
 
 class TestSliceTailStats:
