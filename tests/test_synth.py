@@ -52,7 +52,7 @@ class TailVector(NamedTuple):
     sigma: float
 
 
-def empirical_tail_vector(group: RewardGroup, alpha: float, eps_sigma: float = DEFAULT_EPS_SIGMA) -> TailVector:
+def group_tail_vector(group: RewardGroup, alpha: float, eps_sigma: float = DEFAULT_EPS_SIGMA) -> TailVector:
     """A group's tail vector, from ``tail_stats`` on its (1, m) row."""
     return TailVector(*(float(v[0, 0]) for v in tail_stats(group.rewards[None, :], alpha, eps_sigma)))
 
@@ -171,7 +171,7 @@ class TestCrossFit:
         if len(group_a) != len(group_b):
             raise InputError("cross-fit batches must have equal size")
         c_tilde = tail_constants(spec.alpha, spec.n_target).c_tilde_n
-        eta = empirical_tail_vector(group_a, spec.alpha, eps_sigma)
+        eta = group_tail_vector(group_a, spec.alpha, eps_sigma)
         z_b = group_b.rewards
         shaped = (z_b - eta.r) + c_tilde / (2 * eta.sigma) * (
             (z_b - eta.mu) ** 2 - (eta.r - eta.mu) ** 2
@@ -185,7 +185,7 @@ class TestCrossFit:
         # evaluation batches must converge to the closed-form H(eta_hat)
         rng = np.random.default_rng(1)
         group_a = RewardGroup("a", rng.standard_normal(256))
-        eta = empirical_tail_vector(group_a, SPEC.alpha)
+        eta = group_tail_vector(group_a, SPEC.alpha)
         target = h_population(eta, SPEC)
         reps = 40_000
         values = np.empty((reps, 2))
