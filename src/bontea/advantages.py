@@ -18,7 +18,7 @@ rank-scaled CAT-BoN) share the same rewards-in, advantages-out interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Collection, Optional, Sequence
 
 import numpy as np
 
@@ -37,8 +37,8 @@ class RuleParams:
 
     ``lambda_nsel = None`` means the selection/correction rule uses its default
     coefficient n_sel - 1 (an assumption, exposed precisely so callers can
-    override it). ``bon_k`` and the Chow split sizes have no defaults: rules
-    that need them raise unless they are set.
+    override it); ``n_sel = None`` means m // 2 selected samples. ``bon_k``
+    has no default: ``bon-mean`` raises unless it is set.
     """
 
     alpha: float = 0.25
@@ -49,9 +49,7 @@ class RuleParams:
     j_count: int = 4
     bon_k: int | None = None
     n_sel: int | None = None
-    m_corr: int | None = None
     lambda_nsel: float | None = None
-    cat_n_target: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -62,10 +60,14 @@ class RuleParams:
             raise InputError("eps_sigma must be positive")
         if not 0.0 <= self.eps_norm < np.inf:
             raise InputError(f"eps_norm must be finite and >= 0, got {self.eps_norm}")
-        for name in ("n_target", "cat_n_target", "bon_k"):
+        for name in ("n_target", "j_count", "bon_k", "n_sel"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise InputError(f"{name} must be >= 1, got {value}")
+        if not 1 <= self.k <= self.j_count:
+            raise InputError(f"need 1 <= k <= J, got k={self.k}, J={self.j_count}")
+        if self.lambda_nsel is not None and not np.isfinite(self.lambda_nsel):
+            raise InputError(f"lambda_nsel must be finite, got {self.lambda_nsel}")
 
 
 def _matrix(rewards: np.ndarray) -> np.ndarray:
@@ -217,14 +219,15 @@ def bon_mean_raw(rewards: np.ndarray, bon_k: int) -> np.ndarray:
 def _chow(rewards: np.ndarray, params: RuleParams, seeds: Sequence[int] | None) -> np.ndarray:
     """Selection/correction split: a seeded permutation's first n_sel indices select.
 
-    The winner of the selection set gets m R*, and correction samples beating
-    R* get -m (lambda / m_corr) R*; lambda defaults to n_sel - 1.
+    The winner of the selection set gets m R*, and each of the m - n_sel
+    correction samples beating R* gets -m (lambda / (m - n_sel)) R*; lambda
+    defaults to n_sel - 1.
     """
     n_rows, m = rewards.shape
     n_sel = params.n_sel if params.n_sel is not None else m // 2
-    m_corr = params.m_corr if params.m_corr is not None else m - n_sel
-    if n_sel < 1 or m_corr < 1 or n_sel + m_corr != m:
-        raise InputError(f"need n_sel + m_corr = m with both >= 1, got ({n_sel}, {m_corr}, m={m})")
+    if n_sel >= m:
+        raise InputError(f"need n_sel < m, got n_sel={n_sel}, m={m}")
+    m_corr = m - n_sel
     lam = params.lambda_nsel if params.lambda_nsel is not None else float(n_sel - 1)
     if seeds is None:
         perms = np.broadcast_to(np.random.default_rng(params.seed).permutation(m), rewards.shape)
@@ -257,11 +260,12 @@ def _strictly_below(rewards: np.ndarray) -> np.ndarray:
     return below
 
 
-def _cat_bon(rewards: np.ndarray, cat_n_target: int, eps_norm: float) -> np.ndarray:
+def _cat_bon(rewards: np.ndarray, params: RuleParams) -> np.ndarray:
     """GRPO-Z scaled by weights N F<(R_i)^(N-1) over their mean; F< counts strictly smaller."""
+    n, eps_norm = params.n_target, params.eps_norm
     z_scores = _grpo_z(rewards, eps_norm)
     below = _strictly_below(rewards) / rewards.shape[1]
-    weights = cat_n_target * below ** (cat_n_target - 1)
+    weights = n * below ** (n - 1)
     mean = weights.mean(axis=1, keepdims=True)
     return _normalized(weights, mean, eps_norm, "mean rank weight") * z_scores
 
@@ -270,11 +274,6 @@ def _bon_mean_rule(rewards: np.ndarray, params: RuleParams) -> np.ndarray:
     if params.bon_k is None:
         raise InputError("rule 'bon-mean' requires bon_k")
     return _grpo_z(bon_mean_raw(rewards, params.bon_k), params.eps_norm)
-
-
-def _cat_bon_rule(rewards: np.ndarray, params: RuleParams) -> np.ndarray:
-    target = params.cat_n_target if params.cat_n_target is not None else params.n_target
-    return _cat_bon(rewards, target, params.eps_norm)
 
 
 _Kernel = Callable[[np.ndarray, RuleParams, Optional[Sequence[int]]], np.ndarray]
@@ -291,7 +290,7 @@ _KERNELS: dict[str, _Kernel] = {
     "bonmax-second": lambda x, params, seeds: _bon_max(x, "second"),
     "bon-mean": lambda x, params, seeds: _bon_mean_rule(x, params),
     "chow": _chow,
-    "cat-bon": lambda x, params, seeds: _cat_bon_rule(x, params),
+    "cat-bon": lambda x, params, seeds: _cat_bon(x, params),
 }
 
 RULE_NAMES = (
@@ -307,11 +306,10 @@ RULE_NAMES = (
 )
 
 
-def _kernel(rule: str) -> _Kernel:
-    try:
-        return _KERNELS[rule]
-    except KeyError:
-        raise InputError(f"unknown rule {rule!r}; known: {', '.join(RULE_NAMES)}") from None
+def check_rule(rule: str, known: Collection[str] = RULE_NAMES) -> None:
+    """Raise ``InputError`` unless ``rule`` is one of ``known``; every rule name is checked here."""
+    if rule not in known:
+        raise InputError(f"unknown rule {rule!r}; known: {', '.join(known)}")
 
 
 def compute_rules(
@@ -323,6 +321,6 @@ def compute_rules(
     ``rewards``. ``seeds`` gives one seed per row to the rules that draw
     (``chow``); without it every row uses ``params.seed``.
     """
-    kernel = _kernel(rule)
-    return kernel(_matrix(rewards), params, seeds)
+    check_rule(rule, _KERNELS)
+    return _KERNELS[rule](_matrix(rewards), params, seeds)
 

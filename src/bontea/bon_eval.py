@@ -5,7 +5,8 @@ for the expected best-of-N maximum and each sample's marginal contribution to
 it (the oracle advantage). The evaluation half implements grouped best-of-N
 curves over stored samples (consecutive partitions), the paired prompt
 bootstrap, the win/tie/loss rule, and the gradient-alignment cosine
-diagnostic.
+diagnostic. The paired statistics take (prompts,) inputs, giving floats, or
+(prompts, columns) inputs, giving one array entry per column.
 """
 
 from __future__ import annotations
@@ -100,43 +101,44 @@ def grouped_bon_curve(per_prompt_samples: np.ndarray, budgets: list[int] | tuple
     return BonCurve(n_values=budgets, means=per_prompt.mean(axis=0), per_prompt=per_prompt)
 
 
+def _paired(a: np.ndarray, b: np.ndarray, min_prompts: int) -> np.ndarray:
+    """a - b as one contiguous row per column of equal-shape (prompts,) or (prompts, columns) inputs."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.ndim not in (1, 2) or a.shape[0] < min_prompts:
+        raise InputError(f"need equal (prompts,) or (prompts, columns) shapes with >= {min_prompts} prompts")
+    return np.ascontiguousarray((a - b).reshape(a.shape[0], -1).T)  # a row sums as its 1-d column
+
+
+def _per_column(ndim: int, *values: np.ndarray) -> tuple:
+    """Floats of the one column for 1-d inputs, else one array per value."""
+    return tuple(float(v[0]) for v in values) if ndim == 1 else values
+
+
 def paired_bootstrap_delta(
     per_prompt_a: np.ndarray,
     per_prompt_b: np.ndarray,
     resamples: int = DEFAULT_RESAMPLES,
     seed: int = 0,
-) -> tuple[float, float, float]:
-    """Mean per-prompt difference with a percentile 95% bootstrap interval.
+) -> tuple:
+    """Mean per-prompt difference with a percentile 95% bootstrap interval, per column.
 
-    Resamples prompts with replacement (paired), keeping the a/b pairing; the
-    interval is the (2.5, 97.5) percentile of resampled mean differences.
+    Resamples prompts with replacement (paired), keeping the a/b pairing, with
+    one index matrix for every column (e.g. one per budget); the interval is
+    the (2.5, 97.5) percentile of resampled mean differences.
     """
-    a = np.asarray(per_prompt_a, dtype=float)
-    b = np.asarray(per_prompt_b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 2:
-        raise InputError("paired inputs must be equal-length 1-d arrays with >= 2 prompts")
-    diff = a - b
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, diff.size, size=(resamples, diff.size))
-    resampled = diff[idx].mean(axis=1)
-    lo, hi = np.percentile(resampled, [2.5, 97.5])
-    return float(diff.mean()), float(lo), float(hi)
+    diff = _paired(per_prompt_a, per_prompt_b, 2)
+    idx = np.random.default_rng(seed).integers(0, diff.shape[1], size=(resamples, diff.shape[1]))
+    # column by column: one (columns * resamples, prompts) gather would hold columns times the memory
+    lo, hi = np.reshape([np.percentile(c[idx].mean(axis=1), [2.5, 97.5]) for c in diff], (-1, 2)).T
+    return _per_column(np.ndim(per_prompt_a), diff.mean(axis=1), lo, hi)
 
 
-def win_tie_loss(
-    a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TIE_TOL
-) -> tuple[float, float, float]:
-    """Per-prompt win/tie/loss percentages of a versus b with a tie tolerance."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
-        raise InputError("win/tie/loss inputs must be equal-length nonempty 1-d arrays")
-    diff = a - b
-    wins = int((diff > tol).sum())
-    losses = int((diff < -tol).sum())
-    ties = diff.size - wins - losses
-    scale = 100.0 / diff.size
-    return wins * scale, ties * scale, losses * scale
+def win_tie_loss(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TIE_TOL) -> tuple:
+    """Per-prompt win/tie/loss percentages of a versus b with a tie tolerance, per column."""
+    diff = _paired(a, b, 1)
+    wins, losses = (diff > tol).sum(axis=1), (diff < -tol).sum(axis=1)
+    scale = 100.0 / diff.shape[1]
+    return _per_column(np.ndim(a), wins * scale, (diff.shape[1] - wins - losses) * scale, losses * scale)
 
 
 def gradient_alignment(

@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, Text
 import numpy as np
 
 from . import __version__
-from .advantages import RULE_NAMES, RuleParams, compute_rules
+from .advantages import RULE_NAMES, RuleParams, check_rule, compute_rules
 from .bon_eval import (
     DEFAULT_RESAMPLES,
     DEFAULT_TIE_TOL,
@@ -43,7 +43,7 @@ from .bon_eval import (
 from .errors import DegenerateError, InputError
 from .gauss import DEFAULT_QQ_GRID, predict_vn, qq_tail_fits, qq_window, tail_constants
 from .prefixes import build_scheme
-from .synth import DEFAULT_P_GRID, SyntheticSpec, estimator_bias_variance, frontier_row_seed
+from .synth import DEFAULT_P_GRID, LAB_TAGS, SyntheticSpec, estimator_bias_variance, frontier_row_seed
 from .tailstats import RewardGroup, tail_count, tail_stats
 from .trainer import ToyTask, TrainConfig, train
 
@@ -114,7 +114,10 @@ def _str_list(text: str) -> tuple[str, ...]:
 
 
 class Option(NamedTuple):
-    """One config key: flag ``--name`` (dashes for underscores) and file key ``name``."""
+    """One config key: flag ``--name`` (dashes for underscores) and file key ``name``.
+
+    ``choices`` are the rule names the value, or each name of a list value, must be one of.
+    """
 
     name: str
     cast: Callable[[str], Any]
@@ -145,8 +148,6 @@ RULE_OPTIONS = {
         Option("seed", int, _RULE.seed, "base RNG seed"),
         Option("bon_k", int, _RULE.bon_k, "subset size for the bon-mean rule"),
         Option("n_sel", int, _RULE.n_sel, "selected-prompt count for the chow rule"),
-        Option("m_corr", int, _RULE.m_corr, "correction-set size for the chow rule"),
-        Option("cat_n_target", int, _RULE.cat_n_target, "target N for the cat-bon rule"),
         Option("lambda_nsel", float, _RULE.lambda_nsel, "correction weight for the chow rule"),
     )
 }
@@ -177,7 +178,8 @@ def command(name: str, help_text: str, *options: Option, needs_input: bool = Tru
 def _resolve(args: argparse.Namespace, options: Sequence[Option]) -> dict[str, Any]:
     """Each option's value in table order: flag, else config file, else default.
 
-    A config-file key that is not one of ``options`` raises ``InputError``.
+    A config-file key that is not one of ``options``, or a value outside its
+    option's ``choices``, raises ``InputError``.
     """
     file_values = load_config_file(args.config) if args.config else {}
     names = {option.name for option in options}
@@ -194,6 +196,9 @@ def _resolve(args: argparse.Namespace, options: Sequence[Option]) -> dict[str, A
                 value = option.cast(file_values[option.name])
             except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
                 raise InputError(f"config key {option.name}: {exc}") from exc
+        if value is not None and option.choices is not None:
+            for name in value if isinstance(value, tuple) else (value,):
+                check_rule(name, option.choices)
         config[option.name] = option.default if value is None else value
     return config
 
@@ -374,10 +379,7 @@ class _Computed:
 
 @command("advantage", "per-group advantages as JSONL", _RULE_OPTION, *RULE_OPTIONS.values())
 def cmd_advantage(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    rule = config["rule"]
-    params = _build(RuleParams, config)
-    if rule not in RULE_NAMES:
-        raise InputError(f"unknown rule {rule!r}; expected one of {RULE_NAMES}")
+    rule, params = config["rule"], _build(RuleParams, config)
     groups = _Computed(
         args.input,
         lambda x, indices, _: compute_rules(rule, x, params, [params.seed + i for i in indices]).tolist(),
@@ -462,19 +464,14 @@ def cmd_eval_bon(args: argparse.Namespace, config: dict[str, Any]) -> int:
                 )
         base_curve = grouped_bon_curve(base_pools, budgets)
         payload["baseline_curve"] = _curve_payload(base_curve)
-        deltas = {}
-        wtl = {}
-        for idx, n in enumerate(budgets):
-            a = curve.per_prompt[:, idx]
-            b = base_curve.per_prompt[:, idx]
-            delta, lo, hi = paired_bootstrap_delta(
-                a, b, resamples=config["resamples"], seed=config["seed"]
-            )
-            deltas[str(n)] = {"delta": delta, "ci_lo": lo, "ci_hi": hi}
-            win, tie, loss = win_tie_loss(a, b, tol=config["tie_tol"])
-            wtl[str(n)] = {"win": win, "tie": tie, "loss": loss}
-        payload["deltas"] = deltas
-        payload["win_tie_loss"] = wtl
+        a, b = curve.per_prompt, base_curve.per_prompt
+        deltas = paired_bootstrap_delta(a, b, config["resamples"], config["seed"])
+        for key, names, columns in (
+            ("deltas", ("delta", "ci_lo", "ci_hi"), deltas),
+            ("win_tie_loss", ("win", "tie", "loss"), win_tie_loss(a, b, config["tie_tol"])),
+        ):
+            rows = zip(budgets, *(column.tolist() for column in columns))
+            payload[key] = {str(n): dict(zip(names, values)) for n, *values in rows}
     _write_doc(args.output, config, **payload)
     return 0
 
@@ -490,7 +487,7 @@ def _pools(path: str) -> tuple[list[str], np.ndarray]:
 
 @command(
     "synth-bias-variance", "synthetic-lab bias/variance CSV",
-    Option("rules", _str_list, ("tea", "prefix-tea"), "estimator tags"),
+    Option("rules", _str_list, ("tea", "prefix-tea"), "estimator tags", LAB_TAGS),
     Option("m_grid", _int_list, (256, 512, 1024, 2048, 4096), "group sizes"),
     Option("p_grid", _int_list, DEFAULT_P_GRID, "prompt-batch sizes"),
     Option("replications", int, None, "Monte Carlo replications per row"),
@@ -533,15 +530,11 @@ def cmd_synth_bias_variance(args: argparse.Namespace, config: dict[str, Any]) ->
 
 @command(
     "align", "cosine table of rules against the exact oracle",
-    Option("rules", _str_list, ("tea", "grpo"), "rules"),
+    Option("rules", _str_list, ("tea", "grpo"), "rules", RULE_NAMES),
     RULE_OPTIONS["n_target"], *RULE_OPTIONS.values(),
 )
 def cmd_align(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    rules = config["rules"]
-    params = _build(RuleParams, config)
-    for rule in rules:
-        if rule not in RULE_NAMES:
-            raise InputError(f"unknown rule {rule!r}; expected one of {RULE_NAMES}")
+    rules, params = config["rules"], _build(RuleParams, config)
 
     def batch(rewards: np.ndarray, indices: tuple[int, ...], groups: tuple) -> list[tuple[float, ...]]:
         """Per group, the cosine of each rule; the rules are computed and aligned one at a time.
@@ -648,11 +641,9 @@ def build_parser() -> argparse.ArgumentParser:
             default = option.default
             if isinstance(default, tuple):
                 default = ",".join(map(str, default))
-            shown = "" if default is None else f" (default {default})"
-            p.add_argument(
-                "--" + option.name.replace("_", "-"),
-                type=option.cast, choices=option.choices, help=option.help + shown,
-            )
+            shown = "" if option.choices is None else f": {', '.join(option.choices)}"
+            shown += "" if default is None else f" (default {default})"
+            p.add_argument("--" + option.name.replace("_", "-"), type=option.cast, help=option.help + shown)
     # a second input path: like --input, a flag only, not a config key
     sub.choices["eval-bon"].add_argument(
         "--baseline", help="baseline JSONL for paired deltas and W/T/L"

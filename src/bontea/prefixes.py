@@ -120,19 +120,13 @@ def cancellation_weights(m: int, sizes: tuple[int, ...] | list[int], k: int) -> 
 
 
 @lru_cache(maxsize=256)
-def build_scheme(
-    m: int,
-    k: int,
-    j_count: int,
-    sizes: tuple[int, ...] | None = None,
-) -> PrefixScheme:
-    """Practical prefix scheme for a group of size m (or explicit sizes).
+def build_scheme(m: int, k: int, j_count: int) -> PrefixScheme:
+    """Practical prefix scheme for a group of size m.
 
     Memoised: the scheme is immutable and depends only on its arguments, so
     a run of equal-size groups solves for the weights once.
     """
-    if sizes is None:
-        sizes = practical_prefixes(m, j_count)
+    sizes = practical_prefixes(m, j_count)
     weights = cancellation_weights(m, sizes, k)
     ratios = tuple(m / s for s in sizes)
-    return PrefixScheme(m=m, k=k, j_count=len(sizes), sizes=tuple(sizes), ratios=ratios, weights=weights)
+    return PrefixScheme(m=m, k=k, j_count=j_count, sizes=sizes, ratios=ratios, weights=weights)

@@ -40,7 +40,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .advantages import RuleParams, _shaped, compute_rules
+from .advantages import RULE_NAMES, RuleParams, _shaped, check_rule, compute_rules
 from .errors import DegenerateError, InputError
 from .gauss import ndtr, norm_pdf, tail_constants
 from .prefixes import cancellation_weights, theory_prefixes
@@ -333,6 +333,8 @@ _BLOCK_KERNELS = {
 }
 #: Lab tags that measure a rule registered under another name.
 _RULE_ALIASES = {"prefix-tea-practical": "prefix-tea-raw"}
+#: Every tag ``estimator_bias_variance`` measures: the CLI's rules, then the lab's own.
+LAB_TAGS = (*RULE_NAMES, "oracle", "prefix-tea-practical", "tea-raw", "prefix-tea-raw")
 
 
 def _gradient_kernel(rule: str, spec: SyntheticSpec, params: RuleParams):
@@ -513,11 +515,17 @@ def estimator_bias_variance(
     from the bias mean). Any other registered rule is measured as-is, one
     ``compute_rules`` call per block.
 
-    Raises ``DegenerateError`` when the rule emits all-zero advantages on more
-    than 99% of replications.
+    ``params`` must share the spec's target (alpha, n_target). Raises
+    ``DegenerateError`` when the rule emits all-zero advantages on more than
+    99% of replications.
     """
-    if params is None:
-        params = RuleParams(alpha=spec.alpha, n_target=spec.n_target)
+    check_rule(rule, LAB_TAGS)
+    params = params or RuleParams(alpha=spec.alpha, n_target=spec.n_target)
+    if (params.alpha, params.n_target) != (spec.alpha, spec.n_target):
+        raise InputError(
+            f"params' (alpha, n_target) {params.alpha, params.n_target} differ from the spec's"
+            f" {spec.alpha, spec.n_target}"
+        )
     if replications is None:
         replications = default_replications(m)
     if replications < 1_000:

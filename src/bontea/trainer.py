@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .advantages import RULE_NAMES, RuleParams, compute_rules
+from .advantages import RuleParams, check_rule, compute_rules
 from .bon_eval import BonCurve, grouped_bon_curve
 from .errors import DegenerateError, InputError
 
@@ -80,8 +80,7 @@ class TrainConfig:
     eval_samples: int = 512
 
     def __post_init__(self) -> None:
-        if self.rule not in RULE_NAMES:
-            raise InputError(f"unknown rule {self.rule!r}; expected one of {RULE_NAMES}")
+        check_rule(self.rule)
         if self.m < 2 or self.p_batch < 1 or self.steps < 0 or self.eval_every < 1:
             raise InputError("m >= 2, p_batch >= 1, steps >= 0, eval_every >= 1 required")
         if self.beta < 0 or not np.isfinite(self.beta):

@@ -279,7 +279,7 @@ def test_criterion_07_baseline_identities():
         )
         gap_cat = max(
             gap_cat,
-            float(np.max(np.abs(compute_rules("cat-bon", rewards, replace(exact, cat_n_target=1)) - z))),
+            float(np.max(np.abs(compute_rules("cat-bon", rewards, replace(exact, n_target=1)) - z))),
         )
     for _ in range(50):
         rewards = rng.standard_normal((1, 64))

@@ -271,8 +271,9 @@ class TestChow:
         assert not np.allclose(a, c)
 
     def test_rejects_inconsistent_split(self):
-        with pytest.raises(InputError):
-            compute_rules("chow", row(np.arange(8.0)), RuleParams(n_sel=8, m_corr=4))
+        # no sample is left to correct with
+        with pytest.raises(InputError, match="need n_sel < m, got n_sel=8, m=8"):
+            compute_rules("chow", row(np.arange(8.0)), RuleParams(n_sel=8))
 
 
 class TestCatBon:
@@ -280,7 +281,7 @@ class TestCatBon:
         rng = np.random.default_rng(11)
         rewards = rng.standard_normal(16)
         assert_allclose(
-            compute_rules("cat-bon", row(rewards), RuleParams(cat_n_target=1, eps_norm=0.0))[0],
+            compute_rules("cat-bon", row(rewards), RuleParams(n_target=1, eps_norm=0.0))[0],
             compute_rules("grpo-z", row(rewards), RuleParams(eps_norm=0.0))[0],
             rtol=0,
             atol=1e-12,
@@ -288,7 +289,7 @@ class TestCatBon:
 
     def test_weights_favor_top_ranks(self):
         rewards = np.arange(8.0)
-        adv = compute_rules("cat-bon", row(rewards), RuleParams(cat_n_target=16))[0]
+        adv = compute_rules("cat-bon", row(rewards), RuleParams(n_target=16))[0]
         # the maximum carries almost all weight at large N
         assert adv[-1] > 4.0
         assert np.all(np.abs(adv[:4]) < 1e-4)
@@ -296,7 +297,7 @@ class TestCatBon:
     def test_strictly_below_rank_on_ties(self):
         # tied minimum rewards share F_< = 0, so their weights are 0 for N > 1
         rewards = np.array([1.0, 1.0, 2.0, 3.0])
-        adv = compute_rules("cat-bon", row(rewards), RuleParams(cat_n_target=4))[0]
+        adv = compute_rules("cat-bon", row(rewards), RuleParams(n_target=4))[0]
         assert adv[0] == adv[1] == 0.0
 
 
@@ -319,7 +320,7 @@ class TestNormalizationFloor:
     def test_vanishing_cat_bon_weights_without_floor_are_degenerate(self):
         # every weight N F<^(N-1) underflows to 0 though the group is not constant
         with pytest.raises(DegenerateError, match="eps_norm"):
-            compute_rules("cat-bon", row(np.arange(4.0)), RuleParams(cat_n_target=5000, eps_norm=0.0))
+            compute_rules("cat-bon", row(np.arange(4.0)), RuleParams(n_target=5000, eps_norm=0.0))
 
     @pytest.mark.parametrize("rule", NORMALIZED)
     def test_zero_floor_on_a_spread_group_is_finite(self, rule):
@@ -349,8 +350,12 @@ class TestDispatch:
             ("n_target", 0, "n_target must be >= 1, got 0"),
             ("eps_sigma", 0.0, "eps_sigma must be positive"),
             ("eps_norm", float("nan"), "eps_norm must be finite and >= 0, got nan"),
-            ("cat_n_target", 0, "cat_n_target must be >= 1, got 0"),
             ("bon_k", 0, "bon_k must be >= 1, got 0"),
+            ("j_count", 0, "j_count must be >= 1, got 0"),
+            ("k", 0, "need 1 <= k <= J, got k=0, J=4"),
+            ("k", 5, "need 1 <= k <= J, got k=5, J=4"),
+            ("n_sel", 0, "n_sel must be >= 1, got 0"),
+            ("lambda_nsel", float("inf"), "lambda_nsel must be finite, got inf"),
         ],
     )
     def test_params_are_checked_before_any_rewards(self, field, value, message):

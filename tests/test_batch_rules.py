@@ -111,7 +111,6 @@ class Frozen:
 
     @staticmethod
     def rule(rule, x, p):
-        target = p.cat_n_target if p.cat_n_target is not None else p.n_target
         return {
             "tea": lambda: Frozen.tea(x, p),
             "prefix-tea": lambda: Frozen.prefix_tea(x, p),
@@ -121,7 +120,7 @@ class Frozen:
             "bonmax-second": lambda: Frozen.bon_max(x, "second"),
             "bon-mean": lambda: Frozen.bon_mean(x, p.bon_k, p.eps_norm),
             "chow": lambda: Frozen.chow(x, p),
-            "cat-bon": lambda: Frozen.cat_bon(x, target, p.eps_norm),
+            "cat-bon": lambda: Frozen.cat_bon(x, p.n_target, p.eps_norm),
         }[rule]()
 
 

@@ -174,6 +174,20 @@ class TestPairedBootstrap:
         assert lo <= delta <= hi
         assert_allclose(delta, (a - b).mean())
 
+    def test_columns_equal_one_call_per_column(self):
+        # one index matrix for all columns: each column's bits are those of its own call
+        rng = np.random.default_rng(12)
+        a, b = rng.standard_normal((2, 30, 4))
+        columns = paired_bootstrap_delta(a, b, resamples=200, seed=3)
+        for c in range(4):
+            alone = paired_bootstrap_delta(a[:, c], b[:, c], resamples=200, seed=3)
+            assert alone == tuple(float(v[c]) for v in columns)
+
+    def test_rejects_mismatched_or_short_inputs(self):
+        for shape_a, shape_b in [((5, 2), (5, 3)), ((1,), (1,)), ((1, 3), (1, 3)), ((2, 2, 2), (2, 2, 2))]:
+            with pytest.raises(InputError, match="shapes with >= 2 prompts"):
+                paired_bootstrap_delta(np.zeros(shape_a), np.zeros(shape_b))
+
 
 class TestWinTieLoss:
     def test_tolerance_rule(self):
@@ -187,6 +201,13 @@ class TestWinTieLoss:
         a, b = rng.standard_normal((2, 33))
         win, tie, loss = win_tie_loss(a, b)
         assert_allclose(win + tie + loss, 100.0)
+
+    def test_columns_equal_one_call_per_column(self):
+        rng = np.random.default_rng(13)
+        a, b = np.round(rng.standard_normal((2, 20, 3)), 1)
+        columns = win_tie_loss(a, b, tol=0.05)
+        for c in range(3):
+            assert win_tie_loss(a[:, c], b[:, c], tol=0.05) == tuple(float(v[c]) for v in columns)
 
 
 class TestAlignmentAndTopK:

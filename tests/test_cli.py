@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import bontea
 from bontea import (
     DegenerateError,
     EmpiricalPool,
@@ -47,6 +52,15 @@ def pools_path(tmp_path):
         ],
     )
     return path
+
+
+def run_cli(*argv):
+    """``bontea`` in a fresh interpreter on this checkout, in the caller's environment."""
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from bontea.cli import main; sys.exit(main())", *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(bontea.__file__).parents[1])},
+    )
 
 
 def read_csv(path):
@@ -512,6 +526,17 @@ class TestSynthCommand:
         )
         assert code == 3
 
+    def test_unknown_tag_fails_before_any_row(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        argv = ["synth-bias-variance", "--rules", "tea,foo", "--m-grid", "64", "--replications", "1000"]
+        assert main(argv + ["-o", str(out)]) == 2
+        # no progress line: the tea row was not measured
+        assert capsys.readouterr().err == (
+            "error: unknown rule 'foo'; known: tea, prefix-tea, grpo, grpo-z, bonmax-mean, bonmax-second,"
+            " bon-mean, chow, cat-bon, oracle, prefix-tea-practical, tea-raw, prefix-tea-raw\n"
+        )
+        assert not out.exists()
+
 
 class TestAlignCommand:
     def test_cosine_table(self, tmp_path):
@@ -682,22 +707,11 @@ class TestQqFitCommand:
         assert [row[0] for row in read_csv(out)[1][1:]] == ["ok"]
 
     def test_overflowing_fit_prints_only_the_error_line(self, tmp_path):
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import bontea
-
         src = tmp_path / "big.jsonl"
         write_groups(src, [{"prompt_id": "ok", "rewards": list(range(32))},
                            {"prompt_id": "big", "rewards": [1e200 * i for i in range(1, 33)]}])
         out = tmp_path / "qq.csv"
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from bontea.cli import main; sys.exit(main())",
-             "qq-fit", "-i", str(src), "-o", str(out)],
-            capture_output=True, text=True, timeout=60,
-            env={"PYTHONPATH": str(Path(bontea.__file__).parents[1])},
-        )
+        proc = run_cli("qq-fit", "-i", str(src), "-o", str(out))
         assert proc.returncode == 3
         assert proc.stderr.splitlines() == [
             "error: prompt big (line 2): QQ fit overflow: a, b or R^2 is not finite"
@@ -752,20 +766,9 @@ class TestHostileGroups:
         assert main(["advantage", "-i", str(src), "-o", str(tmp_path / "adv.jsonl")]) == 3
 
     def test_overflowing_tail_prints_only_the_error_line(self, tmp_path):
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import bontea
-
         src = tmp_path / "big.jsonl"
         write_groups(src, [{"prompt_id": "big", "rewards": [1e200 * i for i in range(1, 9)]}])
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from bontea.cli import main; sys.exit(main())",
-             "advantage", "-i", str(src), "-o", str(tmp_path / "adv.jsonl")],
-            capture_output=True, text=True, timeout=60,
-            env={"PYTHONPATH": str(Path(bontea.__file__).parents[1])},
-        )
+        proc = run_cli("advantage", "-i", str(src), "-o", str(tmp_path / "adv.jsonl"))
         assert proc.returncode == 3
         assert proc.stderr.splitlines() == [
             "error: prompt big (line 1): tail statistics overflow:"
@@ -774,22 +777,11 @@ class TestHostileGroups:
 
     @pytest.mark.parametrize("rule", ["grpo-z", "bon-mean", "cat-bon"])
     def test_overflowing_spread_prints_only_the_error_line(self, tmp_path, rule):
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import bontea
-
         src = tmp_path / "big.jsonl"
         write_groups(src, [{"prompt_id": "big", "rewards": [1e160 * i for i in range(1, 9)]},
                            {"prompt_id": "ok", "rewards": list(range(8))}])
         out = tmp_path / "adv.jsonl"
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from bontea.cli import main; sys.exit(main())",
-             "advantage", "-i", str(src), "-o", str(out), "--rule", rule, "--bon-k", "2"],
-            capture_output=True, text=True, timeout=60,
-            env={"PYTHONPATH": str(Path(bontea.__file__).parents[1])},
-        )
+        proc = run_cli("advantage", "-i", str(src), "-o", str(out), "--rule", rule, "--bon-k", "2")
         assert proc.returncode == 3
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: prompt big (line 1): reward statistics overflow: mean=")
@@ -891,13 +883,25 @@ class TestConfigResolution:
             (["advantage", "--alpha", "0.7"], "alpha must lie in (0, 1/2), got 0.7"),
             (["predict-bon", "--eps-sigma", "0"], "eps_sigma must be positive"),
             (["align", "--n-target", "0"], "n_target must be >= 1, got 0"),
+            (["advantage", "--rule", "prefix-tea", "--j-count", "0"], "j_count must be >= 1, got 0"),
+            (["advantage", "--rule", "prefix-tea", "--k", "0"], "need 1 <= k <= J, got k=0, J=4"),
+            (["advantage", "--rule", "prefix-tea", "--k", "5"], "need 1 <= k <= J, got k=5, J=4"),
+            (["advantage", "--rule", "chow", "--n-sel", "0"], "n_sel must be >= 1, got 0"),
+            (["advantage", "--rule", "chow", "--lambda-nsel", "nan"], "lambda_nsel must be finite, got nan"),
+            (["advantage", "--config", "rule = foo"], f"unknown rule 'foo'; known: {', '.join(RULE_NAMES)}"),
+            (["align", "--rules", "tea,foo"], f"unknown rule 'foo'; known: {', '.join(RULE_NAMES)}"),
         ],
-        ids=["advantage", "predict-bon", "align"],
+        ids=["advantage", "predict-bon", "align", "j-count", "k-zero", "k-above-j", "n-sel", "lambda-nsel",
+             "config-rule", "align-rules"],
     )
     def test_bad_rule_parameter_is_reported_once_before_any_output(self, tmp_path, capsys, argv, message):
         src = tmp_path / "scored.jsonl"
         write_groups(src, [{"prompt_id": f"p{i}", "rewards": [0.0, 1.0, 2.0, 3.0], "scores": [[1.0]] * 4}
                            for i in range(3)])
+        if "--config" in argv:  # the flag's value is the file's text
+            at = argv.index("--config") + 1
+            (tmp_path / "run.cfg").write_text(argv[at] + "\n")
+            argv = [*argv[:at], str(tmp_path / "run.cfg"), *argv[at + 1 :]]
         out = tmp_path / "out"
         assert main([argv[0], "-i", str(src), "-o", str(out), *argv[1:]]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -52,11 +52,11 @@ CASES: dict[str, tuple[list[str], int]] = {
     ),
     "advantage-chow-flags": (
         _ADVANTAGE
-        + ["--rule", "chow", "--n-sel", "6", "--m-corr", "10", "--lambda-nsel", "2.5", "--seed", "4"],
+        + ["--rule", "chow", "--n-sel", "6", "--lambda-nsel", "2.5", "--seed", "4"],
         0,
     ),
     "advantage-cat-bon-flags": (
-        _ADVANTAGE + ["--rule", "cat-bon", "--cat-n-target", "16", "--eps-norm", "1e-6"], 0
+        _ADVANTAGE + ["--rule", "cat-bon", "--n-target", "16", "--eps-norm", "1e-6"], 0
     ),
     "advantage-config": (
         _ADVANTAGE + ["--config", "advantage.cfg", "--rule", "grpo-z"], 0

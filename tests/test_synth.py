@@ -30,6 +30,7 @@ from bontea.advantages import _shaped
 from bontea.cli import main
 from bontea.gauss import tail_constants
 from bontea.synth import (
+    LAB_TAGS,
     _h_batch,
     _MomentAccumulator,
     _score_sums,
@@ -252,6 +253,23 @@ class TestMeasurementEngine:
     def test_rejects_tiny_replications(self):
         with pytest.raises(InputError):
             estimator_bias_variance("tea", SPEC, m=64, replications=10)
+
+    def test_rejects_unknown_tag_naming_the_lab_tags(self):
+        tags = "cat-bon, oracle, prefix-tea-practical, tea-raw, prefix-tea-raw"
+        with pytest.raises(InputError, match=f"unknown rule 'foo'; known: tea, .*, {tags}$"):
+            estimator_bias_variance("foo", SPEC, m=64, replications=1_000)
+
+    @pytest.mark.parametrize("rule", LAB_TAGS)
+    def test_every_lab_tag_is_measured(self, rule):
+        row = estimator_bias_variance(rule, SPEC, m=64, replications=1_000, params=RuleParams(bon_k=2))
+        assert row.estimator_tag == rule and np.isfinite(row.variance)
+
+    @pytest.mark.parametrize("rule", ["tea", "oracle", "prefix-tea", "prefix-tea-practical", "grpo"])
+    @pytest.mark.parametrize("field, value", [("alpha", 0.2), ("n_target", 64)])
+    def test_params_must_share_the_spec_target(self, rule, field, value):
+        # tea, oracle and prefix-tea read the target from the spec, the other tags from params
+        with pytest.raises(InputError, match="differ from the spec's"):
+            estimator_bias_variance(rule, SPEC, m=64, replications=1_000, params=RuleParams(**{field: value}))
 
     def test_default_replications_schedule(self):
         assert default_replications(1024) == 200_000
