@@ -58,6 +58,8 @@ class RuleParams:
             raise InputError(f"alpha must lie in (0, 1/2), got {self.alpha}")
         if not self.eps_sigma > 0:
             raise InputError("eps_sigma must be positive")
+        if self.eps_sigma == np.inf:
+            raise InputError("eps_sigma must be finite")
         if not 0.0 <= self.eps_norm < np.inf:
             raise InputError(f"eps_norm must be finite and >= 0, got {self.eps_norm}")
         for name in ("n_target", "j_count", "bon_k", "n_sel"):
@@ -68,6 +70,8 @@ class RuleParams:
             raise InputError(f"need 1 <= k <= J, got k={self.k}, J={self.j_count}")
         if self.lambda_nsel is not None and not np.isfinite(self.lambda_nsel):
             raise InputError(f"lambda_nsel must be finite, got {self.lambda_nsel}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 def _matrix(rewards: np.ndarray) -> np.ndarray:

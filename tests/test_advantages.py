@@ -356,6 +356,8 @@ class TestDispatch:
             ("k", 5, "need 1 <= k <= J, got k=5, J=4"),
             ("n_sel", 0, "n_sel must be >= 1, got 0"),
             ("lambda_nsel", float("inf"), "lambda_nsel must be finite, got inf"),
+            ("eps_sigma", float("inf"), "eps_sigma must be finite"),
+            ("seed", -1, "seed must be >= 0, got -1"),
         ],
     )
     def test_params_are_checked_before_any_rewards(self, field, value, message):

@@ -888,11 +888,13 @@ class TestConfigResolution:
             (["advantage", "--rule", "prefix-tea", "--k", "5"], "need 1 <= k <= J, got k=5, J=4"),
             (["advantage", "--rule", "chow", "--n-sel", "0"], "n_sel must be >= 1, got 0"),
             (["advantage", "--rule", "chow", "--lambda-nsel", "nan"], "lambda_nsel must be finite, got nan"),
+            (["advantage", "--eps-sigma", "inf"], "eps_sigma must be finite"),
+            (["advantage", "--rule", "chow", "--seed", "-5"], "seed must be >= 0, got -5"),
             (["advantage", "--config", "rule = foo"], f"unknown rule 'foo'; known: {', '.join(RULE_NAMES)}"),
             (["align", "--rules", "tea,foo"], f"unknown rule 'foo'; known: {', '.join(RULE_NAMES)}"),
         ],
         ids=["advantage", "predict-bon", "align", "j-count", "k-zero", "k-above-j", "n-sel", "lambda-nsel",
-             "config-rule", "align-rules"],
+             "eps-sigma-inf", "seed", "config-rule", "align-rules"],
     )
     def test_bad_rule_parameter_is_reported_once_before_any_output(self, tmp_path, capsys, argv, message):
         src = tmp_path / "scored.jsonl"
