@@ -3,13 +3,15 @@
 ``compute_rules`` evaluates a rule over a (B, m) reward matrix. Its row b must
 equal, bit for bit, ``compute_rules`` on that row alone (the case B = 1), and
 must agree to 1e-12 of the largest reference value with ``Frozen``, a copy of
-the per-group formulas the rules had before they were batched. The trainer's
-batched step is held to a frozen copy of the per-prompt training loop it
-replaced.
+the per-group formulas the rules had before they were batched. Prefix-TEA must
+equal, bit for bit, ``frozen_prefix_tea``, the batch kernel that took one sort
+per prefix. The trainer's batched step is held to a frozen copy of the
+per-prompt training loop it replaced.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,9 +21,10 @@ from hypothesis import strategies as st
 from scipy.special import softmax
 
 from bontea import DegenerateError, InputError, RuleParams, compute_rules
-from bontea.advantages import RULE_NAMES, _subset_max_weights
+from bontea.advantages import RULE_NAMES, _shaped, _subset_max_weights
 from bontea.gauss import tail_constants
 from bontea.prefixes import build_scheme
+from bontea.tailstats import tail_stats
 from bontea.trainer import (
     LOGIT_GUARD,
     ToyTask,
@@ -199,6 +202,98 @@ def test_overflow_names_the_first_bad_row():
     x = np.vstack([np.arange(8.0), [1e200 * i for i in range(1, 9)]])
     with pytest.raises(DegenerateError, match=r"tail statistics overflow: r=7e\+200"):
         compute_rules("tea", x, RuleParams())
+
+
+# --- Prefix-TEA against the kernel with one sort per prefix ----------------------
+
+
+def frozen_prefix_tea(rewards: np.ndarray, params: RuleParams, raw: bool = False) -> np.ndarray:
+    """The batch Prefix-TEA kernel as it was with one ``tail_stats`` sort per prefix."""
+    scheme = build_scheme(rewards.shape[1], params.k, params.j_count)
+    c_tilde = tail_constants(params.alpha, params.n_target).c_tilde_n
+    combined = np.zeros_like(rewards)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, rho, size in zip(scheme.weights, scheme.ratios, scheme.sizes):
+            x = rewards[:, :size]
+            r, mu, sigma = tail_stats(x, params.alpha, params.eps_sigma)
+            raw_j = np.where(x >= r, _shaped(x, r, mu, sigma, c_tilde) / params.alpha, 0.0)
+            combined[:, :size] += w * rho * (raw_j if raw else np.maximum(raw_j, 0.0))
+    if raw:
+        return combined
+    return combined - np.add.reduce(combined, axis=1, keepdims=True) / combined.shape[1]
+
+
+@st.composite
+def prefix_cases(draw):
+    """(B, m) rewards with a prefix setting: m at or just above 2J or up to 300, ties, signed zeros."""
+    j_count = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=1, max_value=j_count))
+    m = draw(st.one_of(st.integers(2 * j_count, 2 * j_count + 3), st.integers(2 * j_count, 300)))
+    rows = draw(st.integers(min_value=1, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "ties", "zeros", "wide"]))
+    if kind == "normal":
+        x = rng.standard_normal((rows, m))
+    elif kind == "ties":
+        x = rng.integers(-2, 3, (rows, m)).astype(float)
+    elif kind == "zeros":
+        x = rng.integers(-1, 2, (rows, m)).astype(float)
+        x[(x == 0) & (rng.random((rows, m)) < 0.5)] = -0.0
+    else:
+        x = rng.standard_normal((rows, m)) * 10.0 ** rng.integers(-9, 150, (rows, 1))
+    alpha = draw(st.sampled_from([0.1, 0.25, 0.4]))
+    return x, RuleParams(alpha=alpha, k=k, j_count=j_count)
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("rule, raw", [("prefix-tea", False), ("prefix-tea-raw", True)])
+@settings(max_examples=150, deadline=None)
+@given(case=prefix_cases())
+def test_prefix_rules_equal_the_per_prefix_kernel_bitwise(rule, raw, case):
+    x, params = case
+    try:
+        expected = frozen_prefix_tea(x, params, raw)
+    except (InputError, DegenerateError) as exc:
+        with pytest.raises(type(exc)) as got:
+            compute_rules(rule, x, params)
+        assert str(got.value) == str(exc)
+        return
+    assert np.array_equal(_bits(compute_rules(rule, x, params)), _bits(expected))
+
+
+@pytest.mark.parametrize("rule, raw", [("prefix-tea", False), ("prefix-tea-raw", True)])
+def test_prefix_overflow_names_the_row_the_per_prefix_kernel_names(rule, raw):
+    """Row 0 overflows only its last prefix, row 70 every prefix: the first prefix's row 70 is named."""
+    x = np.random.default_rng(5).standard_normal((80, 64))
+    x[0, 60:] = 1e200 * np.arange(1.0, 5.0)
+    x[70, :8] = 1e200 * np.arange(1.0, 9.0)
+    with pytest.raises(DegenerateError) as expected:
+        frozen_prefix_tea(x, RuleParams(), raw)
+    assert "mu=3.6000000000000004e+200" in str(expected.value)
+    with pytest.raises(DegenerateError) as got:
+        compute_rules(rule, x, RuleParams())
+    assert str(got.value) == str(expected.value)
+
+
+def test_prefix_kernel_peak_memory_on_a_lab_chunk():
+    """A (256, 4096) chunk of ``prefix-tea-raw`` peaks no higher than the per-prefix kernel.
+
+    That kernel's traced peak on this call was 50.41 MB (NumPy 2.4.6); the
+    bound rounds it up to 50.5 MB, since the peak moves by a few hundred bytes
+    with what else the interpreter allocates.
+    """
+    x = np.random.default_rng(0).standard_normal((256, 4096))
+    compute_rules("prefix-tea-raw", x, RuleParams())  # warm the caches
+    tracemalloc.start()
+    try:
+        compute_rules("prefix-tea-raw", x, RuleParams())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50_500_000
 
 
 # --- the trainer --------------------------------------------------------------
