@@ -18,6 +18,7 @@ rank-scaled CAT-BoN) share the same rewards-in, advantages-out interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Collection, Optional, Sequence
 
 import numpy as np
@@ -25,10 +26,15 @@ import numpy as np
 from .errors import DegenerateError, InputError
 from .gauss import tail_constants
 from .prefixes import build_scheme
-from .tailstats import DEFAULT_EPS_SIGMA, row_moments, tail_stats
+from .tailstats import DEFAULT_EPS_SIGMA, prefix_tail_stats, row_moments, tail_count, tail_stats
 
 #: Default denominator guard for normalized rules.
 DEFAULT_EPS_NORM = 1e-8
+
+#: Values in one block of the Prefix-TEA kernel's (J, rows, m) arrays (512 KiB
+#: of floats): a CLI run of 64 groups of 64 is one block, and a (256, 4096)
+#: lab chunk never holds all its J padded copies at once.
+_PREFIX_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -81,7 +87,7 @@ def _matrix(rewards: np.ndarray) -> np.ndarray:
         raise InputError(f"rewards must be a (B, m) array with m >= 2, got shape {rewards.shape}")
     if rewards.shape[1] < 2:
         raise InputError(f"need m >= 2 rewards, got {rewards.shape[1]}")
-    if not np.all(np.isfinite(rewards)):
+    if not np.isfinite(rewards).all():
         raise InputError("rewards must be finite")
     return rewards
 
@@ -117,19 +123,48 @@ def _tea(rewards: np.ndarray, params: RuleParams) -> np.ndarray:
     return _centered(np.maximum(_tea_raw(rewards, params), 0.0))
 
 
+@lru_cache(maxsize=256)
+def _prefix_layout(m: int, k: int, j_count: int, alpha: float):
+    """Prefix j's sizes, tail counts, columns beyond it as a (J, 1, m) mask and w_j rho_j as (J, 1, 1)."""
+    scheme = build_scheme(m, k, j_count)
+    beyond = np.arange(m) >= np.array(scheme.sizes)[:, None, None]
+    scales = np.array([w * rho for w, rho in zip(scheme.weights, scheme.ratios)])[:, None, None]
+    beyond.flags.writeable = scales.flags.writeable = False
+    return scheme.sizes, tuple(tail_count(size, alpha) for size in scheme.sizes), beyond, scales
+
+
 def _prefix_tea(rewards: np.ndarray, params: RuleParams, raw: bool = False) -> np.ndarray:
     """C_i = sum_j w_j rho_j (A_raw_{i,j})_+, centered; with ``raw``, no positive part or centring.
 
     A_raw_{i,j} applies the raw rule with prefix j's tail vector and the
-    membership indicator 1{i <= m_j}.
+    membership indicator 1{i <= m_j}. Each block of rows stacks its J
+    prefixes as rows padded with -inf, so one sort gives every prefix's top
+    slice (the same values in the same order as a sort of the prefix alone)
+    and one pass shapes them all; the J terms are summed in j order from 0,
+    as one prefix at a time would add them.
     """
-    scheme = build_scheme(rewards.shape[1], params.k, params.j_count)
+    n_rows, m = rewards.shape
+    sizes, counts, beyond, scales = _prefix_layout(m, params.k, params.j_count, params.alpha)
     c_tilde = tail_constants(params.alpha, params.n_target).c_tilde_n
-    combined = np.zeros_like(rewards)
+    combined = np.empty_like(rewards)
+    step = max(1, _PREFIX_BLOCK_VALUES // (len(sizes) * m))
     with np.errstate(over="ignore", invalid="ignore"):
-        for w, rho, size in zip(scheme.weights, scheme.ratios, scheme.sizes):
-            raw_j = _tea_raw_values(rewards[:, :size], params.alpha, params.eps_sigma, c_tilde)
-            combined[:, :size] += w * rho * (raw_j if raw else np.maximum(raw_j, 0.0))
+        for start in range(0, n_rows, step):
+            u = np.where(beyond, -np.inf, rewards[start : start + step])
+            try:
+                r, mu, sigma = prefix_tail_stats(
+                    np.sort(u, axis=2)[:, :, m - counts[-1] :], counts, params.eps_sigma
+                )
+            except DegenerateError:
+                # name the overflow that one prefix at a time over all rows meets first
+                for size in sizes:
+                    tail_stats(rewards[:, :size], params.alpha, params.eps_sigma)
+                raise
+            values = np.where(u >= r, _shaped(u, r, mu, sigma, c_tilde) / params.alpha, 0.0)
+            if not raw:
+                np.maximum(values, 0.0, out=values)
+            values *= scales
+            np.add.reduce(values, axis=0, out=combined[start : start + step], initial=0.0)
     return combined if raw else _centered(combined)
 
 

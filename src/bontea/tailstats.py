@@ -4,8 +4,9 @@ A group's tail vector eta = (r, mu, sigma) summarizes the upper-alpha slice of
 its rewards: r is the q-th largest reward with q = ceil(alpha * m), mu the mean
 of the top-q rewards, and sigma their population standard deviation clipped
 below by eps_sigma. ``tail_stats`` computes it for every row of a (B, m)
-reward matrix, one group per row, and ``slice_tail_stats`` for a top-q slice
-already taken, as the lab takes it.
+reward matrix, one group per row, ``slice_tail_stats`` for a top-q slice
+already taken, as the lab takes it, and ``prefix_tail_stats`` for the nested
+prefixes of every row at once, from one sort.
 """
 
 from __future__ import annotations
@@ -73,6 +74,19 @@ def row_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mean, dev, np.sqrt(np.add.reduce(dev * dev, axis=1, keepdims=True) / x.shape[1])
 
 
+def _clipped(r: np.ndarray, mu: np.ndarray, sd: np.ndarray, eps_sigma: float):
+    """(r, mu, sd clipped below by eps_sigma); raises ``DegenerateError`` naming the first non-finite entry."""
+    sigma = np.maximum(sd, eps_sigma)
+    # with finite rewards, an overflowing mean also makes sigma inf or nan
+    finite = np.isfinite(sigma)
+    if not finite.all():
+        b = np.unravel_index(np.argmin(finite), finite.shape)
+        raise DegenerateError(
+            f"tail statistics overflow: r={float(r[b])}, mu={float(mu[b])}, sigma={float(sigma[b])}"
+        )
+    return r, mu, sigma
+
+
 def slice_tail_stats(
     top: np.ndarray, eps_sigma: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -87,18 +101,35 @@ def slice_tail_stats(
     whose statistics are not finite raises ``DegenerateError`` naming the
     first such row's values.
     """
-    r = top[:, :1]
     mu, _, sd = row_moments(top)
-    sigma = np.maximum(sd, eps_sigma)
-    # with finite rewards, an overflowing mean also makes sigma inf or nan
-    finite = np.isfinite(sigma)
-    if not finite.all():
-        b = int(np.argmin(finite[:, 0]))
-        raise DegenerateError(
-            f"tail statistics overflow: r={float(r[b, 0])}, mu={float(mu[b, 0])},"
-            f" sigma={float(sigma[b, 0])}"
-        )
-    return r, mu, sigma
+    return _clipped(top[:, :1], mu, sd, eps_sigma)
+
+
+def prefix_tail_stats(
+    top: np.ndarray, counts: tuple[int, ...], eps_sigma: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tail vectors (r, mu, sigma) of J nested prefixes of B groups, each of shape (J, B, 1).
+
+    ``top`` is (J, B, q) with q = max(counts): row (j, b) holds the q largest
+    rewards of prefix j of group b in ascending order, as the last q columns
+    of a row sort leave them, and prefix j's top slice is its last
+    ``counts[j]`` columns. Each slice gets the bits ``slice_tail_stats``
+    gives it: the same sums over the same contiguous runs. The clip, the
+    ``np.errstate`` requirement and the error are ``slice_tail_stats``'s;
+    the error names the first non-finite (j, b), prefix by prefix.
+    """
+    q = top.shape[2]
+    n = np.array(counts, dtype=float)[:, None, None]
+    tops = [t[:, q - c :] for t, c in zip(top, counts)]
+    sums = np.empty(n.shape[:1] + top.shape[1:2] + (1,))
+    for t, out in zip(tops, sums):
+        np.add.reduce(t, axis=1, keepdims=True, out=out)
+    mu = sums / n
+    dev = top - mu
+    dev *= dev
+    for d, c, out in zip(dev, counts, sums):
+        np.add.reduce(d[:, q - c :], axis=1, keepdims=True, out=out)
+    return _clipped(np.stack([t[:, :1] for t in tops]), mu, np.sqrt(sums / n), eps_sigma)
 
 
 def tail_stats(

@@ -110,17 +110,18 @@ class TrainResult:
 
 def softmax(x: np.ndarray, axis: int | None = None) -> np.ndarray:
     """exp(x) / sum exp(x) along ``axis``, shifted by the max, as scipy.special.softmax."""
-    x_max = np.max(x, axis=axis, keepdims=True)
+    # the ufunc reductions np.max and np.sum call, without their per-call wrapping
+    x_max = np.maximum.reduce(x, axis=axis, keepdims=True)
     exp_x = np.exp(x - x_max)
-    return exp_x / np.sum(exp_x, axis=axis, keepdims=True)
+    return exp_x / np.add.reduce(exp_x, axis=axis, keepdims=True)
 
 
 def log_softmax(x: np.ndarray, axis: int | None = None) -> np.ndarray:
     """x - log sum exp(x) along ``axis``, shifted by a finite max, as scipy.special.log_softmax."""
-    x_max = np.max(x, axis=axis, keepdims=True)
+    x_max = np.maximum.reduce(x, axis=axis, keepdims=True)
     shifted = x - np.where(np.isfinite(x_max), x_max, 0.0)
     with np.errstate(divide="ignore"):
-        return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+        return shifted - np.log(np.add.reduce(np.exp(shifted), axis=axis, keepdims=True))
 
 
 def policy_logprob_grad(theta: np.ndarray, action: int) -> np.ndarray:
@@ -133,11 +134,29 @@ def policy_logprob_grad(theta: np.ndarray, action: int) -> np.ndarray:
     return grad
 
 
+def _kl_rows(thetas: np.ndarray, log_q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p = softmax, log p - log q and KL(p || q) of each row of (P, V) logits; KL has shape (P,).
+
+    ``log_q`` holds the reference's log-probabilities row by row. One
+    log-softmax serves every row, and each row's KL is its own dot product
+    p @ (log p - log q), with the bits of that product on the row alone.
+    """
+    log_p = log_softmax(thetas, axis=1)
+    p = np.exp(log_p)
+    diff = log_p - log_q
+    return p, diff, np.array([row_p @ row_diff for row_p, row_diff in zip(p, diff)])
+
+
+def _kl_grads(thetas: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    """``kl_grad`` of each row of (P, V) logits against the reference log-probabilities ``log_q``."""
+    p, diff, kl = _kl_rows(thetas, log_q)
+    return p * (diff - kl[:, None])
+
+
 def kl_value(theta: np.ndarray, theta_ref: np.ndarray) -> float:
     """KL(softmax(theta) || softmax(theta_ref)), exact."""
-    log_p = log_softmax(np.asarray(theta, dtype=float))
-    log_q = log_softmax(np.asarray(theta_ref, dtype=float))
-    return float(np.exp(log_p) @ (log_p - log_q))
+    ref = np.asarray(theta_ref, dtype=float)[None]
+    return float(_kl_rows(np.asarray(theta, dtype=float)[None], log_softmax(ref, axis=1))[2][0])
 
 
 def kl_grad(theta: np.ndarray, theta_ref: np.ndarray) -> np.ndarray:
@@ -146,11 +165,8 @@ def kl_grad(theta: np.ndarray, theta_ref: np.ndarray) -> np.ndarray:
     Componentwise p_a [ (log p_a - log q_a) - KL ]; zero at theta = theta_ref
     and orthogonal to the all-ones direction like every softmax gradient.
     """
-    log_p = log_softmax(np.asarray(theta, dtype=float))
-    log_q = log_softmax(np.asarray(theta_ref, dtype=float))
-    p = np.exp(log_p)
-    diff = log_p - log_q
-    return p * (diff - p @ diff)
+    ref = np.asarray(theta_ref, dtype=float)[None]
+    return _kl_grads(np.asarray(theta, dtype=float)[None], log_softmax(ref, axis=1))[0]
 
 
 def _draw_actions(rng: np.random.Generator, probs: np.ndarray, size: int) -> np.ndarray:
@@ -199,7 +215,8 @@ def _step_gradient(
     n, v = probs.shape
     bins = (np.arange(n)[:, None] * v + actions).ravel()
     counts = np.bincount(bins, weights=adv.ravel(), minlength=n * v).reshape(n, v)
-    return counts / config.m - adv.mean(axis=1, keepdims=True) * probs
+    # the mean's bits, without ndarray.mean's per-call wrapping
+    return counts / config.m - np.add.reduce(adv, axis=1, keepdims=True) / config.m * probs
 
 
 def train(task: ToyTask, config: TrainConfig) -> TrainResult:
@@ -213,17 +230,19 @@ def train(task: ToyTask, config: TrainConfig) -> TrainResult:
             f"p_batch={config.p_batch} exceeds the task's {task.n_prompts} prompts"
         )
     thetas = task.reference_logits.copy()
+    log_q = log_softmax(task.reference_logits, axis=1)
     root = np.random.SeedSequence(config.seed)
     train_stream, eval_stream = root.spawn(2)
     rng = np.random.default_rng(train_stream)
     eval_children = eval_stream.spawn(config.steps + 1)
+    # gamma * update / P over the whole table; rows not drawn stay 0.0, so
+    # adding it turns a -0.0 logit into +0.0 as a freshly built update would
+    step_update = np.zeros_like(thetas)
 
     def log_point(step: int) -> TrajectoryPoint:
         probs = softmax(thetas, axis=1)
         mean_reward = float((probs * task.rewards).sum(axis=1).mean())
-        kl = float(
-            np.mean([kl_value(thetas[x], task.reference_logits[x]) for x in range(task.n_prompts)])
-        )
+        kl = float(_kl_rows(thetas, log_q)[2].mean())
         curve = evaluate_policy_bon(
             task, thetas, config.eval_n, config.eval_samples, seed=eval_children[step]
         )
@@ -236,12 +255,12 @@ def train(task: ToyTask, config: TrainConfig) -> TrainResult:
         seeds = config.params.seed + step * task.n_prompts + prompts
         grads = _step_gradient(task, thetas, prompts, config, rng, seeds)
         if config.beta > 0:
-            for grad, prompt in zip(grads, prompts):
-                grad -= config.beta * kl_grad(thetas[prompt], task.reference_logits[prompt])
-        update = np.zeros_like(thetas)
-        update[prompts] = grads
-        thetas = thetas + config.gamma * update / config.p_batch
-        if not np.abs(thetas).max() <= LOGIT_GUARD:  # NaN logits fail this too
+            grads -= config.beta * _kl_grads(thetas[prompts], log_q[prompts])
+        step_update[prompts] = config.gamma * grads / config.p_batch
+        thetas += step_update
+        step_update[prompts] = 0.0
+        # NaN logits fail this too; the whole table is checked
+        if not np.maximum.reduce(np.abs(thetas), axis=None) <= LOGIT_GUARD:
             raise DegenerateError(f"training diverged at step {step}: |logit| > {LOGIT_GUARD:g}")
         if step % config.eval_every == 0 or step == config.steps:
             trajectory.append(log_point(step))

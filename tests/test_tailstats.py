@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bontea import DegenerateError, InputError, RewardGroup
-from bontea.tailstats import DEFAULT_EPS_SIGMA, slice_tail_stats, tail_count, tail_stats
+from bontea.tailstats import (
+    DEFAULT_EPS_SIGMA,
+    prefix_tail_stats,
+    slice_tail_stats,
+    tail_count,
+    tail_stats,
+)
 
 
 def group(rewards, scores=None, prompt_id="g"):
@@ -119,6 +125,41 @@ class TestPrefixTailVectors:
         for size, eta in zip(sizes, zip(r, mu, sigma)):
             direct = tail_vector(rewards[:size].copy(), 0.25)
             assert tuple(float(v[0, 0]) for v in eta) == direct
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.integers(min_value=1, max_value=6),
+        m=st.integers(min_value=4, max_value=200),
+        j_count=st.integers(min_value=1, max_value=4),
+        levels=st.sampled_from([2, 5, 0]),
+        exponent=st.sampled_from([0, 100, 200]),
+        alpha=st.sampled_from([0.05, 0.25, 0.49]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_one_sort_gives_each_prefix_its_own_bits(
+        self, rows, m, j_count, levels, exponent, alpha, seed
+    ):
+        # grid rewards tie the threshold, 1e200 rewards overflow some prefixes
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, levels, (rows, m)) if levels else rng.standard_normal((rows, m))
+        x = x * 10.0**exponent * rng.random((rows, 1))
+        sizes = np.sort(rng.choice(np.arange(2, m), size=min(j_count, m - 2) - 1, replace=False))
+        sizes = tuple(int(s) for s in sizes) + (m,)
+        counts = tuple(tail_count(size, alpha) for size in sizes)
+        padded = np.where(np.arange(m) >= np.array(sizes)[:, None, None], -np.inf, x)
+        top = np.sort(padded, axis=2)[:, :, m - counts[-1] :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                expected = [tail_stats(x[:, :size], alpha) for size in sizes]
+            except DegenerateError as exc:
+                with pytest.raises(DegenerateError) as info:
+                    prefix_tail_stats(top, counts, DEFAULT_EPS_SIGMA)
+                assert str(info.value) == str(exc)
+                return
+            got = prefix_tail_stats(top, counts, DEFAULT_EPS_SIGMA)
+        for j, eta in enumerate(expected):
+            for want, have in zip(eta, got):
+                assert np.array_equal(want.view(np.uint64), have[j].view(np.uint64))
 
 
 class TestSliceTailStats:
