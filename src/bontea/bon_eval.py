@@ -126,6 +126,10 @@ def paired_bootstrap_delta(
     one index matrix for every column (e.g. one per budget); the interval is
     the (2.5, 97.5) percentile of resampled mean differences.
     """
+    if resamples < 1:
+        raise InputError(f"resamples must be >= 1, got {resamples}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     diff = _paired(per_prompt_a, per_prompt_b, 2)
     idx = np.random.default_rng(seed).integers(0, diff.shape[1], size=(resamples, diff.shape[1]))
     # column by column: one (columns * resamples, prompts) gather would hold columns times the memory
@@ -135,6 +139,8 @@ def paired_bootstrap_delta(
 
 def win_tie_loss(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TIE_TOL) -> tuple:
     """Per-prompt win/tie/loss percentages of a versus b with a tie tolerance, per column."""
+    if not tol >= 0:  # NaN fails too: it would count every prompt a tie
+        raise InputError(f"tie_tol must be >= 0, got {tol}")
     diff = _paired(a, b, 1)
     wins, losses = (diff > tol).sum(axis=1), (diff < -tol).sum(axis=1)
     scale = 100.0 / diff.shape[1]

@@ -495,6 +495,22 @@ class TestPredictAndEval:
     def test_eval_bon_rejects_nondivisible(self, tmp_path, pools_path):
         assert main(["eval-bon", "-i", str(pools_path), "--budgets", "3"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--resamples", "0", "resamples must be >= 1, got 0"),
+            ("--seed", "-1", "seed must be >= 0, got -1"),
+            ("--tie-tol", "nan", "tie_tol must be >= 0, got nan"),
+            ("--tie-tol", "-0.5", "tie_tol must be >= 0, got -0.5"),
+        ],
+    )
+    def test_eval_bon_refuses_a_bad_bootstrap_setting(self, tmp_path, pools_path, capsys, flag, value, message):
+        out = tmp_path / "eval.json"
+        argv = ["eval-bon", "-i", str(pools_path), "--baseline", str(pools_path), "-o", str(out)]
+        assert main([*argv, flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestSynthCommand:
     def test_csv_schema_and_determinism(self, tmp_path):
