@@ -106,17 +106,17 @@ def _shaped(u, r, mu, sigma, c_tilde: float):
 # --- batch kernels: (B, m) rewards in, (B, m) advantages out -------------------
 
 
-def _tea_raw_values(rewards: np.ndarray, alpha: float, eps_sigma: float, c_tilde: float) -> np.ndarray:
-    """(1/alpha) 1{R_i >= r_hat} R_tilde(R_i) per row, at each row's own tail vector."""
-    r, mu, sigma = tail_stats(rewards, alpha, eps_sigma)
-    return np.where(rewards >= r, _shaped(rewards, r, mu, sigma, c_tilde) / alpha, 0.0)
+def _raw_rule(u, r, mu, sigma, alpha: float, c_tilde: float):
+    """(1/alpha) 1{u >= r} R_tilde(u) at tail vectors (r, mu, sigma) that broadcast against u."""
+    return np.where(u >= r, _shaped(u, r, mu, sigma, c_tilde) / alpha, 0.0)
 
 
 def _tea_raw(rewards: np.ndarray, params: RuleParams) -> np.ndarray:
     c_tilde = tail_constants(params.alpha, params.n_target).c_tilde_n
     # squares of rewards far below the tail may overflow; their entries are zero
     with np.errstate(over="ignore", invalid="ignore"):
-        return _tea_raw_values(rewards, params.alpha, params.eps_sigma, c_tilde)
+        r, mu, sigma = tail_stats(rewards, params.alpha, params.eps_sigma)
+        return _raw_rule(rewards, r, mu, sigma, params.alpha, c_tilde)
 
 
 def _tea(rewards: np.ndarray, params: RuleParams) -> np.ndarray:
@@ -160,7 +160,7 @@ def _prefix_tea(rewards: np.ndarray, params: RuleParams, raw: bool = False) -> n
                 for size in sizes:
                     tail_stats(rewards[:, :size], params.alpha, params.eps_sigma)
                 raise
-            values = np.where(u >= r, _shaped(u, r, mu, sigma, c_tilde) / params.alpha, 0.0)
+            values = _raw_rule(u, r, mu, sigma, params.alpha, c_tilde)
             if not raw:
                 np.maximum(values, 0.0, out=values)
             values *= scales
