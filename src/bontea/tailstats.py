@@ -112,8 +112,9 @@ def prefix_tail_stats(
 
     ``top`` is (J, B, q) with q = max(counts): row (j, b) holds the q largest
     rewards of prefix j of group b in ascending order, as the last q columns
-    of a row sort leave them, and prefix j's top slice is its last
-    ``counts[j]`` columns. Each slice gets the bits ``slice_tail_stats``
+    of a row sort leave them (behind -inf padding where the prefix is
+    shorter than q), and prefix j's top slice is its last ``counts[j]``
+    columns. Each slice gets the bits ``slice_tail_stats``
     gives it: the same sums over the same contiguous runs. The clip, the
     ``np.errstate`` requirement and the error are ``slice_tail_stats``'s;
     the error names the first non-finite (j, b), prefix by prefix.
@@ -121,7 +122,7 @@ def prefix_tail_stats(
     q = top.shape[2]
     n = np.array(counts, dtype=float)[:, None, None]
     tops = [t[:, q - c :] for t, c in zip(top, counts)]
-    sums = np.empty(n.shape[:1] + top.shape[1:2] + (1,))
+    sums = np.empty((len(counts), top.shape[1], 1))
     for t, out in zip(tops, sums):
         np.add.reduce(t, axis=1, keepdims=True, out=out)
     mu = sums / n
