@@ -266,10 +266,13 @@ def test_prefix_rules_equal_the_per_prefix_kernel_bitwise(rule, raw, case):
 
 @pytest.mark.parametrize("rule, raw", [("prefix-tea", False), ("prefix-tea-raw", True)])
 def test_prefix_overflow_names_the_row_the_per_prefix_kernel_names(rule, raw):
-    """Row 0 overflows only its last prefix, row 70 every prefix: the first prefix's row 70 is named."""
-    x = np.random.default_rng(5).standard_normal((80, 64))
+    """Row 0 overflows only its last prefix, row 299 every prefix: the first prefix's row 299 is named.
+
+    300 rows of 64 span more than one block of the kernel's (J, rows, m) arrays.
+    """
+    x = np.random.default_rng(5).standard_normal((300, 64))
     x[0, 60:] = 1e200 * np.arange(1.0, 5.0)
-    x[70, :8] = 1e200 * np.arange(1.0, 9.0)
+    x[299, :8] = 1e200 * np.arange(1.0, 9.0)
     with pytest.raises(DegenerateError) as expected:
         frozen_prefix_tea(x, RuleParams(), raw)
     assert "mu=3.6000000000000004e+200" in str(expected.value)
