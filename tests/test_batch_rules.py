@@ -245,10 +245,6 @@ def prefix_cases(draw):
     return x, RuleParams(alpha=alpha, k=k, j_count=j_count)
 
 
-def _bits(x: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(x).view(np.uint64)
-
-
 @pytest.mark.parametrize("rule, raw", [("prefix-tea", False), ("prefix-tea-raw", True)])
 @settings(max_examples=150, deadline=None)
 @given(case=prefix_cases())
@@ -261,7 +257,7 @@ def test_prefix_rules_equal_the_per_prefix_kernel_bitwise(rule, raw, case):
             compute_rules(rule, x, params)
         assert str(got.value) == str(exc)
         return
-    assert np.array_equal(_bits(compute_rules(rule, x, params)), _bits(expected))
+    assert np.array_equal(compute_rules(rule, x, params).view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.mark.parametrize("rule, raw", [("prefix-tea", False), ("prefix-tea-raw", True)])
