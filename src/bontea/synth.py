@@ -17,17 +17,23 @@ in closed form. A control-variate layer (prefix tail moments with exactly
 known means, coefficients fit on a pilot block and applied only beyond it)
 removes most of the remaining tail-vector noise without biasing the mean.
 
-Replications are drawn in blocks, each from its own SeedSequence child. The
-calling thread draws a block's normals in chunks of rows, in stream order, and
-a thread pool measures each chunk while the next one is drawn (NumPy releases
-the GIL in both). The prefix rule's block holds all its tail halves in the
-stream before its evaluation halves, so its measurement has two stages: each
-tail-half chunk goes to the pool as soon as it is drawn, and only its small
-per-row output (the tail vectors, controls and Rao-Blackwell term) is kept
-until the matching evaluation-half chunk is drawn; no whole block is ever
-held. Every kernel output is per row, and the chunk outputs are joined in row
-order before the block is merged, so a row's numbers depend only on its seed
-and replication count, not on the chunk size or the thread count.
+Replications are drawn in blocks, each from its own SeedSequence child. A
+block's normals are drawn in chunks of rows, in stream order; the calling
+thread draws the even blocks and a second thread the odd ones, so block i + 1
+is drawn while block i is. A thread pool measures each chunk while the next
+one is drawn (NumPy releases the GIL in both), and each block bounds its own
+chunks in flight. The prefix rule's block holds all its tail halves in
+the stream before its evaluation halves, so its measurement has two stages:
+each tail-half chunk goes to the pool as soon as it is drawn, and only its
+small per-row output (the tail vectors, controls and Rao-Blackwell term) is
+kept until the matching evaluation-half chunk is drawn; no whole block is ever
+held. The prefix kernel touches only candidate slices of a row: prefix j's
+top-q_j is found among the q_J largest of prefix j - 1 and the segment that
+extends it, and the evaluation sums run over the entries at or above the
+lowest of the row's thresholds. Every kernel output is per row, and the chunk
+outputs are joined in row order before the block is merged, so a row's
+numbers depend only on its seed and replication count, not on the chunk size,
+the thread count or which thread drew it.
 """
 
 from __future__ import annotations
@@ -161,13 +167,6 @@ def true_gradient(spec: SyntheticSpec) -> np.ndarray:
 # v = z - b over z >= b, which the quadratic R_tilde turns into exact sums.
 
 
-def _top_slice(z: np.ndarray, alpha: float) -> np.ndarray:
-    """Top-q slice of each row of z, shape (blocks, q), with the q-th largest value first."""
-    m = z.shape[1]
-    q = tail_count(m, alpha)
-    return np.partition(z, m - q, axis=1)[:, m - q :]
-
-
 def _score_sums(adv: np.ndarray, z: np.ndarray, spec: SyntheticSpec) -> np.ndarray:
     """sum_i A_i S(z_i) per row; shape (blocks, d)."""
     _, thresholds, sbar = _spec_constants(spec)
@@ -181,25 +180,52 @@ def _induced_gradient(adv: np.ndarray, z: np.ndarray, spec: SyntheticSpec) -> np
     return _score_sums(adv, z, spec) / z.shape[1]
 
 
-def _power_sums(z: np.ndarray, shift, starts=(0,), count: bool = True) -> np.ndarray:
-    """Count of z >= shift, sum v and sum v^2 for v = (z - shift)_+.
-
-    Sums are taken per row and per column segment; segments begin at
-    ``starts`` and run to the next start (the last one to the end of z). The
-    result has shape (3, blocks, len(starts)). Without ``count`` the counts
-    are left 0, which gives the same bits where they meet an R_tilde whose
-    constant term is exactly 0 (expanded around r, at shift r).
-    """
+def _power_sums(z: np.ndarray, shift) -> np.ndarray:
+    """Count of z >= shift, sum v and sum v^2 for v = (z - shift)_+; shape (3, blocks, 1)."""
     v = z - shift
     np.maximum(v, 0.0, out=v)
-    out = np.zeros((3, z.shape[0], len(starts)))
-    for k, (a, b) in enumerate(zip(starts, (*starts[1:], z.shape[1]))):
-        seg = v[:, a:b]
-        if count:
-            out[0, :, k] = np.count_nonzero(z[:, a:b] >= shift, axis=1)
-        out[1, :, k] = seg.sum(axis=1)
-        out[2, :, k] = np.einsum("ij,ij->i", seg, seg)
+    out = np.empty((3, z.shape[0], 1))
+    out[0, :, 0] = np.count_nonzero(z >= shift, axis=1)
+    out[1, :, 0] = v.sum(axis=1)
+    out[2, :, 0] = np.einsum("ij,ij->i", v, v)
     return out
+
+
+def _prefix_sums(z: np.ndarray, shifts: np.ndarray, ends: tuple[int, ...], counted) -> np.ndarray:
+    """``_power_sums`` over each prefix z[:, :ends[k]] at each row's own shifts; (3, S, K, blocks).
+
+    ``shifts`` is (S, blocks). Counts are taken only for the shifts whose
+    ``counted`` flag is set and are 0 elsewhere, as ``_tail_gradient`` allows
+    at shift r. Entries below all of their row's shifts add nothing, so each
+    row first keeps, in column order, only those at or above its lowest shift.
+    Sums run over these candidates per segment between consecutive ends, and
+    are then cumulated over the segments. Each row's sums depend only on its
+    own candidates, never on how many the other rows of z keep.
+    """
+    rows, n_seg = z.shape[0], len(ends)
+    keep = z >= shifts.min(axis=0)[:, None]
+    keep[:, ends[-1] :] = False
+    groups = np.stack(
+        [np.count_nonzero(keep[:, a:b], axis=1) for a, b in zip((0, *ends[:-1]), ends)], axis=1
+    )
+    out = np.zeros((3, len(shifts), n_seg * rows))
+    filled = groups.ravel() > 0
+    if filled.any():
+        flat = np.compress(keep.ravel(), z)
+        first = (np.cumsum(groups) - groups.ravel())[filled]
+        per_row = groups.sum(axis=1)
+        # out holds the sums of (row, segment k) at column k * rows + row
+        at = np.arange(n_seg * rows).reshape(n_seg, rows).T.ravel()[filled]
+        v = np.empty_like(flat)
+        for sums, shift, count in zip(out.transpose(1, 0, 2), shifts, counted):
+            np.subtract(flat, np.repeat(shift, per_row), out=v)
+            if count:
+                sums[0, at] = np.add.reduceat(v >= 0.0, first, dtype=np.intp)
+            np.maximum(v, 0.0, out=v)
+            sums[1, at] = np.add.reduceat(v, first)
+            v *= v
+            sums[2, at] = np.add.reduceat(v, first)
+    return np.cumsum(out.reshape(3, len(shifts), n_seg, rows), axis=2)
 
 
 def _shaped_sum(coef, sums: np.ndarray) -> np.ndarray:
@@ -208,12 +234,14 @@ def _shaped_sum(coef, sums: np.ndarray) -> np.ndarray:
     return c0 * sums[0] + c1 * sums[1] + c2 * sums[2]
 
 
-def _tail_gradient(eta, at_r: np.ndarray, at_t: np.ndarray, spec: SyntheticSpec, m: int):
-    """(1/m) sum_i (1/alpha) 1{z_i >= r} R_tilde(z_i) S(z_i) from power sums; (blocks, d).
+def _tail_gradient(eta, at_r: np.ndarray, at_t: np.ndarray, spec: SyntheticSpec, m):
+    """(1/m) sum_i (1/alpha) 1{z_i >= r} R_tilde(z_i) S(z_i) from power sums; (..., blocks, d).
 
-    ``eta`` = (r, mu, sigma). ``at_r`` holds the power sums at shift r, shape
-    (3, blocks, 1); expanded around r, R_tilde has no constant term, so ties
-    at r add nothing. ``at_t`` holds them at shift t_c, shape (3, blocks, d).
+    ``eta`` = (r, mu, sigma), each (..., blocks, 1), and m broadcasts
+    against them. ``at_r`` holds the power sums at shift r, shape
+    (3, ..., blocks, 1); expanded around r, R_tilde has no constant term, so
+    ties at r add nothing. ``at_t`` holds them at shift t_c, shape
+    (3, ..., blocks, d).
     Since 1{z >= r} 1{z >= t_c} = 1{z >= max(r, t_c)}, the upper sum comes
     from ``at_r`` where r >= t_c and from ``at_t`` elsewhere.
     """
@@ -228,11 +256,16 @@ def _tail_gradient(eta, at_r: np.ndarray, at_t: np.ndarray, spec: SyntheticSpec,
 def _tea_block(z: np.ndarray, spec: SyntheticSpec, eps_sigma: float):
     """Raw TEA per row of z: induced gradient (blocks, d), and any advantage nonzero.
 
-    Entries outside the top-q slice have zero advantage: they lie below r_hat,
-    or tie with it and get R_tilde(r_hat) = 0 exactly.
+    Partitions each row of z in place, so that its top-q slice comes last
+    with the q-th largest first. Entries outside that slice have zero
+    advantage: they lie below r_hat, or tie with it and get R_tilde(r_hat) = 0
+    exactly.
     """
     consts, _, _ = _spec_constants(spec)
-    top = _top_slice(z, spec.alpha)
+    m = z.shape[1]
+    cut = m - tail_count(m, spec.alpha)
+    z.partition(cut, axis=1)
+    top = z[:, cut:]
     adv = _shaped(top, *slice_tail_stats(top, eps_sigma), consts.c_tilde_n)
     grads = _score_sums(adv, top, spec) / (spec.alpha * z.shape[1])
     return grads, (adv != 0.0).any(axis=1)
@@ -259,6 +292,7 @@ class _PrefixCrossFit:
         self.eps_sigma = params.eps_sigma
         self.sizes = theory_prefixes(self.n, params.j_count, spec.alpha)
         self.weights = np.asarray(cancellation_weights(self.n, self.sizes, params.k))
+        self.counts = [tail_count(size, spec.alpha) for size in self.sizes]
         consts, thresholds, sbar = _spec_constants(spec)
         self.consts = consts
         # control features: prefix means of 1{z>=z_a}, z 1{z>=z_a}, z^2 1{z>=z_a}
@@ -273,20 +307,30 @@ class _PrefixCrossFit:
         (r_hat, mu, sigma), the Rao-Blackwell term H (blocks, d) and the
         controls (blocks, 3J). Sums at z_alpha are taken per segment between
         consecutive prefix ends and cumulated once, so prefix j's sums are the
-        first j segments'.
+        first j segments'. Prefix j's top q_j lies among the q_J largest of
+        prefix j - 1 and segment j, so each prefix partitions only those
+        candidates, and the top q_J it keeps are the next prefix's.
         """
-        spec, consts, sizes = self.spec, self.consts, self.sizes
+        spec, sizes, counts = self.spec, self.sizes, self.counts
         blocks = z_a.shape[0]
-        z_a = z_a[:, : sizes[-1]]
         # prefix sums of 1, z, z^2 over z >= z_alpha, from those of v = z - z_alpha
-        z_al = consts.z_alpha
-        n, v1, v2 = np.cumsum(_power_sums(z_a, z_al, starts=(0,) + sizes[:-1]), axis=2)
+        z_al = self.consts.z_alpha
+        starts = (0, *sizes[:-1])
+        segments = [_power_sums(z_a[:, a:b], z_al) for a, b in zip(starts, sizes)]
+        n, v1, v2 = np.cumsum(np.concatenate(segments, axis=2), axis=2)
         features = np.stack([n, v1 + z_al * n, v2 + z_al * (2.0 * v1 + z_al * n)], axis=2)
         features /= np.asarray(sizes, dtype=float)[:, None]
         controls = features.reshape(blocks, -1) - np.tile(self.control_means, len(sizes))
-        tails = [
-            slice_tail_stats(_top_slice(z_a[:, :size], spec.alpha), self.eps_sigma) for size in sizes
-        ]
+        tails = []
+        top = z_a[:, :0]  # no candidates before the first segment
+        for start, end, q in zip(starts, sizes, counts):
+            merged = np.concatenate([top, z_a[:, start:end]], axis=1)
+            cut = max(merged.shape[1] - counts[-1], 0)
+            merged.partition(cut, axis=1)
+            top = merged[:, cut:]  # the q_J largest so far, the q_J-th first
+            if q < top.shape[1]:
+                top.partition(top.shape[1] - q, axis=1)
+            tails.append(slice_tail_stats(top[:, top.shape[1] - q :], self.eps_sigma))
         # stacking copies r_hat out of each partition, which its slice view would keep alive
         eta = np.stack([np.stack(v)[..., 0] for v in zip(*tails)])
         h = _h_batch(*eta, spec)  # all prefixes in one call
@@ -300,24 +344,24 @@ class _PrefixCrossFit:
 
         Returns (actual, rao, controls, nonzero): the cross-fitted estimator per
         row, the tail stage's two outputs, and whether any advantage is
-        nonzero. Sums at each t_c are cumulated over prefix segments as in the
-        tail stage; those above each row's own r_hat_j take one masked pass
-        per prefix.
+        nonzero. Sums at each r_hat_j and t_c are taken per prefix segment, over
+        the entries at or above the lowest of them, and cumulated as in the
+        tail stage.
         """
         spec, sizes = self.spec, self.sizes
         _, thresholds, _ = _spec_constants(spec)
-        starts = (0,) + sizes[:-1]
-        z_b = z_b[:, : sizes[-1]]
-        at_t = np.stack(
-            [np.cumsum(_power_sums(z_b, t, starts=starts), axis=2) for t in thresholds], axis=3
-        )
+        n_pre, d = len(sizes), len(thresholds)
+        shifts = np.concatenate([eta[0], np.repeat(thresholds[:, None], z_b.shape[0], axis=1)])
+        sums = _prefix_sums(z_b, shifts, sizes, [False] * n_pre + [True] * d)
+        # prefix j's sums: (3, J, blocks, 1) at r_hat_j and (3, J, blocks, d) at the t_c
+        at_r = sums[:, range(n_pre), range(n_pre), :, None]
+        at_t = sums[:, n_pre:].transpose(0, 2, 3, 1)
+        size = np.asarray(sizes, dtype=float)[:, None, None]
+        grads = _tail_gradient(eta[..., None], at_r, at_t, spec, size)
         actual = np.zeros_like(rao)
-        nonzero = np.zeros(z_b.shape[0], dtype=bool)
-        for j, (w, size) in enumerate(zip(self.weights, sizes)):
-            eta_j = eta[:, j, :, None]
-            at_r = _power_sums(z_b[:, :size], eta_j[0], count=False)
-            nonzero |= at_r[1, :, 0] > 0  # some z > r_hat_j
-            actual += w * _tail_gradient(eta_j, at_r, at_t[:, :, j], spec, size)
+        for w, g in zip(self.weights, grads):
+            actual += w * g
+        nonzero = (at_r[1, ..., 0] > 0).any(axis=0)  # some z > r_hat_j
         return actual, rao, controls, nonzero
 
 
@@ -384,6 +428,22 @@ def _after(measure, z: np.ndarray, tail_future):
     return measure(z, *tail_future.result())
 
 
+def _submit_block(pool: ThreadPoolExecutor, measure, tail, width: int, stream, take: int):
+    """Draws one block from its stream, submitting each chunk to ``pool`` as it is drawn.
+
+    Returns the futures of ``measure``'s outputs, in row order; see
+    ``_block_outputs`` for ``tail``.
+    """
+    rng = np.random.default_rng(stream)
+    submit = _bounded_submit(pool)
+    chunks = _draw_chunks(rng, width, take, take if tail is None else BLOCK_SIZE)
+    if tail is None:
+        return [submit(measure, z) for z in chunks]
+    tails = [submit(tail, z) for z in chunks]
+    evals = _draw_chunks(rng, width, take, take)
+    return [submit(_after, measure, z, t) for z, t in zip(evals, tails)]
+
+
 def _block_outputs(measure, m: int, replications: int, seed: int, tail=None):
     """Each block's row count and ``measure``'s outputs over its rows, in block order.
 
@@ -391,23 +451,24 @@ def _block_outputs(measure, m: int, replications: int, seed: int, tail=None):
     With it a row is a tail half and an evaluation half of m/2 normals, and
     the stream holds a whole block of tail halves first: each tail-half chunk
     is measured by ``tail`` as it is drawn, and ``measure`` takes the
-    matching evaluation-half chunk followed by ``tail``'s outputs.
+    matching evaluation-half chunk followed by ``tail``'s outputs. The
+    calling thread draws the even blocks and a second thread the odd ones, so
+    block i + 1 is drawn while block i is; a one-block row uses the calling
+    thread alone.
     """
     n_blocks = (replications + BLOCK_SIZE - 1) // BLOCK_SIZE
     streams = np.random.SeedSequence(seed).spawn(n_blocks)
+    takes = [min(BLOCK_SIZE, replications - i * BLOCK_SIZE) for i in range(n_blocks)]
     width = m if tail is None else m // 2
-    with ThreadPoolExecutor(max_workers=_THREADS) as pool:
-        for i, stream in enumerate(streams):
-            take = min(BLOCK_SIZE, replications - i * BLOCK_SIZE)
-            rng = np.random.default_rng(stream)
-            submit = _bounded_submit(pool)
-            chunks = _draw_chunks(rng, width, take, take if tail is None else BLOCK_SIZE)
-            if tail is None:
-                futures = [submit(measure, z) for z in chunks]
+    with ThreadPoolExecutor(_THREADS) as pool, ThreadPoolExecutor(1) as ahead:
+        draw = partial(_submit_block, pool, measure, tail, width)
+        for i, (stream, take) in enumerate(zip(streams, takes)):
+            if i % 2 == 0:
+                if i + 1 < n_blocks:
+                    odd = ahead.submit(draw, streams[i + 1], takes[i + 1])
+                futures = draw(stream, take)
             else:
-                tails = [submit(tail, z) for z in chunks]
-                evals = _draw_chunks(rng, width, take, take)
-                futures = [submit(_after, measure, z, t) for z, t in zip(evals, tails)]
+                futures = odd.result()
             parts = [future.result() for future in futures]
             yield take, [np.concatenate(outputs) for outputs in zip(*parts)]
 
@@ -555,7 +616,11 @@ def estimator_bias_variance(
                 if n_pilot >= pilot_target:
                     ctl = np.concatenate(pilot_ctl)
                     rao_all = np.concatenate(pilot_rao)
-                    lam, *_ = np.linalg.lstsq(ctl, rao_all - rao_all.mean(axis=0), rcond=None)
+                    # least squares through the (3J, 3J) normal equations: LAPACK on the
+                    # tall pilot matrix wakes OpenBLAS's thread pool, whose idle workers
+                    # then spin for about 0.1 s of CPU taken from the draws and kernels
+                    centred = rao_all - rao_all.mean(axis=0)
+                    lam, *_ = np.linalg.lstsq(ctl.T @ ctl, ctl.T @ centred, rcond=None)
             else:
                 rao_acc.add(rao - controls @ lam if use_cv else rao)
         if rao_acc.n == 0:  # all replications consumed by the pilot

@@ -39,7 +39,7 @@ class RewardGroup:
         rewards = np.asarray(self.rewards, dtype=float)
         if rewards.ndim != 1 or rewards.size == 0:
             raise InputError(f"group {self.prompt_id!r}: rewards must be a nonempty 1-d array")
-        if not np.all(np.isfinite(rewards)):
+        if not np.isfinite(rewards).all():
             raise InputError(f"group {self.prompt_id!r}: rewards must be finite")
         object.__setattr__(self, "rewards", rewards)
         if self.scores is not None:
@@ -48,7 +48,7 @@ class RewardGroup:
                 raise InputError(
                     f"group {self.prompt_id!r}: scores must be (m, d) with m = {rewards.size}"
                 )
-            if not np.all(np.isfinite(scores)):
+            if not np.isfinite(scores).all():
                 raise InputError(f"group {self.prompt_id!r}: scores must be finite")
             object.__setattr__(self, "scores", scores)
 

@@ -177,6 +177,50 @@ class TestPrefix:
         for got, ref in zip(measure(kernel, z_a, z_b), ref_prefix(kernel, z_a, z_b)):
             assert_matches(got, ref)
 
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_sorted_rows_put_whole_segments_above_r_hat(self, descending):
+        # ascending rows put each later segment wholly in its prefix's top q_j and
+        # above r_hat_j; descending rows hold every prefix's top in the first segment
+        kernel = _PrefixCrossFit(512, SPEC, RuleParams())
+        z_a, z_b = np.sort(np.random.default_rng(7).standard_normal((2, 300, 256)), axis=2)
+        if descending:
+            z_a, z_b = z_a[..., ::-1], z_b[..., ::-1]
+        for got, ref in zip(measure(kernel, z_a, z_b), ref_prefix(kernel, z_a, z_b)):
+            assert_matches(got, ref)
+
+    def test_every_entry_a_candidate(self):
+        # evaluation rewards all above every r_hat_j and t_c: each segment keeps its whole width
+        kernel = _PrefixCrossFit(256, SPEC, RuleParams())
+        rng = np.random.default_rng(8)
+        z_a = rng.standard_normal((300, 128))
+        z_b = 2.0 + np.abs(rng.standard_normal((300, 128)))
+        for got, ref in zip(measure(kernel, z_a, z_b), ref_prefix(kernel, z_a, z_b)):
+            assert_matches(got, ref)
+
+    def test_ties_at_r_hat_across_segments_and_at_t_c(self):
+        # every segment of the evaluation half holds each r_hat_j and each t_c exactly
+        kernel = _PrefixCrossFit(256, SPEC, RuleParams())
+        rng = np.random.default_rng(9)
+        z_a = tied_normals(rng, (300, 128), 1)
+        z_b = tied_normals(rng, (300, 128), 1)
+        eta = kernel.tail(z_a)[0]
+        thresholds = _spec_constants(SPEC)[1]
+        n_pre = len(kernel.sizes)
+        for start in (0, *kernel.sizes[:-1]):
+            z_b[:, start : start + n_pre] = eta[0].T
+            z_b[:, start + n_pre : start + n_pre + len(thresholds)] = thresholds
+        for got, ref in zip(measure(kernel, z_a, z_b), ref_prefix(kernel, z_a, z_b)):
+            assert_matches(got, ref)
+
+    @pytest.mark.parametrize("thresholds", [(-0.5, 0.5, 2.0), (-6.0, 1.0)])
+    def test_thresholds_below_z_alpha(self, thresholds):
+        # the lowest t_c is under every r_hat_j; at -6 every entry is a candidate
+        spec = SyntheticSpec(score_thresholds=thresholds)
+        kernel = _PrefixCrossFit(256, spec, RuleParams())
+        z_a, z_b = tied_normals(np.random.default_rng(10), (2, 300, 128), 1)
+        for got, ref in zip(measure(kernel, z_a, z_b), ref_prefix(kernel, z_a, z_b)):
+            assert_matches(got, ref)
+
     def test_control_means_are_exact(self):
         # E[Z^p 1{Z >= z_alpha}] for p = 0, 1, 2 by quadrature
         z_alpha = _spec_constants(SPEC)[0].z_alpha

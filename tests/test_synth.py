@@ -318,6 +318,45 @@ class TestSchedule:
             assert row.variance_se == first.variance_se
             assert row.mse_at_p == first.mse_at_p
 
+    # three whole blocks and a partial one: block i + 2 is drawn once block i is
+    AHEAD_REPLICATIONS = 3 * 4096 + 1000
+
+    @pytest.mark.parametrize("rule", ["tea", "prefix-tea"])
+    def test_drawing_ahead_keeps_rows_bitwise(self, monkeypatch, rule):
+        # more measuring threads than cores, switching often, must not reorder anything
+        import sys
+
+        import bontea.synth as synth
+
+        rows = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for threads in (1, 2, 5):
+                monkeypatch.setattr(synth, "_THREADS", threads)
+                rows.append(estimator_bias_variance(rule, SPEC, 64, self.AHEAD_REPLICATIONS, seed=29))
+        finally:
+            sys.setswitchinterval(interval)
+        first = rows[0]
+        for row in rows[1:]:
+            np.testing.assert_array_equal(row.bias_vec, first.bias_vec)
+            np.testing.assert_array_equal(row.bias_se, first.bias_se)
+            assert (row.variance, row.variance_se) == (first.variance, first.variance_se)
+
+    def test_blocks_merge_in_stream_order(self):
+        # one block at a time from its own stream, as if nothing were drawn ahead
+        from bontea.synth import BLOCK_SIZE, _tea_block
+
+        reps = self.AHEAD_REPLICATIONS
+        acc = _MomentAccumulator(2)
+        for i, stream in enumerate(np.random.SeedSequence(29).spawn(4)):
+            take = min(BLOCK_SIZE, reps - i * BLOCK_SIZE)
+            z = np.random.default_rng(stream).standard_normal((take, 64))
+            acc.add(_tea_block(z, SPEC, DEFAULT_EPS_SIGMA)[0])
+        row = estimator_bias_variance("tea", SPEC, 64, reps, seed=29)
+        np.testing.assert_array_equal(row.bias_vec, acc.mean() - true_gradient(SPEC))
+        assert row.variance == float(acc.var().sum())
+
 
 class TestFrozenRows:
     """Rows pinned bit for bit, so a change to the lab's schedule or kernels cannot move them.
@@ -341,8 +380,8 @@ class TestFrozenRows:
             "0x1.ea5d426ac2dd7p-9",
         ),
         "prefix-tea": (
-            ("-0x1.4cde23ca843ffp-2", "-0x1.20240dcb6ef0ep-2"),
-            ("0x1.d1dec331d0922p-6", "0x1.8188757127fd2p-6"),
+            ("-0x1.4cde23ca84414p-2", "-0x1.20240dcb6ef0ap-2"),
+            ("0x1.d1dec331d091fp-6", "0x1.8188757127fcep-6"),
             "0x1.6559504b2b37cp+4",
             "0x1.b235d52219c68p+0",
         ),
@@ -373,6 +412,23 @@ def test_prefix_row_never_holds_a_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < synth.BLOCK_SIZE * 512 * 8
+
+
+def test_two_block_prefix_row_holds_less_than_two_halves(monkeypatch):
+    """Two blocks drawn at once, with one measuring thread, peak below two (4096, 512) halves."""
+    import tracemalloc
+
+    import bontea.synth as synth
+
+    monkeypatch.setattr(synth, "_THREADS", 1)
+    estimator_bias_variance("prefix-tea", SPEC, 64, 1000, seed=1)  # warm the caches
+    tracemalloc.start()
+    try:
+        estimator_bias_variance("prefix-tea", SPEC, 1024, 2 * synth.BLOCK_SIZE, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * synth.BLOCK_SIZE * 512 * 8
 
 
 class TestMseFrontier:
