@@ -12,6 +12,7 @@ diagnostic. The paired statistics take (prompts,) inputs, giving floats, or
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -84,7 +85,9 @@ def grouped_bon_curve(per_prompt_samples: np.ndarray, budgets: list[int] | tuple
     """Grouped best-of-N means: consecutive groups of n, maxima averaged.
 
     ``per_prompt_samples`` is (prompts, M); every budget must divide M. The
-    partition follows stored arrival order with no shuffling.
+    partition follows stored arrival order with no shuffling. A mean that
+    overflows raises ``DegenerateError``, naming the first prompt row and
+    budget, then the first budget whose mean over the prompts overflows.
     """
     samples = np.asarray(per_prompt_samples, dtype=float)
     if samples.ndim == 1:
@@ -95,10 +98,23 @@ def grouped_bon_curve(per_prompt_samples: np.ndarray, budgets: list[int] | tuple
         if n < 1 or m_total % n != 0:
             raise InputError(f"budget {n} must divide the per-prompt sample count {m_total}")
     per_prompt = np.empty((n_prompts, len(budgets)))
-    for col, n in enumerate(budgets):
-        maxima = samples.reshape(n_prompts, m_total // n, n).max(axis=2)
-        per_prompt[:, col] = maxima.mean(axis=1)
-    return BonCurve(n_values=budgets, means=per_prompt.mean(axis=0), per_prompt=per_prompt)
+    # the bits of .max and .mean, without their per-call wrapping
+    with np.errstate(over="ignore", invalid="ignore"):
+        for col, n in enumerate(budgets):
+            maxima = np.maximum.reduce(samples.reshape(n_prompts, m_total // n, n), axis=2)
+            per_prompt[:, col] = np.add.reduce(maxima, axis=1) / (m_total // n)
+        means = np.add.reduce(per_prompt, axis=0) / n_prompts
+    _check_finite(per_prompt, lambda row, col: f"best-of-{budgets[col]} mean of prompt row {row}")
+    _check_finite(means, lambda col: f"best-of-{budgets[col]} mean over the prompts")
+    return BonCurve(n_values=budgets, means=means, per_prompt=per_prompt)
+
+
+def _check_finite(values: np.ndarray, name: Callable[..., str]) -> None:
+    """Raises ``DegenerateError`` naming, by ``name(*index)``, the first non-finite entry of ``values``."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        index = np.unravel_index(np.argmin(finite), finite.shape)
+        raise DegenerateError(f"{name(*map(int, index))} overflows: {float(values[index])}")
 
 
 def _paired(a: np.ndarray, b: np.ndarray, min_prompts: int) -> np.ndarray:
@@ -124,17 +140,24 @@ def paired_bootstrap_delta(
 
     Resamples prompts with replacement (paired), keeping the a/b pairing, with
     one index matrix for every column (e.g. one per budget); the interval is
-    the (2.5, 97.5) percentile of resampled mean differences.
+    the (2.5, 97.5) percentile of resampled mean differences. A difference
+    that overflows raises ``DegenerateError`` naming its prompt row and
+    column, and so does a column whose delta or interval overflows.
     """
     if resamples < 1:
         raise InputError(f"resamples must be >= 1, got {resamples}")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
-    diff = _paired(per_prompt_a, per_prompt_b, 2)
-    idx = np.random.default_rng(seed).integers(0, diff.shape[1], size=(resamples, diff.shape[1]))
-    # column by column: one (columns * resamples, prompts) gather would hold columns times the memory
-    lo, hi = np.reshape([np.percentile(c[idx].mean(axis=1), [2.5, 97.5]) for c in diff], (-1, 2)).T
-    return _per_column(np.ndim(per_prompt_a), diff.mean(axis=1), lo, hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = _paired(per_prompt_a, per_prompt_b, 2)
+        _check_finite(diff, lambda col, row: f"paired difference of prompt row {row}, column {col}")
+        idx = np.random.default_rng(seed).integers(0, diff.shape[1], size=(resamples, diff.shape[1]))
+        # column by column: one (columns * resamples, prompts) gather would hold columns times the memory
+        lo, hi = np.reshape([np.percentile(c[idx].mean(axis=1), [2.5, 97.5]) for c in diff], (-1, 2)).T
+        delta = diff.mean(axis=1)
+    for values in (delta, lo, hi):
+        _check_finite(values, lambda col: f"paired bootstrap delta of column {col}")
+    return _per_column(np.ndim(per_prompt_a), delta, lo, hi)
 
 
 def win_tie_loss(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TIE_TOL) -> tuple:

@@ -380,11 +380,16 @@ class _Computed:
 @command("advantage", "per-group advantages as JSONL", _RULE_OPTION, *RULE_OPTIONS.values())
 def cmd_advantage(args: argparse.Namespace, config: dict[str, Any]) -> int:
     rule, params = config["rule"], _build(RuleParams, config)
-    groups = _Computed(
-        args.input,
-        lambda x, indices, _: compute_rules(rule, x, params, [params.seed + i for i in indices]).tolist(),
-        skip=(DegenerateError, InputError), allow_empty=True,
-    )
+
+    def advantages(rewards: np.ndarray, indices: tuple[int, ...], _: Any) -> list[list[float]]:
+        """The run's advantages; one finiteness check per run, so the per-group redo names the prompt."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            adv = compute_rules(rule, rewards, params, [params.seed + i for i in indices])
+        if not np.isfinite(adv).all():
+            raise DegenerateError(f"rule {rule} overflows: its advantages are not finite")
+        return adv.tolist()
+
+    groups = _Computed(args.input, advantages, skip=(DegenerateError, InputError), allow_empty=True)
     with _output(args.output) as out:
         _write_json(out, {"config": _echo(config), "rule": rule})
         for group, adv in groups:

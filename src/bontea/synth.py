@@ -56,10 +56,11 @@ from .tailstats import slice_tail_stats, tail_count
 #: and the block is the unit the moments are merged in. A block is never held
 #: whole: only its per-row outputs are.
 BLOCK_SIZE = 4096
-#: Rows per chunk: a block is drawn and measured this many rows at a time, so
-#: each kernel pass works on data that stays in cache and at most a few chunks
-#: of draws are live at once.
-_CHUNK_ROWS = 256
+#: Values per chunk (1 MiB of normals): a block is drawn and measured
+#: max(1, _CHUNK_VALUES // width) rows at a time, so each kernel pass works on
+#: data that stays in cache and at most a few chunks of draws are live at
+#: once, whatever the group size.
+_CHUNK_VALUES = 1 << 17
 #: Threads that measure chunks; the calling thread draws them.
 _THREADS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -400,8 +401,9 @@ def _draw_chunks(rng: np.random.Generator, width: int, take: int, rows: int):
     The rows past ``take`` are drawn too, so the stream moves past all
     ``rows``, but one chunk at a time and never yielded.
     """
-    for start in range(0, rows, _CHUNK_ROWS):
-        z = rng.standard_normal((min(_CHUNK_ROWS, rows - start), width))
+    step = max(1, _CHUNK_VALUES // width)
+    for start in range(0, rows, step):
+        z = rng.standard_normal((min(step, rows - start), width))
         if start < take:
             yield z[: take - start]
 

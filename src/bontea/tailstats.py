@@ -12,6 +12,7 @@ prefixes of every row at once, from one sort.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil
 
 import numpy as np
@@ -119,18 +120,27 @@ def prefix_tail_stats(
     ``np.errstate`` requirement and the error are ``slice_tail_stats``'s;
     the error names the first non-finite (j, b), prefix by prefix.
     """
-    q = top.shape[2]
-    n = np.array(counts, dtype=float)[:, None, None]
-    tops = [t[:, q - c :] for t, c in zip(top, counts)]
-    sums = np.empty((len(counts), top.shape[1], 1))
-    for t, out in zip(tops, sums):
-        np.add.reduce(t, axis=1, keepdims=True, out=out)
-    mu = sums / n
+    n, starts, prefixes, first = _prefix_counts(counts, top.shape[2])
+    sums = np.empty(top.shape[:2])
+    for j, start in enumerate(starts):
+        np.add.reduce(top[j, :, start:], axis=1, out=sums[j])
+    mu = sums[:, :, None] / n
     dev = top - mu
     dev *= dev
-    for d, c, out in zip(dev, counts, sums):
-        np.add.reduce(d[:, q - c :], axis=1, keepdims=True, out=out)
-    return _clipped(np.stack([t[:, :1] for t in tops]), mu, np.sqrt(sums / n), eps_sigma)
+    for j, start in enumerate(starts):
+        np.add.reduce(dev[j, :, start:], axis=1, out=sums[j])
+    # every prefix's r at once: entry (j, b) is top[j, b, starts[j]]
+    return _clipped(top[prefixes, :, first][:, :, None], mu, np.sqrt(sums[:, :, None] / n), eps_sigma)
+
+
+@lru_cache(maxsize=256)
+def _prefix_counts(counts: tuple[int, ...], q: int):
+    """The counts as (J, 1, 1) floats, each top slice's first column, and (0..J-1, those columns) as indices."""
+    starts = tuple(q - c for c in counts)
+    n = np.array(counts, dtype=float)[:, None, None]
+    prefixes, first = np.arange(len(counts)), np.array(starts)
+    n.flags.writeable = prefixes.flags.writeable = first.flags.writeable = False
+    return n, starts, prefixes, first
 
 
 def tail_stats(

@@ -179,7 +179,22 @@ def _draw_actions(rng: np.random.Generator, probs: np.ndarray, size: int) -> np.
     cdf = np.cumsum(probs, axis=1)
     cdf /= cdf[:, -1:]
     uniform = rng.random((probs.shape[0], size))
-    return np.stack([row.searchsorted(u, side="right") for row, u in zip(cdf, uniform)])
+    actions = np.empty(uniform.shape, dtype=np.intp)
+    for i, (row, u) in enumerate(zip(cdf, uniform)):
+        actions[i] = row.searchsorted(u, side="right")
+    return actions
+
+
+def _policy_bon(
+    task: ToyTask,
+    probs: np.ndarray,
+    n_budgets: tuple[int, ...],
+    samples_per_prompt: int,
+    seed: int | np.random.SeedSequence,
+) -> BonCurve:
+    """``evaluate_policy_bon`` of the policy whose action probabilities, row by row, are ``probs``."""
+    actions = _draw_actions(np.random.default_rng(seed), probs, samples_per_prompt)
+    return grouped_bon_curve(np.take_along_axis(task.rewards, actions, axis=1), n_budgets)
 
 
 def evaluate_policy_bon(
@@ -190,10 +205,18 @@ def evaluate_policy_bon(
     seed: int | np.random.SeedSequence = 0,
 ) -> BonCurve:
     """Monte Carlo grouped best-of-N of the policy on the task's reward table."""
-    rng = np.random.default_rng(seed)
-    thetas = np.asarray(thetas, dtype=float)
-    actions = _draw_actions(rng, softmax(thetas, axis=1), samples_per_prompt)
-    return grouped_bon_curve(np.take_along_axis(task.rewards, actions, axis=1), n_budgets)
+    probs = softmax(np.asarray(thetas, dtype=float), axis=1)
+    return _policy_bon(task, probs, n_budgets, samples_per_prompt, seed)
+
+
+def _spawned(stream: np.random.SeedSequence, index: int) -> np.random.SeedSequence:
+    """Child ``index`` of ``stream.spawn(n)``, for any n > index, on a stream that has spawned nothing.
+
+    Only that child is built, not the ``index`` before it.
+    """
+    return np.random.SeedSequence(
+        stream.entropy, spawn_key=stream.spawn_key + (index,), pool_size=stream.pool_size
+    )
 
 
 def _step_gradient(
@@ -234,7 +257,6 @@ def train(task: ToyTask, config: TrainConfig) -> TrainResult:
     root = np.random.SeedSequence(config.seed)
     train_stream, eval_stream = root.spawn(2)
     rng = np.random.default_rng(train_stream)
-    eval_children = eval_stream.spawn(config.steps + 1)
     # gamma * update / P over the whole table; rows not drawn stay 0.0, so
     # adding it turns a -0.0 logit into +0.0 as a freshly built update would
     step_update = np.zeros_like(thetas)
@@ -243,9 +265,7 @@ def train(task: ToyTask, config: TrainConfig) -> TrainResult:
         probs = softmax(thetas, axis=1)
         mean_reward = float((probs * task.rewards).sum(axis=1).mean())
         kl = float(_kl_rows(thetas, log_q)[2].mean())
-        curve = evaluate_policy_bon(
-            task, thetas, config.eval_n, config.eval_samples, seed=eval_children[step]
-        )
+        curve = _policy_bon(task, probs, config.eval_n, config.eval_samples, _spawned(eval_stream, step))
         bon = {int(n): float(v) for n, v in zip(curve.n_values, curve.means)}
         return TrajectoryPoint(step=step, kl=kl, mean_reward=mean_reward, bon=bon)
 

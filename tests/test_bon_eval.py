@@ -152,6 +152,14 @@ class TestGroupedCurve:
         with pytest.raises(InputError):
             grouped_bon_curve(np.zeros((2, 10)), (4,))
 
+    def test_overflow_names_the_first_prompt_and_budget(self):
+        samples = np.ones((3, 4))
+        samples[2] = samples[1, 2:] = 1e308
+        with pytest.raises(DegenerateError, match="^best-of-1 mean of prompt row 1 overflows: inf$"):
+            grouped_bon_curve(samples, (2, 1))
+        with pytest.raises(DegenerateError, match="^best-of-2 mean over the prompts overflows: inf$"):
+            grouped_bon_curve(np.full((3, 2), 8e307), (2,))
+
 
 class TestPairedBootstrap:
     def test_deterministic_under_seed(self):
@@ -182,6 +190,14 @@ class TestPairedBootstrap:
         for c in range(4):
             alone = paired_bootstrap_delta(a[:, c], b[:, c], resamples=200, seed=3)
             assert alone == tuple(float(v[c]) for v in columns)
+
+    def test_overflow_names_the_first_prompt_and_column(self):
+        a = np.zeros((3, 2))
+        a[2, 1] = 1e308
+        with pytest.raises(DegenerateError, match="^paired difference of prompt row 2, column 1 overflows: inf$"):
+            paired_bootstrap_delta(a, -a)
+        with pytest.raises(DegenerateError, match="^paired bootstrap delta of column 0 overflows: inf$"):
+            paired_bootstrap_delta(np.full(3, 8e307), np.full(3, -8e307))
 
     def test_rejects_mismatched_or_short_inputs(self):
         for shape_a, shape_b in [((5, 2), (5, 3)), ((1,), (1,)), ((1, 3), (1, 3)), ((2, 2, 2), (2, 2, 2))]:

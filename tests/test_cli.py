@@ -842,6 +842,55 @@ class TestHostileGroups:
         assert rows == [{"prompt_id": "two", "advantages": [0.0, 1.0]}]
 
 
+class TestFiniteOrTyped:
+    """Finite rewards give finite outputs, or exit 3 with one error line and nothing else on stderr."""
+
+    BIG = [1e308, 9e307, 8e307, 7e307, 6e307, 5e307, 4e307, 3e307]
+    OK = [0.1, 0.5, -0.3, 1.2, 0.7, -1.1, 0.0, 0.4]
+
+    @pytest.mark.parametrize("rule", RULE_NAMES)
+    @pytest.mark.parametrize("big", [BIG, [(-1) ** i * v for i, v in enumerate(BIG)]])
+    def test_advantage(self, tmp_path, rule, big):
+        src = tmp_path / "groups.jsonl"
+        write_groups(src, [{"prompt_id": "big", "rewards": big}, {"prompt_id": "ok", "rewards": self.OK}])
+        out = tmp_path / "adv.jsonl"
+        proc = run_cli("advantage", "-i", str(src), "-o", str(out), "--rule", rule, "--bon-k", "2")
+        text = out.read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        rows = [json.loads(line) for line in text.splitlines()[1:]]
+        assert rows[-1]["prompt_id"] == "ok"
+        if proc.returncode == 0:
+            assert proc.stderr == "" and len(rows) == 2
+        else:
+            assert proc.returncode == 3 and len(rows) == 1
+            [line] = proc.stderr.splitlines()
+            assert line.startswith("error: prompt big (line 1): ")
+            if rule in ("grpo", "bonmax-mean", "chow"):  # these wrote Infinity or NaN and exited 0
+                assert line.endswith(f": rule {rule} overflows: its advantages are not finite")
+
+    @pytest.mark.parametrize(
+        "groups, baseline, message",
+        [
+            ([BIG, OK], None, "best-of-1 mean of prompt row 0 overflows: inf"),
+            ([[8e307, 8e307]] * 3, None, "best-of-1 mean over the prompts overflows: inf"),
+            ([[1e308], [1.0]], [[-1e308], [0.0]], "paired difference of prompt row 0, column 0 overflows: inf"),
+            ([[8e307, 8e307]] * 2, [[-8e307, -8e307]] * 2, "paired bootstrap delta of column 0 overflows: inf"),
+        ],
+    )
+    def test_eval_bon(self, tmp_path, groups, baseline, message):
+        out = tmp_path / "eval.json"
+        argv = ["eval-bon", "-o", str(out), "--budgets", "1"]
+        for flag, pools in (("--input", groups), ("--baseline", baseline)):
+            if pools is not None:
+                path = tmp_path / f"{flag[2:]}.jsonl"
+                write_groups(path, [{"prompt_id": f"p{i}", "rewards": g} for i, g in enumerate(pools)])
+                argv += [flag, str(path)]
+        proc = run_cli(*argv)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+
 class TestConfigResolution:
     def test_flag_beats_file_beats_default(self, tmp_path, pools_path):
         cfg = tmp_path / "run.cfg"

@@ -295,7 +295,8 @@ class TestSchedule:
 
     # two whole blocks and a partial one; the prefix pilot fits on the first block
     REPLICATIONS = 2 * 4096 + 1000
-    SCHEDULES = [(threads, rows) for threads in (1, 2) for rows in (64, 256, 4096)]
+    # chunks of 64, 256 and 4096 rows at width 64
+    SCHEDULES = [(threads, rows * 64) for threads in (1, 2) for rows in (64, 256, 4096)]
 
     @pytest.mark.parametrize(
         "rule, m",
@@ -306,9 +307,9 @@ class TestSchedule:
 
         assert synth.BLOCK_SIZE == 4096 and self.REPLICATIONS % synth.BLOCK_SIZE
         rows = []
-        for threads, chunk_rows in self.SCHEDULES:
+        for threads, chunk_values in self.SCHEDULES:
             monkeypatch.setattr(synth, "_THREADS", threads)
-            monkeypatch.setattr(synth, "_CHUNK_ROWS", chunk_rows)
+            monkeypatch.setattr(synth, "_CHUNK_VALUES", chunk_values)
             rows.append(estimator_bias_variance(rule, SPEC, m, self.REPLICATIONS, seed=23))
         first = rows[0]
         for row in rows[1:]:

@@ -144,6 +144,18 @@ class TestDrawActions:
         assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
+class TestSpawned:
+    @pytest.mark.parametrize("steps", [0, 1, 12, 200])
+    def test_equals_the_spawned_children(self, steps):
+        # as train builds them: the evaluation stream is the second child of the run's root
+        stream = np.random.SeedSequence(11).spawn(2)[1]
+        children = np.random.SeedSequence(11).spawn(2)[1].spawn(steps + 1)
+        for step, child in enumerate(children):
+            got = trainer._spawned(stream, step)
+            np.testing.assert_array_equal(got.generate_state(4), child.generate_state(4))
+            assert got.spawn_key == child.spawn_key
+
+
 class TestEvaluatePolicyBon:
     def test_deterministic_policy_flat_curve(self):
         task = ToyTask.random(n_prompts=2, n_actions=4, seed=0)
@@ -364,6 +376,38 @@ class TestFrozenTrajectories:
             for p in result.trajectory
         ] == list(points)
         assert [p.step for p in result.trajectory] == [0, 4, 8, 12]
+
+    # every step logged, so the evaluation stream of every log point is pinned
+    EVERY_STEP = (
+        "0x0.0p+0 -0x1.555347fcaa68cp-3 -0x1.2d5cd8e993f6fp-3 0x1.2dac81b410458p-1",
+        "0x1.3ce172eb3d916p-11 -0x1.4bf33f70e0706p-3 -0x1.a139e654d1442p-3 0x1.052635091c08bp-1",
+        "0x1.16ff158e04958p-9 -0x1.34618d772c86cp-3 -0x1.ffe218967e8b0p-3 0x1.e460c001313d2p-2",
+        "0x1.642c68135c47bp-9 -0x1.300be9a3cd01ep-3 -0x1.5478dd20033bbp-3 0x1.ce9b3ad8a20b4p-2",
+        "0x1.6c8f3fc9f3003p-8 -0x1.2281f482f3f5ep-3 -0x1.5752f84ba30d9p-3 0x1.33daa689fb047p-1",
+        "0x1.62e4935d2c4a9p-8 -0x1.14223e7faa43dp-3 -0x1.3d987eb41fd8cp-3 0x1.54cac7f6fe921p-1",
+        "0x1.ad42e91c64856p-7 -0x1.24ba7376b5dafp-3 -0x1.057f7054af9d3p-3 0x1.294deb3b40166p-1",
+        "0x1.b1cb8778885ecp-7 -0x1.297910d776b48p-3 -0x1.9d4eca771b3d7p-3 0x1.247f12534f20ap-1",
+        "0x1.8f62bc9148fd8p-7 -0x1.1d179bb22111bp-3 -0x1.546e03e6f89f4p-3 0x1.2b54d8ed36b3ep-1",
+        "0x1.8ec802ea58bddp-7 -0x1.1d2acc5f4c430p-3 -0x1.5fa4ebf691f20p-3 0x1.07014de57086fp-1",
+        "0x1.7f5b03c3e8d42p-7 -0x1.2060e2ef0cf8ap-3 -0x1.f135193b64bdap-3 0x1.02b0d76e03d77p-1",
+        "0x1.827197c532f04p-7 -0x1.23c2c4f8d5884p-3 -0x1.4051f1089273ep-3 0x1.374c000dc352cp-1",
+        "0x1.e77b80bdf3b2ep-7 -0x1.1540853649755p-3 -0x1.c801acd9a1d3cp-3 0x1.266d7328147b0p-1",
+    )
+
+    def test_every_step_logged(self):
+        config = TrainConfig(
+            rule="prefix-tea", params=RuleParams(seed=3), m=16, p_batch=2, beta=0.05, gamma=0.5,
+            steps=12, seed=11, eval_n=(1, 4), eval_every=1, eval_samples=32,
+        )
+        result = train(self.task(), config)
+        # logging draws from its own stream, so the thetas are those of eval_every=4
+        thetas = self.CASES["prefix-tea", 0.05][0]
+        assert [" ".join(float(v).hex() for v in row) for row in result.thetas] == list(thetas)
+        assert [
+            " ".join(float(v).hex() for v in (p.kl, p.mean_reward, *p.bon.values()))
+            for p in result.trajectory
+        ] == list(self.EVERY_STEP)
+        assert [p.step for p in result.trajectory] == list(range(13))
 
 
 class TestTeaVsGrpoOrdering:
