@@ -120,7 +120,7 @@ def prefix_tail_stats(
     ``np.errstate`` requirement and the error are ``slice_tail_stats``'s;
     the error names the first non-finite (j, b), prefix by prefix.
     """
-    n, starts, prefixes, first = _prefix_counts(counts, top.shape[2])
+    n, starts, prefixes, first = _prefix_counts(tuple(counts), top.shape[2])
     sums = np.empty(top.shape[:2])
     for j, start in enumerate(starts):
         np.add.reduce(top[j, :, start:], axis=1, out=sums[j])
