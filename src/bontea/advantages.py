@@ -23,7 +23,7 @@ from typing import Callable, Collection, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateError, InputError
+from .errors import DegenerateError, InputError, check_finite
 from .gauss import tail_constants
 from .prefixes import build_scheme
 from .tailstats import DEFAULT_EPS_SIGMA, prefix_tail_stats, row_moments, tail_count, tail_stats
@@ -185,18 +185,10 @@ def _grpo_z(rewards: np.ndarray, eps_norm: float) -> np.ndarray:
 
     At ``eps_norm`` = 0 a constant row is degenerate.
     """
-    try:
-        # cheaper than a finiteness check after the fact, on a path run once per group
-        with np.errstate(over="raise", invalid="raise"):
-            _, centered, sd = row_moments(rewards)
-    except FloatingPointError:
-        # with finite rewards, an overflowing mean also makes sd inf or nan
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean, _, sd = row_moments(rewards)
-        b = int(np.argmin(np.isfinite(sd[:, 0])))
-        raise DegenerateError(
-            f"reward statistics overflow: mean={float(mean[b, 0])}, std={float(sd[b, 0])}"
-        ) from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, centered, sd = row_moments(rewards)
+    # with finite rewards, an overflowing mean also makes sd inf or nan
+    check_finite(sd, lambda *b: f"reward statistics overflow: mean={float(mean[b])}, std={float(sd[b])}")
     return _normalized(centered, sd, eps_norm, "reward std")
 
 

@@ -12,11 +12,10 @@ diagnostic. The paired statistics take (prompts,) inputs, giving floats, or
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateError, InputError
+from .errors import DegenerateError, InputError, check_finite
 
 #: Paired bootstrap defaults: percentile 95% interval from 1000 resamples.
 DEFAULT_RESAMPLES = 1000
@@ -104,17 +103,12 @@ def grouped_bon_curve(per_prompt_samples: np.ndarray, budgets: list[int] | tuple
             maxima = np.maximum.reduce(samples.reshape(n_prompts, m_total // n, n), axis=2)
             per_prompt[:, col] = np.add.reduce(maxima, axis=1) / (m_total // n)
         means = np.add.reduce(per_prompt, axis=0) / n_prompts
-    _check_finite(per_prompt, lambda row, col: f"best-of-{budgets[col]} mean of prompt row {row}")
-    _check_finite(means, lambda col: f"best-of-{budgets[col]} mean over the prompts")
+    check_finite(
+        per_prompt,
+        lambda row, col: f"best-of-{budgets[col]} mean of prompt row {row} overflows: {per_prompt[row, col]}",
+    )
+    check_finite(means, lambda col: f"best-of-{budgets[col]} mean over the prompts overflows: {means[col]}")
     return BonCurve(n_values=budgets, means=means, per_prompt=per_prompt)
-
-
-def _check_finite(values: np.ndarray, name: Callable[..., str]) -> None:
-    """Raises ``DegenerateError`` naming, by ``name(*index)``, the first non-finite entry of ``values``."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        index = np.unravel_index(np.argmin(finite), finite.shape)
-        raise DegenerateError(f"{name(*map(int, index))} overflows: {float(values[index])}")
 
 
 def _paired(a: np.ndarray, b: np.ndarray, min_prompts: int) -> np.ndarray:
@@ -150,13 +144,16 @@ def paired_bootstrap_delta(
         raise InputError(f"seed must be >= 0, got {seed}")
     with np.errstate(over="ignore", invalid="ignore"):
         diff = _paired(per_prompt_a, per_prompt_b, 2)
-        _check_finite(diff, lambda col, row: f"paired difference of prompt row {row}, column {col}")
+        check_finite(
+            diff,
+            lambda col, row: f"paired difference of prompt row {row}, column {col} overflows: {diff[col, row]}",
+        )
         idx = np.random.default_rng(seed).integers(0, diff.shape[1], size=(resamples, diff.shape[1]))
         # column by column: one (columns * resamples, prompts) gather would hold columns times the memory
         lo, hi = np.reshape([np.percentile(c[idx].mean(axis=1), [2.5, 97.5]) for c in diff], (-1, 2)).T
         delta = diff.mean(axis=1)
     for values in (delta, lo, hi):
-        _check_finite(values, lambda col: f"paired bootstrap delta of column {col}")
+        check_finite(values, lambda col: f"paired bootstrap delta of column {col} overflows: {values[col]}")
     return _per_column(np.ndim(per_prompt_a), delta, lo, hi)
 
 
@@ -175,7 +172,12 @@ def gradient_alignment(
     scores: np.ndarray,
     oracle: np.ndarray,
 ) -> float:
-    """Cosine between the induced gradients sum_i A_i s_i and sum_i A*_i s_i."""
+    """Cosine between the induced gradients sum_i A_i s_i and sum_i A*_i s_i.
+
+    A gradient that is zero, or whose norm is not finite, raises
+    ``DegenerateError``. The products behind that norm may overflow: call
+    this under ``np.errstate(over="ignore", invalid="ignore")``.
+    """
     adv = np.asarray(advantages, dtype=float)
     scores = np.asarray(scores, dtype=float)
     oracle = np.asarray(oracle, dtype=float)
@@ -183,8 +185,11 @@ def gradient_alignment(
         raise InputError("need advantages (m,), scores (m, d), oracle (m,)")
     g = scores.T @ adv
     g_star = scores.T @ oracle
-    norm = np.linalg.norm(g)
-    norm_star = np.linalg.norm(g_star)
-    if norm == 0.0 or norm_star == 0.0:
+    norms = np.array([np.linalg.norm(g), np.linalg.norm(g_star)])
+    # an entry that is not finite makes its gradient's norm inf or nan; finite norms keep every
+    # partial sum of g @ g_star below norm * norm_star (Cauchy-Schwarz), so the cosine is finite
+    whose = ("rule's", "oracle's")
+    check_finite(norms, lambda i: f"gradient alignment overflows: the {whose[i]} gradient norm is not finite")
+    if not norms.all():
         raise DegenerateError("gradient alignment undefined: an induced gradient is zero")
-    return float(g @ g_star / (norm * norm_star))
+    return float(g @ g_star / (norms[0] * norms[1]))

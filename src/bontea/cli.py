@@ -40,7 +40,7 @@ from .bon_eval import (
     paired_bootstrap_delta,
     win_tie_loss,
 )
-from .errors import DegenerateError, InputError
+from .errors import DegenerateError, InputError, check_finite
 from .gauss import DEFAULT_QQ_GRID, predict_vn, qq_tail_fits, qq_window, tail_constants
 from .prefixes import build_scheme
 from .synth import DEFAULT_P_GRID, LAB_TAGS, SyntheticSpec, estimator_bias_variance, frontier_row_seed
@@ -385,8 +385,7 @@ def cmd_advantage(args: argparse.Namespace, config: dict[str, Any]) -> int:
         """The run's advantages; one finiteness check per run, so the per-group redo names the prompt."""
         with np.errstate(over="ignore", invalid="ignore"):
             adv = compute_rules(rule, rewards, params, [params.seed + i for i in indices])
-        if not np.isfinite(adv).all():
-            raise DegenerateError(f"rule {rule} overflows: its advantages are not finite")
+        check_finite(adv, lambda *_: f"rule {rule} overflows: its advantages are not finite")
         return adv.tolist()
 
     groups = _Computed(args.input, advantages, skip=(DegenerateError, InputError), allow_empty=True)
@@ -547,15 +546,15 @@ def cmd_align(args: argparse.Namespace, config: dict[str, Any]) -> int:
         On one group this fails as a per-group loop would: a rule's degenerate
         alignment before a later rule's input error.
         """
-        oracles = []
-        for group in groups:
-            if group.scores is None:
-                raise InputError("alignment needs per-sample scores")
-            oracles.append(oracle_advantage(EmpiricalPool.from_values(group.rewards), params.n_target))
-        columns = []
-        for rule in rules:
-            adv = compute_rules(rule, rewards, params, [params.seed + i for i in indices])
-            columns.append([gradient_alignment(a, g.scores, o) for a, g, o in zip(adv, groups, oracles)])
+        oracles, columns = [], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for group in groups:
+                if group.scores is None:
+                    raise InputError("alignment needs per-sample scores")
+                oracles.append(oracle_advantage(EmpiricalPool.from_values(group.rewards), params.n_target))
+            for rule in rules:
+                adv = compute_rules(rule, rewards, params, [params.seed + i for i in indices])
+                columns.append([gradient_alignment(a, g.scores, o) for a, g, o in zip(adv, groups, oracles)])
         return list(zip(*columns))
 
     computed = _Computed(args.input, batch, skip=(DegenerateError,))

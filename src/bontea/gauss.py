@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateError, InputError
+from .errors import DegenerateError, InputError, check_finite
 
 #: Integration window for c_n; the integrand decays super-exponentially
 #: outside |z| = 12 for every n up to 1e6.
@@ -258,7 +258,6 @@ def qq_tail_fits(samples: np.ndarray, q_lo: float, q_hi: float, grid_points: int
         fit = y_mean - b * x_mean, b, 1.0 - np.add.reduce(resid * resid, axis=1) / ss_tot
     if (ss_tot == 0.0).any():
         raise DegenerateError("all quantiles in the fit window are equal; R^2 undefined")
-    if not np.isfinite(fit).all():
-        raise DegenerateError("QQ fit overflow: a, b or R^2 is not finite")
+    check_finite(fit, lambda *_: "QQ fit overflow: a, b or R^2 is not finite")
     return fit
 

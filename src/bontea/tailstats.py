@@ -17,7 +17,7 @@ from math import ceil
 
 import numpy as np
 
-from .errors import DegenerateError, InputError
+from .errors import InputError, check_finite
 
 #: Default lower clip for the tail standard deviation, in reward units.
 DEFAULT_EPS_SIGMA = 1e-6
@@ -79,12 +79,10 @@ def _clipped(r: np.ndarray, mu: np.ndarray, sd: np.ndarray, eps_sigma: float):
     """(r, mu, sd clipped below by eps_sigma); raises ``DegenerateError`` naming the first non-finite entry."""
     sigma = np.maximum(sd, eps_sigma)
     # with finite rewards, an overflowing mean also makes sigma inf or nan
-    finite = np.isfinite(sigma)
-    if not finite.all():
-        b = np.unravel_index(np.argmin(finite), finite.shape)
-        raise DegenerateError(
-            f"tail statistics overflow: r={float(r[b])}, mu={float(mu[b])}, sigma={float(sigma[b])}"
-        )
+    check_finite(
+        sigma,
+        lambda *b: f"tail statistics overflow: r={float(r[b])}, mu={float(mu[b])}, sigma={float(sigma[b])}",
+    )
     return r, mu, sigma
 
 

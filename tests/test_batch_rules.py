@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import softmax
 
@@ -50,7 +50,8 @@ class Frozen:
     @staticmethod
     def raw(x, alpha, eps_sigma, c_tilde):
         r, mu, sigma = Frozen.tail(x, alpha, eps_sigma)
-        shaped = (x - r) + c_tilde / (2.0 * sigma) * ((x - mu) ** 2 - (r - mu) ** 2)
+        # squared as arrays, as the kernel squares them: Python's float ** 2 can differ in the last bit
+        shaped = (x - r) + c_tilde / (2.0 * sigma) * (np.square(x - mu) - np.square(r - mu))
         return np.where(x >= r, shaped / alpha, 0.0)
 
     @staticmethod
@@ -157,9 +158,16 @@ def _params(rule: str, m: int, draw_k: int) -> RuleParams:
     return RuleParams()
 
 
+#: 121 tied rewards in {-7.5, -6.5, -5.5, -4.5} * 1e150. R_tilde is exactly 0 at the ties with r
+#: and negative above them, so prefix-tea is all zeros; a reference that squared r - mu as a Python
+#: float got R_tilde / alpha = 2.4e134 / 0.25 at the last prefix's 41 ties.
+TIED_AT_1E150 = (np.random.default_rng(1351).integers(0, 4, (1, 121)).astype(float) - 7.5) * 1e150
+
+
 @pytest.mark.parametrize("rule", RULE_NAMES)
 @settings(max_examples=60, deadline=None)
 @given(x=reward_batches(), draw_k=st.integers(min_value=0, max_value=1000))
+@example(x=TIED_AT_1E150, draw_k=0)
 def test_batch_equals_per_group_and_frozen_reference(rule, x, draw_k):
     params = _params(rule, x.shape[1], draw_k)
     seeds = np.arange(x.shape[0]) * 7 + 3

@@ -890,6 +890,51 @@ class TestFiniteOrTyped:
         assert proc.stderr.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("rule", RULE_NAMES)
+    @pytest.mark.parametrize("big", [BIG, [(-1) ** i * v for i, v in enumerate(BIG)]])
+    def test_align(self, tmp_path, rule, big):
+        src = tmp_path / "groups.jsonl"
+        scores = [[1.0, 0.5 * i] for i in range(len(big))]
+        write_groups(src, [{"prompt_id": "big", "rewards": big, "scores": scores}])
+        out = tmp_path / "align.csv"
+        proc = run_cli("align", "-i", str(src), "-o", str(out), "--rules", rule, "--bon-k", "2")
+        _, rows = read_csv(out)
+        assert not {"nan", "inf", "-inf"} & {cell for row in rows[1:] for cell in row[1:]}
+        if proc.returncode == 0:
+            assert proc.stderr == "" and [row[0] for row in rows[1:]] == ["big", "MEAN"]
+        else:
+            assert proc.returncode == 3 and rows[1:] == []
+            [line] = proc.stderr.splitlines()
+            assert line.startswith("error: prompt big (line 1): ")
+
+    SUBNORMAL = [5e-324, 1e-323, 2e-323, 3e-322, 4e-320, 1e-310, 2e-315, 0.0]
+
+    @pytest.mark.parametrize(
+        "argv", [("advantage", "--rule", rule, "--bon-k", "2") for rule in RULE_NAMES] + [("predict-bon",)]
+    )
+    @pytest.mark.parametrize("tiny", [SUBNORMAL, [-v for v in SUBNORMAL]])
+    def test_subnormals_give_finite_output(self, tmp_path, argv, tiny):
+        src = tmp_path / "groups.jsonl"
+        write_groups(src, [{"prompt_id": "tiny", "rewards": tiny}])
+        out = tmp_path / "out.json"
+        proc = run_cli(argv[0], "-i", str(src), "-o", str(out), *argv[1:])
+        assert proc.returncode == 0 and proc.stderr == ""
+        text = out.read_text()
+        assert "Infinity" not in text and "NaN" not in text
+
+    @pytest.mark.parametrize(
+        "rewards", [[(-1) ** i * 1e308 for i in range(24)], SUBNORMAL * 3], ids=["big", "subnormal"]
+    )
+    def test_qq_fit(self, tmp_path, rewards):
+        src = tmp_path / "groups.jsonl"
+        write_groups(src, [{"prompt_id": "p", "rewards": rewards}])
+        out = tmp_path / "qq.csv"
+        proc = run_cli("qq-fit", "-i", str(src), "-o", str(out))
+        assert proc.returncode == 3
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: prompt p (line 1): ")
+        assert read_csv(out)[1][1:] == []
+
 
 class TestConfigResolution:
     def test_flag_beats_file_beats_default(self, tmp_path, pools_path):

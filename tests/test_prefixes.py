@@ -25,6 +25,7 @@ from bontea import (
     prefixes,
     theory_prefixes,
 )
+from bontea.advantages import _prefix_layout
 
 REFERENCE_SIZES = (40, 48, 56, 64)
 REFERENCE_WEIGHTS = (-1.82946, -0.15392, 1.04289, 1.94050)
@@ -146,6 +147,7 @@ class TestBuildScheme:
 
         monkeypatch.setattr(prefixes, "cancellation_weights", counting)
         build_scheme.cache_clear()
+        _prefix_layout.cache_clear()  # an earlier m = 48 prefix-tea call would otherwise skip build_scheme
         for rewards in np.random.default_rng(4).standard_normal((1000, 48)):
             compute_rules("prefix-tea", rewards[None, :], RuleParams())
         assert len(calls) == 1
