@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateError, InputError, check_finite
+from .errors import DegenerateError, InputError, PromptRowError, check_finite
 
 #: Paired bootstrap defaults: percentile 95% interval from 1000 resamples.
 DEFAULT_RESAMPLES = 1000
@@ -85,8 +85,9 @@ def grouped_bon_curve(per_prompt_samples: np.ndarray, budgets: list[int] | tuple
 
     ``per_prompt_samples`` is (prompts, M); every budget must divide M. The
     partition follows stored arrival order with no shuffling. A mean that
-    overflows raises ``DegenerateError``, naming the first prompt row and
-    budget, then the first budget whose mean over the prompts overflows.
+    overflows raises ``PromptRowError``, naming the first prompt row and
+    budget, then ``DegenerateError`` for the first budget whose mean over the
+    prompts overflows.
     """
     samples = np.asarray(per_prompt_samples, dtype=float)
     if samples.ndim == 1:
@@ -103,10 +104,12 @@ def grouped_bon_curve(per_prompt_samples: np.ndarray, budgets: list[int] | tuple
             maxima = np.maximum.reduce(samples.reshape(n_prompts, m_total // n, n), axis=2)
             per_prompt[:, col] = np.add.reduce(maxima, axis=1) / (m_total // n)
         means = np.add.reduce(per_prompt, axis=0) / n_prompts
-    check_finite(
-        per_prompt,
-        lambda row, col: f"best-of-{budgets[col]} mean of prompt row {row} overflows: {per_prompt[row, col]}",
-    )
+
+    def row_error(row: int, col: int) -> PromptRowError:
+        what, value = f"best-of-{budgets[col]} mean", per_prompt[row, col]
+        return PromptRowError(f"{what} of prompt row {row} overflows: {value}", row, f"{what} overflows: {value}")
+
+    check_finite(per_prompt, row_error)
     check_finite(means, lambda col: f"best-of-{budgets[col]} mean over the prompts overflows: {means[col]}")
     return BonCurve(n_values=budgets, means=means, per_prompt=per_prompt)
 
@@ -135,8 +138,9 @@ def paired_bootstrap_delta(
     Resamples prompts with replacement (paired), keeping the a/b pairing, with
     one index matrix for every column (e.g. one per budget); the interval is
     the (2.5, 97.5) percentile of resampled mean differences. A difference
-    that overflows raises ``DegenerateError`` naming its prompt row and
-    column, and so does a column whose delta or interval overflows.
+    that overflows raises ``PromptRowError`` naming its prompt row and
+    column, and a column whose delta or interval overflows raises
+    ``DegenerateError``.
     """
     if resamples < 1:
         raise InputError(f"resamples must be >= 1, got {resamples}")
@@ -146,7 +150,11 @@ def paired_bootstrap_delta(
         diff = _paired(per_prompt_a, per_prompt_b, 2)
         check_finite(
             diff,
-            lambda col, row: f"paired difference of prompt row {row}, column {col} overflows: {diff[col, row]}",
+            lambda col, row: PromptRowError(
+                f"paired difference of prompt row {row}, column {col} overflows: {diff[col, row]}",
+                row,
+                f"paired difference of column {col} overflows: {diff[col, row]}",
+            ),
         )
         idx = np.random.default_rng(seed).integers(0, diff.shape[1], size=(resamples, diff.shape[1]))
         # column by column: one (columns * resamples, prompts) gather would hold columns times the memory

@@ -40,7 +40,7 @@ from .bon_eval import (
     paired_bootstrap_delta,
     win_tie_loss,
 )
-from .errors import DegenerateError, InputError, check_finite
+from .errors import DegenerateError, InputError, PromptRowError, check_finite
 from .gauss import DEFAULT_QQ_GRID, predict_vn, qq_tail_fits, qq_window, tail_constants
 from .prefixes import build_scheme
 from .synth import DEFAULT_P_GRID, LAB_TAGS, SyntheticSpec, estimator_bias_variance, frontier_row_seed
@@ -449,11 +449,11 @@ def _curve_payload(curve) -> dict[str, Any]:
 )
 def cmd_eval_bon(args: argparse.Namespace, config: dict[str, Any]) -> int:
     budgets = config["budgets"]
-    ids, pools = _pools(args.input)
-    curve = grouped_bon_curve(pools, budgets)
+    ids, lines, pools = _pools(args.input)
+    curve = _naming_rows(ids, lines, grouped_bon_curve, pools, budgets)
     payload: dict[str, Any] = {"budgets": budgets, "curve": _curve_payload(curve)}
     if args.baseline is not None:
-        base_ids, base_pools = _pools(args.baseline)
+        base_ids, base_lines, base_pools = _pools(args.baseline)
         if len(base_ids) != len(ids):
             raise InputError(
                 f"baseline has {len(base_ids)} groups, input has {len(ids)};"
@@ -466,10 +466,10 @@ def cmd_eval_bon(args: argparse.Namespace, config: dict[str, Any]) -> int:
                     f" {position} is {prompt_id!r}; paired evaluation needs the same"
                     " prompts in the same order"
                 )
-        base_curve = grouped_bon_curve(base_pools, budgets)
+        base_curve = _naming_rows(base_ids, base_lines, grouped_bon_curve, base_pools, budgets)
         payload["baseline_curve"] = _curve_payload(base_curve)
         a, b = curve.per_prompt, base_curve.per_prompt
-        deltas = paired_bootstrap_delta(a, b, config["resamples"], config["seed"])
+        deltas = _naming_rows(ids, lines, paired_bootstrap_delta, a, b, config["resamples"], config["seed"])
         for key, names, columns in (
             ("deltas", ("delta", "ci_lo", "ci_hi"), deltas),
             ("win_tie_loss", ("win", "tie", "loss"), win_tie_loss(a, b, config["tie_tol"])),
@@ -480,13 +480,24 @@ def cmd_eval_bon(args: argparse.Namespace, config: dict[str, Any]) -> int:
     return 0
 
 
-def _pools(path: str) -> tuple[list[str], np.ndarray]:
-    """Prompt ids and the (prompts, M) reward matrix of a file of equal-size groups."""
-    rows = list(_Computed(path, lambda rewards, *_: rewards))
-    sizes = sorted({row.size for _, row in rows})
+def _pools(path: str) -> tuple[list[str], list[int], np.ndarray]:
+    """Prompt ids, lines and the (prompts, M) reward matrix of a file of equal-size groups."""
+    records = list(read_reward_groups(path))
+    if not records:
+        raise InputError(f"{path}: no reward groups")
+    lines, groups = zip(*records)
+    sizes = sorted({len(group) for group in groups})
     if len(sizes) != 1:
         raise InputError(f"{path}: grouped evaluation needs equal-length reward rows, got {sizes}")
-    return [group.prompt_id for group, _ in rows], np.stack([row for _, row in rows])
+    return [group.prompt_id for group in groups], list(lines), np.stack([group.rewards for group in groups])
+
+
+def _naming_rows(ids: list[str], lines: list[int], call: Callable[..., Any], *args: Any) -> Any:
+    """``call(*args)``, with a failing prompt row named by its prompt and line, as the group commands do."""
+    try:
+        return call(*args)
+    except PromptRowError as exc:
+        raise DegenerateError(f"prompt {ids[exc.row]} (line {lines[exc.row]}): {exc.detail}") from exc
 
 
 @command(

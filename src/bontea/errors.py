@@ -23,8 +23,24 @@ class DegenerateError(ValueError):
     """Computation is degenerate for this data (valid call, no usable result)."""
 
 
-def check_finite(values: np.ndarray, describe: Callable[..., str]) -> None:
-    """Raise ``DegenerateError(describe(*index))`` at the first non-finite entry of ``values`` in C order."""
+class PromptRowError(DegenerateError):
+    """A ``DegenerateError`` of one prompt row of a matrix.
+
+    ``row`` is the row's index and ``detail`` says what failed without naming
+    the row, so a caller that knows the row's prompt can name it instead.
+    """
+
+    def __init__(self, message: str, row: int, detail: str):
+        super().__init__(message)
+        self.row, self.detail = row, detail
+
+
+def check_finite(values: np.ndarray, describe: Callable[..., str | DegenerateError]) -> None:
+    """Raise at the first non-finite entry of ``values`` in C order, naming it by its index.
+
+    ``describe(*index)`` gives the error, or its message for a ``DegenerateError``.
+    """
     finite = np.isfinite(values)
     if not finite.all():
-        raise DegenerateError(describe(*map(int, np.unravel_index(np.argmin(finite), finite.shape))))
+        found = describe(*map(int, np.unravel_index(np.argmin(finite), finite.shape)))
+        raise found if isinstance(found, DegenerateError) else DegenerateError(found)

@@ -242,7 +242,9 @@ def qq_tail_fits(samples: np.ndarray, q_lo: float, q_hi: float, grid_points: int
     means, each sum along a row of a C-contiguous (B, grid) matrix, so a row
     has the same bits at any B. Quantiles interpolate linearly between order
     statistics (numpy's default, type 7). A row whose window quantiles are all
-    equal (R^2 undefined) or whose fit is not finite raises ``DegenerateError``.
+    equal, or differ by so little that the sum of their squared deviations
+    underflows to 0 (R^2 undefined either way, each with its own message), or
+    whose fit is not finite raises ``DegenerateError``.
     """
     if samples.shape[1] < 20:
         raise InputError(f"need at least 20 samples, got {samples.shape[1]}")
@@ -256,8 +258,13 @@ def qq_tail_fits(samples: np.ndarray, q_lo: float, q_hi: float, grid_points: int
         b = np.add.reduce(yc * xc, axis=1) / np.add.reduce(xc * xc)
         resid, ss_tot = yc - b[:, None] * xc, np.add.reduce(yc * yc, axis=1)
         fit = y_mean - b * x_mean, b, 1.0 - np.add.reduce(resid * resid, axis=1) / ss_tot
-    if (ss_tot == 0.0).any():
-        raise DegenerateError("all quantiles in the fit window are equal; R^2 undefined")
+    undefined = np.flatnonzero(ss_tot == 0.0)
+    if undefined.size:
+        if (y[undefined[0]] == y[undefined[0], 0]).all():
+            raise DegenerateError("all quantiles in the fit window are equal; R^2 undefined")
+        raise DegenerateError(
+            "the quantiles in the fit window differ, but their spread underflows to 0; R^2 undefined"
+        )
     check_finite(fit, lambda *_: "QQ fit overflow: a, b or R^2 is not finite")
     return fit
 

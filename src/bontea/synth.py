@@ -22,18 +22,27 @@ block's normals are drawn in chunks of rows, in stream order; the calling
 thread draws the even blocks and a second thread the odd ones, so block i + 1
 is drawn while block i is. A thread pool measures each chunk while the next
 one is drawn (NumPy releases the GIL in both), and each block bounds its own
-chunks in flight. The prefix rule's block holds all its tail halves in
-the stream before its evaluation halves, so its measurement has two stages:
-each tail-half chunk goes to the pool as soon as it is drawn, and only its
-small per-row output (the tail vectors, controls and Rao-Blackwell term) is
-kept until the matching evaluation-half chunk is drawn; no whole block is ever
-held. The prefix kernel touches only candidate slices of a row: prefix j's
-top-q_j is found among the q_J largest of prefix j - 1 and the segment that
-extends it, and the evaluation sums run over the entries at or above the
-lowest of the row's thresholds. Every kernel output is per row, and the chunk
-outputs are joined in row order before the block is merged, so a row's
-numbers depend only on its seed and replication count, not on the chunk size,
-the thread count or which thread drew it.
+chunks in flight. A one-block row has one drawing thread, which bounds its
+time, so it keeps a core to itself and the pool gets the other cores, at
+least one; beside two drawing threads the pool has a thread per core. The
+prefix rule's block holds all its tail halves in the stream before its
+evaluation halves, so its measurement has two stages: each tail-half chunk
+goes to the pool as soon as it is drawn, and only its small per-row output
+(the tail vectors, controls and Rao-Blackwell term) is kept until the
+matching evaluation-half chunk is drawn; no whole block is ever held.
+
+The prefix kernel touches only candidate slices of a row. Prefix j's top-q_j
+lies among the q_J largest of prefix j - 1 and the segment that extends it,
+so each prefix sorts only that window of a copy of the row, and the control
+sums at z_alpha run over prefix 1's q_J largest and the later segments. The
+evaluation gathers, once per chunk, the entries at or above the lowest of a
+row's thresholds, and sums them per row at each r_hat_j and per row and
+segment at each t_c, with one reduction per power for all rows. Small
+per-row arithmetic keeps the thresholds on the leading axis, so its loops
+run over rows. Every kernel output is per row, and the chunk outputs are
+joined in row order before the block is merged, so a row's numbers depend
+only on its seed and replication count, not on the chunk size, the thread
+count or which thread drew it.
 """
 
 from __future__ import annotations
@@ -61,8 +70,10 @@ BLOCK_SIZE = 4096
 #: data that stays in cache and at most a few chunks of draws are live at
 #: once, whatever the group size.
 _CHUNK_VALUES = 1 << 17
-#: Threads that measure chunks; the calling thread draws them.
-_THREADS = (
+#: Cores the lab's threads share: one or two threads draw, and a pool with a
+#: thread per core measures what they draw, but for a one-block row, whose
+#: drawing thread keeps a core to itself (see ``_block_outputs``).
+_CORES = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
 #: Pilot replications used to fit control-variate coefficients.
@@ -131,6 +142,9 @@ def _h_batch(r: np.ndarray, mu: np.ndarray, sigma: np.ndarray, spec: SyntheticSp
     R_tilde phi from b to infinity,
 
         H_c = (1/alpha) [T(max(r, t_c)) - sbar_c T(r)].
+
+    The result is a view of a (d, ...) array: with the thresholds leading,
+    each elementwise loop runs over the tail vectors, not over the d of one.
     """
     consts, thresholds, sbar = _spec_constants(spec)
     r = np.asarray(r, dtype=float)
@@ -141,11 +155,10 @@ def _h_batch(r: np.ndarray, mu: np.ndarray, sigma: np.ndarray, spec: SyntheticSp
     dens = norm_pdf(r)
     t_r = a0 * surv + a1 * dens + a2 * (surv + r * dens)
     # T(max(r, t_c)) is T(r) where r >= t_c and T(t_c) elsewhere, with 1 - Phi(t_c) = sbar_c
-    a0, a1, a2 = a0[..., None], a1[..., None], a2[..., None]
-    dens_t = norm_pdf(thresholds)
-    t_t = a0 * sbar + a1 * dens_t + a2 * (sbar + thresholds * dens_t)
-    t_upper = np.where(r[..., None] >= thresholds, t_r[..., None], t_t)
-    return (t_upper - sbar * t_r[..., None]) / spec.alpha
+    t, sbar, dens_t = (x.reshape(-1, *(1,) * r.ndim) for x in (thresholds, sbar, norm_pdf(thresholds)))
+    t_t = a0 * sbar + a1 * dens_t + a2 * (sbar + t * dens_t)
+    t_upper = np.where(r >= t, t_r, t_t)
+    return np.moveaxis((t_upper - sbar * t_r) / spec.alpha, 0, -1)
 
 
 @lru_cache(maxsize=None)
@@ -182,51 +195,40 @@ def _induced_gradient(adv: np.ndarray, z: np.ndarray, spec: SyntheticSpec) -> np
 
 
 def _power_sums(z: np.ndarray, shift) -> np.ndarray:
-    """Count of z >= shift, sum v and sum v^2 for v = (z - shift)_+; shape (3, blocks, 1)."""
+    """Count of z >= shift, sum v and sum v^2 for v = (z - shift)_+; shape (3, blocks)."""
     v = z - shift
     np.maximum(v, 0.0, out=v)
-    out = np.empty((3, z.shape[0], 1))
-    out[0, :, 0] = np.count_nonzero(z >= shift, axis=1)
-    out[1, :, 0] = v.sum(axis=1)
-    out[2, :, 0] = np.einsum("ij,ij->i", v, v)
+    out = np.empty((3, z.shape[0]))
+    out[0] = np.count_nonzero(z >= shift, axis=1)
+    out[1] = v.sum(axis=1)
+    out[2] = np.einsum("ij,ij->i", v, v)
     return out
 
 
-def _prefix_sums(z: np.ndarray, shifts: np.ndarray, ends: tuple[int, ...], counted) -> np.ndarray:
-    """``_power_sums`` over each prefix z[:, :ends[k]] at each row's own shifts; (3, S, K, blocks).
+def _cumulate(a: np.ndarray) -> np.ndarray:
+    """Running sums of a over its axis 1, in place: np.cumsum's bits, one whole-slice add per step."""
+    for k in range(1, a.shape[1]):
+        a[:, k] += a[:, k - 1]
+    return a
 
-    ``shifts`` is (S, blocks). Counts are taken only for the shifts whose
-    ``counted`` flag is set and are 0 elsewhere, as ``_tail_gradient`` allows
-    at shift r. Entries below all of their row's shifts add nothing, so each
-    row first keeps, in column order, only those at or above its lowest shift.
-    Sums run over these candidates per segment between consecutive ends, and
-    are then cumulated over the segments. Each row's sums depend only on its
-    own candidates, never on how many the other rows of z keep.
+
+def _run_sums(v: np.ndarray, starts, x=None, shift=None) -> np.ndarray:
+    """Count of v >= 0, sum of v_+ and sum of v_+^2 over runs of v's last axis; overwrites v.
+
+    v is x - shift. The runs start at ``starts`` (increasing, each below
+    v.shape[-1]) and end where the next begins; shape
+    (3, *v.shape[:-1], len(starts)). The count is taken only when x and shift
+    are given, as x >= shift, and is 0 otherwise. Each run is summed in column
+    order, so its sums depend on its entries alone.
     """
-    rows, n_seg = z.shape[0], len(ends)
-    keep = z >= shifts.min(axis=0)[:, None]
-    keep[:, ends[-1] :] = False
-    groups = np.stack(
-        [np.count_nonzero(keep[:, a:b], axis=1) for a, b in zip((0, *ends[:-1]), ends)], axis=1
-    )
-    out = np.zeros((3, len(shifts), n_seg * rows))
-    filled = groups.ravel() > 0
-    if filled.any():
-        flat = np.compress(keep.ravel(), z)
-        first = (np.cumsum(groups) - groups.ravel())[filled]
-        per_row = groups.sum(axis=1)
-        # out holds the sums of (row, segment k) at column k * rows + row
-        at = np.arange(n_seg * rows).reshape(n_seg, rows).T.ravel()[filled]
-        v = np.empty_like(flat)
-        for sums, shift, count in zip(out.transpose(1, 0, 2), shifts, counted):
-            np.subtract(flat, np.repeat(shift, per_row), out=v)
-            if count:
-                sums[0, at] = np.add.reduceat(v >= 0.0, first, dtype=np.intp)
-            np.maximum(v, 0.0, out=v)
-            sums[1, at] = np.add.reduceat(v, first)
-            v *= v
-            sums[2, at] = np.add.reduceat(v, first)
-    return np.cumsum(out.reshape(3, len(shifts), n_seg, rows), axis=2)
+    out = np.zeros((3, *v.shape[:-1], len(starts)))
+    np.maximum(v, 0.0, out=v)
+    out[1] = np.add.reduceat(v, starts, axis=-1)
+    v *= v
+    out[2] = np.add.reduceat(v, starts, axis=-1)
+    if x is not None:
+        out[0] = np.add.reduceat(x >= shift, starts, axis=-1, dtype=np.uint32)
+    return out
 
 
 def _shaped_sum(coef, sums: np.ndarray) -> np.ndarray:
@@ -236,21 +238,22 @@ def _shaped_sum(coef, sums: np.ndarray) -> np.ndarray:
 
 
 def _tail_gradient(eta, at_r: np.ndarray, at_t: np.ndarray, spec: SyntheticSpec, m):
-    """(1/m) sum_i (1/alpha) 1{z_i >= r} R_tilde(z_i) S(z_i) from power sums; (..., blocks, d).
+    """(1/m) sum_i (1/alpha) 1{z_i >= r} R_tilde(z_i) S(z_i) from power sums; (d, ..., blocks).
 
-    ``eta`` = (r, mu, sigma), each (..., blocks, 1), and m broadcasts
-    against them. ``at_r`` holds the power sums at shift r, shape
-    (3, ..., blocks, 1); expanded around r, R_tilde has no constant term, so
+    ``eta`` = (r, mu, sigma), each (..., blocks) or a scalar, and m
+    broadcasts against them. ``at_r`` holds the power sums at shift r, shape
+    (3, ..., blocks); expanded around r, R_tilde has no constant term, so
     ties at r add nothing. ``at_t`` holds them at shift t_c, shape
-    (3, ..., blocks, d).
+    (3, d, ..., blocks): the thresholds lead, so each loop runs over blocks.
     Since 1{z >= r} 1{z >= t_c} = 1{z >= max(r, t_c)}, the upper sum comes
     from ``at_r`` where r >= t_c and from ``at_t`` elsewhere.
     """
     consts, thresholds, sbar = _spec_constants(spec)
     r = eta[0]
+    t, sbar = (x.reshape(-1, *(1,) * (at_r.ndim - 1)) for x in (thresholds, sbar))
     total = _shaped_sum(_shaped_coefficients(*eta, consts.c_tilde_n, r), at_r)
-    above_t = _shaped_sum(_shaped_coefficients(*eta, consts.c_tilde_n, thresholds), at_t)
-    upper = np.where(r >= thresholds, total, above_t)
+    above_t = _shaped_sum(_shaped_coefficients(*eta, consts.c_tilde_n, t), at_t)
+    upper = np.where(r >= t, total, above_t)
     return (upper - sbar * total) / (spec.alpha * m)
 
 
@@ -278,8 +281,9 @@ def _oracle_block(z: np.ndarray, spec: SyntheticSpec):
     r = consts.z_alpha
     eta = (r, consts.lambda_alpha, np.sqrt(consts.delta_alpha))
     at_r = _power_sums(z, r)
-    at_t = np.concatenate([_power_sums(z, t) for t in thresholds], axis=2)
-    return _tail_gradient(eta, at_r, at_t, spec, z.shape[1]), at_r[1, :, 0] > 0
+    at_t = np.stack([_power_sums(z, t) for t in thresholds], axis=1)
+    grads = _tail_gradient(eta, at_r, at_t, spec, z.shape[1])
+    return np.ascontiguousarray(grads.T), at_r[1] > 0
 
 
 class _PrefixCrossFit:
@@ -294,6 +298,14 @@ class _PrefixCrossFit:
         self.sizes = theory_prefixes(self.n, params.j_count, spec.alpha)
         self.weights = np.asarray(cancellation_weights(self.n, self.sizes, params.k))
         self.counts = [tail_count(size, spec.alpha) for size in self.sizes]
+        # each prefix hands its q_J largest (all of it when shorter) on to the next
+        self.kept = [min(self.counts[-1], size) for size in self.sizes]
+        self.starts = (0, *self.sizes[:-1])
+        self.size = np.asarray(self.sizes, dtype=float)[:, None]
+        # the control runs: prefix 1's kept entries, then segments 2..J
+        self.control_starts = (0, *(self.kept[0] + a - self.sizes[0] for a in self.sizes[:-1]))
+        # (j, ., g) is true where segment g lies in prefix j
+        self.in_prefix = np.tri(len(self.sizes), dtype=bool)[:, None, :]
         consts, thresholds, sbar = _spec_constants(spec)
         self.consts = consts
         # control features: prefix means of 1{z>=z_a}, z 1{z>=z_a}, z^2 1{z>=z_a}
@@ -306,64 +318,89 @@ class _PrefixCrossFit:
 
         Returns the per-prefix tail vectors as one (3, J, blocks) array of
         (r_hat, mu, sigma), the Rao-Blackwell term H (blocks, d) and the
-        controls (blocks, 3J). Sums at z_alpha are taken per segment between
-        consecutive prefix ends and cumulated once, so prefix j's sums are the
-        first j segments'. Prefix j's top q_j lies among the q_J largest of
-        prefix j - 1 and segment j, so each prefix partitions only those
-        candidates, and the top q_J it keeps are the next prefix's.
+        controls (blocks, 3J). Prefix j's top q_j lies among the q_J largest
+        of prefix j - 1 and segment j, which a copy of the rows holds side by
+        side: each prefix sorts that window in place, which leaves its q_J
+        largest, ascending, at the window's end, next to segment j + 1. Sums
+        at z_alpha are taken per segment and cumulated, so prefix j's sums
+        are the first j segments'; segment 1's run over prefix 1's q_J
+        largest, which hold all its entries >= z_alpha unless the q_J-th
+        largest is one of them, and only such rows sum the whole segment.
         """
         spec, sizes, counts = self.spec, self.sizes, self.counts
-        blocks = z_a.shape[0]
-        # prefix sums of 1, z, z^2 over z >= z_alpha, from those of v = z - z_alpha
+        rows = z_a.shape[0]
         z_al = self.consts.z_alpha
-        starts = (0, *sizes[:-1])
-        segments = [_power_sums(z_a[:, a:b], z_al) for a, b in zip(starts, sizes)]
-        n, v1, v2 = np.cumsum(np.concatenate(segments, axis=2), axis=2)
-        features = np.stack([n, v1 + z_al * n, v2 + z_al * (2.0 * v1 + z_al * n)], axis=2)
-        features /= np.asarray(sizes, dtype=float)[:, None]
-        controls = features.reshape(blocks, -1) - np.tile(self.control_means, len(sizes))
-        tails = []
-        top = z_a[:, :0]  # no candidates before the first segment
-        for start, end, q in zip(starts, sizes, counts):
-            merged = np.concatenate([top, z_a[:, start:end]], axis=1)
-            cut = max(merged.shape[1] - counts[-1], 0)
-            merged.partition(cut, axis=1)
-            top = merged[:, cut:]  # the q_J largest so far, the q_J-th first
-            if q < top.shape[1]:
-                top.partition(top.shape[1] - q, axis=1)
-            tails.append(slice_tail_stats(top[:, top.shape[1] - q :], self.eps_sigma))
-        # stacking copies r_hat out of each partition, which its slice view would keep alive
-        eta = np.stack([np.stack(v)[..., 0] for v in zip(*tails)])
-        h = _h_batch(*eta, spec)  # all prefixes in one call
-        rao = np.zeros((blocks, len(spec.score_thresholds)))
-        for w, h_j in zip(self.weights, h):
+        z = z_a[:, : sizes[-1]].copy()
+        eta = np.empty((3, len(sizes), rows))
+        start = 0
+        for j, (end, keep, count) in enumerate(zip(sizes, self.kept, counts)):
+            z[:, start:end].sort(axis=1)
+            start = end - keep  # z[:, start:end] holds prefix j's kept entries, ascending
+            if j == 0:
+                x = z[:, start:]
+                segments = _run_sums(x - z_al, self.control_starts, x, z_al)
+                spill = np.flatnonzero(z[:, start] >= z_al)
+                if spill.size:
+                    x = z[spill, :end]
+                    segments[:, spill, :1] = _run_sums(x - z_al, (0,), x, z_al)
+            # copied out at once: the next window's sort overwrites the slice
+            eta[:, j] = [s[:, 0] for s in slice_tail_stats(z[:, end - count : end], self.eps_sigma)]
+        # prefix sums of 1, z, z^2 over z >= z_alpha, (J, blocks) each, from those of v = z - z_alpha
+        n, v1, v2 = _cumulate(segments.transpose(0, 2, 1).copy())
+        features = np.stack([n, v1 + z_al * n, v2 + z_al * (2.0 * v1 + z_al * n)])
+        features /= self.size
+        features -= self.control_means[:, None, None]
+        controls = features.transpose(2, 1, 0).reshape(rows, -1)
+        h = np.moveaxis(_h_batch(*eta, spec), -1, 0)  # (d, J, blocks), all prefixes in one call
+        rao = np.zeros(h.shape[::2])
+        for w, h_j in zip(self.weights, h.transpose(1, 0, 2)):
             rao += w * h_j
-        return eta, rao, controls
+        return eta, rao.T.copy(), controls
 
     def evaluate(self, z_b: np.ndarray, eta: np.ndarray, rao: np.ndarray, controls: np.ndarray):
         """Evaluation stage on rows of evaluation halves, given their tail stage's output.
 
         Returns (actual, rao, controls, nonzero): the cross-fitted estimator per
         row, the tail stage's two outputs, and whether any advantage is
-        nonzero. Sums at each r_hat_j and t_c are taken per prefix segment, over
-        the entries at or above the lowest of them, and cumulated as in the
-        tail stage.
+        nonzero. Only entries at or above a row's lowest shift, the least of
+        its r_hat_j and the t_c, add to its sums; these candidates are
+        gathered once, in row order. Sums at r_hat_j run per row over prefix
+        j's candidates alone; sums at each t_c run per row and segment, and
+        are cumulated over the segments.
         """
         spec, sizes = self.spec, self.sizes
         _, thresholds, _ = _spec_constants(spec)
-        n_pre, d = len(sizes), len(thresholds)
-        shifts = np.concatenate([eta[0], np.repeat(thresholds[:, None], z_b.shape[0], axis=1)])
-        sums = _prefix_sums(z_b, shifts, sizes, [False] * n_pre + [True] * d)
-        # prefix j's sums: (3, J, blocks, 1) at r_hat_j and (3, J, blocks, d) at the t_c
-        at_r = sums[:, range(n_pre), range(n_pre), :, None]
-        at_t = sums[:, n_pre:].transpose(0, 2, 3, 1)
-        size = np.asarray(sizes, dtype=float)[:, None, None]
-        grads = _tail_gradient(eta[..., None], at_r, at_t, spec, size)
-        actual = np.zeros_like(rao)
-        for w, g in zip(self.weights, grads):
+        rows, n_pre, d = z_b.shape[0], len(sizes), len(thresholds)
+        r_hat = eta[0]
+        keep = z_b >= np.minimum(r_hat.min(axis=0), thresholds.min())[:, None]
+        keep[:, sizes[-1] :] = False
+        # candidates per (row, segment) run, and where each run starts among them
+        groups = np.add.reduceat(keep, self.starts, axis=1, dtype=np.uint32).ravel().astype(np.intp)
+        first = np.cumsum(groups) - groups
+        n_cand = int(first[-1] + groups[-1])
+        # a -inf after the candidates adds nothing, and lets empty runs at the end start there
+        flat = np.empty(n_cand + 1)
+        flat[-1] = -np.inf
+        np.compress(keep.ravel(), z_b, out=flat[:-1])
+        empty = np.flatnonzero(groups == 0)
+        # prefix j's sums: (3, J, blocks) at r_hat_j, and at the t_c
+        at_r = np.zeros((3, n_pre, rows))
+        row_filled = groups.reshape(rows, n_pre).any(axis=1)
+        if n_cand:
+            # r_hat_j on the candidates of prefix j's segments, +inf (adding nothing) elsewhere
+            v = np.where(self.in_prefix, r_hat[:, :, None], np.inf).reshape(n_pre, -1)
+            v = np.repeat(v, groups, axis=1)
+            at_r[..., row_filled] = _run_sums(np.subtract(flat[:-1], v, out=v), first[::n_pre][row_filled])
+        t = thresholds[:, None]
+        at_t = _run_sums(flat - t, first, flat, t)  # (3, d, blocks * J), in (row, segment) order
+        at_t[..., empty] = 0.0  # reduceat gives an empty run its next entry
+        at_t = _cumulate(at_t.reshape(-1, rows, n_pre).transpose(0, 2, 1).copy())
+        grads = _tail_gradient(eta, at_r, at_t.reshape(3, d, n_pre, rows), spec, self.size)
+        actual = np.zeros(grads.shape[::2])
+        for w, g in zip(self.weights, grads.transpose(1, 0, 2)):
             actual += w * g
-        nonzero = (at_r[1, ..., 0] > 0).any(axis=0)  # some z > r_hat_j
-        return actual, rao, controls, nonzero
+        nonzero = (at_r[1] > 0).any(axis=0)  # some z > r_hat_j
+        return actual.T.copy(), rao, controls, nonzero
 
 
 def default_replications(m: int) -> int:
@@ -408,8 +445,8 @@ def _draw_chunks(rng: np.random.Generator, width: int, take: int, rows: int):
             yield z[: take - start]
 
 
-def _bounded_submit(pool: ThreadPoolExecutor):
-    """``pool.submit`` that waits on the oldest task once more than 2 per thread are in flight.
+def _bounded_submit(pool: ThreadPoolExecutor, limit: int):
+    """``pool.submit`` that waits on the oldest task once more than ``limit`` are in flight.
 
     The draws then run ahead of the kernels by a bounded amount of memory.
     """
@@ -418,7 +455,7 @@ def _bounded_submit(pool: ThreadPoolExecutor):
     def submit(fn, *args):
         future = pool.submit(fn, *args)
         pending.append(future)
-        if len(pending) > 2 * _THREADS:
+        if len(pending) > limit:
             pending.popleft().result()
         return future
 
@@ -430,14 +467,14 @@ def _after(measure, z: np.ndarray, tail_future):
     return measure(z, *tail_future.result())
 
 
-def _submit_block(pool: ThreadPoolExecutor, measure, tail, width: int, stream, take: int):
+def _submit_block(pool: ThreadPoolExecutor, limit: int, measure, tail, width: int, stream, take: int):
     """Draws one block from its stream, submitting each chunk to ``pool`` as it is drawn.
 
-    Returns the futures of ``measure``'s outputs, in row order; see
-    ``_block_outputs`` for ``tail``.
+    Returns the futures of ``measure``'s outputs, in row order, with at most
+    ``limit`` in flight at once; see ``_block_outputs`` for ``tail``.
     """
     rng = np.random.default_rng(stream)
-    submit = _bounded_submit(pool)
+    submit = _bounded_submit(pool, limit)
     chunks = _draw_chunks(rng, width, take, take if tail is None else BLOCK_SIZE)
     if tail is None:
         return [submit(measure, z) for z in chunks]
@@ -456,14 +493,20 @@ def _block_outputs(measure, m: int, replications: int, seed: int, tail=None):
     matching evaluation-half chunk followed by ``tail``'s outputs. The
     calling thread draws the even blocks and a second thread the odd ones, so
     block i + 1 is drawn while block i is; a one-block row uses the calling
-    thread alone.
+    thread alone. A lone drawing thread bounds the row's time, so it keeps a
+    core to itself and the measuring pool gets the others, at least one
+    thread; beside two drawing threads the pool has a thread per core, as the
+    kernels cost nearly as much CPU as the draws and one thread, sharing the
+    cores with both, falls behind them. Each block keeps at most two chunks
+    per measuring thread in flight.
     """
     n_blocks = (replications + BLOCK_SIZE - 1) // BLOCK_SIZE
     streams = np.random.SeedSequence(seed).spawn(n_blocks)
     takes = [min(BLOCK_SIZE, replications - i * BLOCK_SIZE) for i in range(n_blocks)]
     width = m if tail is None else m // 2
-    with ThreadPoolExecutor(_THREADS) as pool, ThreadPoolExecutor(1) as ahead:
-        draw = partial(_submit_block, pool, measure, tail, width)
+    workers = max(1, _CORES - 1) if n_blocks == 1 else _CORES
+    with ThreadPoolExecutor(workers) as pool, ThreadPoolExecutor(1) as ahead:
+        draw = partial(_submit_block, pool, 2 * workers, measure, tail, width)
         for i, (stream, take) in enumerate(zip(streams, takes)):
             if i % 2 == 0:
                 if i + 1 < n_blocks:

@@ -871,9 +871,9 @@ class TestFiniteOrTyped:
     @pytest.mark.parametrize(
         "groups, baseline, message",
         [
-            ([BIG, OK], None, "best-of-1 mean of prompt row 0 overflows: inf"),
+            ([BIG, OK], None, "prompt p0 (line 1): best-of-1 mean overflows: inf"),
             ([[8e307, 8e307]] * 3, None, "best-of-1 mean over the prompts overflows: inf"),
-            ([[1e308], [1.0]], [[-1e308], [0.0]], "paired difference of prompt row 0, column 0 overflows: inf"),
+            ([[1e308], [1.0]], [[-1e308], [0.0]], "prompt p0 (line 1): paired difference of column 0 overflows: inf"),
             ([[8e307, 8e307]] * 2, [[-8e307, -8e307]] * 2, "paired bootstrap delta of column 0 overflows: inf"),
         ],
     )
@@ -923,16 +923,22 @@ class TestFiniteOrTyped:
         assert "Infinity" not in text and "NaN" not in text
 
     @pytest.mark.parametrize(
-        "rewards", [[(-1) ** i * 1e308 for i in range(24)], SUBNORMAL * 3], ids=["big", "subnormal"]
+        "rewards, reason",
+        [
+            ([(-1) ** i * 1e308 for i in range(24)], "QQ fit overflow: a, b or R^2 is not finite"),
+            # the window quantiles run from 2e-315 to 1e-310, but their squared deviations underflow
+            (SUBNORMAL * 3, "the quantiles in the fit window differ, but their spread underflows to 0"),
+        ],
+        ids=["big", "subnormal"],
     )
-    def test_qq_fit(self, tmp_path, rewards):
+    def test_qq_fit(self, tmp_path, rewards, reason):
         src = tmp_path / "groups.jsonl"
         write_groups(src, [{"prompt_id": "p", "rewards": rewards}])
         out = tmp_path / "qq.csv"
         proc = run_cli("qq-fit", "-i", str(src), "-o", str(out))
         assert proc.returncode == 3
         [line] = proc.stderr.splitlines()
-        assert line.startswith("error: prompt p (line 1): ")
+        assert line.startswith(f"error: prompt p (line 1): {reason}")
         assert read_csv(out)[1][1:] == []
 
 

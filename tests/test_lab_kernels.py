@@ -221,6 +221,54 @@ class TestPrefix:
         for got, ref in zip(measure(kernel, z_a, z_b), ref_prefix(kernel, z_a, z_b)):
             assert_matches(got, ref)
 
+    def test_first_segment_spills_past_the_kept_entries(self):
+        # rows whose first segment holds more than q_J entries >= z_alpha sum it whole; the
+        # others, in the same chunk, sum the q_J kept; one row's q_J-th largest is z_alpha itself
+        kernel = _PrefixCrossFit(512, SPEC, RuleParams())
+        z_alpha = _spec_constants(SPEC)[0].z_alpha
+        rng = np.random.default_rng(11)
+        z_a, z_b = rng.standard_normal((2, 300, 256))
+        first, kept = kernel.sizes[0], kernel.counts[-1]
+        z_a[::3, :first] = z_alpha + np.abs(z_a[::3, :first])
+        z_a[1, :first] = np.linspace(-2.0, 2.0, first)
+        z_a[1, first - kept] = z_alpha
+        z_a[1, first - kept + 1 : first] = z_alpha + 1.0
+        for got, ref in zip(measure(kernel, z_a, z_b), ref_prefix(kernel, z_a, z_b)):
+            assert_matches(got, ref)
+
+    def test_ties_at_z_alpha(self):
+        # tail-half entries equal to z_alpha count in every control, in the kept entries and beyond
+        kernel = _PrefixCrossFit(256, SPEC, RuleParams())
+        rng = np.random.default_rng(12)
+        z_a, z_b = tied_normals(rng, (2, 300, 128), 1)
+        z_a[:, ::5] = _spec_constants(SPEC)[0].z_alpha
+        for got, ref in zip(measure(kernel, z_a, z_b), ref_prefix(kernel, z_a, z_b)):
+            assert_matches(got, ref)
+
+    def test_segments_and_rows_without_candidates(self):
+        # evaluation rows with a segment, or everything, below every shift, also at the chunk's end
+        kernel = _PrefixCrossFit(256, SPEC, RuleParams())
+        rng = np.random.default_rng(13)
+        z_a, z_b = rng.standard_normal((2, 40, 128))
+        for row, (a, b) in enumerate(zip((0, *kernel.sizes[:-1]), kernel.sizes)):
+            z_b[row, a:b] = -8.0
+        z_b[[10, -2, -1]] = -8.0
+        for got, ref in zip(measure(kernel, z_a, z_b), ref_prefix(kernel, z_a, z_b)):
+            assert_matches(got, ref)
+
+    @pytest.mark.parametrize("m", [64, 512])
+    def test_rows_measured_alone_keep_their_bits(self, m):
+        # a row's outputs do not depend on the other rows of its chunk
+        kernel = _PrefixCrossFit(m, SPEC, RuleParams())
+        rng = np.random.default_rng(14)
+        z_a, z_b = tied_normals(rng, (2, 24, m // 2), 2)
+        z_b[5] = -8.0
+        together = measure(kernel, z_a, z_b)
+        for row in range(24):
+            alone = measure(kernel, z_a[row : row + 1], z_b[row : row + 1])
+            for a, b in zip(alone, together):
+                np.testing.assert_array_equal(a, b[row : row + 1])
+
     def test_control_means_are_exact(self):
         # E[Z^p 1{Z >= z_alpha}] for p = 0, 1, 2 by quadrature
         z_alpha = _spec_constants(SPEC)[0].z_alpha

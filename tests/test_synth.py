@@ -295,22 +295,31 @@ class TestSchedule:
 
     # two whole blocks and a partial one; the prefix pilot fits on the first block
     REPLICATIONS = 2 * 4096 + 1000
-    # chunks of 64, 256 and 4096 rows at width 64
-    SCHEDULES = [(threads, rows * 64) for threads in (1, 2) for rows in (64, 256, 4096)]
+    # 1, 2 and 4 cores give 1, 2 and 4 measuring threads beside two drawing threads,
+    # and 1, 1 and 3 beside one; chunks of 64, 256 and 4096 rows at width 64
+    SCHEDULES = [(cores, rows * 64) for cores in (1, 2, 4) for rows in (64, 256, 4096)]
+    RULES = [("tea", 64), ("oracle", 64), ("prefix-tea", 64), ("prefix-tea-practical", 64), ("grpo-z", 16)]
 
-    @pytest.mark.parametrize(
-        "rule, m",
-        [("tea", 64), ("oracle", 64), ("prefix-tea", 64), ("prefix-tea-practical", 64), ("grpo-z", 16)],
-    )
+    @pytest.mark.parametrize("rule, m", RULES)
     def test_rows_are_bitwise_identical_on_every_schedule(self, monkeypatch, rule, m):
         import bontea.synth as synth
 
         assert synth.BLOCK_SIZE == 4096 and self.REPLICATIONS % synth.BLOCK_SIZE
+        self.assert_same_on_every_schedule(monkeypatch, rule, m, self.REPLICATIONS)
+
+    @pytest.mark.parametrize("rule, m", RULES)
+    def test_one_block_rows_are_bitwise_identical_on_every_schedule(self, monkeypatch, rule, m):
+        # one drawing thread, which keeps a core to itself; the pilot takes the whole block
+        self.assert_same_on_every_schedule(monkeypatch, rule, m, 4000)
+
+    def assert_same_on_every_schedule(self, monkeypatch, rule, m, replications):
+        import bontea.synth as synth
+
         rows = []
-        for threads, chunk_values in self.SCHEDULES:
-            monkeypatch.setattr(synth, "_THREADS", threads)
+        for cores, chunk_values in self.SCHEDULES:
+            monkeypatch.setattr(synth, "_CORES", cores)
             monkeypatch.setattr(synth, "_CHUNK_VALUES", chunk_values)
-            rows.append(estimator_bias_variance(rule, SPEC, m, self.REPLICATIONS, seed=23))
+            rows.append(estimator_bias_variance(rule, SPEC, m, replications, seed=23))
         first = rows[0]
         for row in rows[1:]:
             np.testing.assert_array_equal(row.bias_vec, first.bias_vec)
@@ -333,8 +342,8 @@ class TestSchedule:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for threads in (1, 2, 5):
-                monkeypatch.setattr(synth, "_THREADS", threads)
+            for cores in (1, 2, 5):
+                monkeypatch.setattr(synth, "_CORES", cores)
                 rows.append(estimator_bias_variance(rule, SPEC, 64, self.AHEAD_REPLICATIONS, seed=29))
         finally:
             sys.setswitchinterval(interval)
@@ -381,8 +390,8 @@ class TestFrozenRows:
             "0x1.ea5d426ac2dd7p-9",
         ),
         "prefix-tea": (
-            ("-0x1.4cde23ca84414p-2", "-0x1.20240dcb6ef0ap-2"),
-            ("0x1.d1dec331d091fp-6", "0x1.8188757127fcep-6"),
+            ("-0x1.4cde23ca84405p-2", "-0x1.20240dcb6eefap-2"),
+            ("0x1.d1dec331d0921p-6", "0x1.8188757127fccp-6"),
             "0x1.6559504b2b37cp+4",
             "0x1.b235d52219c68p+0",
         ),
@@ -404,7 +413,7 @@ def test_prefix_row_never_holds_a_block(monkeypatch):
 
     import bontea.synth as synth
 
-    monkeypatch.setattr(synth, "_THREADS", 1)
+    monkeypatch.setattr(synth, "_CORES", 1)
     estimator_bias_variance("prefix-tea", SPEC, 64, 1000, seed=1)  # warm the caches
     tracemalloc.start()
     try:
@@ -421,7 +430,7 @@ def test_two_block_prefix_row_holds_less_than_two_halves(monkeypatch):
 
     import bontea.synth as synth
 
-    monkeypatch.setattr(synth, "_THREADS", 1)
+    monkeypatch.setattr(synth, "_CORES", 1)
     estimator_bias_variance("prefix-tea", SPEC, 64, 1000, seed=1)  # warm the caches
     tracemalloc.start()
     try:
