@@ -32,8 +32,8 @@ from .tailstats import DEFAULT_EPS_SIGMA, prefix_tail_stats, row_moments, tail_c
 DEFAULT_EPS_NORM = 1e-8
 
 #: Values in one block of the Prefix-TEA kernel's (J, rows, m) arrays (512 KiB
-#: of floats): a CLI run of 64 groups of 64 is one block, and a (256, 4096)
-#: lab chunk never holds all its J padded copies at once.
+#: of floats): a CLI run of 64 groups of 64 is one block, and a lab chunk of
+#: 2^17 values, (32, 4096) at m = 4096, never holds all its J padded copies at once.
 _PREFIX_BLOCK_VALUES = 1 << 16
 
 

@@ -43,7 +43,14 @@ from .bon_eval import (
 from .errors import DegenerateError, InputError, PromptRowError, check_finite
 from .gauss import DEFAULT_QQ_GRID, predict_vn, qq_tail_fits, qq_window, tail_constants
 from .prefixes import build_scheme
-from .synth import DEFAULT_P_GRID, LAB_TAGS, SyntheticSpec, estimator_bias_variance, frontier_row_seed
+from .synth import (
+    DEFAULT_P_GRID,
+    LAB_TAGS,
+    SyntheticSpec,
+    check_sizes,
+    estimator_bias_variance,
+    frontier_row_seed,
+)
 from .tailstats import RewardGroup, tail_count, tail_stats
 from .trainer import ToyTask, TrainConfig, train
 
@@ -512,6 +519,7 @@ def _naming_rows(ids: list[str], lines: list[int], call: Callable[..., Any], *ar
 )
 def cmd_synth_bias_variance(args: argparse.Namespace, config: dict[str, Any]) -> int:
     rules, m_grid, p_grid = config["rules"], config["m_grid"], config["p_grid"]
+    check_sizes(m_grid, p_grid)  # a bad size fails before any output
     spec = _build(SyntheticSpec, config)
     params = _build(RuleParams, config)
     header = (

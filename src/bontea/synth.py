@@ -194,17 +194,6 @@ def _induced_gradient(adv: np.ndarray, z: np.ndarray, spec: SyntheticSpec) -> np
     return _score_sums(adv, z, spec) / z.shape[1]
 
 
-def _power_sums(z: np.ndarray, shift) -> np.ndarray:
-    """Count of z >= shift, sum v and sum v^2 for v = (z - shift)_+; shape (3, blocks)."""
-    v = z - shift
-    np.maximum(v, 0.0, out=v)
-    out = np.empty((3, z.shape[0]))
-    out[0] = np.count_nonzero(z >= shift, axis=1)
-    out[1] = v.sum(axis=1)
-    out[2] = np.einsum("ij,ij->i", v, v)
-    return out
-
-
 def _cumulate(a: np.ndarray) -> np.ndarray:
     """Running sums of a over its axis 1, in place: np.cumsum's bits, one whole-slice add per step."""
     for k in range(1, a.shape[1]):
@@ -280,10 +269,10 @@ def _oracle_block(z: np.ndarray, spec: SyntheticSpec):
     consts, thresholds, _ = _spec_constants(spec)
     r = consts.z_alpha
     eta = (r, consts.lambda_alpha, np.sqrt(consts.delta_alpha))
-    at_r = _power_sums(z, r)
-    at_t = np.stack([_power_sums(z, t) for t in thresholds], axis=1)
-    grads = _tail_gradient(eta, at_r, at_t, spec, z.shape[1])
-    return np.ascontiguousarray(grads.T), at_r[1] > 0
+    # (3, 1 + d, blocks): the power sums at r, then at each t_c
+    sums = np.stack([_run_sums(z - shift, (0,), z, shift)[..., 0] for shift in (r, *thresholds)], axis=1)
+    grads = _tail_gradient(eta, sums[:, 0], sums[:, 1:], spec, z.shape[1])
+    return np.ascontiguousarray(grads.T), sums[1, 0] > 0
 
 
 class _PrefixCrossFit:
@@ -408,22 +397,17 @@ def default_replications(m: int) -> int:
     return 200_000 if m <= 1024 else 50_000
 
 
-#: Lab tags measured by a block kernel of their own: (spec, params) -> kernel.
-_BLOCK_KERNELS = {
-    "tea": lambda spec, params: partial(_tea_block, spec=spec, eps_sigma=params.eps_sigma),
-    "oracle": lambda spec, params: partial(_oracle_block, spec=spec),
-}
-#: Lab tags that measure a rule registered under another name.
-_RULE_ALIASES = {"prefix-tea-practical": "prefix-tea-raw"}
 #: Every tag ``estimator_bias_variance`` measures: the CLI's rules, then the lab's own.
-LAB_TAGS = (*RULE_NAMES, "oracle", "prefix-tea-practical", "tea-raw", "prefix-tea-raw")
+LAB_TAGS = (*RULE_NAMES, "oracle", "prefix-tea-raw")
 
 
 def _gradient_kernel(rule: str, spec: SyntheticSpec, params: RuleParams):
     """Chunk measurement z -> (induced gradient per row, any advantage nonzero)."""
-    if rule in _BLOCK_KERNELS:
-        return _BLOCK_KERNELS[rule](spec, params)
-    advantages = partial(compute_rules, _RULE_ALIASES.get(rule, rule), params=params)
+    if rule == "tea":
+        return partial(_tea_block, spec=spec, eps_sigma=params.eps_sigma)
+    if rule == "oracle":
+        return partial(_oracle_block, spec=spec)
+    advantages = partial(compute_rules, rule, params=params)
 
     def measure(z: np.ndarray):
         adv = advantages(z)
@@ -570,33 +554,12 @@ class _MomentAccumulator:
         return float(np.sqrt(var_of_var.sum()))
 
 
-def _finish_row(
-    tag: str,
-    m: int,
-    bias_vec: np.ndarray,
-    bias_se: np.ndarray,
-    acc: _MomentAccumulator,
-    replications: int,
-    seed: int,
-    p_grid: tuple[int, ...],
-) -> BiasVarianceRow:
-    variance = float(acc.var().sum())
-    bias_norm = float(np.linalg.norm(bias_vec))
-    mse = {int(p): bias_norm**2 + variance / p for p in p_grid}
-    bias_vec = bias_vec.copy()
-    bias_vec.setflags(write=False)
-    return BiasVarianceRow(
-        estimator_tag=tag,
-        m=m,
-        bias_vec=bias_vec,
-        bias_norm=bias_norm,
-        variance=variance,
-        mse_at_p=mse,
-        replications=replications,
-        seed=seed,
-        bias_se=bias_se,
-        variance_se=acc.var_se(),
-    )
+def check_sizes(m_grid, p_grid) -> None:
+    """Raises ``InputError`` unless every group size m and prompt-batch size P is at least 1."""
+    for name, sizes in (("group size m", m_grid), ("prompt-batch size P", p_grid)):
+        for size in sizes:
+            if size < 1:
+                raise InputError(f"{name} must be >= 1, got {size}")
 
 
 def estimator_bias_variance(
@@ -611,21 +574,21 @@ def estimator_bias_variance(
     """Monte Carlo bias and variance of a rule's induced gradient estimator.
 
     Draws ``replications`` groups of m standard normals; each group's induced
-    gradient is (1/m) sum_i A_i S(Z_i). Tags 'tea' and 'prefix-tea-practical'
-    measure the raw (uncentered) estimators, the rules 'tea-raw' and
-    'prefix-tea-raw', so the target is the population tail gradient; 'oracle'
-    plugs in the population tail vector; 'prefix-tea'
+    gradient is (1/m) sum_i A_i S(Z_i). Tags 'tea' and 'prefix-tea-raw'
+    measure the raw (uncentered) estimators, so the target is the population
+    tail gradient; 'oracle' plugs in the population tail vector; 'prefix-tea'
     measures the cross-fitted split-halves estimator, with variance from the
     actual estimator and bias from the Rao-Blackwellized path (control-variate
     corrected; the pilot block that calibrates the coefficients is excluded
     from the bias mean). Any other registered rule is measured as-is, one
-    ``compute_rules`` call per block.
+    ``compute_rules`` call per chunk.
 
-    ``params`` must share the spec's target (alpha, n_target). Raises
-    ``DegenerateError`` when the rule emits all-zero advantages on more than
-    99% of replications.
+    ``params`` must share the spec's target (alpha, n_target), and m and
+    every P in ``p_grid`` must be at least 1. Raises ``DegenerateError`` when
+    the rule emits all-zero advantages on more than 99% of replications.
     """
     check_rule(rule, LAB_TAGS)
+    check_sizes((m,), p_grid)
     params = params or RuleParams(alpha=spec.alpha, n_target=spec.n_target)
     if (params.alpha, params.n_target) != (spec.alpha, spec.n_target):
         raise InputError(
@@ -685,7 +648,11 @@ def estimator_bias_variance(
         raise DegenerateError(
             f"rule {rule!r} emitted all-zero advantages on {zero_rows}/{replications} replications"
         )
-    return _finish_row(rule, m, bias_vec, bias_se, acc, replications, seed, p_grid)
+    variance = float(acc.var().sum())
+    bias_norm = float(np.linalg.norm(bias_vec))
+    bias_vec.setflags(write=False)
+    mse = {int(p): bias_norm**2 + variance / p for p in p_grid}
+    return BiasVarianceRow(rule, m, bias_vec, bias_norm, variance, mse, replications, seed, bias_se, acc.var_se())
 
 
 def frontier_row_seed(seed: int, rule_index: int, m_index: int) -> int:

@@ -58,8 +58,12 @@ class ToyTask:
         cls, n_prompts: int = 8, n_actions: int = 32, seed: int = 0, reward_scale: float = 1.0
     ) -> "ToyTask":
         """Gaussian reward table with a uniform reference policy."""
+        for name, value, least in (("n_prompts", n_prompts, 1), ("n_actions", n_actions, 4), ("seed", seed, 0)):
+            if value < least:
+                raise InputError(f"{name} must be >= {least}, got {value}")
         rng = np.random.default_rng(seed)
-        rewards = reward_scale * rng.standard_normal((n_prompts, n_actions))
+        with np.errstate(over="ignore"):  # an overflowing table is refused as non-finite
+            rewards = reward_scale * rng.standard_normal((n_prompts, n_actions))
         return cls(rewards=rewards, reference_logits=np.zeros_like(rewards))
 
 
@@ -89,6 +93,8 @@ class TrainConfig:
             raise InputError(f"gamma must be finite and >= 0, got {self.gamma}")
         if any(n < 1 for n in self.eval_n):
             raise InputError("eval budgets must be positive")
+        if self.eval_samples < 1:
+            raise InputError(f"eval_samples must be >= 1, got {self.eval_samples}")
 
 
 @dataclass(frozen=True)

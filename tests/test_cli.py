@@ -549,7 +549,7 @@ class TestSynthCommand:
         # no progress line: the tea row was not measured
         assert capsys.readouterr().err == (
             "error: unknown rule 'foo'; known: tea, prefix-tea, grpo, grpo-z, bonmax-mean, bonmax-second,"
-            " bon-mean, chow, cat-bon, oracle, prefix-tea-practical, tea-raw, prefix-tea-raw\n"
+            " bon-mean, chow, cat-bon, oracle, prefix-tea-raw\n"
         )
         assert not out.exists()
 
@@ -1023,6 +1023,31 @@ class TestConfigResolution:
         out = tmp_path / "out"
         assert main([argv[0], "-i", str(src), "-o", str(out), *argv[1:]]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train-synth", "--task-seed", "-1"],
+            ["train-synth", "--n-prompts", "-1"],
+            ["train-synth", "--n-actions", "-1"],
+            ["train-synth", "--eval-samples", "-5"],
+            ["train-synth", "--eval-samples", "0"],
+            ["train-synth", "--reward-scale", "1e308"],
+            ["synth-bias-variance", "--m-grid", "0"],
+            ["synth-bias-variance", "--m-grid", "-4"],
+            ["synth-bias-variance", "--p-grid", "0"],
+            ["synth-bias-variance", "--p-grid", "-3"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_option_is_one_error_line_before_any_output(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would reach stderr outside the tests
+            assert main([*argv, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
         assert not out.exists()
 
     def test_missing_input_is_input_error(self, tmp_path):
