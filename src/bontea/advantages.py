@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateError, InputError, check_finite
 from .gauss import tail_constants
-from .prefixes import build_scheme
+from .prefixes import build_scheme, combine
 from .tailstats import DEFAULT_EPS_SIGMA, prefix_tail_stats, row_moments, tail_count, tail_stats
 
 #: Default denominator guard for normalized rules.
@@ -140,8 +140,7 @@ def _prefix_tea(rewards: np.ndarray, params: RuleParams, raw: bool = False) -> n
     membership indicator 1{i <= m_j}. Each block of rows stacks its J
     prefixes as rows padded with -inf, so one sort gives every prefix's top
     slice (the same values in the same order as a sort of the prefix alone)
-    and one pass shapes them all; the J terms are summed in j order from 0,
-    as one prefix at a time would add them.
+    and one pass shapes them all; ``combine`` sums the J terms.
     """
     n_rows, m = rewards.shape
     sizes, counts, beyond, scales = _prefix_layout(m, params.k, params.j_count, params.alpha)
@@ -163,8 +162,7 @@ def _prefix_tea(rewards: np.ndarray, params: RuleParams, raw: bool = False) -> n
             values = _raw_rule(u, r, mu, sigma, params.alpha, c_tilde)
             if not raw:
                 np.maximum(values, 0.0, out=values)
-            values *= scales
-            np.add.reduce(values, axis=0, out=combined[start : start + step], initial=0.0)
+            combine(scales, values, out=combined[start : start + step])
     return combined if raw else _centered(combined)
 
 
@@ -301,12 +299,6 @@ def _cat_bon(rewards: np.ndarray, params: RuleParams) -> np.ndarray:
     return _normalized(weights, mean, eps_norm, "mean rank weight") * z_scores
 
 
-def _bon_mean_rule(rewards: np.ndarray, params: RuleParams) -> np.ndarray:
-    if params.bon_k is None:
-        raise InputError("rule 'bon-mean' requires bon_k")
-    return _grpo_z(bon_mean_raw(rewards, params.bon_k), params.eps_norm)
-
-
 _Kernel = Callable[[np.ndarray, RuleParams, Optional[Sequence[int]]], np.ndarray]
 
 #: Rule name -> batch kernel (rewards, params, per-row seeds); only chow reads the seeds.
@@ -319,7 +311,7 @@ _KERNELS: dict[str, _Kernel] = {
     "grpo-z": lambda x, params, seeds: _grpo_z(x, params.eps_norm),
     "bonmax-mean": lambda x, params, seeds: _bon_max(x, "mean"),
     "bonmax-second": lambda x, params, seeds: _bon_max(x, "second"),
-    "bon-mean": lambda x, params, seeds: _bon_mean_rule(x, params),
+    "bon-mean": lambda x, params, seeds: _grpo_z(bon_mean_raw(x, params.bon_k), params.eps_norm),
     "chow": _chow,
     "cat-bon": lambda x, params, seeds: _cat_bon(x, params),
 }
@@ -337,10 +329,15 @@ RULE_NAMES = (
 )
 
 
-def check_rule(rule: str, known: Collection[str] = RULE_NAMES) -> None:
-    """Raise ``InputError`` unless ``rule`` is one of ``known``; every rule name is checked here."""
+def check_rule(rule: str, known: Collection[str] = RULE_NAMES, params: RuleParams | None = None) -> None:
+    """Raise ``InputError`` unless ``rule`` is one of ``known`` and, given ``params``, has the settings it needs.
+
+    Every rule name, and every setting a rule requires, is checked here.
+    """
     if rule not in known:
         raise InputError(f"unknown rule {rule!r}; known: {', '.join(known)}")
+    if params is not None and rule == "bon-mean" and params.bon_k is None:
+        raise InputError("rule 'bon-mean' requires bon_k")
 
 
 def compute_rules(
@@ -352,6 +349,6 @@ def compute_rules(
     ``rewards``. ``seeds`` gives one seed per row to the rules that draw
     (``chow``); without it every row uses ``params.seed``.
     """
-    check_rule(rule, _KERNELS)
+    check_rule(rule, _KERNELS, params)
     return _KERNELS[rule](_matrix(rewards), params, seeds)
 

@@ -47,7 +47,7 @@ from .synth import (
     DEFAULT_P_GRID,
     LAB_TAGS,
     SyntheticSpec,
-    check_sizes,
+    check_rows,
     estimator_bias_variance,
     frontier_row_seed,
 )
@@ -387,6 +387,7 @@ class _Computed:
 @command("advantage", "per-group advantages as JSONL", _RULE_OPTION, *RULE_OPTIONS.values())
 def cmd_advantage(args: argparse.Namespace, config: dict[str, Any]) -> int:
     rule, params = config["rule"], _build(RuleParams, config)
+    check_rule(rule, params=params)  # a setting the rule needs fails before any output
 
     def advantages(rewards: np.ndarray, indices: tuple[int, ...], _: Any) -> list[list[float]]:
         """The run's advantages; one finiteness check per run, so the per-group redo names the prompt."""
@@ -519,9 +520,10 @@ def _naming_rows(ids: list[str], lines: list[int], call: Callable[..., Any], *ar
 )
 def cmd_synth_bias_variance(args: argparse.Namespace, config: dict[str, Any]) -> int:
     rules, m_grid, p_grid = config["rules"], config["m_grid"], config["p_grid"]
-    check_sizes(m_grid, p_grid)  # a bad size fails before any output
     spec = _build(SyntheticSpec, config)
     params = _build(RuleParams, config)
+    # a row that would be refused fails before any output
+    check_rows(rules, spec, params, m_grid, p_grid, config["replications"])
     header = (
         ["estimator", "m", "bias_norm", "variance"]
         + [f"mse_p{p}" for p in p_grid]
@@ -558,6 +560,8 @@ def cmd_synth_bias_variance(args: argparse.Namespace, config: dict[str, Any]) ->
 )
 def cmd_align(args: argparse.Namespace, config: dict[str, Any]) -> int:
     rules, params = config["rules"], _build(RuleParams, config)
+    for rule in rules:
+        check_rule(rule, params=params)  # a setting a rule needs fails before any output
 
     def batch(rewards: np.ndarray, indices: tuple[int, ...], groups: tuple) -> list[tuple[float, ...]]:
         """Per group, the cosine of each rule; the rules are computed and aligned one at a time.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
 
@@ -34,6 +35,8 @@ DEFAULT_QQ_GRID = 20
 
 _SQRT_2PI = np.sqrt(2 * np.pi)
 _SQRT_HALF = float(np.sqrt(0.5))
+#: Standard normal quantile Phi^-1(p) for p in (0, 1): Wichura's AS241, about 1e-16 relative.
+_NORMAL_QUANTILE = NormalDist().inv_cdf
 
 # Cephes' erf/erfc rational fits (Moshier), as used by scipy.special.ndtr;
 # coefficients run from the highest power down, and a leading 1.0 marks a
@@ -52,29 +55,6 @@ _ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180
            6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
 _ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
            1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-
-# Wichura's AS241 (PPND16) rational fits, as in statistics.NormalDist.inv_cdf:
-# the central one in r = 0.180625 - q^2, the tail ones in s - 1.6 and s - 5
-# with s = sqrt(-log(min(p, 1 - p))).
-_AS241_A = (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
-            4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
-            1.3314166789178437745e2, 3.3871328727963666080e0)
-_AS241_B = (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
-            2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
-            4.2313330701600911252e1, 1.0)
-_AS241_C = (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
-            1.2704582524523683826e0, 3.6478483247632046050e0, 5.7694972214606914055e0,
-            4.6303378461565452959e0, 1.4234371107496835773e0)
-_AS241_D = (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
-            1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e0,
-            2.0531916266377588219e0, 1.0)
-_AS241_E = (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
-            2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e0,
-            5.4637849111641143699e0, 6.6579046435011037772e0)
-_AS241_F = (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
-            7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
-            5.9983220655588793769e-1, 1.0)
-
 
 @dataclass(frozen=True)
 class TailConstants:
@@ -134,26 +114,6 @@ def ndtr(x: float | np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def ndtri(p: float | np.ndarray) -> np.ndarray:
-    """Standard normal quantile Phi^-1(p), elementwise, for p in (0, 1).
-
-    Wichura's AS241 (PPND16), the algorithm of statistics.NormalDist.inv_cdf,
-    accurate to about 1e-16 relative.
-    """
-    p = np.asarray(p, dtype=float)
-    q = p - 0.5
-    r = 0.180625 - q * q
-    central = q * _polevl(r, _AS241_A) / _polevl(r, _AS241_B)
-    s = np.sqrt(-np.log(np.where(q <= 0.0, p, 1.0 - p)))
-    near, far = s - 1.6, s - 5.0
-    tail = np.where(
-        s <= 5.0,
-        _polevl(near, _AS241_C) / _polevl(near, _AS241_D),
-        _polevl(far, _AS241_E) / _polevl(far, _AS241_F),
-    )
-    return np.where(np.abs(q) <= 0.425, central, np.where(q < 0.0, -tail, tail))
-
-
 @lru_cache(maxsize=1)
 def _cn_rule() -> tuple[np.ndarray, np.ndarray]:
     """Weights w z phi(z) and log Phi(z) at the nodes z of the composite rule for c_n.
@@ -170,7 +130,6 @@ def _cn_rule() -> tuple[np.ndarray, np.ndarray]:
     return np.tile(half * weights, _CN_PANELS) * z * norm_pdf(z), log_cdf
 
 
-@lru_cache(maxsize=None)
 def expected_gauss_max(n: int) -> float:
     """E[max of n iid standard normals] by composite Gauss-Legendre quadrature.
 
@@ -193,7 +152,9 @@ def tail_constants(alpha: float, n: int) -> TailConstants:
         raise InputError(f"alpha must lie in (0, 1/2), got {alpha}")
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    z_alpha = float(ndtri(1.0 - alpha))
+    if 1.0 - alpha == 1.0:
+        raise InputError(f"alpha {alpha} is too small: 1 - alpha rounds to 1")
+    z_alpha = _NORMAL_QUANTILE(1.0 - alpha)
     lambda_alpha = float(norm_pdf(z_alpha) / alpha)
     delta_alpha = 1.0 + z_alpha * lambda_alpha - lambda_alpha**2
     c_n = expected_gauss_max(n)
@@ -229,7 +190,7 @@ def qq_window(q_lo: float, q_hi: float, grid_points: int = DEFAULT_QQ_GRID) -> t
     if grid_points < 2:
         raise InputError(f"grid_points must be >= 2, got {grid_points}")
     levels = np.linspace(q_lo, q_hi, grid_points)
-    x = ndtri(levels)
+    x = np.array([_NORMAL_QUANTILE(level) for level in levels.tolist()])
     levels.setflags(write=False)
     x.setflags(write=False)
     return levels, x

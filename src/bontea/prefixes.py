@@ -12,14 +12,15 @@ k-1 inverse-budget bias terms while keeping the weight norm bounded.
 Two size constructions are provided: ``practical_prefixes`` (evenly spread
 ratios ending at the full group, m_j = round(m (J+j) / 2J)) and
 ``theory_prefixes`` (ratios rho_j = 1/2 + j/(2(J+1)) rounded down to multiples
-of alpha's denominator so every alpha * n_j is an integer).
+of alpha's denominator so every alpha * n_j is an integer). ``combine`` is
+the one place per-prefix estimates are summed with their coefficients, for
+the advantage rule and the lab alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import floor
 
 import numpy as np
@@ -119,14 +120,24 @@ def cancellation_weights(m: int, sizes: tuple[int, ...] | list[int], k: int) -> 
     return tuple(float(v) for v in a_scaled.T @ coef)
 
 
-@lru_cache(maxsize=256)
 def build_scheme(m: int, k: int, j_count: int) -> PrefixScheme:
-    """Practical prefix scheme for a group of size m.
-
-    Memoised: the scheme is immutable and depends only on its arguments, so
-    a run of equal-size groups solves for the weights once.
-    """
+    """Practical prefix scheme for a group of size m: sizes, ratios and order-k weights."""
     sizes = practical_prefixes(m, j_count)
     weights = cancellation_weights(m, sizes, k)
     ratios = tuple(m / s for s in sizes)
     return PrefixScheme(m=m, k=k, j_count=j_count, sizes=sizes, ratios=ratios, weights=weights)
+
+
+def combine(coefficients: np.ndarray, per_prefix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_j c_j x_j over the leading prefix axis of ``per_prefix``, which is scaled in place.
+
+    ``coefficients`` is shaped (J, 1, ...) to broadcast against the (J, ...)
+    stack. The terms are added one at a time from 0, in j order, as one
+    prefix at a time would add them: ``np.add.reduce`` over the leading axis
+    sums 8 or more terms pairwise when the other axes hold a single value.
+    """
+    per_prefix *= coefficients
+    out = np.add(0.0, per_prefix[0], out=out)
+    for term in per_prefix[1:]:
+        out += term
+    return out

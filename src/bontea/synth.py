@@ -14,8 +14,9 @@ vector comes from batch A, the score average from batch B, and the bias is
 Rao-Blackwellized over the evaluation split — conditional on A the estimator's
 mean is H(eta_hat) = (1/alpha) int_r^inf R_tilde(z) S(z) phi(z) dz, available
 in closed form. A control-variate layer (prefix tail moments with exactly
-known means, coefficients fit on a pilot block and applied only beyond it)
-removes most of the remaining tail-vector noise without biasing the mean.
+known means, coefficients fit on a row's first blocks when it has several and
+applied only beyond them) removes most of the remaining tail-vector noise
+without biasing the mean.
 
 Replications are drawn in blocks, each from its own SeedSequence child. A
 block's normals are drawn in chunks of rows, in stream order; the calling
@@ -55,10 +56,10 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .advantages import RULE_NAMES, RuleParams, _shaped, check_rule, compute_rules
+from .advantages import RULE_NAMES, RuleParams, _prefix_layout, _shaped, check_rule, compute_rules
 from .errors import DegenerateError, InputError
 from .gauss import ndtr, norm_pdf, tail_constants
-from .prefixes import cancellation_weights, theory_prefixes
+from .prefixes import cancellation_weights, combine, theory_prefixes
 from .tailstats import slice_tail_stats, tail_count
 
 #: Replications per block. Each block draws from its own SeedSequence child,
@@ -285,7 +286,8 @@ class _PrefixCrossFit:
         self.spec = spec
         self.eps_sigma = params.eps_sigma
         self.sizes = theory_prefixes(self.n, params.j_count, spec.alpha)
-        self.weights = np.asarray(cancellation_weights(self.n, self.sizes, params.k))
+        # (J, 1, 1), to scale the (J, d, blocks) per-prefix stacks
+        self.weights = np.asarray(cancellation_weights(self.n, self.sizes, params.k))[:, None, None]
         self.counts = [tail_count(size, spec.alpha) for size in self.sizes]
         # each prefix hands its q_J largest (all of it when shorter) on to the next
         self.kept = [min(self.counts[-1], size) for size in self.sizes]
@@ -341,10 +343,7 @@ class _PrefixCrossFit:
         features -= self.control_means[:, None, None]
         controls = features.transpose(2, 1, 0).reshape(rows, -1)
         h = np.moveaxis(_h_batch(*eta, spec), -1, 0)  # (d, J, blocks), all prefixes in one call
-        rao = np.zeros(h.shape[::2])
-        for w, h_j in zip(self.weights, h.transpose(1, 0, 2)):
-            rao += w * h_j
-        return eta, rao.T.copy(), controls
+        return eta, combine(self.weights, h.transpose(1, 0, 2)).T.copy(), controls
 
     def evaluate(self, z_b: np.ndarray, eta: np.ndarray, rao: np.ndarray, controls: np.ndarray):
         """Evaluation stage on rows of evaluation halves, given their tail stage's output.
@@ -385,11 +384,8 @@ class _PrefixCrossFit:
         at_t[..., empty] = 0.0  # reduceat gives an empty run its next entry
         at_t = _cumulate(at_t.reshape(-1, rows, n_pre).transpose(0, 2, 1).copy())
         grads = _tail_gradient(eta, at_r, at_t.reshape(3, d, n_pre, rows), spec, self.size)
-        actual = np.zeros(grads.shape[::2])
-        for w, g in zip(self.weights, grads.transpose(1, 0, 2)):
-            actual += w * g
         nonzero = (at_r[1] > 0).any(axis=0)  # some z > r_hat_j
-        return actual.T.copy(), rao, controls, nonzero
+        return combine(self.weights, grads.transpose(1, 0, 2)).T.copy(), rao, controls, nonzero
 
 
 def default_replications(m: int) -> int:
@@ -554,12 +550,35 @@ class _MomentAccumulator:
         return float(np.sqrt(var_of_var.sum()))
 
 
-def check_sizes(m_grid, p_grid) -> None:
-    """Raises ``InputError`` unless every group size m and prompt-batch size P is at least 1."""
+def check_rows(
+    rules, spec: SyntheticSpec, params: RuleParams, m_grid, p_grid, replications: int | None = None
+) -> None:
+    """Raises ``InputError`` if ``estimator_bias_variance`` would refuse a row of rules by ``m_grid``.
+
+    Each rule must be a lab tag with the settings it needs, every group size
+    m and prompt-batch size P at least 1, ``params`` must share the spec's
+    target (alpha, n_target), and a given replication count must be at least
+    1e3. The prefix rules' set-ups are built for every m, as their rows build
+    them, so a group size one refuses is refused before any row is measured.
+    """
+    for rule in rules:
+        check_rule(rule, LAB_TAGS, params)
     for name, sizes in (("group size m", m_grid), ("prompt-batch size P", p_grid)):
         for size in sizes:
             if size < 1:
                 raise InputError(f"{name} must be >= 1, got {size}")
+    if (params.alpha, params.n_target) != (spec.alpha, spec.n_target):
+        raise InputError(
+            f"params' (alpha, n_target) {params.alpha, params.n_target} differ from the spec's"
+            f" {spec.alpha, spec.n_target}"
+        )
+    if replications is not None and replications < 1_000:
+        raise InputError(f"need at least 1e3 replications, got {replications}")
+    for m in m_grid:
+        if "prefix-tea" in rules:
+            _PrefixCrossFit(m, spec, params)
+        if "prefix-tea-raw" in rules:
+            _prefix_layout(m, params.k, params.j_count, params.alpha)
 
 
 def estimator_bias_variance(
@@ -579,75 +598,56 @@ def estimator_bias_variance(
     tail gradient; 'oracle' plugs in the population tail vector; 'prefix-tea'
     measures the cross-fitted split-halves estimator, with variance from the
     actual estimator and bias from the Rao-Blackwellized path (control-variate
-    corrected; the pilot block that calibrates the coefficients is excluded
+    corrected; the pilot blocks that calibrate the coefficients are excluded
     from the bias mean). Any other registered rule is measured as-is, one
     ``compute_rules`` call per chunk.
 
-    ``params`` must share the spec's target (alpha, n_target), and m and
-    every P in ``p_grid`` must be at least 1. Raises ``DegenerateError`` when
-    the rule emits all-zero advantages on more than 99% of replications.
+    ``params`` defaults to the spec's target; ``check_rows`` lists what is
+    refused. Raises ``DegenerateError`` when the rule emits all-zero
+    advantages on more than 99% of replications.
     """
-    check_rule(rule, LAB_TAGS)
-    check_sizes((m,), p_grid)
     params = params or RuleParams(alpha=spec.alpha, n_target=spec.n_target)
-    if (params.alpha, params.n_target) != (spec.alpha, spec.n_target):
-        raise InputError(
-            f"params' (alpha, n_target) {params.alpha, params.n_target} differ from the spec's"
-            f" {spec.alpha, spec.n_target}"
-        )
+    check_rows((rule,), spec, params, (m,), p_grid, replications)
     if replications is None:
         replications = default_replications(m)
-    if replications < 1_000:
-        raise InputError(f"need at least 1e3 replications, got {replications}")
-    g_true = true_gradient(spec)
     d = len(spec.score_thresholds)
     acc = _MomentAccumulator(d)
+    # a tag's gradients are its own bias samples; the cross-fitted rule's come from its RB path
+    bias_acc = _MomentAccumulator(d) if rule == "prefix-tea" else acc
+    # a row of more than one block fits the control-variate coefficients on its first
+    # min(PILOT_SIZE, replications // 4) >= 1024 replications, in whole blocks short of the last
+    n_pilot = -(-min(PILOT_SIZE, replications // 4) // BLOCK_SIZE) if replications > BLOCK_SIZE else 0
+    pilot: list[list[np.ndarray]] = []
     zero_rows = 0
-
     if rule == "prefix-tea":
         kernel = _PrefixCrossFit(m, spec, params)
-        pilot_target = min(PILOT_SIZE, replications // 4)
-        use_cv = pilot_target >= 1_000
-        pilot_rao: list[np.ndarray] = []
-        pilot_ctl: list[np.ndarray] = []
-        rao_acc = _MomentAccumulator(d)
-        n_pilot = 0
-        lam = None
         blocks = _block_outputs(kernel.evaluate, m, replications, seed, tail=kernel.tail)
-        for take, (actual, rao, controls, nonzero) in blocks:
-            acc.add(actual)
-            zero_rows += int(take - nonzero.sum())
-            if use_cv and lam is None:
-                pilot_rao.append(rao)
-                pilot_ctl.append(controls)
-                n_pilot += take
-                if n_pilot >= pilot_target:
-                    ctl = np.concatenate(pilot_ctl)
-                    rao_all = np.concatenate(pilot_rao)
-                    # least squares through the (3J, 3J) normal equations: LAPACK on the
-                    # tall pilot matrix wakes OpenBLAS's thread pool, whose idle workers
-                    # then spin for about 0.1 s of CPU taken from the draws and kernels
-                    centred = rao_all - rao_all.mean(axis=0)
-                    lam, *_ = np.linalg.lstsq(ctl.T @ ctl, ctl.T @ centred, rcond=None)
-            else:
-                rao_acc.add(rao - controls @ lam if use_cv else rao)
-        if rao_acc.n == 0:  # all replications consumed by the pilot
-            rao_all = np.concatenate(pilot_rao)
-            rao_acc.add(rao_all)
-        bias_vec = rao_acc.mean() - g_true
-        bias_se = np.sqrt(rao_acc.var() / rao_acc.n)
     else:
-        measure = _gradient_kernel(rule, spec, params)
-        for take, (grads, nonzero) in _block_outputs(measure, m, replications, seed):
-            zero_rows += int(take - nonzero.sum())
-            acc.add(grads)
-        bias_vec = acc.mean() - g_true
-        bias_se = np.sqrt(acc.var() / acc.n)
+        blocks = _block_outputs(_gradient_kernel(rule, spec, params), m, replications, seed)
+    for i, (take, (grads, *rb_path, nonzero)) in enumerate(blocks):
+        acc.add(grads)
+        zero_rows += int(take - nonzero.sum())
+        if not rb_path:
+            continue
+        rao, controls = rb_path
+        if i >= n_pilot:
+            bias_acc.add(rao - controls @ lam if n_pilot else rao)
+            continue
+        pilot.append(rb_path)
+        if i + 1 == n_pilot:
+            rao_all, ctl = (np.concatenate(outputs) for outputs in zip(*pilot))
+            # least squares through the (3J, 3J) normal equations: LAPACK on the
+            # tall pilot matrix wakes OpenBLAS's thread pool, whose idle workers
+            # then spin for about 0.1 s of CPU taken from the draws and kernels
+            centred = rao_all - rao_all.mean(axis=0)
+            lam, *_ = np.linalg.lstsq(ctl.T @ ctl, ctl.T @ centred, rcond=None)
 
     if zero_rows > 0.99 * replications:
         raise DegenerateError(
             f"rule {rule!r} emitted all-zero advantages on {zero_rows}/{replications} replications"
         )
+    bias_vec = bias_acc.mean() - true_gradient(spec)
+    bias_se = np.sqrt(bias_acc.var() / bias_acc.n)
     variance = float(acc.var().sum())
     bias_norm = float(np.linalg.norm(bias_vec))
     bias_vec.setflags(write=False)

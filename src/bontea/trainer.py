@@ -84,7 +84,7 @@ class TrainConfig:
     eval_samples: int = 512
 
     def __post_init__(self) -> None:
-        check_rule(self.rule)
+        check_rule(self.rule, params=self.params)
         if self.m < 2 or self.p_batch < 1 or self.steps < 0 or self.eval_every < 1:
             raise InputError("m >= 2, p_batch >= 1, steps >= 0, eval_every >= 1 required")
         if self.beta < 0 or not np.isfinite(self.beta):

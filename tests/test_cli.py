@@ -1050,5 +1050,38 @@ class TestConfigResolution:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["advantage", "-i", "{groups}", "--rule", "bon-mean"], "rule 'bon-mean' requires bon_k"),
+            (["align", "-i", "{groups}", "--rules", "tea,bon-mean"], "rule 'bon-mean' requires bon_k"),
+            (["predict-bon", "-i", "{groups}", "--alpha", "1e-17"], "alpha 1e-17 is too small: 1 - alpha rounds to 1"),
+            (["synth-bias-variance", "--rules", "tea,bon-mean", "--m-grid", "64", "--replications", "1000"],
+             "rule 'bon-mean' requires bon_k"),
+            (["synth-bias-variance", "--rules", "tea,prefix-tea", "--m-grid", "64,7", "--replications", "1000"],
+             "cross-fitted prefix measurement needs even m >= 4, got 7"),
+            (["synth-bias-variance", "--rules", "tea,prefix-tea", "--m-grid", "64,12", "--replications", "1000"],
+             "theory prefixes collide for n=6, J=4: (0, 4, 4, 4)"),
+            (["synth-bias-variance", "--rules", "tea,prefix-tea-raw", "--m-grid", "64,6", "--replications", "1000"],
+             "need m >= 2J, got m=6, J=4"),
+            (["synth-bias-variance", "--rules", "tea", "--m-grid", "64", "--replications", "10"],
+             "need at least 1e3 replications, got 10"),
+        ],
+        ids=["advantage-bon-k", "align-bon-k", "predict-bon-alpha", "synth-bon-k", "synth-prefix-odd-m",
+             "synth-prefix-collide", "synth-prefix-raw-small-m", "synth-replications"],
+    )
+    def test_refused_setting_or_row_is_one_error_line_before_any_output(self, tmp_path, capsys, argv, message):
+        # a rule's missing setting or a refused row, before any group is read or any row measured
+        groups = tmp_path / "scored.jsonl"
+        write_groups(groups, [{"prompt_id": f"g{i}", "rewards": [0.0, 1.0, 2.0, 3.0], "scores": [[1.0]] * 4}
+                              for i in range(3)])
+        out = tmp_path / "out"
+        argv = [str(groups) if arg == "{groups}" else arg for arg in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would reach stderr outside the tests
+            assert main([*argv, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_missing_input_is_input_error(self, tmp_path):
         assert main(["advantage", "-i", str(tmp_path / "nope.jsonl")]) == 2

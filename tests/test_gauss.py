@@ -20,7 +20,7 @@ from numpy.testing import assert_allclose
 
 import bontea
 from bontea import DegenerateError, InputError, expected_gauss_max, predict_vn, qq_tail_fits, tail_constants
-from bontea.gauss import DEFAULT_QQ_GRID, ndtr, ndtri, norm_pdf, qq_window
+from bontea.gauss import DEFAULT_QQ_GRID, ndtr, norm_pdf, qq_window
 
 # high-precision oracle values at alpha = 1/4
 Z_ALPHA = 0.6744897501960817
@@ -166,7 +166,7 @@ class TestQqTailFit:
         samples = np.random.default_rng(4).gamma(2.0, size=300)
         levels = np.linspace(0.7, 0.95, 10)
         y = np.quantile(samples, levels)
-        design = np.column_stack([np.ones(10), ndtri(levels)])
+        design = np.column_stack([np.ones(10), [NormalDist().inv_cdf(p) for p in levels]])
         (a, b), *_ = np.linalg.lstsq(design, y, rcond=None)
         resid = y - design @ [a, b]
         r_squared = 1.0 - resid @ resid / ((y - y.mean()) @ (y - y.mean()))
@@ -190,7 +190,7 @@ class TestQqTailFit:
 
     def test_window_is_checked_alone(self):
         levels, x = qq_window(0.7, 0.95, 10)
-        assert np.array_equal(x, ndtri(levels)) and not x.flags.writeable
+        assert np.array_equal(x, [NormalDist().inv_cdf(p) for p in levels]) and not x.flags.writeable
         with pytest.raises(InputError, match="q_lo < q_hi"):
             qq_window(0.9, 0.5)
         with pytest.raises(InputError, match="grid_points"):
@@ -208,7 +208,7 @@ class TestNormPdf:
 
 
 class TestNormalCdfAndQuantile:
-    """The NumPy ndtr and ndtri against scipy.special, kept as the test reference."""
+    """The NumPy ndtr and the package's normal quantiles against scipy.special, kept as the test reference."""
 
     def test_ndtr_matches_scipy(self):
         from scipy import special
@@ -220,19 +220,15 @@ class TestNormalCdfAndQuantile:
             assert_allclose(ndtr(x), special.ndtr(x), rtol=1e-15, atol=0)
         assert ndtr([-np.inf, -1e200, 1e200, np.inf]).tolist() == [0.0, 0.0, 1.0, 1.0]
 
-    def test_ndtri_matches_scipy_on_the_levels_used(self):
+    def test_quantiles_match_scipy_on_the_levels_used(self):
         from scipy import special
 
-        qq_levels = np.concatenate(
-            [np.linspace(0.80, 0.99, DEFAULT_QQ_GRID), np.linspace(0.7, 0.95, 10)]
-        )
-        upper = 1.0 - np.linspace(0.0, 0.5, 1001)[1:-1]  # 1 - alpha, alpha in (0, 1/2)
-        for p in (qq_levels, upper):
-            assert_allclose(ndtri(p), special.ndtri(p), rtol=1e-15, atol=0)
-
-    def test_ndtri_is_as241(self):
-        p = np.concatenate([np.linspace(1e-12, 1.0 - 1e-12, 20_001), [1e-300, 0.075, 0.925]])
-        assert np.array_equal(ndtri(p), [NormalDist().inv_cdf(v) for v in p])
+        for window in [(0.80, 0.99, DEFAULT_QQ_GRID), (0.7, 0.95, 10)]:
+            levels, x = qq_window(*window)
+            assert_allclose(x, special.ndtri(levels), rtol=1e-15, atol=0)
+        alphas = np.linspace(0.0, 0.5, 1001)[1:-1]  # alpha in (0, 1/2)
+        z_alpha = [tail_constants(alpha, 1).z_alpha for alpha in alphas.tolist()]
+        assert_allclose(z_alpha, special.ndtri(1.0 - alphas), rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("module", ["bontea", "bontea.cli", "bontea.trainer", "bontea.synth"])

@@ -146,9 +146,7 @@ class TestBuildScheme:
             return solve(*args)
 
         monkeypatch.setattr(prefixes, "cancellation_weights", counting)
-        build_scheme.cache_clear()
         _prefix_layout.cache_clear()  # an earlier m = 48 prefix-tea call would otherwise skip build_scheme
         for rewards in np.random.default_rng(4).standard_normal((1000, 48)):
             compute_rules("prefix-tea", rewards[None, :], RuleParams())
         assert len(calls) == 1
-        assert build_scheme(48, 2, 4) is build_scheme(48, 2, 4)
