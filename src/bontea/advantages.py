@@ -24,7 +24,7 @@ from typing import Callable, Collection, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateError, InputError, check_finite
-from .gauss import tail_constants
+from .gauss import check_alpha, tail_constants
 from .prefixes import build_scheme, combine
 from .tailstats import DEFAULT_EPS_SIGMA, prefix_tail_stats, row_moments, tail_count, tail_stats
 
@@ -60,8 +60,7 @@ class RuleParams:
 
     def __post_init__(self) -> None:
         """Check the ranges that do not depend on the group size, before any rewards are read."""
-        if not 0.0 < self.alpha < 0.5:
-            raise InputError(f"alpha must lie in (0, 1/2), got {self.alpha}")
+        check_alpha(self.alpha)
         if not self.eps_sigma > 0:
             raise InputError("eps_sigma must be positive")
         if self.eps_sigma == np.inf:
@@ -85,11 +84,23 @@ def _matrix(rewards: np.ndarray) -> np.ndarray:
     rewards = np.asarray(rewards, dtype=float)
     if rewards.ndim != 2:
         raise InputError(f"rewards must be a (B, m) array with m >= 2, got shape {rewards.shape}")
-    if rewards.shape[1] < 2:
-        raise InputError(f"need m >= 2 rewards, got {rewards.shape[1]}")
+    _check_size(rewards.shape[1])
     if not np.isfinite(rewards).all():
         raise InputError("rewards must be finite")
     return rewards
+
+
+def _check_size(m: int, bon_k: int | None = None, n_sel: int | None = None) -> None:
+    """Raise ``InputError`` unless groups of m rewards can serve a rule.
+
+    That needs m >= 2, and 1 <= bon_k < m and n_sel < m for a bon_k or n_sel given.
+    """
+    if m < 2:
+        raise InputError(f"need m >= 2 rewards, got {m}")
+    if bon_k is not None and not 1 <= bon_k < m:
+        raise InputError(f"need 1 <= bon_k < m, got bon_k={bon_k}, m={m}")
+    if n_sel is not None and n_sel >= m:
+        raise InputError(f"need n_sel < m, got n_sel={n_sel}, m={m}")
 
 
 def _centered(x: np.ndarray) -> np.ndarray:
@@ -232,8 +243,7 @@ def bon_mean_raw(rewards: np.ndarray, bon_k: int) -> np.ndarray:
     """
     rewards = _matrix(rewards)
     m = rewards.shape[1]
-    if not 1 <= bon_k < m:
-        raise InputError(f"need 1 <= bon_k < m, got bon_k={bon_k}, m={m}")
+    _check_size(m, bon_k=bon_k)
     order = np.argsort(rewards, axis=1, kind="stable")
     r_sorted = np.take_along_axis(rewards, order, axis=1)
     tail_terms = r_sorted * _subset_max_weights(m, bon_k, 1)
@@ -254,8 +264,7 @@ def _chow(rewards: np.ndarray, params: RuleParams, seeds: Sequence[int] | None) 
     """
     n_rows, m = rewards.shape
     n_sel = params.n_sel if params.n_sel is not None else m // 2
-    if n_sel >= m:
-        raise InputError(f"need n_sel < m, got n_sel={n_sel}, m={m}")
+    _check_size(m, n_sel=n_sel)
     m_corr = m - n_sel
     lam = params.lambda_nsel if params.lambda_nsel is not None else float(n_sel - 1)
     if seeds is None:
@@ -329,15 +338,21 @@ RULE_NAMES = (
 )
 
 
-def check_rule(rule: str, known: Collection[str] = RULE_NAMES, params: RuleParams | None = None) -> None:
+def check_rule(
+    rule: str, known: Collection[str] = RULE_NAMES, params: RuleParams | None = None, m: int | None = None
+) -> None:
     """Raise ``InputError`` unless ``rule`` is one of ``known`` and, given ``params``, has the settings it needs.
 
-    Every rule name, and every setting a rule requires, is checked here.
+    Given m as well, ``params`` must also serve groups of m rewards (see
+    ``_check_size``, which the kernels call on the groups they get). Every
+    rule name, and every setting a rule requires, is checked here.
     """
     if rule not in known:
         raise InputError(f"unknown rule {rule!r}; known: {', '.join(known)}")
     if params is not None and rule == "bon-mean" and params.bon_k is None:
         raise InputError("rule 'bon-mean' requires bon_k")
+    if m is not None:
+        _check_size(m, params.bon_k if rule == "bon-mean" else None, params.n_sel if rule == "chow" else None)
 
 
 def compute_rules(

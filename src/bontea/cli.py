@@ -19,6 +19,7 @@ import argparse
 import csv
 import inspect
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -258,19 +259,26 @@ def _output(path: str | None) -> Iterator[TextIO]:
     """Stdout for no path or '-', else the file; flushed once, when it closes.
 
     What was written stays on error: the file is closed and stdout flushed.
+    A write, flush or close that fails (a closed pipe, a full disk) is an
+    ``InputError`` naming the output. What stdout could not take is then
+    dropped, so the interpreter's own flush at exit does not fail again.
     """
-    if path is None or path == "-":
-        try:
-            yield sys.stdout
-        finally:
-            sys.stdout.flush()
-        return
+    to_stdout = path is None or path == "-"
     try:
-        handle = open(path, "w", encoding="utf-8")
+        if to_stdout:
+            try:
+                yield sys.stdout
+            finally:
+                sys.stdout.flush()
+            return
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
-    with handle:
-        yield handle
+        if to_stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise InputError(f"cannot write {'stdout' if to_stdout else path}: {exc}") from exc
 
 
 def _write_json(out: TextIO, payload: dict[str, Any], indent: int | None = None) -> None:

@@ -145,15 +145,20 @@ def expected_gauss_max(n: int) -> float:
     return float(n * (weights @ np.exp((n - 1) * log_cdf)))
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ``InputError`` unless alpha lies in (0, 1/2) and z_alpha = Phi^-1(1 - alpha) exists."""
+    if not 0.0 < alpha < 0.5:
+        raise InputError(f"alpha must lie in (0, 1/2), got {alpha}")
+    if 1.0 - alpha == 1.0:
+        raise InputError(f"alpha {alpha} is too small: 1 - alpha rounds to 1")
+
+
 @lru_cache(maxsize=None)
 def tail_constants(alpha: float, n: int) -> TailConstants:
     """Tail constants (z, lambda, delta, c_n, c_tilde_n) for one (alpha, n)."""
-    if not 0.0 < alpha < 0.5:
-        raise InputError(f"alpha must lie in (0, 1/2), got {alpha}")
+    check_alpha(alpha)
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    if 1.0 - alpha == 1.0:
-        raise InputError(f"alpha {alpha} is too small: 1 - alpha rounds to 1")
     z_alpha = _NORMAL_QUANTILE(1.0 - alpha)
     lambda_alpha = float(norm_pdf(z_alpha) / alpha)
     delta_alpha = 1.0 + z_alpha * lambda_alpha - lambda_alpha**2

@@ -19,7 +19,9 @@ applied only beyond them) removes most of the remaining tail-vector noise
 without biasing the mean.
 
 Replications are drawn in blocks, each from its own SeedSequence child. A
-block's normals are drawn in chunks of rows, in stream order; the calling
+block's normals are drawn in chunks of rows, in stream order, into a ring of
+buffers the block reuses, so drawing allocates no fresh memory per chunk; a
+buffer is drawn into again only once the chunk in it is measured. The calling
 thread draws the even blocks and a second thread the odd ones, so block i + 1
 is drawn while block i is. A thread pool measures each chunk while the next
 one is drawn (NumPy releases the GIL in both), and each block bounds its own
@@ -58,7 +60,7 @@ import numpy as np
 
 from .advantages import RULE_NAMES, RuleParams, _prefix_layout, _shaped, check_rule, compute_rules
 from .errors import DegenerateError, InputError
-from .gauss import ndtr, norm_pdf, tail_constants
+from .gauss import check_alpha, ndtr, norm_pdf, tail_constants
 from .prefixes import cancellation_weights, combine, theory_prefixes
 from .tailstats import slice_tail_stats, tail_count
 
@@ -94,8 +96,7 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if not all(np.isfinite(self.score_thresholds)):
             raise InputError("score thresholds must be finite")
-        if not 0.0 < self.alpha < 0.5:
-            raise InputError(f"alpha must lie in (0, 1/2), got {self.alpha}")
+        check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -412,17 +413,23 @@ def _gradient_kernel(rule: str, spec: SyntheticSpec, params: RuleParams):
     return measure
 
 
-def _draw_chunks(rng: np.random.Generator, width: int, take: int, rows: int):
+def _draw_chunks(rng: np.random.Generator, ring: deque, take: int, rows: int):
     """The first ``take`` of the next ``rows`` rows of normals, as row chunks in stream order.
 
-    The rows past ``take`` are drawn too, so the stream moves past all
-    ``rows``, but one chunk at a time and never yielded.
+    ``ring`` holds (step, width) buffers, and each chunk of step rows is
+    drawn into the one that has gone longest unused, which then moves to the
+    ring's end. The rows past ``take`` are drawn too, so the stream moves past
+    all ``rows``, but one chunk at a time into a fresh buffer outside the
+    ring, as they are never yielded (see ``_submit_block``).
     """
-    step = max(1, _CHUNK_VALUES // width)
+    step, width = ring[0].shape
     for start in range(0, rows, step):
-        z = rng.standard_normal((min(step, rows - start), width))
-        if start < take:
-            yield z[: take - start]
+        n = min(step, rows - start)
+        if start >= take:
+            rng.standard_normal((n, width))
+            continue
+        ring.rotate(-1)
+        yield rng.standard_normal(out=ring[-1][:n])[: take - start]
 
 
 def _bounded_submit(pool: ThreadPoolExecutor, limit: int):
@@ -451,15 +458,21 @@ def _submit_block(pool: ThreadPoolExecutor, limit: int, measure, tail, width: in
     """Draws one block from its stream, submitting each chunk to ``pool`` as it is drawn.
 
     Returns the futures of ``measure``'s outputs, in row order, with at most
-    ``limit`` in flight at once; see ``_block_outputs`` for ``tail``.
+    ``limit`` in flight at once; see ``_block_outputs`` for ``tail``. The
+    block's chunks are drawn into a ring of ``limit`` + 1 buffers, chunk k
+    into buffer k mod (limit + 1): by the time chunk k is drawn, ``submit``
+    has waited on chunk k - limit - 1, that buffer's last. This holds only
+    if every chunk drawn into the ring is submitted, and only if no kernel's
+    output is a view of its chunk.
     """
     rng = np.random.default_rng(stream)
     submit = _bounded_submit(pool, limit)
-    chunks = _draw_chunks(rng, width, take, take if tail is None else BLOCK_SIZE)
+    ring = deque(np.empty((limit + 1, max(1, _CHUNK_VALUES // width), width)))
+    chunks = _draw_chunks(rng, ring, take, take if tail is None else BLOCK_SIZE)
     if tail is None:
         return [submit(measure, z) for z in chunks]
     tails = [submit(tail, z) for z in chunks]
-    evals = _draw_chunks(rng, width, take, take)
+    evals = _draw_chunks(rng, ring, take, take)
     return [submit(_after, measure, z, t) for z, t in zip(evals, tails)]
 
 
@@ -555,18 +568,18 @@ def check_rows(
 ) -> None:
     """Raises ``InputError`` if ``estimator_bias_variance`` would refuse a row of rules by ``m_grid``.
 
-    Each rule must be a lab tag with the settings it needs, every group size
-    m and prompt-batch size P at least 1, ``params`` must share the spec's
-    target (alpha, n_target), and a given replication count must be at least
-    1e3. The prefix rules' set-ups are built for every m, as their rows build
-    them, so a group size one refuses is refused before any row is measured.
+    Each rule must be a lab tag with the settings it needs, every
+    prompt-batch size P at least 1, ``params`` must share the spec's target
+    (alpha, n_target), and a given replication count must be at least 1e3.
+    Then every rule's settings must serve every group size m, as
+    ``check_rule`` and, for the prefix rules, their set-ups decide, so a group
+    size one refuses is refused before any row is measured.
     """
     for rule in rules:
         check_rule(rule, LAB_TAGS, params)
-    for name, sizes in (("group size m", m_grid), ("prompt-batch size P", p_grid)):
-        for size in sizes:
-            if size < 1:
-                raise InputError(f"{name} must be >= 1, got {size}")
+    for size in p_grid:
+        if size < 1:
+            raise InputError(f"prompt-batch size P must be >= 1, got {size}")
     if (params.alpha, params.n_target) != (spec.alpha, spec.n_target):
         raise InputError(
             f"params' (alpha, n_target) {params.alpha, params.n_target} differ from the spec's"
@@ -575,6 +588,8 @@ def check_rows(
     if replications is not None and replications < 1_000:
         raise InputError(f"need at least 1e3 replications, got {replications}")
     for m in m_grid:
+        for rule in rules:
+            check_rule(rule, LAB_TAGS, params, m)
         if "prefix-tea" in rules:
             _PrefixCrossFit(m, spec, params)
         if "prefix-tea-raw" in rules:

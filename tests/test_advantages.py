@@ -347,6 +347,7 @@ class TestDispatch:
         "field, value, message",
         [
             ("alpha", 0.7, r"alpha must lie in \(0, 1/2\), got 0.7"),
+            ("alpha", 1e-17, "alpha 1e-17 is too small: 1 - alpha rounds to 1"),
             ("n_target", 0, "n_target must be >= 1, got 0"),
             ("eps_sigma", 0.0, "eps_sigma must be positive"),
             ("eps_norm", float("nan"), "eps_norm must be finite and >= 0, got nan"),

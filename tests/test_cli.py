@@ -54,13 +54,14 @@ def pools_path(tmp_path):
     return path
 
 
+#: ``bontea`` in a fresh interpreter on this checkout, in the caller's environment.
+CLI = [sys.executable, "-c", "import sys; from bontea.cli import main; sys.exit(main())"]
+CLI_ENV = {**os.environ, "PYTHONPATH": str(Path(bontea.__file__).parents[1])}
+
+
 def run_cli(*argv):
-    """``bontea`` in a fresh interpreter on this checkout, in the caller's environment."""
-    return subprocess.run(
-        [sys.executable, "-c", "import sys; from bontea.cli import main; sys.exit(main())", *argv],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(Path(bontea.__file__).parents[1])},
-    )
+    """Runs ``bontea`` with ``argv`` to its end; see ``CLI``."""
+    return subprocess.run([*CLI, *argv], capture_output=True, text=True, timeout=60, env=CLI_ENV)
 
 
 def read_csv(path):
@@ -433,6 +434,36 @@ class TestWeightsCommand:
         scheme = build_scheme(64, 2, 4)
         assert payload["sizes"] == list(scheme.sizes)
         assert payload["weights"] == list(scheme.weights)  # bit-exact round trip
+
+
+class TestFailedWrite:
+    """A write, flush or close that fails ends the command in one error line and exit 2."""
+
+    def test_closed_stdout(self, tmp_path):
+        # far more output than a pipe holds, so writes go on after the reader has gone
+        src = tmp_path / "big.jsonl"
+        rng = np.random.default_rng(11)
+        write_groups(src, [{"prompt_id": f"p{i}", "rewards": rng.standard_normal(64).tolist()} for i in range(500)])
+        proc = subprocess.Popen(
+            [*CLI, "advantage", "-i", str(src)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CLI_ENV
+        )
+        try:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 2
+        finally:
+            proc.kill()
+            proc.wait()
+        assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["advantage", "-i", "{groups}"], ["weights"]], ids=["advantage", "weights"])
+    def test_full_device(self, pools_path, argv):
+        argv = [str(pools_path) if arg == "{groups}" else arg for arg in argv]
+        proc = run_cli(*argv, "-o", "/dev/full")
+        message = "error: cannot write /dev/full: [Errno 28] No space left on device\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
 
 class TestPredictAndEval:
@@ -1056,6 +1087,7 @@ class TestConfigResolution:
             (["advantage", "-i", "{groups}", "--rule", "bon-mean"], "rule 'bon-mean' requires bon_k"),
             (["align", "-i", "{groups}", "--rules", "tea,bon-mean"], "rule 'bon-mean' requires bon_k"),
             (["predict-bon", "-i", "{groups}", "--alpha", "1e-17"], "alpha 1e-17 is too small: 1 - alpha rounds to 1"),
+            (["advantage", "-i", "{groups}", "--alpha", "1e-17"], "alpha 1e-17 is too small: 1 - alpha rounds to 1"),
             (["synth-bias-variance", "--rules", "tea,bon-mean", "--m-grid", "64", "--replications", "1000"],
              "rule 'bon-mean' requires bon_k"),
             (["synth-bias-variance", "--rules", "tea,prefix-tea", "--m-grid", "64,7", "--replications", "1000"],
@@ -1066,9 +1098,16 @@ class TestConfigResolution:
              "need m >= 2J, got m=6, J=4"),
             (["synth-bias-variance", "--rules", "tea", "--m-grid", "64", "--replications", "10"],
              "need at least 1e3 replications, got 10"),
+            (["synth-bias-variance", "--rules", "tea,chow", "--n-sel", "64", "--m-grid", "64",
+              "--replications", "1000"], "need n_sel < m, got n_sel=64, m=64"),
+            (["synth-bias-variance", "--rules", "tea,bon-mean", "--bon-k", "64", "--m-grid", "64",
+              "--replications", "1000"], "need 1 <= bon_k < m, got bon_k=64, m=64"),
+            (["synth-bias-variance", "--rules", "tea,grpo", "--m-grid", "64,1", "--replications", "1000"],
+             "need m >= 2 rewards, got 1"),
         ],
-        ids=["advantage-bon-k", "align-bon-k", "predict-bon-alpha", "synth-bon-k", "synth-prefix-odd-m",
-             "synth-prefix-collide", "synth-prefix-raw-small-m", "synth-replications"],
+        ids=["advantage-bon-k", "align-bon-k", "predict-bon-alpha", "advantage-alpha", "synth-bon-k",
+             "synth-prefix-odd-m", "synth-prefix-collide", "synth-prefix-raw-small-m", "synth-replications",
+             "synth-chow-n-sel", "synth-bon-mean-bon-k", "synth-grpo-m"],
     )
     def test_refused_setting_or_row_is_one_error_line_before_any_output(self, tmp_path, capsys, argv, message):
         # a rule's missing setting or a refused row, before any group is read or any row measured

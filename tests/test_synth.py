@@ -8,6 +8,7 @@ MSE bookkeeping.
 
 from __future__ import annotations
 
+import time
 from typing import NamedTuple
 
 import numpy as np
@@ -31,8 +32,10 @@ from bontea.cli import main
 from bontea.gauss import tail_constants
 from bontea.synth import (
     LAB_TAGS,
+    _gradient_kernel,
     _h_batch,
     _MomentAccumulator,
+    _PrefixCrossFit,
     _score_sums,
     _shaped_coefficients,
     _shaped_sum,
@@ -250,6 +253,10 @@ class TestMeasurementEngine:
         with pytest.raises(DegenerateError):
             estimator_bias_variance("tea", SPEC, m=4, replications=1_000, seed=0)
 
+    def test_spec_rejects_an_alpha_without_a_tail_quantile(self):
+        with pytest.raises(InputError, match="alpha 1e-17 is too small: 1 - alpha rounds to 1"):
+            SyntheticSpec(alpha=1e-17)
+
     def test_rejects_tiny_replications(self):
         with pytest.raises(InputError):
             estimator_bias_variance("tea", SPEC, m=64, replications=10)
@@ -296,8 +303,9 @@ class TestSchedule:
     # two whole blocks and a partial one; the prefix pilot fits on the first block
     REPLICATIONS = 2 * 4096 + 1000
     # 1, 2 and 4 cores give 1, 2 and 4 measuring threads beside two drawing threads,
-    # and 1, 1 and 3 beside one; chunks of 64, 256 and 4096 rows at width 64
-    SCHEDULES = [(cores, rows * 64) for cores in (1, 2, 4) for rows in (64, 256, 4096)]
+    # and 1, 1 and 3 beside one; chunks of 8, 64, 256 and 4096 rows at width 64. A block
+    # draws its chunks into a ring of at most 9 buffers, which chunks of 8 rows lap 57 times
+    SCHEDULES = [(cores, rows * 64) for cores in (1, 2, 4) for rows in (8, 64, 256, 4096)]
     RULES = [("tea", 64), ("oracle", 64), ("prefix-tea", 64), ("prefix-tea-raw", 64), ("grpo-z", 16)]
 
     @pytest.mark.parametrize("rule, m", RULES)
@@ -401,6 +409,70 @@ class TestFrozenRows:
     def test_row_bits(self, rule):
         row = estimator_bias_variance(rule, SPEC, 64, 2 * 4096 + 1000, seed=31)
         bias, bias_se, variance, variance_se = self.ROWS[rule]
+        assert [float(x).hex() for x in row.bias_vec] == list(bias)
+        assert [float(x).hex() for x in row.bias_se] == list(bias_se)
+        assert row.variance.hex() == variance
+        assert row.variance_se.hex() == variance_se
+
+
+def _slowed(fn):
+    """``fn`` behind a 20 ms sleep."""
+
+    def slow(*args, **kwargs):
+        time.sleep(0.02)
+        return fn(*args, **kwargs)
+
+    return slow
+
+
+class TestChunkRing:
+    """Each block draws its chunks into a ring of reused buffers.
+
+    A buffer is drawn into again once the chunk in it is measured, so no
+    kernel output may be a view of its chunk, and no chunk may be drawn over
+    while it is measured, however slowly.
+    """
+
+    @pytest.mark.parametrize("rule", [tag for tag in LAB_TAGS if tag != "prefix-tea"])
+    def test_measure_keeps_no_view_of_its_chunk(self, rule):
+        # tea and oracle have kernels of their own; every other tag is measured by compute_rules
+        z = np.random.default_rng(3).standard_normal((16, 64))
+        outputs = _gradient_kernel(rule, SPEC, RuleParams(bon_k=4))(z)
+        assert not any(np.shares_memory(out, z) for out in outputs)
+
+    def test_prefix_stages_keep_no_view_of_their_chunks(self):
+        kernel = _PrefixCrossFit(64, SPEC, RuleParams())
+        rng = np.random.default_rng(4)
+        z_a, z_b = rng.standard_normal((16, 32)), rng.standard_normal((16, 32))
+        tail = kernel.tail(z_a)
+        outputs = (*tail, *kernel.evaluate(z_b, *tail))
+        assert not any(np.shares_memory(out, z) for out in outputs for z in (z_a, z_b))
+
+    # float.hex of bias_vec, bias_se, variance and variance_se, from chunks drawn afresh;
+    # the last block is partial, so a prefix-tea row also draws tail halves it never measures
+    SLOW_ROWS = {
+        ("prefix-tea", 1024, 7096): (
+            ("-0x1.b6a37b36f2900p-10", "-0x1.1bc9ec93fe100p-10"),
+            ("0x1.51485094d5a62p-10", "0x1.9f481d59c5482p-11"),
+            "0x1.9b3eb5230d4ecp-3",
+            "0x1.681e31571ee82p-9",
+        ),
+        ("tea", 256, 5000): (
+            ("-0x1.472a05c614a20p-7", "-0x1.2d75ba0227e40p-6"),
+            ("0x1.bc623d94eb66cp-10", "0x1.6c4b56acb6898p-10"),
+            "0x1.899d26e533257p-6",
+            "0x1.7b0d3e4b15b28p-12",
+        ),
+    }
+
+    @pytest.mark.parametrize("rule, m, replications", sorted(SLOW_ROWS))
+    def test_slow_measurement_keeps_row_bits(self, monkeypatch, rule, m, replications):
+        import bontea.synth as synth
+
+        monkeypatch.setattr(synth._PrefixCrossFit, "tail", _slowed(synth._PrefixCrossFit.tail))
+        monkeypatch.setattr(synth, "_tea_block", _slowed(synth._tea_block))
+        row = estimator_bias_variance(rule, SPEC, m, replications, seed=41)
+        bias, bias_se, variance, variance_se = self.SLOW_ROWS[rule, m, replications]
         assert [float(x).hex() for x in row.bias_vec] == list(bias)
         assert [float(x).hex() for x in row.bias_se] == list(bias_se)
         assert row.variance.hex() == variance
