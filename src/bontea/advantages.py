@@ -1,8 +1,9 @@
 """Advantage rules: TEA, Prefix-TEA, and the baseline family.
 
 Every rule maps a (B, m) reward matrix, one group per row, to a (B, m)
-advantage matrix; ``compute_rules`` reaches each rule's kernel by name, and
-one group is a (1, m) row. The TEA family is built on the tail-shaped reward
+advantage matrix; ``rule_kernel`` sets a rule's kernel up once per group size,
+``compute_rules`` reaches it by name, and one group is a (1, m) row. The TEA
+family is built on the tail-shaped reward
 
     R_tilde(u) = (u - r) + (c_tilde / (2 sigma)) ((u - mu)^2 - (r - mu)^2)
 
@@ -18,7 +19,7 @@ rank-scaled CAT-BoN) share the same rewards-in, advantages-out interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Collection, Optional, Sequence
 
 import numpy as np
@@ -26,7 +27,8 @@ import numpy as np
 from .errors import DegenerateError, InputError, check_finite
 from .gauss import check_alpha, tail_constants
 from .prefixes import build_scheme, combine
-from .tailstats import DEFAULT_EPS_SIGMA, prefix_tail_stats, row_moments, tail_count, tail_stats
+from .tailstats import DEFAULT_EPS_SIGMA, check_size, prefix_tail_stats, row_moments, slice_tail_stats, tail_count
+from .tailstats import tail_stats
 
 #: Default denominator guard for normalized rules.
 DEFAULT_EPS_NORM = 1e-8
@@ -80,27 +82,13 @@ class RuleParams:
 
 
 def _matrix(rewards: np.ndarray) -> np.ndarray:
-    """Rewards as a validated (B, m) matrix of finite floats with m >= 2."""
+    """Rewards as a validated (B, m) matrix of finite floats; the set-up checks m."""
     rewards = np.asarray(rewards, dtype=float)
     if rewards.ndim != 2:
         raise InputError(f"rewards must be a (B, m) array with m >= 2, got shape {rewards.shape}")
-    _check_size(rewards.shape[1])
     if not np.isfinite(rewards).all():
         raise InputError("rewards must be finite")
     return rewards
-
-
-def _check_size(m: int, bon_k: int | None = None, n_sel: int | None = None) -> None:
-    """Raise ``InputError`` unless groups of m rewards can serve a rule.
-
-    That needs m >= 2, and 1 <= bon_k < m and n_sel < m for a bon_k or n_sel given.
-    """
-    if m < 2:
-        raise InputError(f"need m >= 2 rewards, got {m}")
-    if bon_k is not None and not 1 <= bon_k < m:
-        raise InputError(f"need 1 <= bon_k < m, got bon_k={bon_k}, m={m}")
-    if n_sel is not None and n_sel >= m:
-        raise InputError(f"need n_sel < m, got n_sel={n_sel}, m={m}")
 
 
 def _centered(x: np.ndarray) -> np.ndarray:
@@ -116,65 +104,65 @@ def _shaped(u, r, mu, sigma, c_tilde: float):
 
 # --- batch kernels: (B, m) rewards in, (B, m) advantages out -------------------
 
+Kernel = Callable[[np.ndarray, Optional[Sequence[int]]], np.ndarray]
+
 
 def _raw_rule(u, r, mu, sigma, alpha: float, c_tilde: float):
     """(1/alpha) 1{u >= r} R_tilde(u) at tail vectors (r, mu, sigma) that broadcast against u."""
     return np.where(u >= r, _shaped(u, r, mu, sigma, c_tilde) / alpha, 0.0)
 
 
-def _tea_raw(rewards: np.ndarray, params: RuleParams) -> np.ndarray:
-    c_tilde = tail_constants(params.alpha, params.n_target).c_tilde_n
-    # squares of rewards far below the tail may overflow; their entries are zero
-    with np.errstate(over="ignore", invalid="ignore"):
-        r, mu, sigma = tail_stats(rewards, params.alpha, params.eps_sigma)
-        return _raw_rule(rewards, r, mu, sigma, params.alpha, c_tilde)
+def _tea(params: RuleParams, m: int, raw: bool = False) -> Kernel:
+    """(A_raw)_+ centered, A_raw at the group's tail vector; with ``raw``, A_raw itself."""
+    first, c_tilde = m - tail_count(m, params.alpha), tail_constants(params.alpha, params.n_target).c_tilde_n
+
+    def kernel(rewards: np.ndarray, seeds: Sequence[int] | None) -> np.ndarray:
+        # squares of rewards far below the tail may overflow; their entries are zero
+        with np.errstate(over="ignore", invalid="ignore"):
+            r, mu, sigma = slice_tail_stats(np.sort(rewards, axis=1)[:, first:], params.eps_sigma)
+            values = _raw_rule(rewards, r, mu, sigma, params.alpha, c_tilde)
+        return values if raw else _centered(np.maximum(values, 0.0))
+
+    return kernel
 
 
-def _tea(rewards: np.ndarray, params: RuleParams) -> np.ndarray:
-    return _centered(np.maximum(_tea_raw(rewards, params), 0.0))
-
-
-@lru_cache(maxsize=256)
-def _prefix_layout(m: int, k: int, j_count: int, alpha: float):
-    """Prefix j's sizes, tail counts, columns beyond it as a (J, 1, m) mask and w_j rho_j as (J, 1, 1)."""
-    scheme = build_scheme(m, k, j_count)
-    beyond = np.arange(m) >= np.array(scheme.sizes)[:, None, None]
-    scales = np.array([w * rho for w, rho in zip(scheme.weights, scheme.ratios)])[:, None, None]
-    beyond.flags.writeable = scales.flags.writeable = False
-    return scheme.sizes, tuple(tail_count(size, alpha) for size in scheme.sizes), beyond, scales
-
-
-def _prefix_tea(rewards: np.ndarray, params: RuleParams, raw: bool = False) -> np.ndarray:
+def _prefix_tea(params: RuleParams, m: int, raw: bool = False) -> Kernel:
     """C_i = sum_j w_j rho_j (A_raw_{i,j})_+, centered; with ``raw``, no positive part or centring.
 
     A_raw_{i,j} applies the raw rule with prefix j's tail vector and the
     membership indicator 1{i <= m_j}. Each block of rows stacks its J
     prefixes as rows padded with -inf, so one sort gives every prefix's top
     slice (the same values in the same order as a sort of the prefix alone)
-    and one pass shapes them all; ``combine`` sums the J terms.
+    and one pass shapes them all; ``combine`` sums the J terms. The set-up holds
+    the columns beyond each prefix as a (J, 1, m) mask and w_j rho_j as (J, 1, 1).
     """
-    n_rows, m = rewards.shape
-    sizes, counts, beyond, scales = _prefix_layout(m, params.k, params.j_count, params.alpha)
+    scheme = build_scheme(m, params.k, params.j_count)
+    sizes, counts = scheme.sizes, tuple(tail_count(size, params.alpha) for size in scheme.sizes)
+    beyond = np.arange(m) >= np.array(sizes)[:, None, None]
+    scales = np.array([w * rho for w, rho in zip(scheme.weights, scheme.ratios)])[:, None, None]
+    beyond.flags.writeable = scales.flags.writeable = False
     c_tilde = tail_constants(params.alpha, params.n_target).c_tilde_n
-    combined = np.empty_like(rewards)
-    step = max(1, _PREFIX_BLOCK_VALUES // (len(sizes) * m))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_rows, step):
-            u = np.where(beyond, -np.inf, rewards[start : start + step])
-            try:
-                r, mu, sigma = prefix_tail_stats(
-                    np.sort(u, axis=2)[:, :, m - counts[-1] :], counts, params.eps_sigma
-                )
-            except DegenerateError:
-                # name the overflow that one prefix at a time over all rows meets first
-                for size in sizes:
-                    tail_stats(rewards[:, :size], params.alpha, params.eps_sigma)
-                raise
-            values = _raw_rule(u, r, mu, sigma, params.alpha, c_tilde)
-            if not raw:
-                np.maximum(values, 0.0, out=values)
-            combine(scales, values, out=combined[start : start + step])
-    return combined if raw else _centered(combined)
+    step, first = max(1, _PREFIX_BLOCK_VALUES // (len(sizes) * m)), m - counts[-1]
+
+    def kernel(rewards: np.ndarray, seeds: Sequence[int] | None) -> np.ndarray:
+        combined = np.empty_like(rewards)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, rewards.shape[0], step):
+                u = np.where(beyond, -np.inf, rewards[start : start + step])
+                try:
+                    r, mu, sigma = prefix_tail_stats(np.sort(u, axis=2)[:, :, first:], counts, params.eps_sigma)
+                except DegenerateError:
+                    # name the overflow that one prefix at a time over all rows meets first
+                    for size in sizes:
+                        tail_stats(rewards[:, :size], params.alpha, params.eps_sigma)
+                    raise
+                values = _raw_rule(u, r, mu, sigma, params.alpha, c_tilde)
+                if not raw:
+                    np.maximum(values, 0.0, out=values)
+                combine(scales, values, out=combined[start : start + step])
+        return combined if raw else _centered(combined)
+
+    return kernel
 
 
 def _normalized(x: np.ndarray, scale: np.ndarray, eps_norm: float, what: str) -> np.ndarray:
@@ -242,8 +230,13 @@ def bon_mean_raw(rewards: np.ndarray, bon_k: int) -> np.ndarray:
     k times the average maximum over all C(m, k) subsets.
     """
     rewards = _matrix(rewards)
+    check_size(rewards.shape[1], bon_k=bon_k)
+    return _subset_max(rewards, bon_k)
+
+
+def _subset_max(rewards: np.ndarray, bon_k: int) -> np.ndarray:
+    """``bon_mean_raw`` without its checks."""
     m = rewards.shape[1]
-    _check_size(m, bon_k=bon_k)
     order = np.argsort(rewards, axis=1, kind="stable")
     r_sorted = np.take_along_axis(rewards, order, axis=1)
     tail_terms = r_sorted * _subset_max_weights(m, bon_k, 1)
@@ -255,33 +248,37 @@ def bon_mean_raw(rewards: np.ndarray, bon_k: int) -> np.ndarray:
     return b
 
 
-def _chow(rewards: np.ndarray, params: RuleParams, seeds: Sequence[int] | None) -> np.ndarray:
+def _chow(params: RuleParams, m: int) -> Kernel:
     """Selection/correction split: a seeded permutation's first n_sel indices select.
 
     The winner of the selection set gets m R*, and each of the m - n_sel
     correction samples beating R* gets -m (lambda / (m - n_sel)) R*; lambda
     defaults to n_sel - 1.
     """
-    n_rows, m = rewards.shape
     n_sel = params.n_sel if params.n_sel is not None else m // 2
-    _check_size(m, n_sel=n_sel)
-    m_corr = m - n_sel
     lam = params.lambda_nsel if params.lambda_nsel is not None else float(n_sel - 1)
-    if seeds is None:
-        perms = np.broadcast_to(np.random.default_rng(params.seed).permutation(m), rewards.shape)
-    else:
-        if len(seeds) != n_rows:
-            raise InputError(f"need one seed per row, got {len(seeds)} seeds for {n_rows} rows")
-        perms = np.stack([np.random.default_rng(int(seed)).permutation(m) for seed in seeds])
-    sel, cor = perms[:, :n_sel], perms[:, n_sel:]
-    rows = np.arange(n_rows)
-    i_star = sel[rows, np.argmax(np.take_along_axis(rewards, sel, axis=1), axis=1)]
-    r_star = rewards[rows, i_star]
-    values = np.zeros_like(rewards)
-    values[rows, i_star] = m * r_star
-    row, col = np.nonzero(np.take_along_axis(rewards, cor, axis=1) > r_star[:, None])
-    values[row, cor[row, col]] = (-m * (lam / m_corr) * r_star)[row]
-    return values
+    correction = -m * (lam / (m - n_sel))
+    default = np.random.default_rng(params.seed).permutation(m)  # shared read-only through broadcast_to
+
+    def kernel(rewards: np.ndarray, seeds: Sequence[int] | None) -> np.ndarray:
+        n_rows = rewards.shape[0]
+        if seeds is None:
+            perms = np.broadcast_to(default, rewards.shape)
+        else:
+            if len(seeds) != n_rows:
+                raise InputError(f"need one seed per row, got {len(seeds)} seeds for {n_rows} rows")
+            perms = np.stack([np.random.default_rng(int(seed)).permutation(m) for seed in seeds])
+        sel, cor = perms[:, :n_sel], perms[:, n_sel:]
+        rows = np.arange(n_rows)
+        i_star = sel[rows, np.argmax(np.take_along_axis(rewards, sel, axis=1), axis=1)]
+        r_star = rewards[rows, i_star]
+        values = np.zeros_like(rewards)
+        values[rows, i_star] = m * r_star
+        row, col = np.nonzero(np.take_along_axis(rewards, cor, axis=1) > r_star[:, None])
+        values[row, cor[row, col]] = (correction * r_star)[row]
+        return values
+
+    return kernel
 
 
 def _strictly_below(rewards: np.ndarray) -> np.ndarray:
@@ -308,22 +305,21 @@ def _cat_bon(rewards: np.ndarray, params: RuleParams) -> np.ndarray:
     return _normalized(weights, mean, eps_norm, "mean rank weight") * z_scores
 
 
-_Kernel = Callable[[np.ndarray, RuleParams, Optional[Sequence[int]]], np.ndarray]
-
-#: Rule name -> batch kernel (rewards, params, per-row seeds); only chow reads the seeds.
-_KERNELS: dict[str, _Kernel] = {
-    "tea": lambda x, params, seeds: _tea(x, params),
-    "tea-raw": lambda x, params, seeds: _tea_raw(x, params),
-    "prefix-tea": lambda x, params, seeds: _prefix_tea(x, params),
-    "prefix-tea-raw": lambda x, params, seeds: _prefix_tea(x, params, raw=True),
-    "grpo": lambda x, params, seeds: _centered(x),
-    "grpo-z": lambda x, params, seeds: _grpo_z(x, params.eps_norm),
-    "bonmax-mean": lambda x, params, seeds: _bon_max(x, "mean"),
-    "bonmax-second": lambda x, params, seeds: _bon_max(x, "second"),
-    "bon-mean": lambda x, params, seeds: _grpo_z(bon_mean_raw(x, params.bon_k), params.eps_norm),
+#: Rule name -> set-up (params, m) -> kernel; only the ``SEEDED_RULES`` read the seeds.
+_KERNELS: dict[str, Callable[[RuleParams, int], Kernel]] = {
+    "tea": _tea,
+    "tea-raw": partial(_tea, raw=True),
+    "prefix-tea": _prefix_tea,
+    "prefix-tea-raw": partial(_prefix_tea, raw=True),
+    "grpo": lambda params, m: lambda x, seeds: _centered(x),
+    "grpo-z": lambda params, m: lambda x, seeds: _grpo_z(x, params.eps_norm),
+    "bonmax-mean": lambda params, m: lambda x, seeds: _bon_max(x, "mean"),
+    "bonmax-second": lambda params, m: lambda x, seeds: _bon_max(x, "second"),
+    "bon-mean": lambda params, m: lambda x, seeds: _grpo_z(_subset_max(x, params.bon_k), params.eps_norm),
     "chow": _chow,
-    "cat-bon": lambda x, params, seeds: _cat_bon(x, params),
+    "cat-bon": lambda params, m: lambda x, seeds: _cat_bon(x, params),
 }
+SEEDED_RULES = ("chow",)
 
 RULE_NAMES = (
     "tea",
@@ -344,15 +340,27 @@ def check_rule(
     """Raise ``InputError`` unless ``rule`` is one of ``known`` and, given ``params``, has the settings it needs.
 
     Given m as well, ``params`` must also serve groups of m rewards (see
-    ``_check_size``, which the kernels call on the groups they get). Every
-    rule name, and every setting a rule requires, is checked here.
+    ``check_size``). Every rule name, and every setting a rule requires, is
+    checked here; ``rule_kernel`` adds the prefix rules' scheme.
     """
     if rule not in known:
         raise InputError(f"unknown rule {rule!r}; known: {', '.join(known)}")
     if params is not None and rule == "bon-mean" and params.bon_k is None:
         raise InputError("rule 'bon-mean' requires bon_k")
     if m is not None:
-        _check_size(m, params.bon_k if rule == "bon-mean" else None, params.n_sel if rule == "chow" else None)
+        check_size(m, params.bon_k if rule == "bon-mean" else None, params.n_sel if rule == "chow" else None)
+
+
+@lru_cache(maxsize=256)
+def rule_kernel(rule: str, params: RuleParams, m: int) -> Kernel:
+    """The kernel of a rule for groups of m rewards: a finite (B, m) matrix and seeds in, (B, m) out.
+
+    Set up once per (rule, params, m): ``check_rule`` with m, the prefix scheme and the bound
+    constants (c_tilde, q, the prefix layout), so a call only computes. A kernel holds no mutable
+    buffer, so threads may share it. ``seeds`` gives the ``SEEDED_RULES`` one seed per row.
+    """
+    check_rule(rule, _KERNELS, params, m)
+    return _KERNELS[rule](params, m)
 
 
 def compute_rules(
@@ -364,6 +372,6 @@ def compute_rules(
     ``rewards``. ``seeds`` gives one seed per row to the rules that draw
     (``chow``); without it every row uses ``params.seed``.
     """
-    check_rule(rule, _KERNELS, params)
-    return _KERNELS[rule](_matrix(rewards), params, seeds)
+    rewards = _matrix(rewards)
+    return rule_kernel(rule, params, rewards.shape[1])(rewards, seeds)
 

@@ -23,14 +23,14 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from . import __version__
-from .advantages import RULE_NAMES, RuleParams, check_rule, compute_rules
+from .advantages import RULE_NAMES, RuleParams, check_rule, compute_rules, rule_kernel
 from .bon_eval import (
     DEFAULT_RESAMPLES,
     DEFAULT_TIE_TOL,
@@ -352,19 +352,30 @@ class _Computed:
     prompt and line and skipped if one of ``skip``; any other, or a bad line,
     ends the command. ``exit_code`` is the worst failure. A file without groups
     is an input error unless ``allow_empty``.
+    ``setup(m)`` precedes each run of size m; its ``InputError`` skips all groups of m, reported once.
     """
 
     path: str
     batch: Callable[[np.ndarray, tuple[int, ...], tuple[RewardGroup, ...]], Sequence[Any]]
     skip: tuple[type[Exception], ...] = ()
     allow_empty: bool = False
+    setup: Callable[[int], Any] = lambda m: None
     exit_code: int = 0
 
     def __iter__(self) -> Iterator[tuple[RewardGroup, Any]]:
-        run = None
+        run, refused = None, set()
         try:
             for run in _equal_size_runs(read_reward_groups(self.path)):
-                indices, _, groups = zip(*run)
+                indices, lines, groups = zip(*run)
+                m = len(groups[0])
+                if m in refused:
+                    continue
+                try:
+                    self.setup(m)
+                except InputError as exc:
+                    refused.add(m)
+                    self._fail(f"prompt {groups[0].prompt_id} (line {lines[0]}): {exc}", exc)
+                    continue
                 try:
                     results = self.batch(np.stack([group.rewards for group in groups]), indices, groups)
                 except (DegenerateError, InputError):
@@ -404,7 +415,8 @@ def cmd_advantage(args: argparse.Namespace, config: dict[str, Any]) -> int:
         check_finite(adv, lambda *_: f"rule {rule} overflows: its advantages are not finite")
         return adv.tolist()
 
-    groups = _Computed(args.input, advantages, skip=(DegenerateError, InputError), allow_empty=True)
+    groups = _Computed(args.input, advantages, skip=(DegenerateError, InputError), allow_empty=True,
+                       setup=partial(rule_kernel, rule, params))
     with _output(args.output) as out:
         _write_json(out, {"config": _echo(config), "rule": rule})
         for group, adv in groups:

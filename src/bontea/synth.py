@@ -58,7 +58,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .advantages import RULE_NAMES, RuleParams, _prefix_layout, _shaped, check_rule, compute_rules
+from .advantages import RULE_NAMES, RuleParams, _shaped, check_rule, rule_kernel
 from .errors import DegenerateError, InputError
 from .gauss import check_alpha, ndtr, norm_pdf, tail_constants
 from .prefixes import cancellation_weights, combine, theory_prefixes
@@ -398,16 +398,16 @@ def default_replications(m: int) -> int:
 LAB_TAGS = (*RULE_NAMES, "oracle", "prefix-tea-raw")
 
 
-def _gradient_kernel(rule: str, spec: SyntheticSpec, params: RuleParams):
+def _gradient_kernel(rule: str, spec: SyntheticSpec, params: RuleParams, m: int):
     """Chunk measurement z -> (induced gradient per row, any advantage nonzero)."""
     if rule == "tea":
         return partial(_tea_block, spec=spec, eps_sigma=params.eps_sigma)
     if rule == "oracle":
         return partial(_oracle_block, spec=spec)
-    advantages = partial(compute_rules, rule, params=params)
+    advantages = rule_kernel(rule, params, m)
 
     def measure(z: np.ndarray):
-        adv = advantages(z)
+        adv = advantages(z, None)
         return _induced_gradient(adv, z, spec), (adv != 0.0).any(axis=1)
 
     return measure
@@ -593,7 +593,7 @@ def check_rows(
         if "prefix-tea" in rules:
             _PrefixCrossFit(m, spec, params)
         if "prefix-tea-raw" in rules:
-            _prefix_layout(m, params.k, params.j_count, params.alpha)
+            rule_kernel("prefix-tea-raw", params, m)
 
 
 def estimator_bias_variance(
@@ -615,7 +615,7 @@ def estimator_bias_variance(
     actual estimator and bias from the Rao-Blackwellized path (control-variate
     corrected; the pilot blocks that calibrate the coefficients are excluded
     from the bias mean). Any other registered rule is measured as-is, one
-    ``compute_rules`` call per chunk.
+    call of its ``rule_kernel`` per chunk.
 
     ``params`` defaults to the spec's target; ``check_rows`` lists what is
     refused. Raises ``DegenerateError`` when the rule emits all-zero
@@ -638,7 +638,7 @@ def estimator_bias_variance(
         kernel = _PrefixCrossFit(m, spec, params)
         blocks = _block_outputs(kernel.evaluate, m, replications, seed, tail=kernel.tail)
     else:
-        blocks = _block_outputs(_gradient_kernel(rule, spec, params), m, replications, seed)
+        blocks = _block_outputs(_gradient_kernel(rule, spec, params, m), m, replications, seed)
     for i, (take, (grads, *rb_path, nonzero)) in enumerate(blocks):
         acc.add(grads)
         zero_rows += int(take - nonzero.sum())

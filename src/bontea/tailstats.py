@@ -62,6 +62,16 @@ def tail_count(m: int, alpha: float) -> int:
     return int(ceil(alpha * m))
 
 
+def check_size(m: int, bon_k: int | None = None, n_sel: int | None = None) -> None:
+    """Raise ``InputError`` unless m >= 2, and 1 <= bon_k < m and n_sel < m for a bon_k or n_sel given."""
+    if m < 2:
+        raise InputError(f"need m >= 2 rewards, got {m}")
+    if bon_k is not None and not 1 <= bon_k < m:
+        raise InputError(f"need 1 <= bon_k < m, got bon_k={bon_k}, m={m}")
+    if n_sel is not None and n_sel >= m:
+        raise InputError(f"need n_sel < m, got n_sel={n_sel}, m={m}")
+
+
 def row_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean, deviations from it and population std of each row of x.
 
@@ -156,7 +166,6 @@ def tail_stats(
     if not eps_sigma > 0:
         raise InputError("eps_sigma must be positive")
     m = rewards.shape[1]
-    if m < 2:
-        raise InputError(f"need m >= 2 rewards, got {m}")
+    check_size(m)
     return slice_tail_stats(np.sort(rewards, axis=1)[:, m - tail_count(m, alpha) :], eps_sigma)
 

@@ -3,8 +3,8 @@
 A toy task is a fixed reward table over (prompt, action) pairs; the policy is
 one logit vector per prompt. Each step samples a prompt batch, draws m actions
 per prompt, converts the batch's rewards to advantages with one call of the
-configured rule, and ascends theta along the advantage-weighted score
-direction minus a KL-to-reference penalty:
+configured rule's kernel, set up once per run, and ascends theta along the
+advantage-weighted score direction minus a KL-to-reference penalty:
 
     theta <- theta + gamma * (1/P) sum_p [ (1/m) sum_i A_i S_i - beta grad KL ].
 
@@ -15,10 +15,11 @@ and the KL term is computed from the two distributions in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .advantages import RuleParams, check_rule, compute_rules
+from .advantages import SEEDED_RULES, RuleParams, rule_kernel
 from .bon_eval import BonCurve, grouped_bon_curve
 from .errors import DegenerateError, InputError
 
@@ -84,9 +85,9 @@ class TrainConfig:
     eval_samples: int = 512
 
     def __post_init__(self) -> None:
-        check_rule(self.rule, params=self.params)
         if self.m < 2 or self.p_batch < 1 or self.steps < 0 or self.eval_every < 1:
             raise InputError("m >= 2, p_batch >= 1, steps >= 0, eval_every >= 1 required")
+        rule_kernel(self.rule, self.params, self.m)  # the rule and every setting it needs, for this m
         if self.beta < 0 or not np.isfinite(self.beta):
             raise InputError(f"beta must be finite and >= 0, got {self.beta}")
         if self.gamma < 0 or not np.isfinite(self.gamma):
@@ -182,13 +183,10 @@ def _draw_actions(rng: np.random.Generator, probs: np.ndarray, size: int) -> np.
     once: the actions and the stream state afterwards are those of
     ``rng.choice(V, size, p=row)`` called for each row in turn.
     """
-    cdf = np.cumsum(probs, axis=1)
+    cdf = np.add.accumulate(probs, axis=1)  # cumsum's bits, without its per-call wrapping
     cdf /= cdf[:, -1:]
     uniform = rng.random((probs.shape[0], size))
-    actions = np.empty(uniform.shape, dtype=np.intp)
-    for i, (row, u) in enumerate(zip(cdf, uniform)):
-        actions[i] = row.searchsorted(u, side="right")
-    return actions
+    return np.array(list(map(np.ndarray.searchsorted, cdf, uniform, ["right"] * len(cdf))))
 
 
 def _policy_bon(
@@ -200,7 +198,7 @@ def _policy_bon(
 ) -> BonCurve:
     """``evaluate_policy_bon`` of the policy whose action probabilities, row by row, are ``probs``."""
     actions = _draw_actions(np.random.default_rng(seed), probs, samples_per_prompt)
-    return grouped_bon_curve(np.take_along_axis(task.rewards, actions, axis=1), n_budgets)
+    return grouped_bon_curve(task.rewards[np.arange(len(actions))[:, None], actions], n_budgets)
 
 
 def evaluate_policy_bon(
@@ -225,27 +223,24 @@ def _spawned(stream: np.random.SeedSequence, index: int) -> np.random.SeedSequen
     )
 
 
-def _step_gradient(
-    task: ToyTask,
-    thetas: np.ndarray,
-    prompts: np.ndarray,
-    config: TrainConfig,
-    rng: np.random.Generator,
-    seeds: np.ndarray | None = None,
-) -> np.ndarray:
-    """(1/m) sum_i A_i (one-hot(a_i) - pi) for each of the distinct ``prompts``; (P, V).
+def _step_gradient(task: ToyTask, config: TrainConfig) -> Callable[..., np.ndarray]:
+    """The run's step: (thetas, prompts, rng, seeds=None) -> (1/m) sum_i A_i (one-hot(a_i) - pi); (P, V).
 
-    Each prompt's m actions are drawn in turn, then one rule call turns the
-    (P, m) rewards into advantages, with ``seeds`` as the per-prompt seeds.
+    The P = ``config.p_batch`` distinct prompts draw m actions each, in turn; one call of the rule's
+    kernel, set up here, turns the finite table's (P, m) rewards into advantages.
     """
-    probs = softmax(thetas[prompts], axis=1)
-    actions = _draw_actions(rng, probs, config.m)
-    adv = compute_rules(config.rule, task.rewards[prompts[:, None], actions], config.params, seeds)
-    n, v = probs.shape
-    bins = (np.arange(n)[:, None] * v + actions).ravel()
-    counts = np.bincount(bins, weights=adv.ravel(), minlength=n * v).reshape(n, v)
-    # the mean's bits, without ndarray.mean's per-call wrapping
-    return counts / config.m - np.add.reduce(adv, axis=1, keepdims=True) / config.m * probs
+    kernel, m = rule_kernel(config.rule, config.params, config.m), config.m
+    offsets, bins = np.arange(config.p_batch)[:, None] * task.n_actions, config.p_batch * task.n_actions
+
+    def gradient(thetas: np.ndarray, prompts: np.ndarray, rng: np.random.Generator, seeds=None) -> np.ndarray:
+        probs = softmax(thetas[prompts], axis=1)
+        actions = _draw_actions(rng, probs, m)
+        adv = kernel(task.rewards[prompts[:, None], actions], seeds)
+        counts = np.bincount((offsets + actions).ravel(), weights=adv.ravel(), minlength=bins)
+        # the mean's bits, without ndarray.mean's per-call wrapping
+        return counts.reshape(probs.shape) / m - np.add.reduce(adv, axis=1, keepdims=True) / m * probs
+
+    return gradient
 
 
 def train(task: ToyTask, config: TrainConfig) -> TrainResult:
@@ -263,6 +258,7 @@ def train(task: ToyTask, config: TrainConfig) -> TrainResult:
     root = np.random.SeedSequence(config.seed)
     train_stream, eval_stream = root.spawn(2)
     rng = np.random.default_rng(train_stream)
+    step_gradient, seeded = _step_gradient(task, config), config.rule in SEEDED_RULES
     # gamma * update / P over the whole table; rows not drawn stay 0.0, so
     # adding it turns a -0.0 logit into +0.0 as a freshly built update would
     step_update = np.zeros_like(thetas)
@@ -278,8 +274,8 @@ def train(task: ToyTask, config: TrainConfig) -> TrainResult:
     trajectory = [log_point(0)]
     for step in range(1, config.steps + 1):
         prompts = rng.choice(task.n_prompts, size=config.p_batch, replace=False)
-        seeds = config.params.seed + step * task.n_prompts + prompts
-        grads = _step_gradient(task, thetas, prompts, config, rng, seeds)
+        seeds = config.params.seed + step * task.n_prompts + prompts if seeded else None
+        grads = step_gradient(thetas, prompts, rng, seeds)
         if config.beta > 0:
             grads -= config.beta * _kl_grads(thetas[prompts], log_q[prompts])
         step_update[prompts] = config.gamma * grads / config.p_batch

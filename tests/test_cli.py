@@ -196,14 +196,21 @@ def per_group_advantage(path, rule, params, header):
 
     The reference the batched command must match: its output lines, stderr
     lines and exit codes, written the way the command wrote them before runs.
+    A finite group fails with ``InputError`` only where the rule's settings
+    cannot serve its size: that is one line per size, the first group's, and
+    every later group of that size is skipped unreported.
     """
-    out, err, code = [header], [], 0
+    out, err, code, refused = [header], [], 0, set()
     try:
         for index, (lineno, group) in enumerate(read_reward_groups(str(path))):
+            if len(group) in refused:
+                continue
             try:
                 adv = compute_rules(rule, group.rewards[None, :], params, [params.seed + index])[0]
             except (DegenerateError, InputError) as exc:
                 err.append(f"error: prompt {group.prompt_id} (line {lineno}): {exc}")
+                if isinstance(exc, InputError):
+                    refused.add(len(group))
                 code = max(code, 3 if isinstance(exc, DegenerateError) else 2)
                 continue
             out.append(json.dumps({"prompt_id": group.prompt_id, "advantages": adv.tolist()}))
@@ -253,7 +260,8 @@ class TestAdvantageRuns:
             expected = per_group_advantage(src, rule, params, header)
         assert (out.read_text(), err, code) == expected
         assert [str(w.message) for w in batched_warnings] == [str(w.message) for w in loop_warnings]
-        assert len(err) >= 2 and code in (2, 3)  # the m = 1 groups at least fail
+        # the m = 1 groups at least fail, in one line naming the first of them
+        assert sum(line.endswith("need m >= 2 rewards, got 1") for line in err) == 1 and code in (2, 3)
 
 
 def _group_failure(group, lineno, exc):
@@ -871,6 +879,23 @@ class TestHostileGroups:
         assert "prompt one (line 1): need m >= 2 rewards, got 1" in capsys.readouterr().err
         rows = [json.loads(line) for line in out.read_text().splitlines()[1:]]
         assert rows == [{"prompt_id": "two", "advantages": [0.0, 1.0]}]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--rule", "bon-mean", "--bon-k", "64"], "need 1 <= bon_k < m, got bon_k=64, m=64"),
+         (["--rule", "chow", "--n-sel", "64"], "need n_sel < m, got n_sel=64, m=64")],
+        ids=["bon-k", "n-sel"],
+    )
+    def test_a_setting_that_cannot_serve_m_is_one_line_per_size(self, tmp_path, capsys, flags, message):
+        # the one line names the first group of the refused size; every later group of it is skipped unnamed
+        rng = np.random.default_rng(5)
+        sizes = {"a": 64, "b": 128, "c": 64, "d": 64, "e": 128}
+        src = tmp_path / "groups.jsonl"
+        write_groups(src, [{"prompt_id": p, "rewards": rng.standard_normal(m).tolist()} for p, m in sizes.items()])
+        out = tmp_path / "adv.jsonl"
+        assert main(["advantage", "-i", str(src), "-o", str(out), *flags]) == 2
+        assert capsys.readouterr().err == f"error: prompt a (line 1): {message}\n"
+        assert [json.loads(line)["prompt_id"] for line in out.read_text().splitlines()[1:]] == ["b", "e"]
 
 
 class TestFiniteOrTyped:

@@ -435,9 +435,9 @@ class TestChunkRing:
 
     @pytest.mark.parametrize("rule", [tag for tag in LAB_TAGS if tag != "prefix-tea"])
     def test_measure_keeps_no_view_of_its_chunk(self, rule):
-        # tea and oracle have kernels of their own; every other tag is measured by compute_rules
+        # tea and oracle have kernels of their own; every other tag is measured by its rule_kernel
         z = np.random.default_rng(3).standard_normal((16, 64))
-        outputs = _gradient_kernel(rule, SPEC, RuleParams(bon_k=4))(z)
+        outputs = _gradient_kernel(rule, SPEC, RuleParams(bon_k=4), 64)(z)
         assert not any(np.shares_memory(out, z) for out in outputs)
 
     def test_prefix_stages_keep_no_view_of_their_chunks(self):

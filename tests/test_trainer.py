@@ -213,8 +213,9 @@ class TestTrain:
         rng = np.random.default_rng(10)
         reps = 125_000
         acc = np.zeros(4)
+        step_gradient = _step_gradient(task, config)
         for _ in range(reps):
-            acc += _step_gradient(task, thetas, np.array([0]), config, rng)[0]
+            acc += step_gradient(thetas, np.array([0]), rng)[0]
         assert_allclose(acc / reps, exact, rtol=0, atol=1e-3)
 
     def test_monotone_greedy_probability_with_single_good_action(self):
@@ -268,6 +269,40 @@ class TestTrain:
         task = ToyTask.random(n_prompts=2, seed=0)
         with pytest.raises(InputError):
             train(task, TrainConfig(p_batch=4))
+
+    @pytest.mark.parametrize(
+        "rule, params, message",
+        [
+            ("chow", RuleParams(n_sel=64), "need n_sel < m, got n_sel=64, m=64"),
+            ("bon-mean", RuleParams(bon_k=64), "need 1 <= bon_k < m, got bon_k=64, m=64"),
+            ("prefix-tea", RuleParams(j_count=40), "need m >= 2J, got m=64, J=40"),
+        ],
+        ids=["chow-n-sel", "bon-mean-bon-k", "prefix-tea-j"],
+    )
+    def test_config_refuses_a_rule_setting_that_cannot_serve_m(self, rule, params, message):
+        # refused at construction, not at step 1 after step 0 is evaluated
+        with pytest.raises(InputError, match=message):
+            TrainConfig(rule=rule, params=params, m=64)
+
+    @pytest.mark.parametrize("rule", ["tea", "prefix-tea", "chow"])
+    def test_the_rule_is_set_up_once_per_run(self, monkeypatch, rule):
+        from bontea import advantages
+
+        calls = {"check_rule": 0, "_matrix": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(advantages, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(advantages, name, counted)
+        task = ToyTask.random(seed=2)
+        counts = []
+        for steps in (3, 30):
+            advantages.rule_kernel.cache_clear()
+            calls.update(dict.fromkeys(calls, 0))
+            train(task, TrainConfig(rule=rule, m=16, steps=steps, eval_n=(1, 8), eval_every=10, eval_samples=8))
+            counts.append(dict(calls))
+        assert counts[0] == counts[1] == {"check_rule": 1, "_matrix": 0}
 
 
 class TestFrozenTrajectories:
@@ -351,6 +386,25 @@ class TestFrozenTrajectories:
                 "0x1.a83113ca16292p-11 -0x1.3212e455ef95fp-3 -0x1.8de6650c3a7b9p-3 0x1.2def126444b57p-1",
                 "0x1.519f7f0f2666ep-9 -0x1.f340f00456258p-4 -0x1.0c4492b9f274ep-3 0x1.2e0a5cc4d03c2p-1",
                 "0x1.7131910c2748cp-8 -0x1.9550a29a1c192p-4 -0x1.ae1c0821b65ecp-3 0x1.1e6cd8fd8cb21p-1",
+            ),
+        ),
+        # the one rule that reads the per-step seeds
+        ("chow", 0.05): (
+            (
+                "-0x1.e02ceeed2ef40p-1 -0x1.80f5c1641e9d0p-1 -0x1.86b7a2ed62b4bp-1 -0x1.3d8c66aa1a234p-2 -0x1.3549a4169ec08p+0 -0x1.eaa32d8480efap-3 -0x1.2875d41a69132p-1 0x1.1d029a65e4e5bp+0",
+                "0x1.e9e7e191576cdp-2 0x1.646b0909bd3f9p-1 0x0.0p+0 -0x1.b26b81af4025ap-6 0x1.b836eaef9f79fp-2 0x1.8167368b69b1cp-1 -0x1.4ea3f153bdbfap-2 0x1.387ff204d5643p-2",
+                "-0x1.4fc3903f8522dp-6 0x1.718cf9da06741p-1 -0x1.abe8da6a9d0cap-2 -0x1.3344159bbfe7cp-3 0x1.7526665737778p-3 0x1.23e469fde1132p-4 -0x1.a3811a77abfc9p-1 0x1.dc3b95ea426b0p-3",
+                "0x1.54dc8e07ac430p-8 -0x1.0f74576ccecdfp-3 -0x1.74303de5ee756p-4 0x1.7f434ebc671afp-4 -0x1.d3f4bb691fba7p-1 0x1.8bf355f28c23ap-1 -0x1.c294f9903f8a1p-2 -0x1.2017829016423p+0",
+                "-0x1.0cf2917a89ad0p-4 0x1.59faca7c05c6dp-1 -0x1.dcb1d6e6453f0p-2 0x1.70b388da17fc1p-1 0x1.6df20be7fb60fp-1 -0x1.be699b68fa360p-8 -0x1.3d75d13d8b243p+0 -0x1.43517e0820c5bp-1",
+                "0x1.9f373757a9a98p-2 -0x1.ec6b7dacc8dffp-2 -0x1.9d3131cbf4949p-1 -0x1.733ed1adb640dp-1 0x1.9ad4b50a37af8p-5 -0x1.e853ed1abb432p-4 0x1.084c7a1d72b62p+0 0x1.4aa10dd9a80a2p-2",
+                "-0x1.37da054bc4c9dp-1 0x1.751fc502528afp+0 -0x1.64cdcac3caab9p-1 -0x1.89e8b36b983f9p-3 -0x1.688bf55fea713p-1 -0x1.73b6d18add917p-1 0x1.03095be4d0d92p-1 -0x1.a9f8a2f9a139cp-3",
+                "0x1.7bb9a533f6c32p-3 0x1.2c53cd8d351a2p+0 0x1.2571e57fba3d8p+0 -0x1.370081529e4dap-3 -0x1.35498074bc0f5p-4 -0x1.c4b1feed55405p-2 0x1.83cc9fbbb8251p-2 -0x1.008ab653e3dd9p-2",
+            ),
+            (
+                "0x0.0p+0 -0x1.555347fcaa68cp-3 -0x1.2d5cd8e993f6fp-3 0x1.2dac81b410458p-1",
+                "0x1.3a289977032c2p-8 -0x1.2f3ae89c45928p-3 -0x1.987ec1b3ff072p-3 0x1.2e1410c32c06cp-1",
+                "0x1.48e493604bbdcp-5 -0x1.99f212544748ap-5 -0x1.86382e64c9c08p-4 0x1.677b615b085f7p-1",
+                "0x1.1c5cc093648e4p-4 0x1.74da6fe010e60p-8 -0x1.a5bc3610c7036p-4 0x1.45294df949419p-1",
             ),
         ),
     }
