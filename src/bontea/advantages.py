@@ -46,7 +46,9 @@ class RuleParams:
     ``lambda_nsel = None`` means the selection/correction rule uses its default
     coefficient n_sel - 1 (an assumption, exposed precisely so callers can
     override it); ``n_sel = None`` means m // 2 selected samples. ``bon_k``
-    has no default: ``bon-mean`` raises unless it is set.
+    has no default: ``bon-mean`` raises unless it is set. A zero ``eps_norm``
+    or ``lambda_nsel`` is stored as +0.0: -0.0 equals it and hashes like it,
+    so the two would share one cached kernel, and -0.0 means the same setting.
     """
 
     alpha: float = 0.25
@@ -79,6 +81,9 @@ class RuleParams:
             raise InputError(f"lambda_nsel must be finite, got {self.lambda_nsel}")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
+        for name in ("eps_norm", "lambda_nsel"):
+            if getattr(self, name) == 0.0:
+                object.__setattr__(self, name, 0.0)
 
 
 def _matrix(rewards: np.ndarray) -> np.ndarray:

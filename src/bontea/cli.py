@@ -227,31 +227,117 @@ def _build(cls: Any, config: dict[str, Any], **given: Any) -> Any:
 # --- JSONL input --------------------------------------------------------------
 
 
-def read_reward_groups(path: str) -> Iterator[tuple[int, RewardGroup]]:
-    """Yield (line_number, group); raises InputError naming the bad line."""
+#: Most rewards in one run of groups: 64 groups of m = 64. Each run is one
+#: array, one finiteness check and one batch call, and ``advantage`` writes it
+#: in one call. Longer runs are no faster and hold more memory; a larger group
+#: is a run of its own.
+_RUN_VALUES = 64 * 64
+
+
+class _Run(NamedTuple):
+    """Consecutive groups of one size m, as ``read_reward_groups`` yields them.
+
+    ``first`` is the first group's index among the file's groups, ``lines``
+    and ``ids`` give each group's line and prompt, ``rewards`` is the (B, m)
+    matrix and ``scores`` holds each group's (m, d) scores, or None.
+    """
+
+    first: int
+    lines: Sequence[int]
+    ids: Sequence[str]
+    rewards: np.ndarray
+    scores: Sequence[np.ndarray | None]
+
+    def row(self, i: int) -> _Run:
+        """Group i alone, as a run of one."""
+        return _Run(self.first + i, self.lines[i : i + 1], self.ids[i : i + 1], self.rewards[i : i + 1],
+                    self.scores[i : i + 1])
+
+
+def read_reward_groups(path: str) -> Iterator[_Run]:
+    """Yield the file's groups in runs of one size, of at most ``_RUN_VALUES`` rewards.
+
+    Each line is decoded once; each run becomes one matrix, checked for shape
+    and finiteness once. A bad line raises an ``InputError`` naming it, after
+    the groups before it are yielded: the first bad line in file order,
+    whatever is wrong with it.
+    """
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    run: list[tuple[int, str, Any, Any]] = []  # (line, prompt, rewards, scores) as decoded
+    first = size = 0
     with handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            except RecursionError as exc:
-                raise InputError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from exc
-            if not isinstance(record, dict) or "rewards" not in record:
-                raise InputError(f"{path}:{lineno}: expected an object with a 'rewards' field")
-            prompt_id = str(record.get("prompt_id", f"line-{lineno}"))
-            try:
-                group = RewardGroup(prompt_id, record["rewards"], record.get("scores"))
-            except (ValueError, TypeError, OverflowError) as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from exc
-            yield lineno, group
+                record = _decode(path, lineno, line)
+            except InputError:
+                yield from _checked_run(path, first, run)
+                raise
+            rewards = record["rewards"]
+            m = len(rewards) if type(rewards) is list else -1  # -1: no run passes the check
+            if run and (m != size or len(run) >= _RUN_VALUES // max(m, 1)):
+                yield from _checked_run(path, first, run)
+                first, run = first + len(run), []
+            size = m
+            run.append((lineno, str(record.get("prompt_id", f"line-{lineno}")), rewards, record.get("scores")))
+        yield from _checked_run(path, first, run)
+
+
+def _decode(path: str, lineno: int, line: str) -> dict[str, Any]:
+    """The line's JSON object, which must have a 'rewards' field."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from exc
+    if not isinstance(record, dict) or "rewards" not in record:
+        raise InputError(f"{path}:{lineno}: expected an object with a 'rewards' field")
+    return record
+
+
+def _checked_run(path: str, first: int, run: list[tuple[int, str, Any, Any]]) -> Iterator[_Run]:
+    """Yield the decoded lines of a run as a ``_Run``, their rewards and scores checked as whole arrays.
+
+    A run that fails the check is redone line by line through ``RewardGroup``,
+    which words every group's error: the groups before the first bad line are
+    yielded, then that line's ``InputError`` is raised.
+    """
+    if not run:
+        return
+    lines, ids, rewards, scores = zip(*run)
+    try:
+        matrix = np.array(rewards, dtype=float)
+        valid = matrix.ndim == 2 and matrix.shape[1] > 0 and bool(np.isfinite(matrix).all())
+        if valid and any(s is not None for s in scores):
+            stacked = np.array(scores, dtype=float)  # fails, or is not 3-d, if a group has none
+            valid = stacked.ndim == 3 and stacked.shape[1] == matrix.shape[1] and bool(np.isfinite(stacked).all())
+            scores = tuple(stacked)
+    except (ValueError, TypeError, OverflowError):
+        valid = False
+    if valid:
+        yield _Run(first, lines, ids, matrix, scores)
+        return
+    groups: list[RewardGroup] = []
+    for lineno, prompt_id, values, group_scores in run:
+        try:
+            groups.append(RewardGroup(prompt_id, values, group_scores))
+        except (ValueError, TypeError, OverflowError) as exc:
+            if groups:
+                yield _group_run(first, lines, groups)
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
+    yield _group_run(first, lines, groups)
+
+
+def _group_run(first: int, lines: Sequence[int], groups: list[RewardGroup]) -> _Run:
+    """The checked groups as a run, on the first ``len(groups)`` of ``lines``."""
+    return _Run(first, lines[: len(groups)], [group.prompt_id for group in groups],
+                np.stack([group.rewards for group in groups]), [group.scores for group in groups])
 
 
 @contextmanager
@@ -281,9 +367,12 @@ def _output(path: str | None) -> Iterator[TextIO]:
         raise InputError(f"cannot write {'stdout' if to_stdout else path}: {exc}") from exc
 
 
+#: Formats one JSON line as ``json.dumps(..., default=_json_default)`` does; made once, not per line.
+_encode_line = json.JSONEncoder(default=_json_default).encode
+
+
 def _write_json(out: TextIO, payload: dict[str, Any], indent: int | None = None) -> None:
-    out.write(json.dumps(payload, indent=indent, default=_json_default))
-    out.write("\n")
+    out.write(json.dumps(payload, indent=indent, default=_json_default) + "\n")
 
 
 def _write_doc(path: str | None, config: dict[str, Any], **fields: Any) -> None:
@@ -308,92 +397,68 @@ def _write_csv(
 # --- commands ------------------------------------------------------------------
 
 
-#: Most rewards one batch call of a group command takes: 64 groups of m = 64. Longer
-#: runs are no faster and hold more memory; a larger group is a run of its own.
-_RUN_VALUES = 64 * 64
-
-
-def _equal_size_runs(
-    groups: Iterable[tuple[int, RewardGroup]],
-) -> Iterator[list[tuple[int, int, RewardGroup]]]:
-    """Runs of (index, line, group): consecutive groups of one m, at most ``_RUN_VALUES`` rewards.
-
-    A read error propagates only after the run before it is yielded, so every
-    group before the bad line is written.
-    """
-    run: list[tuple[int, int, RewardGroup]] = []
-    try:
-        for index, (lineno, group) in enumerate(groups):
-            m = len(group)
-            if run and (len(run[0][2]) != m or len(run) >= _RUN_VALUES // m):
-                yield run
-                run = []
-            run.append((index, lineno, group))
-    except InputError:
-        if run:
-            yield run
-        raise
-    if run:
-        yield run
-
-
 class _Exit(Exception):
     """Ends a command whose errors are on stderr already; its one argument is the exit code."""
 
 
 @dataclass
 class _Computed:
-    """(group, result) for each group of a JSONL file, in file order, one batch call per run.
+    """(prompt ids, results) of each run of a JSONL file's groups, in file order, one batch call per run.
 
-    ``batch(rewards, indices, groups)`` takes a run's (B, m) rewards, groups and
-    their indices in the file, and returns one result per group. If it raises,
-    the run is redone by calling ``batch`` on each group alone, as a (1, m) row,
-    so each failure is the group's own. A failure is reported with the group's
-    prompt and line and skipped if one of ``skip``; any other, or a bad line,
-    ends the command. ``exit_code`` is the worst failure. A file without groups
-    is an input error unless ``allow_empty``.
-    ``setup(m)`` precedes each run of size m; its ``InputError`` skips all groups of m, reported once.
+    ``batch(run)`` takes a ``_Run`` from ``read_reward_groups`` and returns one
+    result per group. If it raises, the run is redone by calling ``batch`` on
+    each group alone, as a run of one, so each failure is the group's own. A
+    failure is reported with the group's prompt and line and the group left
+    out if one of ``skip``; any other, or a bad line, ends the command after
+    the groups before it. ``exit_code`` is the worst failure. A file without
+    groups is an input error unless ``allow_empty``. ``setup(m)`` precedes
+    each run of size m; its ``InputError`` skips all groups of m, reported once.
     """
 
     path: str
-    batch: Callable[[np.ndarray, tuple[int, ...], tuple[RewardGroup, ...]], Sequence[Any]]
+    batch: Callable[[_Run], Sequence[Any]]
     skip: tuple[type[Exception], ...] = ()
     allow_empty: bool = False
     setup: Callable[[int], Any] = lambda m: None
     exit_code: int = 0
 
-    def __iter__(self) -> Iterator[tuple[RewardGroup, Any]]:
-        run, refused = None, set()
+    def __iter__(self) -> Iterator[tuple[Sequence[str], Sequence[Any]]]:
+        empty, refused = True, set()
         try:
-            for run in _equal_size_runs(read_reward_groups(self.path)):
-                indices, lines, groups = zip(*run)
-                m = len(groups[0])
+            for run in read_reward_groups(self.path):
+                empty, m = False, run.rewards.shape[1]
                 if m in refused:
                     continue
                 try:
                     self.setup(m)
                 except InputError as exc:
                     refused.add(m)
-                    self._fail(f"prompt {groups[0].prompt_id} (line {lines[0]}): {exc}", exc)
+                    self._fail(f"prompt {run.ids[0]} (line {run.lines[0]}): {exc}", exc)
                     continue
                 try:
-                    results = self.batch(np.stack([group.rewards for group in groups]), indices, groups)
+                    results = self.batch(run)
                 except (DegenerateError, InputError):
-                    results = None
-                for i, (index, lineno, group) in enumerate(run):
-                    try:
-                        if results is None:
-                            result = self.batch(group.rewards[None, :], (index,), (group,))[0]
-                        else:
-                            result = results[i]
-                    except (DegenerateError, InputError) as exc:
-                        self._fail(f"prompt {group.prompt_id} (line {lineno}): {exc}", exc)
-                        continue
-                    yield group, result
+                    yield from self._one_by_one(run)
+                else:
+                    yield run.ids, results
         except InputError as exc:  # a bad line; the groups' own errors are handled above
             self._fail(str(exc), exc, end=True)
-        if run is None and not self.allow_empty:
+        if empty and not self.allow_empty:
             raise InputError(f"{self.path}: no reward groups")
+
+    def _one_by_one(self, run: _Run) -> Iterator[tuple[list[str], list[Any]]]:
+        """The run's groups computed alone: the groups before each failure, then the rest."""
+        ids, results = [], []
+        for i, prompt_id in enumerate(run.ids):
+            try:
+                results.append(self.batch(run.row(i))[0])
+            except (DegenerateError, InputError) as exc:
+                yield ids, results
+                ids, results = [], []
+                self._fail(f"prompt {prompt_id} (line {run.lines[i]}): {exc}", exc)
+                continue
+            ids.append(prompt_id)
+        yield ids, results
 
     def _fail(self, message: str, exc: Exception, end: bool = False) -> None:
         print(f"error: {message}", file=sys.stderr)
@@ -408,10 +473,10 @@ def cmd_advantage(args: argparse.Namespace, config: dict[str, Any]) -> int:
     rule, params = config["rule"], _build(RuleParams, config)
     check_rule(rule, params=params)  # a setting the rule needs fails before any output
 
-    def advantages(rewards: np.ndarray, indices: tuple[int, ...], _: Any) -> list[list[float]]:
+    def advantages(run: _Run) -> list[list[float]]:
         """The run's advantages; one finiteness check per run, so the per-group redo names the prompt."""
         with np.errstate(over="ignore", invalid="ignore"):
-            adv = compute_rules(rule, rewards, params, [params.seed + i for i in indices])
+            adv = compute_rules(rule, run.rewards, params, _seeds(params, run))
         check_finite(adv, lambda *_: f"rule {rule} overflows: its advantages are not finite")
         return adv.tolist()
 
@@ -419,9 +484,14 @@ def cmd_advantage(args: argparse.Namespace, config: dict[str, Any]) -> int:
                        setup=partial(rule_kernel, rule, params))
     with _output(args.output) as out:
         _write_json(out, {"config": _echo(config), "rule": rule})
-        for group, adv in groups:
-            _write_json(out, {"prompt_id": group.prompt_id, "advantages": adv})
+        for ids, advs in groups:  # a run's lines in one write
+            out.write("".join([_encode_line({"prompt_id": p, "advantages": a}) + "\n" for p, a in zip(ids, advs)]))
     return groups.exit_code
+
+
+def _seeds(params: RuleParams, run: _Run) -> range:
+    """One seed per group of the run: the base seed plus the group's index in the file."""
+    return range(params.seed + run.first, params.seed + run.first + len(run.ids))
 
 
 @command(
@@ -447,18 +517,20 @@ def cmd_predict_bon(args: argparse.Namespace, config: dict[str, Any]) -> int:
     params, budgets = _build(RuleParams, config), config["budgets"]
     c_tilde = np.array([tail_constants(params.alpha, n).c_tilde_n for n in budgets])
 
-    def tails(rewards: np.ndarray, *_: Any) -> list[list[float]]:
-        """Per group: r, mu, sigma, then the predicted best-of-N value at each budget."""
+    def tails(run: _Run) -> list[tuple[int, list[float]]]:
+        """Per group: q, then r, mu, sigma and the predicted best-of-N value at each budget."""
         with np.errstate(over="ignore", invalid="ignore"):
-            r, mu, sigma = tail_stats(rewards, params.alpha, params.eps_sigma)
-        return np.hstack([r, mu, sigma, predict_vn(mu, sigma, c_tilde)]).tolist()
+            r, mu, sigma = tail_stats(run.rewards, params.alpha, params.eps_sigma)
+        q = tail_count(run.rewards.shape[1], params.alpha)
+        return [(q, row) for row in np.hstack([r, mu, sigma, predict_vn(mu, sigma, c_tilde)]).tolist()]
 
     keys = [str(n) for n in budgets]
     totals, per_prompt = [0.0] * len(budgets), []  # summed left to right, not pairwise
-    for group, (r, mu, sigma, *values) in _Computed(args.input, tails):
-        totals = [total + v for total, v in zip(totals, values)]
-        tail = {"r": r, "mu": mu, "sigma": sigma, "q": tail_count(len(group), params.alpha)}
-        per_prompt.append({"prompt_id": group.prompt_id, "tail": tail, "predicted": dict(zip(keys, values))})
+    for run_ids, run_tails in _Computed(args.input, tails):
+        for prompt_id, (q, (r, mu, sigma, *values)) in zip(run_ids, run_tails):
+            totals = [total + v for total, v in zip(totals, values)]
+            tail = {"r": r, "mu": mu, "sigma": sigma, "q": q}
+            per_prompt.append({"prompt_id": prompt_id, "tail": tail, "predicted": dict(zip(keys, values))})
     mean = {key: total / len(per_prompt) for key, total in zip(keys, totals)}
     _write_doc(args.output, config, budgets=budgets, mean_predicted=mean, per_prompt=per_prompt)
     return 0
@@ -510,14 +582,14 @@ def cmd_eval_bon(args: argparse.Namespace, config: dict[str, Any]) -> int:
 
 def _pools(path: str) -> tuple[list[str], list[int], np.ndarray]:
     """Prompt ids, lines and the (prompts, M) reward matrix of a file of equal-size groups."""
-    records = list(read_reward_groups(path))
-    if not records:
+    runs = list(read_reward_groups(path))
+    if not runs:
         raise InputError(f"{path}: no reward groups")
-    lines, groups = zip(*records)
-    sizes = sorted({len(group) for group in groups})
+    sizes = sorted({run.rewards.shape[1] for run in runs})
     if len(sizes) != 1:
         raise InputError(f"{path}: grouped evaluation needs equal-length reward rows, got {sizes}")
-    return [group.prompt_id for group in groups], list(lines), np.stack([group.rewards for group in groups])
+    ids = [prompt_id for run in runs for prompt_id in run.ids]
+    return ids, [line for run in runs for line in run.lines], np.concatenate([run.rewards for run in runs])
 
 
 def _naming_rows(ids: list[str], lines: list[int], call: Callable[..., Any], *args: Any) -> Any:
@@ -583,7 +655,7 @@ def cmd_align(args: argparse.Namespace, config: dict[str, Any]) -> int:
     for rule in rules:
         check_rule(rule, params=params)  # a setting a rule needs fails before any output
 
-    def batch(rewards: np.ndarray, indices: tuple[int, ...], groups: tuple) -> list[tuple[float, ...]]:
+    def batch(run: _Run) -> list[tuple[float, ...]]:
         """Per group, the cosine of each rule; the rules are computed and aligned one at a time.
 
         On one group this fails as a per-group loop would: a rule's degenerate
@@ -591,20 +663,21 @@ def cmd_align(args: argparse.Namespace, config: dict[str, Any]) -> int:
         """
         oracles, columns = [], []
         with np.errstate(over="ignore", invalid="ignore"):
-            for group in groups:
-                if group.scores is None:
+            for rewards, scores in zip(run.rewards, run.scores):
+                if scores is None:
                     raise InputError("alignment needs per-sample scores")
-                oracles.append(oracle_advantage(EmpiricalPool.from_values(group.rewards), params.n_target))
+                oracles.append(oracle_advantage(EmpiricalPool.from_values(rewards), params.n_target))
             for rule in rules:
-                adv = compute_rules(rule, rewards, params, [params.seed + i for i in indices])
-                columns.append([gradient_alignment(a, g.scores, o) for a, g, o in zip(adv, groups, oracles)])
+                adv = compute_rules(rule, run.rewards, params, _seeds(params, run))
+                columns.append([gradient_alignment(a, s, o) for a, s, o in zip(adv, run.scores, oracles)])
         return list(zip(*columns))
 
     computed = _Computed(args.input, batch, skip=(DegenerateError,))
     totals, table = np.zeros(len(rules)), []
-    for group, row in computed:
-        totals += row
-        table.append([group.prompt_id, *row])
+    for ids, rows in computed:
+        for prompt_id, row in zip(ids, rows):
+            totals += row
+            table.append([prompt_id, *row])
     if table:
         table.append(["MEAN"] + (totals / len(table)).tolist())
     _write_csv(args.output, config, ["prompt_id"] + [f"cosine_{rule}" for rule in rules], table)
@@ -655,8 +728,8 @@ def cmd_train_synth(args: argparse.Namespace, config: dict[str, Any]) -> int:
 def cmd_qq_fit(args: argparse.Namespace, config: dict[str, Any]) -> int:
     q_lo, q_hi, grid = config["q_lo"], config["q_hi"], config["grid"]
     qq_window(q_lo, q_hi, grid)  # a bad window fails before any output
-    fits = _Computed(args.input, lambda x, *_: np.column_stack(qq_tail_fits(x, q_lo, q_hi, grid)).tolist())
-    rows = ([group.prompt_id, *fit] for group, fit in fits)
+    fits = _Computed(args.input, lambda run: np.column_stack(qq_tail_fits(run.rewards, q_lo, q_hi, grid)).tolist())
+    rows = ([prompt_id, *fit] for ids, run_fits in fits for prompt_id, fit in zip(ids, run_fits))
     _write_csv(args.output, config, ["prompt_id", "a", "b", "r_squared"], rows)
     return 0
 

@@ -15,6 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bontea import DegenerateError, InputError, RuleParams, bon_mean_raw, compute_rules, tail_stats
+from bontea import advantages
 from bontea.advantages import RULE_NAMES, _shaped, _subset_max_weights
 
 C_TILDE_128 = 2.692398465223146  # high-precision oracle, alpha = 1/4
@@ -269,6 +270,18 @@ class TestChow:
         c = compute_rules("chow", row(rewards), RuleParams(seed=4))[0]
         assert_allclose(a, b)
         assert not np.allclose(a, c)
+
+    def test_a_negative_zero_lambda_gives_the_bits_of_a_fresh_cache(self):
+        # -0.0 == 0.0 and hashes alike: a kernel cached for one must not give the other different bits
+        rewards = np.random.default_rng(3).standard_normal((64, 16))
+        advantages.rule_kernel.cache_clear()
+        fresh = compute_rules("chow", rewards, RuleParams(lambda_nsel=-0.0))
+        advantages.rule_kernel.cache_clear()
+        compute_rules("chow", rewards, RuleParams(lambda_nsel=0.0))
+        cached = compute_rules("chow", rewards, RuleParams(lambda_nsel=-0.0))
+        assert fresh.tobytes() == cached.tobytes()
+        params = RuleParams(lambda_nsel=-0.0, eps_norm=-0.0)
+        assert not np.signbit(params.lambda_nsel) and not np.signbit(params.eps_norm)
 
     def test_rejects_inconsistent_split(self):
         # no sample is left to correct with

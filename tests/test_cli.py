@@ -30,8 +30,8 @@ from bontea import (
     tail_stats,
 )
 from bontea.advantages import RULE_NAMES
-from bontea.cli import main, read_reward_groups
-from bontea.tailstats import tail_count
+from bontea.cli import main
+from bontea.tailstats import RewardGroup, tail_count
 
 
 def write_groups(path, groups):
@@ -191,6 +191,33 @@ class TestAdvantageCommand:
         assert np.all(np.isfinite(row["advantages"]))
 
 
+def read_groups(path):
+    """(line, group) of each line of a JSONL file: one ``json.loads`` and one ``RewardGroup`` per line.
+
+    The per-line reading the group commands must match. The first bad line
+    raises the ``InputError`` the commands report, naming the file and line.
+    """
+    with open(path, encoding="utf-8") as f:
+        for lineno, raw in enumerate(f, 1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+            except RecursionError as exc:
+                raise InputError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from exc
+            if not isinstance(record, dict) or "rewards" not in record:
+                raise InputError(f"{path}:{lineno}: expected an object with a 'rewards' field")
+            prompt_id = str(record.get("prompt_id", f"line-{lineno}"))
+            try:
+                group = RewardGroup(prompt_id, record["rewards"], record.get("scores"))
+            except (ValueError, TypeError, OverflowError) as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from exc
+            yield lineno, group
+
+
 def per_group_advantage(path, rule, params, header):
     """``advantage``'s stdout, stderr and exit code from one ``compute_rules`` call per group.
 
@@ -202,7 +229,7 @@ def per_group_advantage(path, rule, params, header):
     """
     out, err, code, refused = [header], [], 0, set()
     try:
-        for index, (lineno, group) in enumerate(read_reward_groups(str(path))):
+        for index, (lineno, group) in enumerate(read_groups(path)):
             if len(group) in refused:
                 continue
             try:
@@ -264,6 +291,72 @@ class TestAdvantageRuns:
         assert sum(line.endswith("need m >= 2 rewards, got 1") for line in err) == 1 and code in (2, 3)
 
 
+def _bad_line(kind):
+    """A line of 64 rewards, or meant as one, that the reader refuses for ``kind``."""
+    rewards = [0.5] * 64
+    if kind == "invalid-json":
+        return '{"prompt_id": "bad", "rewards": [1.0, 2.0'
+    if kind == "string-rewards":
+        return '{"prompt_id": "bad", "rewards": "1,2,3"}'
+    if kind == "nan":
+        rewards[7] = float("nan")
+    elif kind == "nested":
+        rewards = [[0.5, 1.5]] * 64
+    elif kind == "ragged":
+        rewards = [[0.5]] * 32 + [[0.5, 1.5]] * 32
+    elif kind == "string-entry":
+        rewards[5] = "x"
+    elif kind == "huge-int":
+        rewards[3] = 10**400
+    record = {"prompt_id": "bad", "rewards": rewards, "scores": [[1.0, 2.0]] * (63 if kind == "scores-shape" else 64)}
+    return json.dumps(record)
+
+
+class TestBadLinesAtRunBoundaries:
+    """A bad line anywhere in a run, or first in the next, gives the per-line reading's bytes, stderr and exit code.
+
+    Every group of the file has scores, so the scores are checked as one array
+    as well. Lines 1-64 are the first run of m = 64 and line 65 starts the next.
+    """
+
+    KINDS = ["invalid-json", "nan", "nested", "ragged", "string-rewards", "string-entry", "huge-int",
+             "scores-shape"]
+    CASES = [(kind, {line: kind}) for kind in KINDS for line in (1, 32, 64, 65)] + [
+        ("nan-before-invalid-json", {10: "nan", 20: "invalid-json"})
+    ]
+
+    @staticmethod
+    def write(path, bad):
+        rng = np.random.default_rng(23)
+        lines = [
+            json.dumps({"prompt_id": f"g{i}", "rewards": rng.standard_normal(64).tolist(),
+                        "scores": rng.standard_normal((64, 2)).tolist()})
+            for i in range(1, 131)
+        ]
+        for line, kind in bad.items():
+            lines[line - 1] = _bad_line(kind)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize("case", CASES, ids=[f"{kind}-line{min(bad)}" for kind, bad in CASES])
+    def test_advantage(self, tmp_path, capsys, case):
+        src, out = tmp_path / "groups.jsonl", tmp_path / "adv.jsonl"
+        self.write(src, case[1])
+        code = main(["advantage", "-i", str(src), "-o", str(out), "--rule", "chow"])
+        err = capsys.readouterr().err.splitlines()
+        header = out.read_text().splitlines()[0]
+        assert (out.read_text(), err, code) == per_group_advantage(src, "chow", RuleParams(), header)
+        assert len(err) == 1 and err[0].startswith(f"error: {src}:{min(case[1])}: ")
+
+    @pytest.mark.parametrize("case", CASES, ids=[f"{kind}-line{min(bad)}" for kind, bad in CASES])
+    def test_predict_bon(self, tmp_path, capsys, case):
+        src, out = tmp_path / "groups.jsonl", tmp_path / "predict.json"
+        self.write(src, case[1])
+        code = main(["predict-bon", "-i", str(src), "-o", str(out)])
+        payload, expected_err, expected_code = per_group_predict_bon(src, 0.25, (1, 2, 4, 8, 16, 32, 64, 128))
+        assert payload is None and not out.exists()
+        assert (capsys.readouterr().err.splitlines(), code) == (expected_err, expected_code)
+
+
 def _group_failure(group, lineno, exc):
     """The stderr line and exit code of a group that fails on its own."""
     code = 3 if isinstance(exc, DegenerateError) else 2
@@ -278,7 +371,7 @@ def per_group_predict_bon(path, alpha, budgets):
     c_tilde = {n: tail_constants(alpha, n).c_tilde_n for n in budgets}
     totals, per_prompt = dict.fromkeys(budgets, 0.0), []
     try:
-        for lineno, group in read_reward_groups(str(path)):
+        for lineno, group in read_groups(path):
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     r, mu, sigma = (float(v[0, 0]) for v in tail_stats(group.rewards[None, :], alpha))
@@ -306,7 +399,7 @@ def per_group_qq_fit(path, q_lo, q_hi, grid):
     """
     rows = []
     try:
-        for lineno, group in read_reward_groups(str(path)):
+        for lineno, group in read_groups(path):
             try:
                 fit = [float(column[0]) for column in qq_tail_fits(group.rewards[None, :], q_lo, q_hi, grid)]
             except (DegenerateError, InputError) as exc:
@@ -326,7 +419,7 @@ def per_group_align(path, rules, params, n_target):
     """
     table, err, code = [], [], 0
     try:
-        for index, (lineno, group) in enumerate(read_reward_groups(str(path))):
+        for index, (lineno, group) in enumerate(read_groups(path)):
             try:
                 if group.scores is None:
                     raise InputError("alignment needs per-sample scores")

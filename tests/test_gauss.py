@@ -20,7 +20,7 @@ from numpy.testing import assert_allclose
 
 import bontea
 from bontea import DegenerateError, InputError, expected_gauss_max, predict_vn, qq_tail_fits, tail_constants
-from bontea.gauss import DEFAULT_QQ_GRID, ndtr, norm_pdf, qq_window
+from bontea.gauss import DEFAULT_QQ_GRID, _legendre_rule, ndtr, norm_pdf, qq_window
 
 # high-precision oracle values at alpha = 1/4
 Z_ALPHA = 0.6744897501960817
@@ -63,6 +63,12 @@ class TestExpectedGaussMax:
     def test_rejects_nonpositive(self):
         with pytest.raises(InputError):
             expected_gauss_max(0)
+
+    def test_legendre_literals_are_the_bits_of_leggauss(self):
+        from numpy.polynomial.legendre import leggauss
+
+        for held, computed in zip(_legendre_rule(), leggauss(64)):
+            assert held.tobytes() == computed.tobytes()
 
 
 class TestTailConstants:
@@ -236,4 +242,11 @@ def test_import_loads_no_scipy(module):
     src = str(Path(bontea.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = f"import sys, {module}; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_c_n_loads_no_numpy_polynomial():
+    src = str(Path(bontea.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, bontea; bontea.expected_gauss_max(128); sys.exit('numpy.polynomial' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
