@@ -80,6 +80,30 @@ def oracle_advantage(pool: EmpiricalPool, n: int) -> np.ndarray:
     return per_unique[np.searchsorted(unique, pool.values)]
 
 
+#: Largest ratio k of two budgets at which folding beats a reduce. On a
+#: (100, 512) pool, 2 cores: k = 2 takes 0.015 ms against 0.97 ms, k = 32 0.09
+#: ms against 0.14 ms, k = 64 0.14 ms against 0.07 ms.
+_FOLD_MAX_RATIO = 32
+
+
+def _coarser_maxima(maxima: np.ndarray, k: int) -> np.ndarray:
+    """Maxima of consecutive runs of k columns of (prompts, columns) ``maxima``.
+
+    Up to ``_FOLD_MAX_RATIO`` they are k - 1 elementwise maxima over the
+    strided columns ``maxima[:, j::k]``; above it, one reduce along each run.
+    Both keep the layout order of ``maxima``.
+    """
+    if k == 1:
+        return maxima
+    rows, columns = maxima.shape
+    if k > _FOLD_MAX_RATIO:
+        return np.maximum.reduce(maxima.reshape(rows, columns // k, k), axis=2)
+    out = np.maximum(maxima[:, 0::k], maxima[:, 1::k])
+    for j in range(2, k):
+        np.maximum(out, maxima[:, j::k], out=out)
+    return out
+
+
 def grouped_bon_curve(per_prompt_samples: np.ndarray, budgets: list[int] | tuple[int, ...]) -> BonCurve:
     """Grouped best-of-N means: consecutive groups of n, maxima averaged.
 
@@ -88,6 +112,14 @@ def grouped_bon_curve(per_prompt_samples: np.ndarray, budgets: list[int] | tuple
     overflows raises ``PromptRowError``, naming the first prompt row and
     budget, then ``DegenerateError`` for the first budget whose mean over the
     prompts overflows.
+
+    Budgets are taken in increasing order. Each budget's group maxima are the
+    maxima, k at a time, of those of the largest smaller budget that divides
+    it, or of the samples if none does. A maximum is one of its inputs, so
+    every per-prompt sum has the bits of one ``np.maximum.reduce`` per budget
+    over the samples. The one tie whose pick shows in the bits, -0.0 against
+    0.0, does not reach the sums: ``np.add.reduce`` starts from 0.0, and
+    0.0 + -0.0 is 0.0.
     """
     samples = np.asarray(per_prompt_samples, dtype=float)
     if samples.ndim == 1:
@@ -97,12 +129,15 @@ def grouped_bon_curve(per_prompt_samples: np.ndarray, budgets: list[int] | tuple
     for n in budgets:
         if n < 1 or m_total % n != 0:
             raise InputError(f"budget {n} must divide the per-prompt sample count {m_total}")
+    maxima = {1: samples}
     per_prompt = np.empty((n_prompts, len(budgets)))
     # the bits of .max and .mean, without their per-call wrapping
     with np.errstate(over="ignore", invalid="ignore"):
+        for n in sorted(set(budgets)):
+            base = max(d for d in maxima if n % d == 0)
+            maxima[n] = _coarser_maxima(maxima[base], n // base)
         for col, n in enumerate(budgets):
-            maxima = np.maximum.reduce(samples.reshape(n_prompts, m_total // n, n), axis=2)
-            per_prompt[:, col] = np.add.reduce(maxima, axis=1) / (m_total // n)
+            per_prompt[:, col] = np.add.reduce(maxima[n], axis=1) / (m_total // n)
         means = np.add.reduce(per_prompt, axis=0) / n_prompts
 
     def row_error(row: int, col: int) -> PromptRowError:
@@ -157,8 +192,8 @@ def paired_bootstrap_delta(
             ),
         )
         idx = np.random.default_rng(seed).integers(0, diff.shape[1], size=(resamples, diff.shape[1]))
-        # column by column: one (columns * resamples, prompts) gather would hold columns times the memory
-        lo, hi = np.reshape([np.percentile(c[idx].mean(axis=1), [2.5, 97.5]) for c in diff], (-1, 2)).T
+        # gathered column by column: one (columns * resamples, prompts) gather would hold columns times the memory
+        lo, hi = np.percentile([c[idx].mean(axis=1) for c in diff], [2.5, 97.5], axis=1)
         delta = diff.mean(axis=1)
     for values in (delta, lo, hi):
         check_finite(values, lambda col: f"paired bootstrap delta of column {col} overflows: {values[col]}")

@@ -508,13 +508,21 @@ def cmd_weights(args: argparse.Namespace, config: dict[str, Any]) -> int:
     return 0
 
 
+def _distinct_budgets(budgets: tuple[int, ...]) -> tuple[int, ...]:
+    """``budgets``; one listed twice, which would share a key or a column name of the output, is an input error."""
+    for i, n in enumerate(budgets):
+        if n in budgets[:i]:
+            raise InputError(f"budget {n} is listed twice")
+    return budgets
+
+
 @command(
     "predict-bon", "tail-based best-of-N predictions",
     RULE_OPTIONS["alpha"], RULE_OPTIONS["eps_sigma"],
     Option("budgets", _int_list, (1, 2, 4, 8, 16, 32, 64, 128), "N budgets"),
 )
 def cmd_predict_bon(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    params, budgets = _build(RuleParams, config), config["budgets"]
+    params, budgets = _build(RuleParams, config), _distinct_budgets(config["budgets"])
     c_tilde = np.array([tail_constants(params.alpha, n).c_tilde_n for n in budgets])
 
     def tails(run: _Run) -> list[tuple[int, list[float]]]:
@@ -548,7 +556,7 @@ def _curve_payload(curve) -> dict[str, Any]:
     Option("tie_tol", float, DEFAULT_TIE_TOL, "win/tie/loss tolerance"),
 )
 def cmd_eval_bon(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    budgets = config["budgets"]
+    budgets = _distinct_budgets(config["budgets"])
     ids, lines, pools = _pools(args.input)
     curve = _naming_rows(ids, lines, grouped_bon_curve, pools, budgets)
     payload: dict[str, Any] = {"budgets": budgets, "curve": _curve_payload(curve)}
@@ -704,12 +712,12 @@ def cmd_align(args: argparse.Namespace, config: dict[str, Any]) -> int:
     needs_input=False,
 )
 def cmd_train_synth(args: argparse.Namespace, config: dict[str, Any]) -> int:
+    eval_n = _distinct_budgets(config["eval_n"])
     task = ToyTask.random(
         config["n_prompts"], config["n_actions"],
         seed=config["task_seed"], reward_scale=config["reward_scale"],
     )
     result = train(task, _build(TrainConfig, config, params=_build(RuleParams, config)))
-    eval_n = config["eval_n"]
     header = ["step", "kl", "mean_reward"] + [f"bon_{n}" for n in eval_n]
     rows = (
         [point.step, point.kl, point.mean_reward] + [point.bon[n] for n in eval_n]

@@ -69,6 +69,10 @@ _LEGENDRE_64 = (
 
 #: Default number of quantile levels in the QQ fit window.
 DEFAULT_QQ_GRID = 20
+#: Most quantile levels in a QQ fit window. A fit holds a few (rows, grid)
+#: matrices; the CLI's runs have up to 204 rows (4096 rewards, m >= 20), so
+#: each matrix stays under 17 MB.
+MAX_QQ_GRID = 10_000
 
 _SQRT_2PI = np.sqrt(2 * np.pi)
 _SQRT_HALF = float(np.sqrt(0.5))
@@ -235,8 +239,8 @@ def qq_window(q_lo: float, q_hi: float, grid_points: int = DEFAULT_QQ_GRID) -> t
     """Levels of a QQ fit window and Phi^-1 of each, read-only; a bad window raises ``InputError``."""
     if not 0.0 < q_lo < q_hi < 1.0:
         raise InputError(f"need 0 < q_lo < q_hi < 1, got ({q_lo}, {q_hi})")
-    if grid_points < 2:
-        raise InputError(f"grid_points must be >= 2, got {grid_points}")
+    if not 2 <= grid_points <= MAX_QQ_GRID:
+        raise InputError(f"grid_points must lie in [2, {MAX_QQ_GRID}], got {grid_points}")
     levels = np.linspace(q_lo, q_hi, grid_points)
     x = np.array([_NORMAL_QUANTILE(level) for level in levels.tolist()])
     levels.setflags(write=False)

@@ -11,6 +11,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bontea import (
@@ -24,6 +26,7 @@ from bontea import (
     paired_bootstrap_delta,
     win_tie_loss,
 )
+from bontea.errors import PromptRowError, check_finite
 
 
 def topk_validation_score(per_prompt_samples: np.ndarray, k: int = 10) -> float:
@@ -159,6 +162,91 @@ class TestGroupedCurve:
             grouped_bon_curve(samples, (2, 1))
         with pytest.raises(DegenerateError, match="^best-of-2 mean over the prompts overflows: inf$"):
             grouped_bon_curve(np.full((3, 2), 8e307), (2,))
+
+
+def reference_curve(samples: np.ndarray, budgets: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(per_prompt, means): one ``np.maximum.reduce`` per budget over the samples, with the same errors."""
+    n_prompts, m_total = samples.shape
+    per_prompt = np.empty((n_prompts, len(budgets)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for col, n in enumerate(budgets):
+            maxima = np.maximum.reduce(samples.reshape(n_prompts, m_total // n, n), axis=2)
+            per_prompt[:, col] = np.add.reduce(maxima, axis=1) / (m_total // n)
+        means = np.add.reduce(per_prompt, axis=0) / n_prompts
+
+    def row_error(row: int, col: int) -> PromptRowError:
+        what, value = f"best-of-{budgets[col]} mean", per_prompt[row, col]
+        return PromptRowError(f"{what} of prompt row {row} overflows: {value}", row, f"{what} overflows: {value}")
+
+    check_finite(per_prompt, row_error)
+    check_finite(means, lambda col: f"best-of-{budgets[col]} mean over the prompts overflows: {means[col]}")
+    return per_prompt, means
+
+
+def laid_out(values: np.ndarray, layout: str) -> np.ndarray:
+    """``values`` (prompts, M) as an array of the given memory layout, equal entry for entry."""
+    if layout == "transposed":
+        return np.ascontiguousarray(values.T).T
+    if layout == "reversed":
+        return np.ascontiguousarray(values[::-1])[::-1]
+    if layout == "strided":
+        wide = np.zeros((values.shape[0], 2 * values.shape[1]))
+        wide[:, ::2] = values
+        return wide[:, ::2]
+    return np.ascontiguousarray(values)
+
+
+@st.composite
+def curve_cases(draw, entries: st.SearchStrategy = st.floats(-1e6, 1e6)):
+    """(samples, budgets): a pool of any layout, with budgets that divide M in any order, repeats included."""
+    m_total = draw(st.sampled_from([1, 2, 6, 12, 16, 24, 48, 64, 128, 256, 576, 1024]))
+    divisors = [n for n in range(1, m_total + 1) if m_total % n == 0]
+    budgets = tuple(draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=6)))
+    n_prompts = draw(st.integers(1, 4))
+    # few distinct values, so groups hold ties
+    palette = np.array(draw(st.lists(entries, min_size=1, max_size=5)))
+    picks = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, palette.size, (n_prompts, m_total))
+    return laid_out(palette[picks], draw(st.sampled_from(["C", "transposed", "reversed", "strided"]))), budgets
+
+
+def assert_same_curve(samples: np.ndarray, budgets: tuple[int, ...]) -> None:
+    """``grouped_bon_curve`` has the reference's bits, or raises the reference's error."""
+    try:
+        per_prompt, means = reference_curve(samples, budgets)
+    except DegenerateError as expected:
+        with pytest.raises(type(expected)) as raised:
+            grouped_bon_curve(samples, budgets)
+        assert str(raised.value) == str(expected)
+        return
+    curve = grouped_bon_curve(samples, budgets)
+    assert curve.n_values == budgets
+    assert np.array_equal(curve.per_prompt.view(np.int64), per_prompt.view(np.int64))
+    assert np.array_equal(curve.means.view(np.int64), means.view(np.int64))
+
+
+class TestGroupedCurveBits:
+    """Each budget's maxima built from a smaller budget's have the bits of one reduce per budget."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(curve_cases())
+    @example((np.arange(12.0)[::-1].reshape(1, 12) % 5, (3, 2, 6, 4, 12)))  # budgets that do not nest
+    @example((laid_out(np.random.default_rng(1).standard_normal((3, 64)), "transposed"), (1,)))
+    @example((np.random.default_rng(2).standard_normal((2, 256)), (128, 2, 1, 2)))  # a reduce above a fold
+    @example((laid_out(np.random.default_rng(3).standard_normal((3, 576)), "transposed"), (64, 1)))
+    def test_matches_one_reduce_per_budget(self, case):
+        assert_same_curve(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(curve_cases(st.sampled_from([0.0, -0.0, -1.0])))
+    # the reduce over these 16 keeps a -0.0 where a fold keeps a 0.0; both means are 0.0
+    @example((np.array([[-0.0, -1, -0.0, -1, -1, -1, -0.0, 0.0] + [-1.0] * 8]), (2, 16)))
+    def test_signed_zero_rows(self, case):
+        assert_same_curve(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(curve_cases(st.sampled_from([np.inf, -np.inf, np.nan, 1.0, -0.0])))
+    def test_nonfinite_rows_raise_the_same_error(self, case):
+        assert_same_curve(*case)
 
 
 class TestPairedBootstrap:

@@ -1157,9 +1157,10 @@ class TestConfigResolution:
             (["advantage", "--rule", "chow", "--seed", "-5"], "seed must be >= 0, got -5"),
             (["advantage", "--config", "rule = foo"], f"unknown rule 'foo'; known: {', '.join(RULE_NAMES)}"),
             (["align", "--rules", "tea,foo"], f"unknown rule 'foo'; known: {', '.join(RULE_NAMES)}"),
+            (["predict-bon", "--config", "budgets = 4,1,4"], "budget 4 is listed twice"),
         ],
         ids=["advantage", "predict-bon", "align", "j-count", "k-zero", "k-above-j", "n-sel", "lambda-nsel",
-             "eps-sigma-inf", "seed", "config-rule", "align-rules"],
+             "eps-sigma-inf", "seed", "config-rule", "align-rules", "config-budgets"],
     )
     def test_bad_rule_parameter_is_reported_once_before_any_output(self, tmp_path, capsys, argv, message):
         src = tmp_path / "scored.jsonl"
@@ -1183,6 +1184,7 @@ class TestConfigResolution:
             ["train-synth", "--eval-samples", "-5"],
             ["train-synth", "--eval-samples", "0"],
             ["train-synth", "--reward-scale", "1e308"],
+            ["train-synth", "--eval-n", "2,4,2"],
             ["synth-bias-variance", "--m-grid", "0"],
             ["synth-bias-variance", "--m-grid", "-4"],
             ["synth-bias-variance", "--p-grid", "0"],
@@ -1222,10 +1224,16 @@ class TestConfigResolution:
               "--replications", "1000"], "need 1 <= bon_k < m, got bon_k=64, m=64"),
             (["synth-bias-variance", "--rules", "tea,grpo", "--m-grid", "64,1", "--replications", "1000"],
              "need m >= 2 rewards, got 1"),
+            (["eval-bon", "-i", "{groups}", "--budgets", "2,1,2"], "budget 2 is listed twice"),
+            (["eval-bon", "-i", "{groups}", "--baseline", "{groups}", "--budgets", "4,4"], "budget 4 is listed twice"),
+            (["predict-bon", "-i", "{groups}", "--budgets", "8,8"], "budget 8 is listed twice"),
+            (["qq-fit", "-i", "{groups}", "--grid", "100000000000"],
+             "grid_points must lie in [2, 10000], got 100000000000"),
         ],
         ids=["advantage-bon-k", "align-bon-k", "predict-bon-alpha", "advantage-alpha", "synth-bon-k",
              "synth-prefix-odd-m", "synth-prefix-collide", "synth-prefix-raw-small-m", "synth-replications",
-             "synth-chow-n-sel", "synth-bon-mean-bon-k", "synth-grpo-m"],
+             "synth-chow-n-sel", "synth-bon-mean-bon-k", "synth-grpo-m", "eval-bon-repeated-budget",
+             "eval-bon-baseline-repeated-budget", "predict-bon-repeated-budget", "qq-fit-huge-grid"],
     )
     def test_refused_setting_or_row_is_one_error_line_before_any_output(self, tmp_path, capsys, argv, message):
         # a rule's missing setting or a refused row, before any group is read or any row measured

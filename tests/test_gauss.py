@@ -201,6 +201,8 @@ class TestQqTailFit:
             qq_window(0.9, 0.5)
         with pytest.raises(InputError, match="grid_points"):
             qq_window(0.5, 0.9, 1)
+        with pytest.raises(InputError, match=r"^grid_points must lie in \[2, 10000\], got 100000000000$"):
+            qq_window(0.5, 0.9, 10**11)  # refused before anything is allocated
 
 
 class TestNormPdf:
