@@ -80,24 +80,14 @@ def oracle_advantage(pool: EmpiricalPool, n: int) -> np.ndarray:
     return per_unique[np.searchsorted(unique, pool.values)]
 
 
-#: Largest ratio k of two budgets at which folding beats a reduce. On a
-#: (100, 512) pool, 2 cores: k = 2 takes 0.015 ms against 0.97 ms, k = 32 0.09
-#: ms against 0.14 ms, k = 64 0.14 ms against 0.07 ms.
-_FOLD_MAX_RATIO = 32
-
-
 def _coarser_maxima(maxima: np.ndarray, k: int) -> np.ndarray:
     """Maxima of consecutive runs of k columns of (prompts, columns) ``maxima``.
 
-    Up to ``_FOLD_MAX_RATIO`` they are k - 1 elementwise maxima over the
-    strided columns ``maxima[:, j::k]``; above it, one reduce along each run.
-    Both keep the layout order of ``maxima``.
+    They are k - 1 elementwise maxima over the strided columns
+    ``maxima[:, j::k]``, which keep the layout order of ``maxima``.
     """
     if k == 1:
         return maxima
-    rows, columns = maxima.shape
-    if k > _FOLD_MAX_RATIO:
-        return np.maximum.reduce(maxima.reshape(rows, columns // k, k), axis=2)
     out = np.maximum(maxima[:, 0::k], maxima[:, 1::k])
     for j in range(2, k):
         np.maximum(out, maxima[:, j::k], out=out)
@@ -193,7 +183,8 @@ def paired_bootstrap_delta(
         )
         idx = np.random.default_rng(seed).integers(0, diff.shape[1], size=(resamples, diff.shape[1]))
         # gathered column by column: one (columns * resamples, prompts) gather would hold columns times the memory
-        lo, hi = np.percentile([c[idx].mean(axis=1) for c in diff], [2.5, 97.5], axis=1)
+        means = np.reshape([c[idx].mean(axis=1) for c in diff], (len(diff), resamples))
+        lo, hi = np.percentile(means, [2.5, 97.5], axis=1)
         delta = diff.mean(axis=1)
     for values in (delta, lo, hi):
         check_finite(values, lambda col: f"paired bootstrap delta of column {col} overflows: {values[col]}")

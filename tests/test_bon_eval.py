@@ -231,8 +231,8 @@ class TestGroupedCurveBits:
     @given(curve_cases())
     @example((np.arange(12.0)[::-1].reshape(1, 12) % 5, (3, 2, 6, 4, 12)))  # budgets that do not nest
     @example((laid_out(np.random.default_rng(1).standard_normal((3, 64)), "transposed"), (1,)))
-    @example((np.random.default_rng(2).standard_normal((2, 256)), (128, 2, 1, 2)))  # a reduce above a fold
-    @example((laid_out(np.random.default_rng(3).standard_normal((3, 576)), "transposed"), (64, 1)))
+    @example((np.random.default_rng(2).standard_normal((2, 256)), (128, 2, 1, 2)))  # a k = 64 fold above a k = 2 fold
+    @example((laid_out(np.random.default_rng(3).standard_normal((3, 576)), "transposed"), (64, 1)))  # a k = 64 fold on transposed input
     def test_matches_one_reduce_per_budget(self, case):
         assert_same_curve(*case)
 
@@ -278,6 +278,11 @@ class TestPairedBootstrap:
         for c in range(4):
             alone = paired_bootstrap_delta(a[:, c], b[:, c], resamples=200, seed=3)
             assert alone == tuple(float(v[c]) for v in columns)
+
+    def test_zero_columns_give_empty_arrays(self):
+        empty = np.zeros((5, 0))
+        delta, lo, hi = paired_bootstrap_delta(empty, empty, resamples=50)
+        assert delta.shape == lo.shape == hi.shape == (0,)
 
     def test_overflow_names_the_first_prompt_and_column(self):
         a = np.zeros((3, 2))
