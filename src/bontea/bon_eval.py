@@ -21,6 +21,10 @@ from .errors import DegenerateError, InputError, PromptRowError, check_finite
 DEFAULT_RESAMPLES = 1000
 #: Win/tie/loss tie tolerance on per-prompt differences.
 DEFAULT_TIE_TOL = 1e-9
+#: Resample indices the paired bootstrap draws and gathers at a time (at least one
+#: resample's): its memory beyond the (columns, resamples) means is a few slices of
+#: this many entries, whatever the resample count.
+_BOOTSTRAP_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -161,11 +165,14 @@ def paired_bootstrap_delta(
     """Mean per-prompt difference with a percentile 95% bootstrap interval, per column.
 
     Resamples prompts with replacement (paired), keeping the a/b pairing, with
-    one index matrix for every column (e.g. one per budget); the interval is
-    the (2.5, 97.5) percentile of resampled mean differences. A difference
-    that overflows raises ``PromptRowError`` naming its prompt row and
-    column, and a column whose delta or interval overflows raises
-    ``DegenerateError``.
+    the same resampled prompts for every column (e.g. one per budget); the
+    interval is the (2.5, 97.5) percentile of resampled mean differences. The
+    (resamples, prompts) index matrix is drawn and gathered in slices of
+    whole resamples, about ``_BOOTSTRAP_VALUES`` indices each: consecutive
+    draws continue one stream, so the indices, and every output bit, are
+    those of one whole draw. A difference that overflows raises
+    ``PromptRowError`` naming its prompt row and column, and a column whose
+    delta or interval overflows raises ``DegenerateError``.
     """
     if resamples < 1:
         raise InputError(f"resamples must be >= 1, got {resamples}")
@@ -181,9 +188,14 @@ def paired_bootstrap_delta(
                 f"paired difference of column {col} overflows: {diff[col, row]}",
             ),
         )
-        idx = np.random.default_rng(seed).integers(0, diff.shape[1], size=(resamples, diff.shape[1]))
-        # gathered column by column: one (columns * resamples, prompts) gather would hold columns times the memory
-        means = np.reshape([c[idx].mean(axis=1) for c in diff], (len(diff), resamples))
+        rng, (columns, prompts) = np.random.default_rng(seed), diff.shape
+        means = np.empty((columns, resamples))
+        step = max(1, _BOOTSTRAP_VALUES // prompts)
+        for start in range(0, resamples, step):
+            idx = rng.integers(0, prompts, size=(min(step, resamples - start), prompts))
+            # gathered column by column: one (columns * rows, prompts) gather would hold columns times the memory
+            for col, c in enumerate(diff):
+                means[col, start : start + len(idx)] = c[idx].mean(axis=1)
         lo, hi = np.percentile(means, [2.5, 97.5], axis=1)
         delta = diff.mean(axis=1)
     for values in (delta, lo, hi):

@@ -9,8 +9,9 @@ output reproduces the values bit-exactly. Commands are pure functions of
 
 Each command declares its options once, with ``@command``; see there.
 
-Exit codes: 0 clean, 2 input error, 3 numerical/degenerate error, the worst
-one when several groups fail. Partial outputs are flushed before a nonzero exit.
+Exit codes: 0 clean, 2 input error (an allocation refused for want of
+memory included), 3 numerical/degenerate error, the worst one when several
+groups fail. Partial outputs are flushed before a nonzero exit.
 """
 
 from __future__ import annotations
@@ -789,6 +790,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InputError, DegenerateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_DEGENERATE if isinstance(exc, DegenerateError) else _EXIT_INPUT
+    except MemoryError as exc:  # a size option asked for more memory than the machine gives
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        return _EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -52,9 +52,9 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -63,6 +63,9 @@ from .errors import DegenerateError, InputError
 from .gauss import check_alpha, ndtr, norm_pdf, tail_constants
 from .prefixes import cancellation_weights, combine, theory_prefixes
 from .tailstats import slice_tail_stats, tail_count
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 #: Replications per block. Each block draws from its own SeedSequence child,
 #: and the block is the unit the moments are merged in. A block is never held
@@ -398,19 +401,31 @@ def default_replications(m: int) -> int:
 LAB_TAGS = (*RULE_NAMES, "oracle", "prefix-tea-raw")
 
 
+@lru_cache(maxsize=256)
 def _gradient_kernel(rule: str, spec: SyntheticSpec, params: RuleParams, m: int):
-    """Chunk measurement z -> (induced gradient per row, any advantage nonzero)."""
+    """The lab's set-up of a tag for groups of m: (measure, tail), built once per (tag, spec, params, m).
+
+    ``check_rule`` with m refuses a setting that cannot serve m. For
+    'prefix-tea', ``tail`` is the cross-fitted tail stage and ``measure`` its
+    evaluation stage (see ``_block_outputs``); for every other tag ``tail``
+    is None and ``measure`` maps a chunk z to (induced gradient per row, any
+    advantage nonzero). Neither holds a mutable buffer, so threads may share them.
+    """
+    check_rule(rule, LAB_TAGS, params, m)
+    if rule == "prefix-tea":
+        kernel = _PrefixCrossFit(m, spec, params)
+        return kernel.evaluate, kernel.tail
     if rule == "tea":
-        return partial(_tea_block, spec=spec, eps_sigma=params.eps_sigma)
+        return partial(_tea_block, spec=spec, eps_sigma=params.eps_sigma), None
     if rule == "oracle":
-        return partial(_oracle_block, spec=spec)
+        return partial(_oracle_block, spec=spec), None
     advantages = rule_kernel(rule, params, m)
 
     def measure(z: np.ndarray):
         adv = advantages(z, None)
         return _induced_gradient(adv, z, spec), (adv != 0.0).any(axis=1)
 
-    return measure
+    return measure, None
 
 
 def _draw_chunks(rng: np.random.Generator, ring: deque, take: int, rows: int):
@@ -498,6 +513,10 @@ def _block_outputs(measure, m: int, replications: int, seed: int, tail=None):
     takes = [min(BLOCK_SIZE, replications - i * BLOCK_SIZE) for i in range(n_blocks)]
     width = m if tail is None else m // 2
     workers = max(1, _CORES - 1) if n_blocks == 1 else _CORES
+    # imported here, where a lab row starts its threads, so that importing bontea, its CLI or
+    # its trainer loads neither concurrent.futures nor the logging and queue modules it brings
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(workers) as pool, ThreadPoolExecutor(1) as ahead:
         draw = partial(_submit_block, pool, 2 * workers, measure, tail, width)
         for i, (stream, take) in enumerate(zip(streams, takes)):
@@ -571,9 +590,9 @@ def check_rows(
     Each rule must be a lab tag with the settings it needs, every
     prompt-batch size P at least 1, ``params`` must share the spec's target
     (alpha, n_target), and a given replication count must be at least 1e3.
-    Then every rule's settings must serve every group size m, as
-    ``check_rule`` and, for the prefix rules, their set-ups decide, so a group
-    size one refuses is refused before any row is measured.
+    Then every rule's settings must serve every group size m, as its
+    ``_gradient_kernel`` set-up decides, so a group size one refuses is
+    refused before any row is measured.
     """
     for rule in rules:
         check_rule(rule, LAB_TAGS, params)
@@ -589,11 +608,7 @@ def check_rows(
         raise InputError(f"need at least 1e3 replications, got {replications}")
     for m in m_grid:
         for rule in rules:
-            check_rule(rule, LAB_TAGS, params, m)
-        if "prefix-tea" in rules:
-            _PrefixCrossFit(m, spec, params)
-        if "prefix-tea-raw" in rules:
-            rule_kernel("prefix-tea-raw", params, m)
+            _gradient_kernel(rule, spec, params, m)
 
 
 def estimator_bias_variance(
@@ -634,12 +649,8 @@ def estimator_bias_variance(
     n_pilot = -(-min(PILOT_SIZE, replications // 4) // BLOCK_SIZE) if replications > BLOCK_SIZE else 0
     pilot: list[list[np.ndarray]] = []
     zero_rows = 0
-    if rule == "prefix-tea":
-        kernel = _PrefixCrossFit(m, spec, params)
-        blocks = _block_outputs(kernel.evaluate, m, replications, seed, tail=kernel.tail)
-    else:
-        blocks = _block_outputs(_gradient_kernel(rule, spec, params, m), m, replications, seed)
-    for i, (take, (grads, *rb_path, nonzero)) in enumerate(blocks):
+    measure, tail = _gradient_kernel(rule, spec, params, m)
+    for i, (take, (grads, *rb_path, nonzero)) in enumerate(_block_outputs(measure, m, replications, seed, tail)):
         acc.add(grads)
         zero_rows += int(take - nonzero.sum())
         if not rb_path:

@@ -253,15 +253,13 @@ def train(task: ToyTask, config: TrainConfig) -> TrainResult:
         raise InputError(
             f"p_batch={config.p_batch} exceeds the task's {task.n_prompts} prompts"
         )
-    thetas = task.reference_logits.copy()
+    # a fresh array, with a -0.0 logit made +0.0 as an added update would make it
+    thetas = task.reference_logits + 0.0
     log_q = log_softmax(task.reference_logits, axis=1)
     root = np.random.SeedSequence(config.seed)
     train_stream, eval_stream = root.spawn(2)
     rng = np.random.default_rng(train_stream)
     step_gradient, seeded = _step_gradient(task, config), config.rule in SEEDED_RULES
-    # gamma * update / P over the whole table; rows not drawn stay 0.0, so
-    # adding it turns a -0.0 logit into +0.0 as a freshly built update would
-    step_update = np.zeros_like(thetas)
 
     def log_point(step: int) -> TrajectoryPoint:
         probs = softmax(thetas, axis=1)
@@ -278,9 +276,7 @@ def train(task: ToyTask, config: TrainConfig) -> TrainResult:
         grads = step_gradient(thetas, prompts, rng, seeds)
         if config.beta > 0:
             grads -= config.beta * _kl_grads(thetas[prompts], log_q[prompts])
-        step_update[prompts] = config.gamma * grads / config.p_batch
-        thetas += step_update
-        step_update[prompts] = 0.0
+        thetas[prompts] += config.gamma * grads / config.p_batch  # the prompts are distinct
         # NaN logits fail this too; the whole table is checked
         if not np.maximum.reduce(np.abs(thetas), axis=None) <= LOGIT_GUARD:
             raise DegenerateError(f"training diverged at step {step}: |logit| > {LOGIT_GUARD:g}")

@@ -313,6 +313,16 @@ class TestCatBon:
         adv = compute_rules("cat-bon", row(rewards), RuleParams(n_target=4))[0]
         assert adv[0] == adv[1] == 0.0
 
+    @pytest.mark.parametrize("m, top, ratio", [(8, 12.0457, 1.01448), (64, 94.8981, 1 + 3.3e-8)])
+    def test_default_floor_scales_small_groups(self, m, top, ratio):
+        # at N = 128 the mean weight is 6.9e-7 for m = 8, so eps_norm = 1e-8 is not negligible there
+        rewards = row(np.arange(float(m)))
+        adv = compute_rules("cat-bon", rewards, RuleParams())[0]
+        bare = compute_rules("cat-bon", rewards, RuleParams(eps_norm=1e-300))[0]
+        assert adv[-1] == pytest.approx(top, abs=5e-5)
+        nonzero = bare != 0.0
+        assert_allclose(bare[nonzero] / adv[nonzero], ratio, rtol=5e-9 if m == 64 else 5e-6)
+
 
 class TestNormalizationFloor:
     """``eps_norm`` of grpo-z, bon-mean and cat-bon: >= 0 and finite; 0 needs a nonzero spread."""

@@ -26,6 +26,7 @@ from bontea import (
     paired_bootstrap_delta,
     win_tie_loss,
 )
+from bontea.bon_eval import _BOOTSTRAP_VALUES
 from bontea.errors import PromptRowError, check_finite
 
 
@@ -249,7 +250,54 @@ class TestGroupedCurveBits:
         assert_same_curve(*case)
 
 
+def reference_bootstrap(a: np.ndarray, b: np.ndarray, resamples: int, seed: int) -> tuple:
+    """(delta, lo, hi) per column from one whole (resamples, prompts) index matrix."""
+    diff = np.ascontiguousarray((a - b).reshape(a.shape[0], -1).T)
+    idx = np.random.default_rng(seed).integers(0, diff.shape[1], size=(resamples, diff.shape[1]))
+    means = np.reshape([c[idx].mean(axis=1) for c in diff], (len(diff), resamples))
+    lo, hi = np.percentile(means, [2.5, 97.5], axis=1)
+    return diff.mean(axis=1), lo, hi
+
+
+@st.composite
+def bootstrap_cases(draw):
+    """(a, b, resamples, seed): any prompt count, 0 to 3 columns, resample counts at and around slice ends."""
+    prompts = draw(st.integers(2, 300) | st.sampled_from([1000, 3 * 7 * 1001, _BOOTSTRAP_VALUES + 7]))
+    step = max(1, _BOOTSTRAP_VALUES // prompts)  # resamples per slice
+    resamples = draw(st.sampled_from([1, step - 1, step, step + 1, 2 * step + 1]).filter(lambda r: r >= 1)
+                     | st.integers(1, 3 * step))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = rng.standard_normal((2, prompts, draw(st.integers(0, 3))))
+    return a, b, resamples, draw(st.integers(0, 2**32 - 1))
+
+
 class TestPairedBootstrap:
+    @settings(max_examples=100, deadline=None)
+    @given(bootstrap_cases())
+    @example((np.arange(6.0).reshape(3, 2), np.zeros((3, 2)), 2 * (_BOOTSTRAP_VALUES // 3) + 1, 5))
+    def test_slices_have_the_bits_of_one_index_matrix(self, case):
+        a, b, resamples, seed = case
+        got = paired_bootstrap_delta(a, b, resamples, seed)
+        for value, expected in zip(got, reference_bootstrap(a, b, resamples, seed)):
+            assert np.array_equal(value.view(np.int64), expected.view(np.int64))
+
+    def test_memory_does_not_grow_with_resamples_beyond_the_means(self):
+        import tracemalloc
+
+        a, b = np.random.default_rng(8).standard_normal((2, 100, 4))
+        peaks = {}
+        for resamples in (2_000, 20_000):
+            paired_bootstrap_delta(a, b, resamples)  # warm any lazy set-up
+            tracemalloc.start()
+            try:
+                paired_bootstrap_delta(a, b, resamples)
+                peaks[resamples] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the (4, resamples) float means, and their copy while the percentiles are taken;
+        # one whole index matrix would add 8 * 100 bytes per resample
+        assert peaks[20_000] - peaks[2_000] <= 2 * 8 * 4 * 18_000
+
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(5)
         a, b = rng.standard_normal((2, 30))
@@ -271,7 +319,7 @@ class TestPairedBootstrap:
         assert_allclose(delta, (a - b).mean())
 
     def test_columns_equal_one_call_per_column(self):
-        # one index matrix for all columns: each column's bits are those of its own call
+        # the same resampled prompts for all columns: each column's bits are those of its own call
         rng = np.random.default_rng(12)
         a, b = rng.standard_normal((2, 30, 4))
         columns = paired_bootstrap_delta(a, b, resamples=200, seed=3)

@@ -567,6 +567,33 @@ class TestFailedWrite:
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
 
+class TestRefusedAllocation:
+    """A size option that asks for more memory than the machine gives ends in one error line and exit 2.
+
+    Each size asks for petabytes in one allocation, above any machine's address
+    space, so it is refused at once and nothing is filled.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, shape, written",
+        [
+            (["eval-bon", "-i", "{pools}", "--baseline", "{pools}", "--resamples", "1000000000000000"],
+             "(4, 1000000000000000)", []),
+            (["train-synth", "--steps", "1", "--eval-samples", "1000000000000000"], "(8, 1000000000000000)", []),
+            # the lab's ring of chunk buffers, as many as its threads need; its header is already written
+            (["synth-bias-variance", "--rules", "tea", "--m-grid", "100000000000000", "--replications", "1000"],
+             ", 1, 100000000000000)", ["estimator,m,bias_norm,variance,mse_p1,mse_p2048,mse_p65536,replications,seed"]),
+        ],
+        ids=["eval-bon", "train-synth", "synth-bias-variance"],
+    )
+    def test_one_error_line_and_exit_2(self, pools_path, argv, shape, written):
+        proc = run_cli(*(str(pools_path) if arg == "{pools}" else arg for arg in argv))
+        assert proc.returncode == 2
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: out of memory: Unable to allocate ") and shape in line
+        assert [row for row in proc.stdout.splitlines() if not row.startswith("#")] == written
+
+
 class TestPredictAndEval:
     def test_predict_bon_self_consistency(self, tmp_path):
         # tail predictions from m=64 samples/prompt track the empirical

@@ -76,6 +76,12 @@ CASES: dict[str, tuple[list[str], int]] = {
          "--resamples", "200", "--seed", "3", "--tie-tol", "1e-6"],
         0,
     ),
+    # a resample count whose means cannot be allocated: one error line, no output file
+    "eval-bon-out-of-memory": (
+        ["eval-bon", "-i", "pools.jsonl", "--baseline", "baseline.jsonl", "--budgets", "1,2,4",
+         "--resamples", "1000000000000000"],
+        2,
+    ),
     "synth-bias-variance": (
         ["synth-bias-variance", "--rules", "tea,prefix-tea,grpo", "--m-grid", "64,128",
          "--p-grid", "1,16", "--replications", "1000", "--seed", "5"],
@@ -130,7 +136,10 @@ def test_golden_to_file_and_stdout(name, tmp_path, monkeypatch):
     target = tmp_path / "out"
     code, stdout, stderr = _run(argv + ["-o", str(target)])
     assert (code, stdout, stderr) == (expected_code, "", expected_err)
-    assert target.read_bytes() == expected_bytes
+    if expected_bytes:
+        assert target.read_bytes() == expected_bytes
+    else:  # the command failed before it opened its output
+        assert not target.exists()
 
     code, stdout, stderr = _run(argv)
     assert (code, stdout, stderr) == (expected_code, expected_out, expected_err)

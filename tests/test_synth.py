@@ -437,7 +437,8 @@ class TestChunkRing:
     def test_measure_keeps_no_view_of_its_chunk(self, rule):
         # tea and oracle have kernels of their own; every other tag is measured by its rule_kernel
         z = np.random.default_rng(3).standard_normal((16, 64))
-        outputs = _gradient_kernel(rule, SPEC, RuleParams(bon_k=4), 64)(z)
+        measure, _ = _gradient_kernel(rule, SPEC, RuleParams(bon_k=4), 64)
+        outputs = measure(z)
         assert not any(np.shares_memory(out, z) for out in outputs)
 
     def test_prefix_stages_keep_no_view_of_their_chunks(self):
@@ -471,12 +472,49 @@ class TestChunkRing:
 
         monkeypatch.setattr(synth._PrefixCrossFit, "tail", _slowed(synth._PrefixCrossFit.tail))
         monkeypatch.setattr(synth, "_tea_block", _slowed(synth._tea_block))
-        row = estimator_bias_variance(rule, SPEC, m, replications, seed=41)
+        # set-ups are cached: the row must set up the slowed kernels, and no later row keep them
+        synth._gradient_kernel.cache_clear()
+        try:
+            row = estimator_bias_variance(rule, SPEC, m, replications, seed=41)
+        finally:
+            synth._gradient_kernel.cache_clear()
         bias, bias_se, variance, variance_se = self.SLOW_ROWS[rule, m, replications]
         assert [float(x).hex() for x in row.bias_vec] == list(bias)
         assert [float(x).hex() for x in row.bias_se] == list(bias_se)
         assert row.variance.hex() == variance
         assert row.variance_se.hex() == variance_se
+
+
+def test_one_prefix_set_up_per_checked_and_measured_row(monkeypatch):
+    import bontea.synth as synth
+
+    built = []
+    init = synth._PrefixCrossFit.__init__
+    monkeypatch.setattr(synth._PrefixCrossFit, "__init__", lambda self, *args: built.append(init(self, *args)))
+    synth._gradient_kernel.cache_clear()
+    params = RuleParams(alpha=SPEC.alpha, n_target=SPEC.n_target)
+    synth.check_rows(("prefix-tea",), SPEC, params, (96,), (1,), 1_000)
+    estimator_bias_variance("prefix-tea", SPEC, 96, 1_000, seed=2, params=params)
+    assert len(built) == 1
+
+
+def test_lab_threads_are_not_imported_with_the_cli_or_trainer():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import bontea
+
+    code = (
+        "import sys, bontea.cli, bontea.trainer; "
+        "assert 'concurrent.futures' not in sys.modules, 'imported'; "
+        "from bontea import SyntheticSpec, estimator_bias_variance; "
+        "print(estimator_bias_variance('tea', SyntheticSpec(), 64, 1000, seed=3).replications)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(bontea.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1000\n", "")
 
 
 def test_prefix_row_never_holds_a_block(monkeypatch):
