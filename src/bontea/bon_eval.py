@@ -98,6 +98,13 @@ def _coarser_maxima(maxima: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def check_budgets(budgets: tuple[int, ...], m_total: int) -> None:
+    """Raise ``InputError`` unless every budget is at least 1 and divides ``m_total`` samples."""
+    for n in budgets:
+        if n < 1 or m_total % n != 0:
+            raise InputError(f"budget {n} must divide the per-prompt sample count {m_total}")
+
+
 def grouped_bon_curve(per_prompt_samples: np.ndarray, budgets: list[int] | tuple[int, ...]) -> BonCurve:
     """Grouped best-of-N means: consecutive groups of n, maxima averaged.
 
@@ -120,9 +127,7 @@ def grouped_bon_curve(per_prompt_samples: np.ndarray, budgets: list[int] | tuple
         samples = samples[None, :]
     n_prompts, m_total = samples.shape
     budgets = tuple(int(n) for n in budgets)
-    for n in budgets:
-        if n < 1 or m_total % n != 0:
-            raise InputError(f"budget {n} must divide the per-prompt sample count {m_total}")
+    check_budgets(budgets, m_total)
     maxima = {1: samples}
     per_prompt = np.empty((n_prompts, len(budgets)))
     # the bits of .max and .mean, without their per-call wrapping

@@ -90,7 +90,7 @@ def load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -249,11 +249,6 @@ class _Run(NamedTuple):
     rewards: np.ndarray
     scores: Sequence[np.ndarray | None]
 
-    def row(self, i: int) -> _Run:
-        """Group i alone, as a run of one."""
-        return _Run(self.first + i, self.lines[i : i + 1], self.ids[i : i + 1], self.rewards[i : i + 1],
-                    self.scores[i : i + 1])
-
 
 def read_reward_groups(path: str) -> Iterator[_Run]:
     """Yield the file's groups in runs of one size, of at most ``_RUN_VALUES`` rewards.
@@ -261,10 +256,10 @@ def read_reward_groups(path: str) -> Iterator[_Run]:
     Each line is decoded once; each run becomes one matrix, checked for shape
     and finiteness once. A bad line raises an ``InputError`` naming it, after
     the groups before it are yielded: the first bad line in file order,
-    whatever is wrong with it.
+    whatever is wrong with it, bytes that are not UTF-8 included.
     """
     try:
-        handle = open(path, "r", encoding="utf-8")
+        handle = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     run: list[tuple[int, str, Any, Any]] = []  # (line, prompt, rewards, scores) as decoded
@@ -292,7 +287,11 @@ def read_reward_groups(path: str) -> Iterator[_Run]:
 def _decode(path: str, lineno: int, line: str) -> dict[str, Any]:
     """The line's JSON object, which must have a 'rewards' field."""
     try:
+        if not line.isascii():
+            line.encode()  # a byte that is not UTF-8 was read as a lone surrogate
         record = json.loads(line)
+    except UnicodeEncodeError as exc:
+        raise InputError(f"{path}:{lineno}: invalid UTF-8") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
     except RecursionError as exc:
@@ -305,9 +304,8 @@ def _decode(path: str, lineno: int, line: str) -> dict[str, Any]:
 def _checked_run(path: str, first: int, run: list[tuple[int, str, Any, Any]]) -> Iterator[_Run]:
     """Yield the decoded lines of a run as a ``_Run``, their rewards and scores checked as whole arrays.
 
-    A run that fails the check is redone line by line through ``RewardGroup``,
-    which words every group's error: the groups before the first bad line are
-    yielded, then that line's ``InputError`` is raised.
+    A run that fails the check is yielded as runs of one, each line's group
+    built by ``RewardGroup``, which raises the first bad line's ``InputError``.
     """
     if not run:
         return
@@ -324,21 +322,12 @@ def _checked_run(path: str, first: int, run: list[tuple[int, str, Any, Any]]) ->
     if valid:
         yield _Run(first, lines, ids, matrix, scores)
         return
-    groups: list[RewardGroup] = []
-    for lineno, prompt_id, values, group_scores in run:
+    for i, (lineno, prompt_id, values, group_scores) in enumerate(run):
         try:
-            groups.append(RewardGroup(prompt_id, values, group_scores))
+            group = RewardGroup(prompt_id, values, group_scores)
         except (ValueError, TypeError, OverflowError) as exc:
-            if groups:
-                yield _group_run(first, lines, groups)
             raise InputError(f"{path}:{lineno}: {exc}") from exc
-    yield _group_run(first, lines, groups)
-
-
-def _group_run(first: int, lines: Sequence[int], groups: list[RewardGroup]) -> _Run:
-    """The checked groups as a run, on the first ``len(groups)`` of ``lines``."""
-    return _Run(first, lines[: len(groups)], [group.prompt_id for group in groups],
-                np.stack([group.rewards for group in groups]), [group.scores for group in groups])
+        yield _Run(first + i, (lineno,), (prompt_id,), group.rewards[None, :], (group.scores,))
 
 
 @contextmanager
@@ -346,9 +335,10 @@ def _output(path: str | None) -> Iterator[TextIO]:
     """Stdout for no path or '-', else the file; flushed once, when it closes.
 
     What was written stays on error: the file is closed and stdout flushed.
-    A write, flush or close that fails (a closed pipe, a full disk) is an
-    ``InputError`` naming the output. What stdout could not take is then
-    dropped, so the interpreter's own flush at exit does not fail again.
+    A write, flush or close that fails (a closed pipe, a full disk, text the
+    encoding cannot take) is an ``InputError`` naming the output. What stdout
+    could not take for want of room is then dropped, so the interpreter's own
+    flush at exit does not fail again.
     """
     to_stdout = path is None or path == "-"
     try:
@@ -360,8 +350,8 @@ def _output(path: str | None) -> Iterator[TextIO]:
             return
         with open(path, "w", encoding="utf-8") as handle:
             yield handle
-    except OSError as exc:
-        if to_stdout:
+    except (OSError, UnicodeEncodeError) as exc:
+        if to_stdout and isinstance(exc, OSError):
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
@@ -407,13 +397,13 @@ class _Computed:
     """(prompt ids, results) of each run of a JSONL file's groups, in file order, one batch call per run.
 
     ``batch(run)`` takes a ``_Run`` from ``read_reward_groups`` and returns one
-    result per group. If it raises, the run is redone by calling ``batch`` on
-    each group alone, as a run of one, so each failure is the group's own. A
-    failure is reported with the group's prompt and line and the group left
-    out if one of ``skip``; any other, or a bad line, ends the command after
-    the groups before it. ``exit_code`` is the worst failure. A file without
-    groups is an input error unless ``allow_empty``. ``setup(m)`` precedes
-    each run of size m; its ``InputError`` skips all groups of m, reported once.
+    result per group. If it raises, the run is computed again as runs of one,
+    and a run of one that fails is its group's own failure. A failure is
+    reported with the group's prompt and line and the group left out if one
+    of ``skip``; any other, or a bad line, ends the command after the groups
+    before it. ``exit_code`` is the worst failure. A file without groups is an
+    input error unless ``allow_empty``. ``setup(m)`` precedes each run of size
+    m; its ``InputError`` skips all groups of m, reported once.
     """
 
     path: str
@@ -434,38 +424,33 @@ class _Computed:
                     self.setup(m)
                 except InputError as exc:
                     refused.add(m)
-                    self._fail(f"prompt {run.ids[0]} (line {run.lines[0]}): {exc}", exc)
+                    self._fail(exc, run)
                     continue
-                try:
-                    results = self.batch(run)
-                except (DegenerateError, InputError):
-                    yield from self._one_by_one(run)
-                else:
-                    yield run.ids, results
+                yield from self._computed(run)
         except InputError as exc:  # a bad line; the groups' own errors are handled above
-            self._fail(str(exc), exc, end=True)
+            self._fail(exc)
         if empty and not self.allow_empty:
             raise InputError(f"{self.path}: no reward groups")
 
-    def _one_by_one(self, run: _Run) -> Iterator[tuple[list[str], list[Any]]]:
-        """The run's groups computed alone: the groups before each failure, then the rest."""
-        ids, results = [], []
-        for i, prompt_id in enumerate(run.ids):
-            try:
-                results.append(self.batch(run.row(i))[0])
-            except (DegenerateError, InputError) as exc:
-                yield ids, results
-                ids, results = [], []
-                self._fail(f"prompt {prompt_id} (line {run.lines[i]}): {exc}", exc)
-                continue
-            ids.append(prompt_id)
-        yield ids, results
+    def _computed(self, run: _Run) -> Iterator[tuple[Sequence[str], Sequence[Any]]]:
+        try:
+            results = self.batch(run)
+        except (DegenerateError, InputError) as exc:
+            if len(run.ids) == 1:
+                self._fail(exc, run)
+                return
+            for i in range(len(run.ids)):
+                yield from self._computed(_Run(run.first + i, *(column[i : i + 1] for column in run[1:])))
+            return
+        yield run.ids, results
 
-    def _fail(self, message: str, exc: Exception, end: bool = False) -> None:
-        print(f"error: {message}", file=sys.stderr)
+    def _fail(self, exc: Exception, run: _Run | None = None) -> None:
+        """Report ``exc`` of ``run``'s first group, or of a bad line without a run; end unless a group's is in ``skip``."""
+        print(f"error: {exc}" if run is None else f"error: prompt {run.ids[0]} (line {run.lines[0]}): {exc}",
+              file=sys.stderr)
         code = _EXIT_DEGENERATE if isinstance(exc, DegenerateError) else _EXIT_INPUT
         self.exit_code = max(self.exit_code, code)
-        if end or not isinstance(exc, self.skip):
+        if run is None or not isinstance(exc, self.skip):
             raise _Exit(self.exit_code)
 
 

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .advantages import SEEDED_RULES, RuleParams, rule_kernel
-from .bon_eval import BonCurve, grouped_bon_curve
+from .bon_eval import BonCurve, check_budgets, grouped_bon_curve
 from .errors import DegenerateError, InputError
 
 #: Training aborts once any logit magnitude passes this guard.
@@ -96,6 +96,7 @@ class TrainConfig:
             raise InputError("eval budgets must be positive")
         if self.eval_samples < 1:
             raise InputError(f"eval_samples must be >= 1, got {self.eval_samples}")
+        check_budgets(self.eval_n, self.eval_samples)  # what each evaluation's grouped_bon_curve needs
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from bontea import (
     tail_constants,
     tail_stats,
 )
+from bontea import cli
 from bontea.advantages import RULE_NAMES
 from bontea.cli import main
 from bontea.tailstats import RewardGroup, tail_count
@@ -527,6 +528,80 @@ class TestGroupCommandRuns:
             assert len(rows) > 65  # more than one run
 
 
+class TestRunsOfOne:
+    """A clean run is one batch call; a run that fails is computed again as runs of one, with the per-group results."""
+
+    @pytest.mark.parametrize("overflow, batches", [(None, [64, 64, 2]), (100, [64, 64] + [1] * 64 + [2])],
+                             ids=["clean", "overflow-at-100"])
+    def test_advantage_batch_calls(self, tmp_path, monkeypatch, overflow, batches):
+        rng = np.random.default_rng(31)
+        groups = [rng.standard_normal(64) for _ in range(130)]  # runs of 64, 64 and 2 groups
+        if overflow is not None:
+            groups[overflow] = 1e200 * np.arange(1.0, 65.0)  # overflows the tail statistics
+        src, out = tmp_path / "groups.jsonl", tmp_path / "adv.jsonl"
+        write_groups(src, [{"prompt_id": f"g{i}", "rewards": g.tolist()} for i, g in enumerate(groups)])
+        sizes = []
+
+        def counted(rule, rewards, *args, _real=cli.compute_rules):
+            sizes.append(len(rewards))
+            return _real(rule, rewards, *args)
+
+        monkeypatch.setattr(cli, "compute_rules", counted)
+        code = main(["advantage", "-i", str(src), "-o", str(out), "--rule", "tea"])
+        assert (sizes, code) == (batches, 0 if overflow is None else 3)
+        assert len(out.read_text().splitlines()) == 1 + 130 - (overflow is not None)
+
+    def test_align_on_a_run_of_two_score_widths(self, tmp_path, capsys):
+        # the run's scores are not one array, so its groups are read as runs of one
+        rng = np.random.default_rng(37)
+        src, out = tmp_path / "groups.jsonl", tmp_path / "align.csv"
+        write_groups(src, [{"prompt_id": f"g{i}", "rewards": rng.standard_normal(64).tolist(),
+                            "scores": rng.standard_normal((64, 2 + i % 2)).tolist()} for i in range(12)])
+        code = main(["align", "-i", str(src), "-o", str(out), "--rules", "tea,grpo"])
+        rows, expected_err, expected_code = per_group_align(src, ("tea", "grpo"), RuleParams(), 128)
+        assert (capsys.readouterr().err.splitlines(), code) == (expected_err, expected_code)
+        body = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert body == ["prompt_id,cosine_tea,cosine_grpo", *rows] and len(rows) > 1
+
+
+class TestInputBytes:
+    """A line that is not UTF-8 is a bad line; line ends and UTF-8 text read as they always have."""
+
+    LINES = [b'{"prompt_id": "a", "rewards": [1, 2, 3]}', b'{"prompt_id": "b\xff\xfe", "rewards": [1, 2]}',
+             b'{"prompt_id": "c", "rewards": [2, 1]}']
+
+    def test_a_line_that_is_not_utf8_is_a_bad_line(self, tmp_path, capsys):
+        src, out = tmp_path / "groups.jsonl", tmp_path / "adv.jsonl"
+        src.write_bytes(b"\n".join(self.LINES) + b"\n")
+        assert main(["advantage", "-i", str(src), "-o", str(out), "--rule", "grpo"]) == 2
+        assert capsys.readouterr().err == f"error: {src}:2: invalid UTF-8\n"
+        rows = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+        assert rows == [{"prompt_id": "a", "advantages": [-1.0, 0.0, 1.0]}]
+        assert main(["predict-bon", "-i", str(src), "-o", str(tmp_path / "p.json")]) == 2
+        assert capsys.readouterr().err == f"error: {src}:2: invalid UTF-8\n"
+
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_line_ends_read_as_newlines(self, tmp_path, end):
+        rng = np.random.default_rng(41)
+        lines = [json.dumps({"prompt_id": f"p{i}\u00e9\u4e2d", "rewards": rng.standard_normal(8).tolist()},
+                            ensure_ascii=False).encode() for i in range(3)]
+        outputs = []
+        for name, sep in (("lf", b"\n"), ("other", end)):
+            src, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.out"
+            src.write_bytes(sep.join(lines) + sep)
+            assert main(["advantage", "-i", str(src), "-o", str(out)]) == 0
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1] and '"p2\\u00e9\\u4e2d"' in outputs[0]
+
+    def test_a_config_file_that_is_not_utf8(self, tmp_path, pools_path, capsys):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "adv.jsonl"
+        cfg.write_bytes(b"rule = tea\xff\n")
+        assert main(["advantage", "-i", str(pools_path), "-o", str(out), "--config", str(cfg)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: cannot read config file {cfg}: 'utf-8' codec can't decode byte 0xff")
+        assert not out.exists()
+
+
 class TestWeightsCommand:
     def test_matches_library(self, tmp_path):
         out = tmp_path / "w.json"
@@ -557,6 +632,33 @@ class TestFailedWrite:
             proc.kill()
             proc.wait()
         assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+    @staticmethod
+    def write_surrogate_ids(path):
+        # "a\ud800b" comes from a JSON escape; UTF-8 cannot encode it, and the JSON outputs escape it
+        rng = np.random.default_rng(19)
+        write_groups(path, [{"prompt_id": p, "rewards": rng.standard_normal(32).tolist(),
+                             "scores": rng.standard_normal((32, 2)).tolist()} for p in ("ok", "a\ud800b", "c")])
+
+    @pytest.mark.parametrize("command", ["qq-fit", "align"])
+    def test_prompt_id_the_file_cannot_take(self, tmp_path, capsys, command):
+        src, out = tmp_path / "groups.jsonl", tmp_path / "out.csv"
+        self.write_surrogate_ids(src)
+        rules = ["--rules", "grpo"] if command == "align" else []  # grpo's alignment is never degenerate here
+        assert main([command, "-i", str(src), "-o", str(out), *rules]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: cannot write {out}: 'utf-8' codec can't encode character '\\ud800' in position 1:" \
+            " surrogates not allowed"
+        assert [row[0] for row in read_csv(out)[1][1:]] == ["ok"]
+
+    def test_prompt_id_stdout_cannot_take(self, tmp_path):
+        src = tmp_path / "groups.jsonl"
+        self.write_surrogate_ids(src)
+        proc = run_cli("qq-fit", "-i", str(src))
+        assert proc.returncode == 2
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: cannot write stdout: ") and "\\ud800" in line
+        assert [row.split(",")[0] for row in proc.stdout.splitlines() if not row.startswith("#")] == ["prompt_id", "ok"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("argv", [["advantage", "-i", "{groups}"], ["weights"]], ids=["advantage", "weights"])
@@ -1210,6 +1312,7 @@ class TestConfigResolution:
             ["train-synth", "--n-actions", "-1"],
             ["train-synth", "--eval-samples", "-5"],
             ["train-synth", "--eval-samples", "0"],
+            ["train-synth", "--eval-samples", "64"],
             ["train-synth", "--reward-scale", "1e308"],
             ["train-synth", "--eval-n", "2,4,2"],
             ["synth-bias-variance", "--m-grid", "0"],

@@ -284,6 +284,18 @@ class TestTrain:
         with pytest.raises(InputError, match=message):
             TrainConfig(rule=rule, params=params, m=64)
 
+    @pytest.mark.parametrize(
+        "eval_n, eval_samples, message",
+        [
+            ((1, 8, 128), 64, "budget 128 must divide the per-prompt sample count 64"),
+            ((1, 3), 512, "budget 3 must divide the per-prompt sample count 512"),
+        ],
+    )
+    def test_config_refuses_eval_samples_a_budget_does_not_divide(self, eval_n, eval_samples, message):
+        # refused at construction, with grouped_bon_curve's message, not when step 0 is evaluated
+        with pytest.raises(InputError, match=message):
+            TrainConfig(eval_n=eval_n, eval_samples=eval_samples)
+
     @pytest.mark.parametrize("rule", ["tea", "prefix-tea", "chow"])
     def test_the_rule_is_set_up_once_per_run(self, monkeypatch, rule):
         from bontea import advantages
