@@ -62,26 +62,6 @@ _EXIT_DEGENERATE = 3
 _FLAG_ONLY = ("input", "output", "baseline")
 
 
-def _json_default(value: Any) -> Any:
-    """``json`` hook: arrays become lists and NumPy scalars Python scalars.
-
-    Python floats (and NumPy float64, a float subclass) are written by
-    ``json`` as their repr, the shortest round-trip decimal.
-    """
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, np.generic):
-        return value.item()
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
-def _cell(value: Any) -> str:
-    """CSV cell: repr for floats (round-trip exact), str otherwise."""
-    if isinstance(value, (np.floating, float)):
-        return repr(float(value))
-    return str(value)
-
-
 # --- configuration resolution ------------------------------------------------
 
 
@@ -358,18 +338,10 @@ def _output(path: str | None) -> Iterator[TextIO]:
         raise InputError(f"cannot write {'stdout' if to_stdout else path}: {exc}") from exc
 
 
-#: Formats one JSON line as ``json.dumps(..., default=_json_default)`` does; made once, not per line.
-_encode_line = json.JSONEncoder(default=_json_default).encode
-
-
-def _write_json(out: TextIO, payload: dict[str, Any], indent: int | None = None) -> None:
-    out.write(json.dumps(payload, indent=indent, default=_json_default) + "\n")
-
-
 def _write_doc(path: str | None, config: dict[str, Any], **fields: Any) -> None:
     """One indented JSON document: the echoed config, then ``fields``."""
     with _output(path) as out:
-        _write_json(out, {"config": _echo(config), **fields}, indent=2)
+        out.write(json.dumps({"config": _echo(config), **fields}, indent=2) + "\n")
 
 
 def _write_csv(
@@ -378,11 +350,11 @@ def _write_csv(
     """'# key=value' lines of the echoed config, the header, then each row as it comes."""
     with _output(path) as out:
         for key, value in _echo(config).items():
-            out.write(f"# {key}={_cell(value)}\n")
+            out.write(f"# {key}={value}\n")
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_cell(v) for v in row])
+            writer.writerow(row)
 
 
 # --- commands ------------------------------------------------------------------
@@ -469,9 +441,9 @@ def cmd_advantage(args: argparse.Namespace, config: dict[str, Any]) -> int:
     groups = _Computed(args.input, advantages, skip=(DegenerateError, InputError), allow_empty=True,
                        setup=partial(rule_kernel, rule, params))
     with _output(args.output) as out:
-        _write_json(out, {"config": _echo(config), "rule": rule})
+        out.write(json.dumps({"config": _echo(config), "rule": rule}) + "\n")
         for ids, advs in groups:  # a run's lines in one write
-            out.write("".join([_encode_line({"prompt_id": p, "advantages": a}) + "\n" for p, a in zip(ids, advs)]))
+            out.write("".join([json.dumps({"prompt_id": p, "advantages": a}) + "\n" for p, a in zip(ids, advs)]))
     return groups.exit_code
 
 
@@ -531,7 +503,7 @@ def cmd_predict_bon(args: argparse.Namespace, config: dict[str, Any]) -> int:
 
 
 def _curve_payload(curve) -> dict[str, Any]:
-    return {"n": curve.n_values, "mean": curve.means, "per_prompt": curve.per_prompt}
+    return {"n": curve.n_values, "mean": curve.means.tolist(), "per_prompt": curve.per_prompt.tolist()}
 
 
 @command(

@@ -190,18 +190,6 @@ def _draw_actions(rng: np.random.Generator, probs: np.ndarray, size: int) -> np.
     return np.array(list(map(np.ndarray.searchsorted, cdf, uniform, ["right"] * len(cdf))))
 
 
-def _policy_bon(
-    task: ToyTask,
-    probs: np.ndarray,
-    n_budgets: tuple[int, ...],
-    samples_per_prompt: int,
-    seed: int | np.random.SeedSequence,
-) -> BonCurve:
-    """``evaluate_policy_bon`` of the policy whose action probabilities, row by row, are ``probs``."""
-    actions = _draw_actions(np.random.default_rng(seed), probs, samples_per_prompt)
-    return grouped_bon_curve(task.rewards[np.arange(len(actions))[:, None], actions], n_budgets)
-
-
 def evaluate_policy_bon(
     task: ToyTask,
     thetas: np.ndarray,
@@ -211,7 +199,8 @@ def evaluate_policy_bon(
 ) -> BonCurve:
     """Monte Carlo grouped best-of-N of the policy on the task's reward table."""
     probs = softmax(np.asarray(thetas, dtype=float), axis=1)
-    return _policy_bon(task, probs, n_budgets, samples_per_prompt, seed)
+    actions = _draw_actions(np.random.default_rng(seed), probs, samples_per_prompt)
+    return grouped_bon_curve(task.rewards[np.arange(len(actions))[:, None], actions], n_budgets)
 
 
 def _spawned(stream: np.random.SeedSequence, index: int) -> np.random.SeedSequence:
@@ -266,7 +255,7 @@ def train(task: ToyTask, config: TrainConfig) -> TrainResult:
         probs = softmax(thetas, axis=1)
         mean_reward = float((probs * task.rewards).sum(axis=1).mean())
         kl = float(_kl_rows(thetas, log_q)[2].mean())
-        curve = _policy_bon(task, probs, config.eval_n, config.eval_samples, _spawned(eval_stream, step))
+        curve = evaluate_policy_bon(task, thetas, config.eval_n, config.eval_samples, _spawned(eval_stream, step))
         bon = {int(n): float(v) for n, v in zip(curve.n_values, curve.means)}
         return TrajectoryPoint(step=step, kl=kl, mean_reward=mean_reward, bon=bon)
 

@@ -45,6 +45,9 @@ from bontea.trainer import (
     train,
 )
 
+#: the lab fixture takes most of a full run; ``pytest -m "not slow"`` leaves this module out
+pytestmark = pytest.mark.slow
+
 TEA_GRID = (256, 512, 1024, 2048, 4096)
 PREFIX_GRID = (512, 1024, 2048, 4096)
 TEA_REPLICATIONS = 200_000

@@ -29,7 +29,7 @@ from bontea.synth import (
     _spec_constants,
     _tea_block,
 )
-from bontea.tailstats import DEFAULT_EPS_SIGMA, tail_count
+from bontea.tailstats import DEFAULT_EPS_SIGMA, prefix_tail_stats, tail_count
 
 SPEC = SyntheticSpec()
 REL_TOL = 1e-12
@@ -268,6 +268,21 @@ class TestPrefix:
             alone = measure(kernel, z_a[row : row + 1], z_b[row : row + 1])
             for a, b in zip(alone, together):
                 np.testing.assert_array_equal(a, b[row : row + 1])
+
+    @pytest.mark.parametrize("m", [64, 512, 4096])
+    @pytest.mark.parametrize("decimals", [None, 1])
+    def test_window_sorts_match_the_padded_stack(self, m, decimals):
+        # the lab's window sorts give each prefix the tail vector bits of the rules'
+        # one sort of a -inf-padded (J, rows, m_J) stack, ties included
+        kernel = _PrefixCrossFit(m, SPEC, RuleParams())
+        z = np.random.default_rng(15).standard_normal((64, m // 2))
+        if decimals is not None:
+            z = np.round(z, decimals)
+        sizes, counts = kernel.sizes, kernel.counts
+        beyond = np.arange(sizes[-1]) >= np.array(sizes)[:, None, None]
+        top = np.sort(np.where(beyond, -np.inf, z[:, : sizes[-1]]), axis=2)[:, :, -counts[-1] :]
+        for got, ref in zip(kernel.tail(z)[0], prefix_tail_stats(top, tuple(counts), kernel.eps_sigma)):
+            np.testing.assert_array_equal(got, ref[:, :, 0])
 
     def test_control_means_are_exact(self):
         # E[Z^p 1{Z >= z_alpha}] for p = 0, 1, 2 by quadrature
