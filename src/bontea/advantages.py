@@ -24,18 +24,17 @@ from typing import Callable, Collection, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateError, InputError, check_finite
+from .errors import DegenerateError, InputError, check_at_least, check_finite
 from .gauss import check_alpha, tail_constants
 from .prefixes import build_scheme, combine
-from .tailstats import DEFAULT_EPS_SIGMA, check_size, prefix_tail_stats, row_moments, slice_tail_stats, tail_count
-from .tailstats import tail_stats
+from .tailstats import DEFAULT_EPS_SIGMA, check_eps_sigma, check_size, prefix_tail_stats, row_moments
+from .tailstats import slice_tail_stats, tail_count, tail_stats
 
 #: Default denominator guard for normalized rules.
 DEFAULT_EPS_NORM = 1e-8
 
 #: Values in one block of the Prefix-TEA kernel's (J, rows, m) arrays (512 KiB
-#: of floats): a CLI run of 64 groups of 64 is one block, and a lab chunk of
-#: 2^17 values, (32, 4096) at m = 4096, never holds all its J padded copies at once.
+#: of floats): a batch of any size holds the J padded copies of one block at a time.
 _PREFIX_BLOCK_VALUES = 1 << 16
 
 
@@ -65,22 +64,18 @@ class RuleParams:
     def __post_init__(self) -> None:
         """Check the ranges that do not depend on the group size, before any rewards are read."""
         check_alpha(self.alpha)
-        if not self.eps_sigma > 0:
-            raise InputError("eps_sigma must be positive")
-        if self.eps_sigma == np.inf:
-            raise InputError("eps_sigma must be finite")
+        check_eps_sigma(self.eps_sigma)
         if not 0.0 <= self.eps_norm < np.inf:
             raise InputError(f"eps_norm must be finite and >= 0, got {self.eps_norm}")
         for name in ("n_target", "j_count", "bon_k", "n_sel"):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise InputError(f"{name} must be >= 1, got {value}")
+            if value is not None:
+                check_at_least(name, value, 1)
         if not 1 <= self.k <= self.j_count:
             raise InputError(f"need 1 <= k <= J, got k={self.k}, J={self.j_count}")
         if self.lambda_nsel is not None and not np.isfinite(self.lambda_nsel):
             raise InputError(f"lambda_nsel must be finite, got {self.lambda_nsel}")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
+        check_at_least("seed", self.seed, 0)
         for name in ("eps_norm", "lambda_nsel"):
             if getattr(self, name) == 0.0:
                 object.__setattr__(self, name, 0.0)
@@ -304,11 +299,9 @@ def _cat_bon(rewards: np.ndarray, params: RuleParams) -> np.ndarray:
     """GRPO-Z scaled by weights N F<(R_i)^(N-1) over their mean; F< counts strictly smaller.
 
     The mean gets ``eps_norm`` added, which scales every advantage of the
-    group by mean / (mean + eps_norm). With N = 128 that is not negligible at
-    small m: the mean weight of 8 distinct rewards is 6.9e-7, so the default
-    1e-8 divides every advantage by 1.01448 (the top advantage of 0, ..., 7
-    is 12.0457, against 12.2202 at eps_norm = 1e-300); at m = 64 the factor
-    is 1 - 3.3e-8.
+    group by mean / (mean + eps_norm). At large N and small m the mean weight
+    is small, so the default floor is not negligible there (README gives the
+    figures).
     """
     n, eps_norm = params.n_target, params.eps_norm
     z_scores = _grpo_z(rewards, eps_norm)
@@ -333,18 +326,8 @@ _KERNELS: dict[str, Callable[[RuleParams, int], Kernel]] = {
     "cat-bon": lambda params, m: lambda x, seeds: _cat_bon(x, params),
 }
 SEEDED_RULES = ("chow",)
-
-RULE_NAMES = (
-    "tea",
-    "prefix-tea",
-    "grpo",
-    "grpo-z",
-    "bonmax-mean",
-    "bonmax-second",
-    "bon-mean",
-    "chow",
-    "cat-bon",
-)
+#: The rules a command may name: every kernel but the raw forms, which only the lab and tests use.
+RULE_NAMES = tuple(name for name in _KERNELS if name not in ("tea-raw", "prefix-tea-raw"))
 
 
 def check_rule(

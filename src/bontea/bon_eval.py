@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateError, InputError, PromptRowError, check_finite
+from .errors import DegenerateError, InputError, PromptRowError, check_at_least, check_finite
 
 #: Paired bootstrap defaults: percentile 95% interval from 1000 resamples.
 DEFAULT_RESAMPLES = 1000
@@ -57,8 +57,7 @@ class BonCurve:
 
 def expected_max(pool: EmpiricalPool, n: int) -> float:
     """E[max of n iid draws from the pool]: sum_v v (F(v)^n - F(v-)^n)."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    check_at_least("n", n, 1)
     cdf = pool.cum_prob
     cdf_prev = np.concatenate([[0.0], cdf[:-1]])
     return float(pool.sorted_unique @ (cdf**n - cdf_prev**n))
@@ -70,8 +69,7 @@ def oracle_advantage(pool: EmpiricalPool, n: int) -> np.ndarray:
     M_{n-1} is the maximum of n-1 fresh pool draws (vacuous for n = 1, where
     the advantage reduces to r_i minus the pool mean). Exact via CDF powers.
     """
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    check_at_least("n", n, 1)
     unique = pool.sorted_unique
     cdf = pool.cum_prob
     cdf_prev = np.concatenate([[0.0], cdf[:-1]])
@@ -101,7 +99,9 @@ def _coarser_maxima(maxima: np.ndarray, k: int) -> np.ndarray:
 def check_budgets(budgets: tuple[int, ...], m_total: int) -> None:
     """Raise ``InputError`` unless every budget is at least 1 and divides ``m_total`` samples."""
     for n in budgets:
-        if n < 1 or m_total % n != 0:
+        if n < 1:
+            raise InputError(f"budget {n} must be >= 1")
+        if m_total % n != 0:
             raise InputError(f"budget {n} must divide the per-prompt sample count {m_total}")
 
 
@@ -179,10 +179,8 @@ def paired_bootstrap_delta(
     ``PromptRowError`` naming its prompt row and column, and a column whose
     delta or interval overflows raises ``DegenerateError``.
     """
-    if resamples < 1:
-        raise InputError(f"resamples must be >= 1, got {resamples}")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
+    check_at_least("resamples", resamples, 1)
+    check_at_least("seed", seed, 0)
     with np.errstate(over="ignore", invalid="ignore"):
         diff = _paired(per_prompt_a, per_prompt_b, 2)
         check_finite(
@@ -210,8 +208,7 @@ def paired_bootstrap_delta(
 
 def win_tie_loss(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TIE_TOL) -> tuple:
     """Per-prompt win/tie/loss percentages of a versus b with a tie tolerance, per column."""
-    if not tol >= 0:  # NaN fails too: it would count every prompt a tie
-        raise InputError(f"tie_tol must be >= 0, got {tol}")
+    check_at_least("tie_tol", tol, 0)  # NaN fails too: it would count every prompt a tie
     diff = _paired(a, b, 1)
     wins, losses = (diff > tol).sum(axis=1), (diff < -tol).sum(axis=1)
     scale = 100.0 / diff.shape[1]

@@ -25,6 +25,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -53,7 +54,7 @@ from .synth import (
     estimator_bias_variance,
     frontier_row_seed,
 )
-from .tailstats import RewardGroup, tail_count, tail_stats
+from .tailstats import RewardGroup, all_numbers, tail_count, tail_stats
 from .trainer import ToyTask, TrainConfig, train
 
 _EXIT_INPUT = 2
@@ -66,7 +67,7 @@ _FLAG_ONLY = ("input", "output", "baseline")
 
 
 def load_config_file(path: str) -> dict[str, str]:
-    """Flat key=value text; blank lines and '#' comments are ignored."""
+    """Flat key=value text; blank lines and '#' comments are ignored, and a key set twice is refused."""
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -79,7 +80,10 @@ def load_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise InputError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in values:
+            raise InputError(f"{path}:{lineno}: key {key} set twice")
+        values[key] = value.strip()
     return values
 
 
@@ -210,8 +214,8 @@ def _build(cls: Any, config: dict[str, Any], **given: Any) -> Any:
 
 #: Most rewards in one run of groups: 64 groups of m = 64. Each run is one
 #: array, one finiteness check and one batch call, and ``advantage`` writes it
-#: in one call. Longer runs are no faster and hold more memory; a larger group
-#: is a run of its own.
+#: in one call. The bound keeps a run's memory small; a larger group is a run
+#: of its own.
 _RUN_VALUES = 64 * 64
 
 
@@ -284,8 +288,10 @@ def _decode(path: str, lineno: int, line: str) -> dict[str, Any]:
 def _checked_run(path: str, first: int, run: list[tuple[int, str, Any, Any]]) -> Iterator[_Run]:
     """Yield the decoded lines of a run as a ``_Run``, their rewards and scores checked as whole arrays.
 
-    A run that fails the check is yielded as runs of one, each line's group
-    built by ``RewardGroup``, which raises the first bad line's ``InputError``.
+    The values' types are checked too, as the arrays would read a JSON string
+    or boolean as a number. A run that fails the check is yielded as runs of
+    one, each line's group built by ``RewardGroup``, which raises the first
+    bad line's ``InputError``.
     """
     if not run:
         return
@@ -293,9 +299,11 @@ def _checked_run(path: str, first: int, run: list[tuple[int, str, Any, Any]]) ->
     try:
         matrix = np.array(rewards, dtype=float)
         valid = matrix.ndim == 2 and matrix.shape[1] > 0 and bool(np.isfinite(matrix).all())
+        valid = valid and all_numbers(chain.from_iterable(rewards))
         if valid and any(s is not None for s in scores):
             stacked = np.array(scores, dtype=float)  # fails, or is not 3-d, if a group has none
             valid = stacked.ndim == 3 and stacked.shape[1] == matrix.shape[1] and bool(np.isfinite(stacked).all())
+            valid = valid and all_numbers(chain.from_iterable(chain.from_iterable(scores)))
             scores = tuple(stacked)
     except (ValueError, TypeError, OverflowError):
         valid = False

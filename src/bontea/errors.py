@@ -35,6 +35,12 @@ class PromptRowError(DegenerateError):
         self.row, self.detail = row, detail
 
 
+def check_at_least(name: str, value: float, least: float) -> None:
+    """Raise ``InputError`` ("{name} must be >= {least}, got {value}") unless value >= least; NaN fails."""
+    if not value >= least:
+        raise InputError(f"{name} must be >= {least}, got {value}")
+
+
 def check_finite(values: np.ndarray, describe: Callable[..., str | DegenerateError]) -> None:
     """Raise at the first non-finite entry of ``values`` in C order, naming it by its index.
 

@@ -21,7 +21,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import DegenerateError, InputError, check_finite
+from .errors import DegenerateError, InputError, check_at_least, check_finite
 
 #: Integration window for c_n; the integrand decays super-exponentially
 #: outside |z| = 12 for every n up to 1e6.
@@ -70,8 +70,7 @@ _LEGENDRE_64 = (
 #: Default number of quantile levels in the QQ fit window.
 DEFAULT_QQ_GRID = 20
 #: Most quantile levels in a QQ fit window. A fit holds a few (rows, grid)
-#: matrices; the CLI's runs have up to 204 rows (4096 rewards, m >= 20), so
-#: each matrix stays under 17 MB.
+#: matrices, so the grid bounds the memory each row of a batch takes.
 MAX_QQ_GRID = 10_000
 
 _SQRT_2PI = np.sqrt(2 * np.pi)
@@ -184,8 +183,7 @@ def expected_gauss_max(n: int) -> float:
     [-12, 12] in 48 panels of 64 nodes, within a few 1e-15 relative of a
     50-digit evaluation for n up to 1e6.
     """
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    check_at_least("n", n, 1)
     if n == 1:
         return 0.0
     weights, log_cdf = _cn_rule()
@@ -204,8 +202,7 @@ def check_alpha(alpha: float) -> None:
 def tail_constants(alpha: float, n: int) -> TailConstants:
     """Tail constants (z, lambda, delta, c_n, c_tilde_n) for one (alpha, n)."""
     check_alpha(alpha)
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    check_at_least("n", n, 1)
     z_alpha = _NORMAL_QUANTILE(1.0 - alpha)
     lambda_alpha = float(norm_pdf(z_alpha) / alpha)
     delta_alpha = 1.0 + z_alpha * lambda_alpha - lambda_alpha**2

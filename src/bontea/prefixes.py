@@ -25,7 +25,7 @@ from math import floor
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_at_least
 
 _WEIGHT_SUM_TOL = 1e-10
 _MOMENT_TOL = 1e-8
@@ -61,8 +61,7 @@ def practical_prefixes(m: int, j_count: int) -> tuple[int, ...]:
     Rounding is half away from zero. Raises on collisions (two equal sizes),
     which occur when m is too small for the requested J.
     """
-    if j_count < 1:
-        raise InputError(f"j_count must be >= 1, got {j_count}")
+    check_at_least("j_count", j_count, 1)
     if m < 2 * j_count:
         raise InputError(f"need m >= 2J, got m={m}, J={j_count}")
     sizes = tuple(int(floor(m * (j_count + j) / (2 * j_count) + 0.5)) for j in range(1, j_count + 1))
@@ -79,8 +78,7 @@ def theory_prefixes(n: int, j_count: int, alpha: Fraction | float) -> tuple[int,
     and the tail count has zero rounding offset. Raises when n is too small
     for the sizes to be distinct.
     """
-    if j_count < 1:
-        raise InputError(f"j_count must be >= 1, got {j_count}")
+    check_at_least("j_count", j_count, 1)
     frac = alpha if isinstance(alpha, Fraction) else Fraction(alpha).limit_denominator(10**6)
     if not 0 < frac < Fraction(1, 2):
         raise InputError(f"alpha must lie in (0, 1/2), got {alpha}")

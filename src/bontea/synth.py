@@ -18,34 +18,14 @@ known means, coefficients fit on a row's first blocks when it has several and
 applied only beyond them) removes most of the remaining tail-vector noise
 without biasing the mean.
 
-Replications are drawn in blocks, each from its own SeedSequence child. A
-block's normals are drawn in chunks of rows, in stream order, into a ring of
-buffers the block reuses, so drawing allocates no fresh memory per chunk; a
-buffer is drawn into again only once the chunk in it is measured. The calling
-thread draws the even blocks and a second thread the odd ones, so block i + 1
-is drawn while block i is. A thread pool measures each chunk while the next
-one is drawn (NumPy releases the GIL in both), and each block bounds its own
-chunks in flight. A one-block row has one drawing thread, which bounds its
-time, so it keeps a core to itself and the pool gets the other cores, at
-least one; beside two drawing threads the pool has a thread per core. The
-prefix rule's block holds all its tail halves in the stream before its
-evaluation halves, so its measurement has two stages: each tail-half chunk
-goes to the pool as soon as it is drawn, and only its small per-row output
-(the tail vectors, controls and Rao-Blackwell term) is kept until the
-matching evaluation-half chunk is drawn; no whole block is ever held.
-
-The prefix kernel touches only candidate slices of a row. Prefix j's top-q_j
-lies among the q_J largest of prefix j - 1 and the segment that extends it,
-so each prefix sorts only that window of a copy of the row, and the control
-sums at z_alpha run over prefix 1's q_J largest and the later segments. The
-evaluation gathers, once per chunk, the entries at or above the lowest of a
-row's thresholds, and sums them per row at each r_hat_j and per row and
-segment at each t_c, with one reduction per power for all rows. Small
-per-row arithmetic keeps the thresholds on the leading axis, so its loops
-run over rows. Every kernel output is per row, and the chunk outputs are
-joined in row order before the block is merged, so a row's numbers depend
-only on its seed and replication count, not on the chunk size, the thread
-count or which thread drew it.
+Replications are drawn in blocks, each from its own SeedSequence child, and
+threads draw and measure each block a chunk of rows at a time
+(``_block_outputs``). The prefix kernel touches only candidate slices of a
+row (``_PrefixCrossFit``); small per-row arithmetic keeps the thresholds on
+the leading axis, so its loops run over rows. Every kernel output is per row,
+and the chunk outputs are joined in row order before the block is merged, so
+a row's numbers depend only on its seed and replication count, not on the
+chunk size, the thread count or which thread drew it.
 """
 
 from __future__ import annotations
@@ -59,7 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .advantages import RULE_NAMES, RuleParams, _shaped, check_rule, rule_kernel
-from .errors import DegenerateError, InputError
+from .errors import DegenerateError, InputError, check_at_least
 from .gauss import check_alpha, ndtr, norm_pdf, tail_constants
 from .prefixes import cancellation_weights, combine, theory_prefixes
 from .tailstats import slice_tail_stats, tail_count
@@ -192,11 +172,6 @@ def _score_sums(adv: np.ndarray, z: np.ndarray, spec: SyntheticSpec) -> np.ndarr
     total = adv.sum(axis=1)
     cols = [np.einsum("ij,ij->i", adv, z >= t) - sb * total for t, sb in zip(thresholds, sbar)]
     return np.stack(cols, axis=1)
-
-
-def _induced_gradient(adv: np.ndarray, z: np.ndarray, spec: SyntheticSpec) -> np.ndarray:
-    """(1/m) sum_i A_i S(z_i) per row; shape (blocks, d)."""
-    return _score_sums(adv, z, spec) / z.shape[1]
 
 
 def _cumulate(a: np.ndarray) -> np.ndarray:
@@ -423,7 +398,7 @@ def _gradient_kernel(rule: str, spec: SyntheticSpec, params: RuleParams, m: int)
 
     def measure(z: np.ndarray):
         adv = advantages(z, None)
-        return _induced_gradient(adv, z, spec), (adv != 0.0).any(axis=1)
+        return _score_sums(adv, z, spec) / m, (adv != 0.0).any(axis=1)
 
     return measure, None
 
@@ -474,11 +449,12 @@ def _submit_block(pool: ThreadPoolExecutor, limit: int, measure, tail, width: in
 
     Returns the futures of ``measure``'s outputs, in row order, with at most
     ``limit`` in flight at once; see ``_block_outputs`` for ``tail``. The
-    block's chunks are drawn into a ring of ``limit`` + 1 buffers, chunk k
-    into buffer k mod (limit + 1): by the time chunk k is drawn, ``submit``
-    has waited on chunk k - limit - 1, that buffer's last. This holds only
-    if every chunk drawn into the ring is submitted, and only if no kernel's
-    output is a view of its chunk.
+    block's chunks are drawn into a ring of ``limit`` + 1 buffers, so drawing
+    allocates no fresh memory per chunk: chunk k goes into buffer
+    k mod (limit + 1), and by the time it is drawn, ``submit`` has waited on
+    chunk k - limit - 1, that buffer's last. This holds only if every chunk
+    drawn into the ring is submitted, and only if no kernel's output is a
+    view of its chunk.
     """
     rng = np.random.default_rng(stream)
     submit = _bounded_submit(pool, limit)
@@ -500,10 +476,11 @@ def _block_outputs(measure, m: int, replications: int, seed: int, tail=None):
     is measured by ``tail`` as it is drawn, and ``measure`` takes the
     matching evaluation-half chunk followed by ``tail``'s outputs. The
     calling thread draws the even blocks and a second thread the odd ones, so
-    block i + 1 is drawn while block i is; a one-block row uses the calling
-    thread alone. A lone drawing thread bounds the row's time, so it keeps a
-    core to itself and the measuring pool gets the others, at least one
-    thread; beside two drawing threads the pool has a thread per core, as the
+    block i + 1 is drawn while block i is, and a pool measures each chunk
+    while the next is drawn (NumPy releases the GIL in both); a one-block row
+    uses the calling thread alone to draw. A lone drawing thread bounds the
+    row's time, so it keeps a core to itself and the measuring pool gets the
+    others, at least one thread; beside two drawing threads the pool has a thread per core, as the
     kernels cost nearly as much CPU as the draws and one thread, sharing the
     cores with both, falls behind them. Each block keeps at most two chunks
     per measuring thread in flight.
@@ -597,8 +574,7 @@ def check_rows(
     for rule in rules:
         check_rule(rule, LAB_TAGS, params)
     for size in p_grid:
-        if size < 1:
-            raise InputError(f"prompt-batch size P must be >= 1, got {size}")
+        check_at_least("prompt-batch size P", size, 1)
     if (params.alpha, params.n_target) != (spec.alpha, spec.n_target):
         raise InputError(
             f"params' (alpha, n_target) {params.alpha, params.n_target} differ from the spec's"

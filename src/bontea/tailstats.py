@@ -13,11 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import ceil
+from typing import Iterable
 
 import numpy as np
 
 from .errors import InputError, check_finite
+from .gauss import check_alpha
 
 #: Default lower clip for the tail standard deviation, in reward units.
 DEFAULT_EPS_SIGMA = 1e-6
@@ -40,6 +43,8 @@ class RewardGroup:
         rewards = np.asarray(self.rewards, dtype=float)
         if rewards.ndim != 1 or rewards.size == 0:
             raise InputError(f"group {self.prompt_id!r}: rewards must be a nonempty 1-d array")
+        if not all_numbers(self.rewards):
+            raise InputError(f"group {self.prompt_id!r}: rewards must be numbers, not strings or booleans")
         if not np.isfinite(rewards).all():
             raise InputError(f"group {self.prompt_id!r}: rewards must be finite")
         object.__setattr__(self, "rewards", rewards)
@@ -49,12 +54,27 @@ class RewardGroup:
                 raise InputError(
                     f"group {self.prompt_id!r}: scores must be (m, d) with m = {rewards.size}"
                 )
+            if not all_numbers(chain.from_iterable(self.scores)):
+                raise InputError(f"group {self.prompt_id!r}: scores must be numbers, not strings or booleans")
             if not np.isfinite(scores).all():
                 raise InputError(f"group {self.prompt_id!r}: scores must be finite")
             object.__setattr__(self, "scores", scores)
 
     def __len__(self) -> int:
         return int(self.rewards.size)
+
+
+def all_numbers(values: Iterable) -> bool:
+    """Whether no entry of ``values`` is a string or a boolean, which NumPy would read as a number."""
+    return {str, bool}.isdisjoint(map(type, values))
+
+
+def check_eps_sigma(eps_sigma: float) -> None:
+    """Raise ``InputError`` unless the tail sigma floor is positive and finite."""
+    if not eps_sigma > 0:
+        raise InputError("eps_sigma must be positive")
+    if eps_sigma == np.inf:
+        raise InputError("eps_sigma must be finite")
 
 
 def tail_count(m: int, alpha: float) -> int:
@@ -157,14 +177,13 @@ def tail_stats(
     """Tail vector (r, mu, sigma) of each row of a (B, m) reward matrix.
 
     ``slice_tail_stats`` of the top-q slice of a row sort, with its shapes,
-    clip, overflow error and ``np.errstate`` requirement. Needs m >= 2.
+    clip, overflow error and ``np.errstate`` requirement. Needs m >= 2, and
+    checks alpha and eps_sigma as ``RuleParams`` checks them.
     Rewards tied with the threshold beyond rank q are left out, which never
     changes (r, mu, sigma) because tied values are interchangeable.
     """
-    if not 0.0 < alpha < 0.5:
-        raise InputError(f"alpha must lie in (0, 1/2), got {alpha}")
-    if not eps_sigma > 0:
-        raise InputError("eps_sigma must be positive")
+    check_alpha(alpha)
+    check_eps_sigma(eps_sigma)
     m = rewards.shape[1]
     check_size(m)
     return slice_tail_stats(np.sort(rewards, axis=1)[:, m - tail_count(m, alpha) :], eps_sigma)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .advantages import SEEDED_RULES, RuleParams, rule_kernel
 from .bon_eval import BonCurve, check_budgets, grouped_bon_curve
-from .errors import DegenerateError, InputError
+from .errors import DegenerateError, InputError, check_at_least
 
 #: Training aborts once any logit magnitude passes this guard.
 LOGIT_GUARD = 1e4
@@ -60,8 +60,7 @@ class ToyTask:
     ) -> "ToyTask":
         """Gaussian reward table with a uniform reference policy."""
         for name, value, least in (("n_prompts", n_prompts, 1), ("n_actions", n_actions, 4), ("seed", seed, 0)):
-            if value < least:
-                raise InputError(f"{name} must be >= {least}, got {value}")
+            check_at_least(name, value, least)
         rng = np.random.default_rng(seed)
         with np.errstate(over="ignore"):  # an overflowing table is refused as non-finite
             rewards = reward_scale * rng.standard_normal((n_prompts, n_actions))
@@ -92,10 +91,7 @@ class TrainConfig:
             raise InputError(f"beta must be finite and >= 0, got {self.beta}")
         if self.gamma < 0 or not np.isfinite(self.gamma):
             raise InputError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if any(n < 1 for n in self.eval_n):
-            raise InputError("eval budgets must be positive")
-        if self.eval_samples < 1:
-            raise InputError(f"eval_samples must be >= 1, got {self.eval_samples}")
+        check_at_least("eval_samples", self.eval_samples, 1)
         check_budgets(self.eval_n, self.eval_samples)  # what each evaluation's grouped_bon_curve needs
 
 
@@ -203,16 +199,6 @@ def evaluate_policy_bon(
     return grouped_bon_curve(task.rewards[np.arange(len(actions))[:, None], actions], n_budgets)
 
 
-def _spawned(stream: np.random.SeedSequence, index: int) -> np.random.SeedSequence:
-    """Child ``index`` of ``stream.spawn(n)``, for any n > index, on a stream that has spawned nothing.
-
-    Only that child is built, not the ``index`` before it.
-    """
-    return np.random.SeedSequence(
-        stream.entropy, spawn_key=stream.spawn_key + (index,), pool_size=stream.pool_size
-    )
-
-
 def _step_gradient(task: ToyTask, config: TrainConfig) -> Callable[..., np.ndarray]:
     """The run's step: (thetas, prompts, rng, seeds=None) -> (1/m) sum_i A_i (one-hot(a_i) - pi); (P, V).
 
@@ -246,16 +232,17 @@ def train(task: ToyTask, config: TrainConfig) -> TrainResult:
     # a fresh array, with a -0.0 logit made +0.0 as an added update would make it
     thetas = task.reference_logits + 0.0
     log_q = log_softmax(task.reference_logits, axis=1)
-    root = np.random.SeedSequence(config.seed)
-    train_stream, eval_stream = root.spawn(2)
-    rng = np.random.default_rng(train_stream)
+    # the run's seed tree, each node built alone as SeedSequence(seed).spawn would build it:
+    # training draws from child 0, and log point `step` from child `step` of child 1
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
     step_gradient, seeded = _step_gradient(task, config), config.rule in SEEDED_RULES
 
     def log_point(step: int) -> TrajectoryPoint:
         probs = softmax(thetas, axis=1)
         mean_reward = float((probs * task.rewards).sum(axis=1).mean())
         kl = float(_kl_rows(thetas, log_q)[2].mean())
-        curve = evaluate_policy_bon(task, thetas, config.eval_n, config.eval_samples, _spawned(eval_stream, step))
+        seed = np.random.SeedSequence(config.seed, spawn_key=(1, step))
+        curve = evaluate_policy_bon(task, thetas, config.eval_n, config.eval_samples, seed)
         bon = {int(n): float(v) for n, v in zip(curve.n_values, curve.means)}
         return TrajectoryPoint(step=step, kl=kl, mean_reward=mean_reward, bon=bon)
 

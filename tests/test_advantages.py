@@ -357,6 +357,12 @@ class TestNormalizationFloor:
 
 
 class TestDispatch:
+    def test_rule_names_are_the_kernels_but_the_raw_forms(self):
+        # in the order of every "known:" message
+        assert RULE_NAMES == (
+            "tea", "prefix-tea", "grpo", "grpo-z", "bonmax-mean", "bonmax-second", "bon-mean", "chow", "cat-bon"
+        )
+
     @pytest.mark.parametrize("rule", RULE_NAMES)
     def test_every_rule_runs(self, rule):
         rng = np.random.default_rng(12)

@@ -156,6 +156,11 @@ class TestGroupedCurve:
         with pytest.raises(InputError):
             grouped_bon_curve(np.zeros((2, 10)), (4,))
 
+    @pytest.mark.parametrize("budget", [0, -4])
+    def test_rejects_a_budget_below_one(self, budget):
+        with pytest.raises(InputError, match=f"^budget {budget} must be >= 1$"):
+            grouped_bon_curve(np.zeros((2, 8)), (1, budget))
+
     def test_overflow_names_the_first_prompt_and_budget(self):
         samples = np.ones((3, 4))
         samples[2] = samples[1, 2:] = 1e308

@@ -602,6 +602,42 @@ class TestInputBytes:
         assert not out.exists()
 
 
+class TestInputTypes:
+    """A string or a boolean among a line's rewards or scores is a bad line: NumPy would read it as a number."""
+
+    @pytest.mark.parametrize(
+        "record, what",
+        [
+            ({"rewards": ["1.5", "2", "3", True]}, "rewards"),
+            ({"rewards": [1.5, 2, 3, True]}, "rewards"),
+            ({"rewards": [1.5, 2, 3, "4"]}, "rewards"),
+            ({"rewards": [1.5, 2, 3, 4], "scores": [[1], [0], [1], [False]]}, "scores"),
+        ],
+        ids=["strings-and-boolean", "boolean", "string", "boolean-score"],
+    )
+    def test_advantage_writes_the_groups_before_it(self, tmp_path, capsys, record, what):
+        good = [{"prompt_id": f"p{i}", "rewards": [0.0, 1.0, 2.0, 3.0 + i]} for i in range(3)]
+        src, out = tmp_path / "groups.jsonl", tmp_path / "adv.jsonl"
+        write_groups(src, [*good[:2], record, good[2]])
+        assert main(["advantage", "-i", str(src), "-o", str(out), "--rule", "grpo"]) == 2
+        message = f"error: {src}:3: group 'line-3': {what} must be numbers, not strings or booleans\n"
+        assert capsys.readouterr().err == message
+        assert [json.loads(line)["prompt_id"] for line in out.read_text().splitlines()[1:]] == ["p0", "p1"]
+
+    @pytest.mark.parametrize("argv", [["predict-bon"], ["qq-fit"], ["eval-bon", "--budgets", "1,2"], ["align"]])
+    def test_every_group_command_refuses_them(self, tmp_path, capsys, argv):
+        rng = np.random.default_rng(43)
+        # the first line holds the word true, in its prompt id, and no boolean
+        groups = [{"prompt_id": p, "rewards": rng.standard_normal(64).tolist(),
+                   "scores": rng.standard_normal((64, 1)).tolist()} for p in ("true", "b")]
+        groups[1]["rewards"][5] = False
+        src = tmp_path / "groups.jsonl"
+        write_groups(src, groups)
+        assert main([argv[0], "-i", str(src), "-o", str(tmp_path / "out"), *argv[1:]]) == 2
+        message = f"error: {src}:2: group 'b': rewards must be numbers, not strings or booleans\n"
+        assert capsys.readouterr().err == message
+
+
 class TestWeightsCommand:
     def test_matches_library(self, tmp_path):
         out = tmp_path / "w.json"
@@ -1241,6 +1277,18 @@ class TestConfigResolution:
         cfg.write_text("rule grpo\n")
         assert main(["advantage", "-i", str(pools_path), "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [("rule = tea\nrule = grpo\n", "rule"), ("seed = 1\n# floor\neps-sigma = 1e-3\neps_sigma = 1e-3\n", "eps_sigma")],
+        ids=["rule", "eps-sigma-spellings"],
+    )
+    def test_a_key_set_twice_is_input_error(self, tmp_path, pools_path, capsys, text, key):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "adv.jsonl"
+        cfg.write_text(text)
+        assert main(["advantage", "-i", str(pools_path), "-o", str(out), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:{text.count(chr(10))}: key {key} set twice\n"
+        assert not out.exists()
+
     def test_unknown_config_key_is_input_error(self, tmp_path, pools_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("alpah = 0.3\n")
@@ -1357,13 +1405,16 @@ class TestConfigResolution:
             (["eval-bon", "-i", "{groups}", "--budgets", "2,1,2"], "budget 2 is listed twice"),
             (["eval-bon", "-i", "{groups}", "--baseline", "{groups}", "--budgets", "4,4"], "budget 4 is listed twice"),
             (["predict-bon", "-i", "{groups}", "--budgets", "8,8"], "budget 8 is listed twice"),
+            (["eval-bon", "-i", "{groups}", "--budgets", "0"], "budget 0 must be >= 1"),
+            (["train-synth", "--eval-n", "0"], "budget 0 must be >= 1"),
             (["qq-fit", "-i", "{groups}", "--grid", "100000000000"],
              "grid_points must lie in [2, 10000], got 100000000000"),
         ],
         ids=["advantage-bon-k", "align-bon-k", "predict-bon-alpha", "advantage-alpha", "synth-bon-k",
              "synth-prefix-odd-m", "synth-prefix-collide", "synth-prefix-raw-small-m", "synth-replications",
              "synth-chow-n-sel", "synth-bon-mean-bon-k", "synth-grpo-m", "eval-bon-repeated-budget",
-             "eval-bon-baseline-repeated-budget", "predict-bon-repeated-budget", "qq-fit-huge-grid"],
+             "eval-bon-baseline-repeated-budget", "predict-bon-repeated-budget", "eval-bon-budget-zero",
+             "train-synth-budget-zero", "qq-fit-huge-grid"],
     )
     def test_refused_setting_or_row_is_one_error_line_before_any_output(self, tmp_path, capsys, argv, message):
         # a rule's missing setting or a refused row, before any group is read or any row measured

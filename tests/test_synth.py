@@ -286,14 +286,17 @@ class TestMeasurementEngine:
         # the per-replication fallback must produce the same induced gradients
         # as computing the rule directly on the same streams
         from bontea.advantages import compute_rules
-        from bontea.synth import BLOCK_SIZE, _induced_gradient
+        from bontea.synth import BLOCK_SIZE
 
         reps, m = 1_000, 16
         row = estimator_bias_variance("grpo", SPEC, m=m, replications=reps, seed=9)
         streams = np.random.SeedSequence(9).spawn(1)
         z = np.random.default_rng(streams[0]).standard_normal((BLOCK_SIZE, m))[:reps]
         adv = np.stack([compute_rules("grpo", row_z[None, :], RuleParams())[0] for row_z in z])
-        grads = _induced_gradient(adv, z, SPEC)
+        # (1/m) sum_i A_i S(z_i), with S_c(z) = 1{z >= t_c} - (1 - Phi(t_c))
+        thresholds = np.array(SPEC.score_thresholds)
+        scores = (z[:, :, None] >= thresholds) - stats.norm.sf(thresholds)
+        grads = np.einsum("ri,ric->rc", adv, scores) / m
         assert_allclose(grads.mean(axis=0) - true_gradient(SPEC), row.bias_vec, atol=1e-12)
 
 

@@ -52,6 +52,27 @@ class TestRewardGroup:
         g = group([1.0, 2.0], scores=np.ones((2, 5)))
         assert g.scores.shape == (2, 5)
 
+    @pytest.mark.parametrize(
+        "rewards, scores, what",
+        [
+            (["1.5", "2", "3", True], None, "rewards"),
+            ([1.5, 2.0, 3.0, True], None, "rewards"),
+            ([False, True], None, "rewards"),
+            ([1.0, 2.0], [[0.5], ["1"]], "scores"),
+            ([1.0, 2.0], [[0.5, False], [1.0, 2.0]], "scores"),
+        ],
+    )
+    def test_rejects_strings_and_booleans(self, rewards, scores, what):
+        # NumPy would read each as a number
+        message = f"^group 'g': {what} must be numbers, not strings or booleans$"
+        with pytest.raises(InputError, match=message):
+            RewardGroup("g", rewards, scores)
+
+    def test_accepts_integers_and_arrays(self):
+        g = RewardGroup("g", [1, 2.5, 10**30], [[1], [0.5], [-2]])
+        assert g.rewards.tolist() == [1.0, 2.5, 1e30] and g.scores.tolist() == [[1.0], [0.5], [-2.0]]
+        assert RewardGroup("g", np.arange(3), np.ones((3, 2))).rewards.dtype == float
+
 
 class TestTailCount:
     @pytest.mark.parametrize(
@@ -98,6 +119,20 @@ class TestEmpiricalTailVector:
     def test_rejects_single_sample(self):
         with pytest.raises(InputError, match="need m >= 2 rewards, got 1"):
             tail_vector([1.0], 0.25)
+
+    @pytest.mark.parametrize(
+        "alpha, eps_sigma, message",
+        [
+            (0.25, float("inf"), "eps_sigma must be finite"),
+            (0.25, 0.0, "eps_sigma must be positive"),
+            (0.25, float("nan"), "eps_sigma must be positive"),
+            (0.5, DEFAULT_EPS_SIGMA, r"alpha must lie in \(0, 1/2\), got 0.5"),
+            (1e-17, DEFAULT_EPS_SIGMA, "alpha 1e-17 is too small: 1 - alpha rounds to 1"),
+        ],
+    )
+    def test_parameters_are_checked_as_rule_params_checks_them(self, alpha, eps_sigma, message):
+        with pytest.raises(InputError, match=message):
+            tail_stats(np.arange(8.0)[None], alpha, eps_sigma)
 
 
 class TestTailOverflow:

@@ -144,18 +144,6 @@ class TestDrawActions:
         assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
-class TestSpawned:
-    @pytest.mark.parametrize("steps", [0, 1, 12, 200])
-    def test_equals_the_spawned_children(self, steps):
-        # as train builds them: the evaluation stream is the second child of the run's root
-        stream = np.random.SeedSequence(11).spawn(2)[1]
-        children = np.random.SeedSequence(11).spawn(2)[1].spawn(steps + 1)
-        for step, child in enumerate(children):
-            got = trainer._spawned(stream, step)
-            np.testing.assert_array_equal(got.generate_state(4), child.generate_state(4))
-            assert got.spawn_key == child.spawn_key
-
-
 class TestEvaluatePolicyBon:
     def test_deterministic_policy_flat_curve(self):
         task = ToyTask.random(n_prompts=2, n_actions=4, seed=0)
@@ -295,6 +283,12 @@ class TestTrain:
         # refused at construction, with grouped_bon_curve's message, not when step 0 is evaluated
         with pytest.raises(InputError, match=message):
             TrainConfig(eval_n=eval_n, eval_samples=eval_samples)
+
+    @pytest.mark.parametrize("eval_n", [(1, 0), (-8,)])
+    def test_config_refuses_a_budget_below_one(self, eval_n):
+        # grouped_bon_curve's message, through the one budget check
+        with pytest.raises(InputError, match=f"^budget {min(eval_n)} must be >= 1$"):
+            TrainConfig(eval_n=eval_n)
 
     @pytest.mark.parametrize("rule", ["tea", "prefix-tea", "chow"])
     def test_the_rule_is_set_up_once_per_run(self, monkeypatch, rule):
