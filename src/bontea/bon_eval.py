@@ -96,12 +96,12 @@ def _coarser_maxima(maxima: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def check_budgets(budgets: tuple[int, ...], m_total: int) -> None:
-    """Raise ``InputError`` unless every budget is at least 1 and divides ``m_total`` samples."""
+def check_budgets(budgets: tuple[int, ...], m_total: int | None = None) -> None:
+    """Raise ``InputError`` unless every budget is at least 1 and, given ``m_total``, divides that many samples."""
     for n in budgets:
         if n < 1:
             raise InputError(f"budget {n} must be >= 1")
-        if m_total % n != 0:
+        if m_total is not None and m_total % n != 0:
             raise InputError(f"budget {n} must divide the per-prompt sample count {m_total}")
 
 

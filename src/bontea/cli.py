@@ -37,6 +37,7 @@ from .bon_eval import (
     DEFAULT_RESAMPLES,
     DEFAULT_TIE_TOL,
     EmpiricalPool,
+    check_budgets,
     gradient_alignment,
     grouped_bon_curve,
     oracle_advantage,
@@ -288,10 +289,10 @@ def _decode(path: str, lineno: int, line: str) -> dict[str, Any]:
 def _checked_run(path: str, first: int, run: list[tuple[int, str, Any, Any]]) -> Iterator[_Run]:
     """Yield the decoded lines of a run as a ``_Run``, their rewards and scores checked as whole arrays.
 
-    The values' types are checked too, as the arrays would read a JSON string
-    or boolean as a number. A run that fails the check is yielded as runs of
-    one, each line's group built by ``RewardGroup``, which raises the first
-    bad line's ``InputError``.
+    The values' types are checked too (see ``_numbers``), as the arrays would
+    read a JSON string or boolean as a number. A run that fails the check is
+    yielded as runs of one, each line's group built by ``RewardGroup``, which
+    raises the first bad line's ``InputError``.
     """
     if not run:
         return
@@ -299,11 +300,11 @@ def _checked_run(path: str, first: int, run: list[tuple[int, str, Any, Any]]) ->
     try:
         matrix = np.array(rewards, dtype=float)
         valid = matrix.ndim == 2 and matrix.shape[1] > 0 and bool(np.isfinite(matrix).all())
-        valid = valid and all_numbers(chain.from_iterable(rewards))
+        valid = valid and _numbers(matrix, rewards)
         if valid and any(s is not None for s in scores):
             stacked = np.array(scores, dtype=float)  # fails, or is not 3-d, if a group has none
             valid = stacked.ndim == 3 and stacked.shape[1] == matrix.shape[1] and bool(np.isfinite(stacked).all())
-            valid = valid and all_numbers(chain.from_iterable(chain.from_iterable(scores)))
+            valid = valid and _numbers(stacked, scores, chain.from_iterable)
             scores = tuple(stacked)
     except (ValueError, TypeError, OverflowError):
         valid = False
@@ -316,6 +317,19 @@ def _checked_run(path: str, first: int, run: list[tuple[int, str, Any, Any]]) ->
         except (ValueError, TypeError, OverflowError) as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
         yield _Run(first + i, (lineno,), (prompt_id,), group.rewards[None, :], (group.scores,))
+
+
+def _numbers(array: np.ndarray, lines: Sequence, values: Callable[[Any], Iterable] = iter) -> bool:
+    """Whether the decoded ``lines`` behind ``array`` hold no JSON boolean; a JSON string raises ``TypeError``.
+
+    ``values`` gives a line's values. ``array`` reads a string or a boolean as
+    a number. ``sum`` of a line's values raises on a string, and a boolean
+    reads as exactly 0.0 or 1.0, so only an array holding one of those gets
+    the per-value type lookup, the check ``RewardGroup`` makes.
+    """
+    for line in lines:
+        sum(values(line))
+    return not ((array == 0.0) | (array == 1.0)).any() or all_numbers(chain.from_iterable(map(values, lines)))
 
 
 @contextmanager
@@ -475,10 +489,14 @@ def cmd_weights(args: argparse.Namespace, config: dict[str, Any]) -> int:
 
 
 def _distinct_budgets(budgets: tuple[int, ...]) -> tuple[int, ...]:
-    """``budgets``; one listed twice, which would share a key or a column name of the output, is an input error."""
+    """``budgets``; one listed twice, which would share a key or a column name of the output, is an input error.
+
+    So is one below 1, worded as ``check_budgets`` words it.
+    """
     for i, n in enumerate(budgets):
         if n in budgets[:i]:
             raise InputError(f"budget {n} is listed twice")
+    check_budgets(budgets)
     return budgets
 
 

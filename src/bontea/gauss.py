@@ -262,7 +262,7 @@ def qq_tail_fits(samples: np.ndarray, q_lo: float, q_hi: float, grid_points: int
     x_mean = np.add.reduce(x) / grid_points
     xc = x - x_mean
     with np.errstate(all="ignore"):
-        y = np.ascontiguousarray(np.quantile(samples, levels, axis=1).T)
+        y = _window_quantiles(samples, levels)
         y_mean = np.add.reduce(y, axis=1) / grid_points
         yc = y - y_mean[:, None]
         b = np.add.reduce(yc * xc, axis=1) / np.add.reduce(xc * xc)
@@ -278,3 +278,25 @@ def qq_tail_fits(samples: np.ndarray, q_lo: float, q_hi: float, grid_points: int
     check_finite(fit, lambda *_: "QQ fit overflow: a, b or R^2 is not finite")
     return fit
 
+
+def _window_quantiles(samples: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Each row's quantiles at ``levels``, a C-contiguous (B, grid) matrix, from one sort per row.
+
+    This is ``np.quantile(samples, levels, axis=1).T`` step for step: index
+    v = (m - 1) level, below m - 1 as every level is below 1; the lerp between
+    order statistics floor(v) and floor(v) + 1, written a + d t below t = 1/2
+    and b - d (1 - t) from there; and a row holding a NaN all NaN. Only the
+    sign of a zero quantile may differ, since NumPy's partition and this sort
+    may order -0.0 and 0.0 differently; the fit's sums, deviations and squares
+    give the same bits either way.
+    """
+    v = (samples.shape[1] - 1) * levels
+    lower = np.floor(v)
+    t = v - lower
+    lo = lower.astype(np.intp)
+    ordered = np.sort(samples, axis=1)
+    a, b = np.take(ordered, lo, axis=1), np.take(ordered, lo + 1, axis=1)  # C order, as the row sums need
+    d = b - a
+    y = np.where(t >= 0.5, b - d * (1 - t), a + d * t)
+    np.copyto(y, ordered[:, -1:], where=np.isnan(ordered[:, -1:]))
+    return y

@@ -637,6 +637,54 @@ class TestInputTypes:
         message = f"error: {src}:2: group 'b': rewards must be numbers, not strings or booleans\n"
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize("what", ["rewards", "scores"])
+    @pytest.mark.parametrize("value", [True, False, "0", "2.5"], ids=["true", "false", "string-0", "string-2.5"])
+    @pytest.mark.parametrize("group, index", [(0, 0), (31, 17), (63, 63)], ids=["first", "mid-run", "last"])
+    def test_anywhere_in_a_full_run(self, tmp_path, capsys, what, value, group, index):
+        # a boolean reads as 0.0 or 1.0, which the run check looks up; any string fails its row's sum
+        rng = np.random.default_rng(47)
+        groups = [{"prompt_id": f"g{i}", "rewards": rng.standard_normal(64).tolist(),
+                   "scores": rng.standard_normal((64, 2)).tolist()} for i in range(64)]  # one run of 64 x 64
+        if what == "rewards":
+            groups[group]["rewards"][index] = value
+        else:
+            groups[group]["scores"][index][1] = value
+        src, out = tmp_path / "groups.jsonl", tmp_path / "adv.jsonl"
+        write_groups(src, groups)
+        assert main(["advantage", "-i", str(src), "-o", str(out), "--rule", "grpo"]) == 2
+        message = f"error: {src}:{group + 1}: group 'g{group}': {what} must be numbers, not strings or booleans\n"
+        assert capsys.readouterr().err == message
+        written = [json.loads(line)["prompt_id"] for line in out.read_text().splitlines()[1:]]
+        assert written == [f"g{i}" for i in range(group)]
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "normal"])
+    def test_only_runs_holding_0_or_1_are_looked_up(self, tmp_path, monkeypatch, binary):
+        # verifier-style 0/1 rewards take the per-value lookup and are accepted; other runs skip it
+        rng = np.random.default_rng(53)
+        rewards = (rng.random((64, 64)) < 0.3).astype(float) if binary else rng.standard_normal((64, 64))
+        records = [{"prompt_id": f"v{i}", "rewards": row} for i, row in enumerate(rewards.tolist())]
+        if binary:
+            records[1]["rewards"] = [int(r) for r in records[1]["rewards"]]  # integers read the same
+        src, out = tmp_path / "binary.jsonl", tmp_path / "adv.jsonl"
+        write_groups(src, records)
+        looked_up, batches = [], []
+
+        def lookup(values, _real=cli.all_numbers):
+            looked_up.append(1)
+            return _real(values)
+
+        def counted(rule, x, *args, _real=cli.compute_rules):
+            batches.append(len(x))
+            return _real(rule, x, *args)
+
+        monkeypatch.setattr(cli, "all_numbers", lookup)
+        monkeypatch.setattr(cli, "compute_rules", counted)
+        assert main(["advantage", "-i", str(src), "-o", str(out), "--rule", "grpo"]) == 0
+        assert (looked_up, batches) == ([1] if binary else [], [64])  # one run, computed in one call
+        expected = compute_rules("grpo", rewards, RuleParams())
+        body = [json.dumps({"prompt_id": f"v{i}", "advantages": row}) for i, row in enumerate(expected.tolist())]
+        assert out.read_text().splitlines()[1:] == body
+
 
 class TestWeightsCommand:
     def test_matches_library(self, tmp_path):
@@ -1406,6 +1454,7 @@ class TestConfigResolution:
             (["eval-bon", "-i", "{groups}", "--baseline", "{groups}", "--budgets", "4,4"], "budget 4 is listed twice"),
             (["predict-bon", "-i", "{groups}", "--budgets", "8,8"], "budget 8 is listed twice"),
             (["eval-bon", "-i", "{groups}", "--budgets", "0"], "budget 0 must be >= 1"),
+            (["predict-bon", "-i", "{groups}", "--budgets", "8,0"], "budget 0 must be >= 1"),
             (["train-synth", "--eval-n", "0"], "budget 0 must be >= 1"),
             (["qq-fit", "-i", "{groups}", "--grid", "100000000000"],
              "grid_points must lie in [2, 10000], got 100000000000"),
@@ -1414,7 +1463,7 @@ class TestConfigResolution:
              "synth-prefix-odd-m", "synth-prefix-collide", "synth-prefix-raw-small-m", "synth-replications",
              "synth-chow-n-sel", "synth-bon-mean-bon-k", "synth-grpo-m", "eval-bon-repeated-budget",
              "eval-bon-baseline-repeated-budget", "predict-bon-repeated-budget", "eval-bon-budget-zero",
-             "train-synth-budget-zero", "qq-fit-huge-grid"],
+             "predict-bon-budget-zero", "train-synth-budget-zero", "qq-fit-huge-grid"],
     )
     def test_refused_setting_or_row_is_one_error_line_before_any_output(self, tmp_path, capsys, argv, message):
         # a rule's missing setting or a refused row, before any group is read or any row measured

@@ -106,6 +106,9 @@ CASES: dict[str, tuple[list[str], int]] = {
     "train-synth-config": (["train-synth", "--config", "train.cfg", "--steps", "6"], 0),
     "qq-fit-default": (["qq-fit", "-i", "pools.jsonl"], 0),
     "qq-fit": (["qq-fit", "-i", "pools.jsonl", "--q-lo", "0.7", "--q-hi", "0.95", "--grid", "10"], 0),
+    # verifier-style 0/1 rewards, written as integers, as floats and with -0.0 for a miss
+    "advantage-grpo-binary": (["advantage", "-i", "binary.jsonl", "--rule", "grpo"], 0),
+    "qq-fit-binary": (["qq-fit", "-i", "binary.jsonl"], 0),
 }
 
 

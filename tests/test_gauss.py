@@ -16,11 +16,13 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import bontea
 from bontea import DegenerateError, InputError, expected_gauss_max, predict_vn, qq_tail_fits, tail_constants
-from bontea.gauss import DEFAULT_QQ_GRID, _legendre_rule, ndtr, norm_pdf, qq_window
+from bontea.gauss import DEFAULT_QQ_GRID, _legendre_rule, _window_quantiles, ndtr, norm_pdf, qq_window
 
 # high-precision oracle values at alpha = 1/4
 Z_ALPHA = 0.6744897501960817
@@ -203,6 +205,79 @@ class TestQqTailFit:
             qq_window(0.5, 0.9, 1)
         with pytest.raises(InputError, match=r"^grid_points must lie in \[2, 10000\], got 100000000000$"):
             qq_window(0.5, 0.9, 10**11)  # refused before anything is allocated
+
+
+def bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
+
+
+def quantile_fits(samples, q_lo, q_hi, grid_points):
+    """(a, b, R^2, ss_tot) per row, with the window quantiles from ``np.quantile``: the reference fit."""
+    levels, x = qq_window(q_lo, q_hi, grid_points)
+    x_mean = np.add.reduce(x) / grid_points
+    xc = x - x_mean
+    with np.errstate(all="ignore"):
+        y = np.ascontiguousarray(np.quantile(samples, levels, axis=1).T)
+        y_mean = np.add.reduce(y, axis=1) / grid_points
+        yc = y - y_mean[:, None]
+        b = np.add.reduce(yc * xc, axis=1) / np.add.reduce(xc * xc)
+        resid, ss_tot = yc - b[:, None] * xc, np.add.reduce(yc * yc, axis=1)
+        return y_mean - b * x_mean, b, 1.0 - np.add.reduce(resid * resid, axis=1) / ss_tot, ss_tot
+
+
+@st.composite
+def quantile_cases(draw):
+    """(samples, q_lo, q_hi, grid): rows of normals, rounded ones (heavy ties, -0.0 among them) or constants.
+
+    A window end may fall on an order statistic, k / (m - 1), or be the
+    largest level below 1, whose index is the last below m - 1.
+    """
+    m = draw(st.sampled_from([20, 21, 64, 65, 512, 513, 4096]) | st.integers(20, 4096))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.normal(draw(st.sampled_from([0.0, 3.0])), 1.0, (draw(st.integers(1, 4)), m))
+    decimals = draw(st.sampled_from([None, 0, 1, 2]))
+    if decimals is not None:
+        samples = np.round(samples, decimals)
+    for row in draw(st.lists(st.integers(0, len(samples) - 1), max_size=2)):
+        samples[row] = draw(st.sampled_from([0.0, -0.0, 1.5]))
+    ends = st.floats(0.001, 0.999) | st.integers(1, m - 2).map(lambda k: k / (m - 1))
+    q_lo, q_hi = sorted(draw(st.tuples(ends, ends | st.just(float(np.nextafter(1.0, 0.0))))))
+    if q_lo == q_hi:
+        q_lo = q_hi / 2
+    return samples, q_lo, q_hi, draw(st.sampled_from([2, 64, 10_000]))
+
+
+class TestWindowQuantiles:
+    """One sort per row and NumPy's type-7 lerp give ``np.quantile``'s window quantiles and the same fits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(quantile_cases())
+    def test_match_np_quantile_bit_for_bit(self, case):
+        samples, q_lo, q_hi, grid = case
+        levels, _ = qq_window(q_lo, q_hi, grid)
+        y = _window_quantiles(samples, levels)
+        assert y.flags.c_contiguous  # the fit's row sums take their order from the layout
+        # NumPy's partition and the sort may order -0.0 and 0.0 differently, so a zero's sign is not compared
+        assert np.array_equal(bits(y + 0.0), bits(np.quantile(samples, levels, axis=1).T + 0.0))
+        a, b, r_squared, ss_tot = quantile_fits(samples, q_lo, q_hi, grid)
+        fitted = ss_tot != 0.0
+        if fitted.any():
+            got = qq_tail_fits(samples[fitted], q_lo, q_hi, grid)
+            assert np.array_equal(bits(got), bits([a[fitted], b[fitted], r_squared[fitted]]))
+        for row in samples[~fitted]:
+            with pytest.raises(DegenerateError, match=r"R\^2 undefined$"):
+                qq_tail_fits(row[None, :], q_lo, q_hi, grid)
+
+    @pytest.mark.parametrize("at", [0, 100, 255])
+    def test_a_row_holding_nan_is_all_nan(self, at):
+        # a NaN sorts last, outside a window that ends below the top, and np.quantile still gives NaN
+        samples = np.random.default_rng(at).standard_normal((2, 256))
+        samples[1, at] = np.nan
+        levels, _ = qq_window(0.5, 0.9, 8)
+        y = _window_quantiles(samples, levels)
+        assert np.isnan(y[1]).all() and np.array_equal(bits(y[0]), bits(np.quantile(samples[0], levels)))
+        with pytest.raises(DegenerateError, match="not finite"):
+            qq_tail_fits(samples, 0.5, 0.9, 8)
 
 
 class TestNormPdf:
