@@ -238,16 +238,19 @@ class _Run(NamedTuple):
 def read_reward_groups(path: str) -> Iterator[_Run]:
     """Yield the file's groups in runs of one size, of at most ``_RUN_VALUES`` rewards.
 
-    Each line is decoded once; each run becomes one matrix, checked for shape
-    and finiteness once. A bad line raises an ``InputError`` naming it, after
-    the groups before it are yielded: the first bad line in file order,
-    whatever is wrong with it, bytes that are not UTF-8 included.
+    Each line is decoded once (see ``_decode``); each run becomes one matrix,
+    checked for shape and finiteness once. A bad line raises an ``InputError``
+    naming it, after the groups before it are yielded: the first bad line in
+    file order, whatever is wrong with it, bytes that are not UTF-8 included.
     """
+    # imported here, where a group file is read, so that importing the CLI does not load it
+    from orjson import loads
+
     try:
         handle = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    run: list[tuple[int, str, Any, Any]] = []  # (line, prompt, rewards, scores) as decoded
+    run: list[tuple[int, str, str, Any, Any]] = []  # (line, text, prompt, rewards, scores) as decoded
     first = size = 0
     with handle:
         for lineno, raw in enumerate(handle, 1):
@@ -255,7 +258,7 @@ def read_reward_groups(path: str) -> Iterator[_Run]:
             if not line:
                 continue
             try:
-                record = _decode(path, lineno, line)
+                record = _decode(path, lineno, line, loads)
             except InputError:
                 yield from _checked_run(path, first, run)
                 raise
@@ -265,38 +268,69 @@ def read_reward_groups(path: str) -> Iterator[_Run]:
                 yield from _checked_run(path, first, run)
                 first, run = first + len(run), []
             size = m
-            run.append((lineno, str(record.get("prompt_id", f"line-{lineno}")), rewards, record.get("scores")))
+            run.append((lineno, line, str(record.get("prompt_id", f"line-{lineno}")), rewards, record.get("scores")))
         yield from _checked_run(path, first, run)
 
 
-def _decode(path: str, lineno: int, line: str) -> dict[str, Any]:
-    """The line's JSON object, which must have a 'rewards' field."""
+#: The fields of a record that ``_decode`` takes orjson's reading of.
+_PLAIN_FIELDS = frozenset(("prompt_id", "rewards", "scores"))
+
+
+def _decode(path: str, lineno: int, line: str, loads: Callable[[str], Any]) -> dict[str, Any]:
+    """The line's JSON object, which must have a 'rewards' field, as ``json.loads`` reads it.
+
+    ``loads`` is orjson's, which gives every number ``json.loads``'s bits. Its
+    reading is kept for a plain record: an object with 'rewards', no field
+    beyond ``_PLAIN_FIELDS`` and a string 'prompt_id', if any (orjson reads an
+    integer beyond 64 bits as a float). ``json.loads`` reads any other line,
+    and one orjson refuses: NaN, an infinity, a literal beyond the float
+    range, a lone surrogate, bytes that are not UTF-8. orjson also reads
+    nesting that ``json.loads`` refuses as too deep; in a plain record that
+    fails the run check, and ``_checked_run`` reads the run again.
+    """
+    try:
+        record = loads(line)
+    except ValueError:
+        record = None
+    if (type(record) is dict and "rewards" in record and record.keys() <= _PLAIN_FIELDS
+            and type(record.get("prompt_id", "")) is str):
+        return record
     try:
         if not line.isascii():
             line.encode()  # a byte that is not UTF-8 was read as a lone surrogate
         record = json.loads(line)
-    except UnicodeEncodeError as exc:
-        raise InputError(f"{path}:{lineno}: invalid UTF-8") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-    except RecursionError as exc:
-        raise InputError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from exc
+    except (ValueError, RecursionError) as exc:
+        raise _unreadable(path, lineno, exc) from exc
     if not isinstance(record, dict) or "rewards" not in record:
         raise InputError(f"{path}:{lineno}: expected an object with a 'rewards' field")
     return record
 
 
-def _checked_run(path: str, first: int, run: list[tuple[int, str, Any, Any]]) -> Iterator[_Run]:
+def _unreadable(path: str, lineno: int, exc: ValueError | RecursionError) -> InputError:
+    """The input error of a line that is not UTF-8 or that ``json.loads`` refuses with ``exc``."""
+    if isinstance(exc, UnicodeEncodeError):
+        why = "invalid UTF-8"
+    elif isinstance(exc, json.JSONDecodeError):
+        why = f"invalid JSON ({exc.msg})"
+    elif isinstance(exc, RecursionError):
+        why = "invalid JSON (nested too deeply)"
+    else:  # int() refuses a literal of more digits than its limit
+        why = f"invalid JSON (integer longer than {sys.get_int_max_str_digits()} digits)"
+    return InputError(f"{path}:{lineno}: {why}")
+
+
+def _checked_run(path: str, first: int, run: list[tuple[int, str, str, Any, Any]]) -> Iterator[_Run]:
     """Yield the decoded lines of a run as a ``_Run``, their rewards and scores checked as whole arrays.
 
     The values' types are checked too (see ``_numbers``), as the arrays would
     read a JSON string or boolean as a number. A run that fails the check is
-    yielded as runs of one, each line's group built by ``RewardGroup``, which
-    raises the first bad line's ``InputError``.
+    yielded as runs of one: each line is read again by ``json.loads``, which
+    refuses nesting orjson read, and its group built by ``RewardGroup``,
+    which raises the first bad line's ``InputError``.
     """
     if not run:
         return
-    lines, ids, rewards, scores = zip(*run)
+    lines, _, ids, rewards, scores = zip(*run)
     try:
         matrix = np.array(rewards, dtype=float)
         valid = matrix.ndim == 2 and matrix.shape[1] > 0 and bool(np.isfinite(matrix).all())
@@ -311,9 +345,13 @@ def _checked_run(path: str, first: int, run: list[tuple[int, str, Any, Any]]) ->
     if valid:
         yield _Run(first, lines, ids, matrix, scores)
         return
-    for i, (lineno, prompt_id, values, group_scores) in enumerate(run):
+    for i, (lineno, line, prompt_id, _, _) in enumerate(run):
         try:
-            group = RewardGroup(prompt_id, values, group_scores)
+            record = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise _unreadable(path, lineno, exc) from exc
+        try:
+            group = RewardGroup(prompt_id, record["rewards"], record.get("scores"))
         except (ValueError, TypeError, OverflowError) as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
         yield _Run(first + i, (lineno,), (prompt_id,), group.rewards[None, :], (group.scores,))

@@ -209,6 +209,9 @@ def read_groups(path):
                 raise InputError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
             except RecursionError as exc:
                 raise InputError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from exc
+            except ValueError as exc:  # an integer literal longer than int() reads
+                digits = sys.get_int_max_str_digits()
+                raise InputError(f"{path}:{lineno}: invalid JSON (integer longer than {digits} digits)") from exc
             if not isinstance(record, dict) or "rewards" not in record:
                 raise InputError(f"{path}:{lineno}: expected an object with a 'rewards' field")
             prompt_id = str(record.get("prompt_id", f"line-{lineno}"))
@@ -292,15 +295,32 @@ class TestAdvantageRuns:
         assert sum(line.endswith("need m >= 2 rewards, got 1") for line in err) == 1 and code in (2, 3)
 
 
+#: Nested 2000 deep: orjson reads it, ``json.loads`` refuses it.
+_DEEP = "[" * 2000 + "]" * 2000
+
+
 def _bad_line(kind):
-    """A line of 64 rewards, or meant as one, that the reader refuses for ``kind``."""
+    """A line of 64 rewards, or meant as one, of ``kind``: one the reader refuses, or an edge one it accepts."""
     rewards = [0.5] * 64
+    scores = [[1.0, 2.0]] * (63 if kind == "scores-shape" else 64)
     if kind == "invalid-json":
         return '{"prompt_id": "bad", "rewards": [1.0, 2.0'
     if kind == "string-rewards":
         return '{"prompt_id": "bad", "rewards": "1,2,3"}'
+    if kind == "deep-rewards":
+        return '{"prompt_id": "bad", "rewards": [' + _DEEP + ", 0.5" * 63 + "]}"
+    if kind == "deep-extra-field":  # a line that passes the run check, but for its nesting
+        line = json.dumps({"prompt_id": "bad", "rewards": [i / 8 for i in range(64)], "scores": scores})
+        return line.replace('"rewards"', '"meta": ' + _DEEP + ', "rewards"')
+    if kind in TestBadLinesAtRunBoundaries.ACCEPTED:
+        prompt_id = 10**25 if kind == "big-int-id" else "\ud800"
+        return json.dumps({"prompt_id": prompt_id, "rewards": [i / 8 for i in range(64)], "scores": scores})
     if kind == "nan":
         rewards[7] = float("nan")
+    elif kind == "nan-token":  # NaN among the scores, not the rewards
+        scores = [[1.0, 2.0]] * 63 + [[float("nan"), 2.0]]
+    elif kind == "infinity-token":
+        rewards[7] = float("inf")
     elif kind == "nested":
         rewards = [[0.5, 1.5]] * 64
     elif kind == "ragged":
@@ -309,19 +329,26 @@ def _bad_line(kind):
         rewards[5] = "x"
     elif kind == "huge-int":
         rewards[3] = 10**400
-    record = {"prompt_id": "bad", "rewards": rewards, "scores": [[1.0, 2.0]] * (63 if kind == "scores-shape" else 64)}
-    return json.dumps(record)
+    line = json.dumps({"prompt_id": "bad", "rewards": rewards, "scores": scores})
+    literal = {"overflow-literal": "1e400", "digits": "9" * 5000}.get(kind)
+    return line.replace("0.5", literal, 1) if literal else line
 
 
 class TestBadLinesAtRunBoundaries:
-    """A bad line anywhere in a run, or first in the next, gives the per-line reading's bytes, stderr and exit code.
+    """A bad or edge line anywhere in a run, or first in the next, gives the per-line reading's output, stderr and exit code.
 
     Every group of the file has scores, so the scores are checked as one array
     as well. Lines 1-64 are the first run of m = 64 and line 65 starts the next.
+    The kinds cover each case where orjson and ``json.loads`` read a line
+    differently: a token or literal orjson refuses, nesting deeper than
+    ``json.loads`` reads, and a prompt id orjson would read otherwise.
     """
 
+    #: Kinds the reader accepts, with a prompt id orjson refuses or reads as a float.
+    ACCEPTED = ["big-int-id", "surrogate-id"]
     KINDS = ["invalid-json", "nan", "nested", "ragged", "string-rewards", "string-entry", "huge-int",
-             "scores-shape"]
+             "scores-shape", "nan-token", "infinity-token", "overflow-literal", "deep-rewards",
+             "deep-extra-field", "digits", *ACCEPTED]
     CASES = [(kind, {line: kind}) for kind in KINDS for line in (1, 32, 64, 65)] + [
         ("nan-before-invalid-json", {10: "nan", 20: "invalid-json"})
     ]
@@ -346,7 +373,10 @@ class TestBadLinesAtRunBoundaries:
         err = capsys.readouterr().err.splitlines()
         header = out.read_text().splitlines()[0]
         assert (out.read_text(), err, code) == per_group_advantage(src, "chow", RuleParams(), header)
-        assert len(err) == 1 and err[0].startswith(f"error: {src}:{min(case[1])}: ")
+        if case[0] in self.ACCEPTED:
+            assert (err, code) == ([], 0)
+        else:
+            assert len(err) == 1 and err[0].startswith(f"error: {src}:{min(case[1])}: ")
 
     @pytest.mark.parametrize("case", CASES, ids=[f"{kind}-line{min(bad)}" for kind, bad in CASES])
     def test_predict_bon(self, tmp_path, capsys, case):
@@ -354,8 +384,12 @@ class TestBadLinesAtRunBoundaries:
         self.write(src, case[1])
         code = main(["predict-bon", "-i", str(src), "-o", str(out)])
         payload, expected_err, expected_code = per_group_predict_bon(src, 0.25, (1, 2, 4, 8, 16, 32, 64, 128))
-        assert payload is None and not out.exists()
         assert (capsys.readouterr().err.splitlines(), code) == (expected_err, expected_code)
+        if case[0] in self.ACCEPTED:
+            config = json.loads(out.read_text())["config"]
+            assert out.read_text() == json.dumps({"config": config, **payload}, indent=2) + "\n"
+        else:
+            assert payload is None and not out.exists()
 
 
 def _group_failure(group, lineno, exc):

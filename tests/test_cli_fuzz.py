@@ -35,6 +35,7 @@ MALFORMED = [
     '{"rewards": {"a": 1}}',
     '{"rewards": [1, null, 2]}',
     '{"rewards": []}',
+    '{"prompt_id": "digits", "rewards": [' + "9" * 5000 + ", 2, 3, 4]}",
     '{"rewards": ' + "[" * 100_000 + "]" * 100_000 + "}",
 ]
 
@@ -90,8 +91,9 @@ def _check_csv(text: str) -> None:
 
 # The explicit examples each crashed the CLI or wrote NaN once: an integer
 # beyond float range, a tail whose spread overflows (followed by an ordinary
-# group), a QQ fit whose R^2 overflows, NaN scores, a one-reward group and JSON
-# nested past the recursion limit.
+# group), a QQ fit whose R^2 overflows, NaN scores, a one-reward group, an
+# integer literal longer than int() reads and JSON nested past the recursion
+# limit.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(jsonl_line(), min_size=1, max_size=4))
@@ -103,6 +105,7 @@ def _check_csv(text: str) -> None:
 @example([json.dumps({"prompt_id": "big", "rewards": [1e200 * i for i in range(1, 33)]})])
 @example([json.dumps({"rewards": [0.0, 1.0, 2.0], "scores": [[float("nan")]] * 3})])
 @example([json.dumps({"prompt_id": "one", "rewards": [1.0]})])
+@example([MALFORMED[-2]])
 @example([MALFORMED[-1]])
 def test_generated_lines(lines):
     with tempfile.TemporaryDirectory() as tmp:

@@ -109,6 +109,10 @@ CASES: dict[str, tuple[list[str], int]] = {
     # verifier-style 0/1 rewards, written as integers, as floats and with -0.0 for a miss
     "advantage-grpo-binary": (["advantage", "-i", "binary.jsonl", "--rule", "grpo"], 0),
     "qq-fit-binary": (["qq-fit", "-i", "binary.jsonl"], 0),
+    # lines the reader accepts at the edges of JSON: integers beyond 64 bits and near 1e308, -0.0,
+    # 5e-324, prompt ids that are not strings or hold escapes, extra fields and a field set twice
+    "advantage-tea-edge": (["advantage", "-i", "edge.jsonl", "--rule", "tea"], 0),
+    "predict-bon-edge": (["predict-bon", "-i", "edge.jsonl"], 0),
 }
 
 
