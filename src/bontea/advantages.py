@@ -117,10 +117,9 @@ def _tea(params: RuleParams, m: int, raw: bool = False) -> Kernel:
     first, c_tilde = m - tail_count(m, params.alpha), tail_constants(params.alpha, params.n_target).c_tilde_n
 
     def kernel(rewards: np.ndarray, seeds: Sequence[int] | None) -> np.ndarray:
+        r, mu, sigma = slice_tail_stats(np.sort(rewards, axis=1)[:, first:], params.eps_sigma)
         # squares of rewards far below the tail may overflow; their entries are zero
-        with np.errstate(over="ignore", invalid="ignore"):
-            r, mu, sigma = slice_tail_stats(np.sort(rewards, axis=1)[:, first:], params.eps_sigma)
-            values = _raw_rule(rewards, r, mu, sigma, params.alpha, c_tilde)
+        values = _raw_rule(rewards, r, mu, sigma, params.alpha, c_tilde)
         return values if raw else _centered(np.maximum(values, 0.0))
 
     return kernel
@@ -146,20 +145,19 @@ def _prefix_tea(params: RuleParams, m: int, raw: bool = False) -> Kernel:
 
     def kernel(rewards: np.ndarray, seeds: Sequence[int] | None) -> np.ndarray:
         combined = np.empty_like(rewards)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, rewards.shape[0], step):
-                u = np.where(beyond, -np.inf, rewards[start : start + step])
-                try:
-                    r, mu, sigma = prefix_tail_stats(np.sort(u, axis=2)[:, :, first:], counts, params.eps_sigma)
-                except DegenerateError:
-                    # name the overflow that one prefix at a time over all rows meets first
-                    for size in sizes:
-                        tail_stats(rewards[:, :size], params.alpha, params.eps_sigma)
-                    raise
-                values = _raw_rule(u, r, mu, sigma, params.alpha, c_tilde)
-                if not raw:
-                    np.maximum(values, 0.0, out=values)
-                combine(scales, values, out=combined[start : start + step])
+        for start in range(0, rewards.shape[0], step):
+            u = np.where(beyond, -np.inf, rewards[start : start + step])
+            try:
+                r, mu, sigma = prefix_tail_stats(np.sort(u, axis=2)[:, :, first:], counts, params.eps_sigma)
+            except DegenerateError:
+                # name the overflow that one prefix at a time over all rows meets first
+                for size in sizes:
+                    tail_stats(rewards[:, :size], params.alpha, params.eps_sigma)
+                raise
+            values = _raw_rule(u, r, mu, sigma, params.alpha, c_tilde)
+            if not raw:
+                np.maximum(values, 0.0, out=values)
+            combine(scales, values, out=combined[start : start + step])
         return combined if raw else _centered(combined)
 
     return kernel
@@ -182,8 +180,7 @@ def _grpo_z(rewards: np.ndarray, eps_norm: float) -> np.ndarray:
 
     At ``eps_norm`` = 0 a constant row is degenerate.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, centered, sd = row_moments(rewards)
+    mean, centered, sd = row_moments(rewards)
     # with finite rewards, an overflowing mean also makes sd inf or nan
     check_finite(sd, lambda *b: f"reward statistics overflow: mean={float(mean[b])}, std={float(sd[b])}")
     return _normalized(centered, sd, eps_norm, "reward std")
@@ -267,6 +264,7 @@ def _chow(params: RuleParams, m: int) -> Kernel:
         else:
             if len(seeds) != n_rows:
                 raise InputError(f"need one seed per row, got {len(seeds)} seeds for {n_rows} rows")
+            check_at_least("seed", min(seeds, default=0), 0)
             perms = np.stack([np.random.default_rng(int(seed)).permutation(m) for seed in seeds])
         sel, cor = perms[:, :n_sel], perms[:, n_sel:]
         rows = np.arange(n_rows)
@@ -311,7 +309,7 @@ def _cat_bon(rewards: np.ndarray, params: RuleParams) -> np.ndarray:
     return _normalized(weights, mean, eps_norm, "mean rank weight") * z_scores
 
 
-#: Rule name -> set-up (params, m) -> kernel; only the ``SEEDED_RULES`` read the seeds.
+#: Rule name -> set-up (params, m) -> unchecked kernel (see ``rule_kernel``); only the ``SEEDED_RULES`` read the seeds.
 _KERNELS: dict[str, Callable[[RuleParams, int], Kernel]] = {
     "tea": _tea,
     "tea-raw": partial(_tea, raw=True),
@@ -354,9 +352,18 @@ def rule_kernel(rule: str, params: RuleParams, m: int) -> Kernel:
     Set up once per (rule, params, m): ``check_rule`` with m, the prefix scheme and the bound
     constants (c_tilde, q, the prefix layout), so a call only computes. A kernel holds no mutable
     buffer, so threads may share it. ``seeds`` gives the ``SEEDED_RULES`` one seed per row.
+    The rule runs with overflow warnings silenced; advantages that are not finite raise ``DegenerateError``.
     """
     check_rule(rule, _KERNELS, params, m)
-    return _KERNELS[rule](params, m)
+    compute = _KERNELS[rule](params, m)
+
+    def kernel(rewards: np.ndarray, seeds: Sequence[int] | None) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = compute(rewards, seeds)
+        check_finite(values, lambda *_: f"rule {rule} overflows: its advantages are not finite")
+        return values
+
+    return kernel
 
 
 def compute_rules(
@@ -364,9 +371,9 @@ def compute_rules(
 ) -> np.ndarray:
     """Advantages of every row of a (B, m) reward matrix under a rule named as in the CLI.
 
-    Row b is one group in arrival order; the result has the shape of
-    ``rewards``. ``seeds`` gives one seed per row to the rules that draw
-    (``chow``); without it every row uses ``params.seed``.
+    Row b is one group in arrival order; the result has the shape of ``rewards`` and is finite: a
+    rule that overflows raises ``DegenerateError`` (see ``rule_kernel``). ``seeds`` gives one seed
+    per row to the rules that draw (``chow``); without it every row uses ``params.seed``.
     """
     rewards = _matrix(rewards)
     return rule_kernel(rule, params, rewards.shape[1])(rewards, seeds)

@@ -76,9 +76,10 @@ def oracle_advantage(pool: EmpiricalPool, n: int) -> np.ndarray:
     pow_nm1 = cdf ** (n - 1)
     pow_nm1_prev = cdf_prev ** (n - 1)
     # E[max(r, M_{n-1})] = r F(r)^{n-1} + sum_{v > r} v (F(v)^{n-1} - F(v-)^{n-1})
-    mass_above = unique * (pow_nm1 - pow_nm1_prev)
-    suffix = np.concatenate([np.cumsum(mass_above[::-1])[::-1][1:], [0.0]])
-    per_unique = unique * pow_nm1 + suffix - expected_max(pool, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass_above = unique * (pow_nm1 - pow_nm1_prev)
+        suffix = np.concatenate([np.cumsum(mass_above[::-1])[::-1][1:], [0.0]])
+        per_unique = unique * pow_nm1 + suffix - expected_max(pool, n)
     return per_unique[np.searchsorted(unique, pool.values)]
 
 
@@ -222,18 +223,18 @@ def gradient_alignment(
 ) -> float:
     """Cosine between the induced gradients sum_i A_i s_i and sum_i A*_i s_i.
 
-    A gradient that is zero, or whose norm is not finite, raises
-    ``DegenerateError``. The products behind that norm may overflow: call
-    this under ``np.errstate(over="ignore", invalid="ignore")``.
+    A gradient that is zero, or whose norm is not finite (the products
+    behind it may overflow), raises ``DegenerateError``.
     """
     adv = np.asarray(advantages, dtype=float)
     scores = np.asarray(scores, dtype=float)
     oracle = np.asarray(oracle, dtype=float)
     if scores.ndim != 2 or scores.shape[0] != adv.size or oracle.size != adv.size:
         raise InputError("need advantages (m,), scores (m, d), oracle (m,)")
-    g = scores.T @ adv
-    g_star = scores.T @ oracle
-    norms = np.array([np.linalg.norm(g), np.linalg.norm(g_star)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = scores.T @ adv
+        g_star = scores.T @ oracle
+        norms = np.array([np.linalg.norm(g), np.linalg.norm(g_star)])
     # an entry that is not finite makes its gradient's norm inf or nan; finite norms keep every
     # partial sum of g @ g_star below norm * norm_star (Cauchy-Schwarz), so the cosine is finite
     whose = ("rule's", "oracle's")

@@ -44,7 +44,7 @@ from .bon_eval import (
     paired_bootstrap_delta,
     win_tie_loss,
 )
-from .errors import DegenerateError, InputError, PromptRowError, check_finite
+from .errors import DegenerateError, InputError, PromptRowError
 from .gauss import DEFAULT_QQ_GRID, predict_vn, qq_tail_fits, qq_window, tail_constants
 from .prefixes import build_scheme
 from .synth import (
@@ -490,16 +490,10 @@ class _Computed:
 def cmd_advantage(args: argparse.Namespace, config: dict[str, Any]) -> int:
     rule, params = config["rule"], _build(RuleParams, config)
     check_rule(rule, params=params)  # a setting the rule needs fails before any output
-
-    def advantages(run: _Run) -> list[list[float]]:
-        """The run's advantages; one finiteness check per run, so the per-group redo names the prompt."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            adv = compute_rules(rule, run.rewards, params, _seeds(params, run))
-        check_finite(adv, lambda *_: f"rule {rule} overflows: its advantages are not finite")
-        return adv.tolist()
-
-    groups = _Computed(args.input, advantages, skip=(DegenerateError, InputError), allow_empty=True,
-                       setup=partial(rule_kernel, rule, params))
+    groups = _Computed(
+        args.input, lambda run: compute_rules(rule, run.rewards, params, _seeds(params, run)).tolist(),
+        skip=(DegenerateError, InputError), allow_empty=True, setup=partial(rule_kernel, rule, params),
+    )
     with _output(args.output) as out:
         out.write(json.dumps({"config": _echo(config), "rule": rule}) + "\n")
         for ids, advs in groups:  # a run's lines in one write
@@ -549,8 +543,7 @@ def cmd_predict_bon(args: argparse.Namespace, config: dict[str, Any]) -> int:
 
     def tails(run: _Run) -> list[tuple[int, list[float]]]:
         """Per group: q, then r, mu, sigma and the predicted best-of-N value at each budget."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            r, mu, sigma = tail_stats(run.rewards, params.alpha, params.eps_sigma)
+        r, mu, sigma = tail_stats(run.rewards, params.alpha, params.eps_sigma)
         q = tail_count(run.rewards.shape[1], params.alpha)
         return [(q, row) for row in np.hstack([r, mu, sigma, predict_vn(mu, sigma, c_tilde)]).tolist()]
 
@@ -692,14 +685,13 @@ def cmd_align(args: argparse.Namespace, config: dict[str, Any]) -> int:
         alignment before a later rule's input error.
         """
         oracles, columns = [], []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for rewards, scores in zip(run.rewards, run.scores):
-                if scores is None:
-                    raise InputError("alignment needs per-sample scores")
-                oracles.append(oracle_advantage(EmpiricalPool.from_values(rewards), params.n_target))
-            for rule in rules:
-                adv = compute_rules(rule, run.rewards, params, _seeds(params, run))
-                columns.append([gradient_alignment(a, s, o) for a, s, o in zip(adv, run.scores, oracles)])
+        for rewards, scores in zip(run.rewards, run.scores):
+            if scores is None:
+                raise InputError("alignment needs per-sample scores")
+            oracles.append(oracle_advantage(EmpiricalPool.from_values(rewards), params.n_target))
+        for rule in rules:
+            adv = compute_rules(rule, run.rewards, params, _seeds(params, run))
+            columns.append([gradient_alignment(a, s, o) for a, s, o in zip(adv, run.scores, oracles)])
         return list(zip(*columns))
 
     computed = _Computed(args.input, batch, skip=(DegenerateError,))

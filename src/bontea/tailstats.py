@@ -177,8 +177,8 @@ def tail_stats(
     """Tail vector (r, mu, sigma) of each row of a (B, m) reward matrix.
 
     ``slice_tail_stats`` of the top-q slice of a row sort, with its shapes,
-    clip, overflow error and ``np.errstate`` requirement. Needs m >= 2, and
-    checks alpha and eps_sigma as ``RuleParams`` checks them.
+    clip and overflow error, its overflow warnings silenced. Needs m >= 2,
+    and checks alpha and eps_sigma as ``RuleParams`` checks them.
     Rewards tied with the threshold beyond rank q are left out, which never
     changes (r, mu, sigma) because tied values are interchangeable.
     """
@@ -186,5 +186,6 @@ def tail_stats(
     check_eps_sigma(eps_sigma)
     m = rewards.shape[1]
     check_size(m)
-    return slice_tail_stats(np.sort(rewards, axis=1)[:, m - tail_count(m, alpha) :], eps_sigma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return slice_tail_stats(np.sort(rewards, axis=1)[:, m - tail_count(m, alpha) :], eps_sigma)
 

@@ -84,14 +84,13 @@ class TrainConfig:
     eval_samples: int = 512
 
     def __post_init__(self) -> None:
-        if self.m < 2 or self.p_batch < 1 or self.steps < 0 or self.eval_every < 1:
-            raise InputError("m >= 2, p_batch >= 1, steps >= 0, eval_every >= 1 required")
-        rule_kernel(self.rule, self.params, self.m)  # the rule and every setting it needs, for this m
+        for name, least in (("p_batch", 1), ("steps", 0), ("eval_every", 1), ("eval_samples", 1)):
+            check_at_least(name, getattr(self, name), least)
+        rule_kernel(self.rule, self.params, self.m)  # the rule, every setting it needs for this m, and m >= 2
         if self.beta < 0 or not np.isfinite(self.beta):
             raise InputError(f"beta must be finite and >= 0, got {self.beta}")
         if self.gamma < 0 or not np.isfinite(self.gamma):
             raise InputError(f"gamma must be finite and >= 0, got {self.gamma}")
-        check_at_least("eval_samples", self.eval_samples, 1)
         check_budgets(self.eval_n, self.eval_samples)  # what each evaluation's grouped_bon_curve needs
 
 

@@ -425,3 +425,8 @@ class TestDispatch:
         assert np.array_equal(seeded, compute_rules("chow", row(rewards), RuleParams(seed=8))[0])
         assert not np.array_equal(seeded, compute_rules("chow", row(rewards), RuleParams(seed=5))[0])
 
+    def test_a_negative_group_seed_is_input_error(self):
+        # worded as RuleParams words a negative seed; NumPy's own refusal is an untyped ValueError
+        with pytest.raises(InputError, match="^seed must be >= 0, got -1$"):
+            compute_rules("chow", row(np.arange(8.0)), RuleParams(), [-1])
+

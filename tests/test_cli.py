@@ -408,8 +408,7 @@ def per_group_predict_bon(path, alpha, budgets):
     try:
         for lineno, group in read_groups(path):
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    r, mu, sigma = (float(v[0, 0]) for v in tail_stats(group.rewards[None, :], alpha))
+                r, mu, sigma = (float(v[0, 0]) for v in tail_stats(group.rewards[None, :], alpha))
                 predictions = {n: predict_vn(mu, sigma, c_tilde[n]) for n in budgets}
             except (DegenerateError, InputError) as exc:
                 line, code = _group_failure(group, lineno, exc)

@@ -10,6 +10,9 @@
   the rules linear in the rewards and k = 0 for the normalized ones.
 - Permutation equivariance on tie-free groups, for every rule that does not
   read the arrival order (``prefix-tea``) or a seeded split (``chow``).
+- Finite or typed: every kernel, the raw forms included, gives finite
+  advantages on finite rewards of any magnitude, or raises ``InputError`` or
+  ``DegenerateError``, and never warns.
 
 The floors ``eps_sigma`` (a lower clip on the tail std) and ``eps_norm`` (a
 denominator guard) break the scale law where they bind. TEA groups whose tail
@@ -24,9 +27,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from bontea import RuleParams, compute_rules
-from bontea.advantages import RULE_NAMES, bon_mean_raw
+from bontea import DegenerateError, InputError, RuleParams, compute_rules
+from bontea.advantages import _KERNELS, RULE_NAMES, bon_mean_raw
 from bontea.prefixes import build_scheme
 from bontea.tailstats import tail_count
 
@@ -136,3 +140,39 @@ def test_permutation_equivariance_without_ties(x, rule, seed):
     base = advantages(rule, x)
     tol = tolerance(rule, x, float(np.abs(x).max()), base, 0.0)
     np.testing.assert_allclose(advantages(rule, x[perm]), base[perm], rtol=0, atol=tol)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "rule, rewards",
+    [
+        ("grpo", [1.7e308, 1.7e308, -1.7e308, 0.0]),  # the mean overflows, so every centered entry is -inf
+        ("bonmax-mean", [1e308, 1e308, 0.0, 0.0]),  # R* - mean is -inf
+        ("chow", [1e308, 2e307, 0.5, 0.1]),  # m R* is inf
+    ],
+)
+def test_a_rule_that_overflows_raises(rule, rewards):
+    with pytest.raises(DegenerateError, match=f"^rule {rule} overflows: its advantages are not finite$"):
+        compute_rules(rule, np.array([rewards]), RuleParams())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rule", list(_KERNELS))
+@settings(max_examples=100, deadline=None)
+@given(
+    x=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 3), st.integers(2, 12)),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    eps_sigma=st.sampled_from([1e-6, 1e-300]),
+    eps_norm=st.sampled_from([1e-8, 0.0]),
+)
+def test_finite_rewards_give_finite_advantages_or_a_typed_error(x, rule, eps_sigma, eps_norm):
+    # J = 2 and k = 1 let the prefix rules serve every even m >= 4
+    params = RuleParams(eps_sigma=eps_sigma, eps_norm=eps_norm, k=1, j_count=2, bon_k=2)
+    try:
+        adv = compute_rules(rule, x, params)
+    except (InputError, DegenerateError):
+        return
+    assert adv.shape == x.shape and np.isfinite(adv).all()

@@ -240,6 +240,17 @@ class TestTrain:
         with pytest.raises(DegenerateError):
             train(task, config)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_rule_that_overflows_stops_the_first_step_without_a_warning(self):
+        # chow's winner gets m R* = 6.4e308, beyond float range: step 1's rule call raises
+        # before the update or the logit guard sees an inf
+        rewards = np.zeros((2, 8))
+        rewards[:, 0] = 1e307
+        task = ToyTask(rewards=rewards, reference_logits=np.zeros((2, 8)))
+        config = TrainConfig(rule="chow", m=64, p_batch=2, steps=1, eval_n=(1, 8), eval_samples=8)
+        with pytest.raises(DegenerateError, match="^rule chow overflows: its advantages are not finite$"):
+            train(task, config)
+
     def test_trajectory_always_logs_first_and_last(self):
         task = ToyTask.random(seed=12)
         config = TrainConfig(rule="grpo", steps=7, eval_every=3, m=8, seed=2)
@@ -257,6 +268,19 @@ class TestTrain:
         task = ToyTask.random(n_prompts=2, seed=0)
         with pytest.raises(InputError):
             train(task, TrainConfig(p_batch=4))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("m", 1, "need m >= 2 rewards, got 1"),
+            ("p_batch", 0, "p_batch must be >= 1, got 0"),
+            ("steps", -1, "steps must be >= 0, got -1"),
+            ("eval_every", 0, "eval_every must be >= 1, got 0"),
+        ],
+    )
+    def test_config_names_the_size_it_refuses(self, field, value, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            TrainConfig(**{field: value})
 
     @pytest.mark.parametrize(
         "rule, params, message",
