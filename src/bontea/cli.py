@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
-import json
 import os
 import sys
 from contextlib import contextmanager
@@ -31,7 +30,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, Text
 
 import numpy as np
 
-from . import __version__
+from . import __version__, jsonio
 from .advantages import RULE_NAMES, RuleParams, check_rule, compute_rules, rule_kernel
 from .bon_eval import (
     DEFAULT_RESAMPLES,
@@ -44,7 +43,7 @@ from .bon_eval import (
     paired_bootstrap_delta,
     win_tie_loss,
 )
-from .errors import DegenerateError, InputError, PromptRowError
+from .errors import DegenerateError, InputError, PromptRowError, check_finite
 from .gauss import DEFAULT_QQ_GRID, predict_vn, qq_tail_fits, qq_window, tail_constants
 from .prefixes import build_scheme
 from .synth import (
@@ -238,7 +237,7 @@ class _Run(NamedTuple):
 def read_reward_groups(path: str) -> Iterator[_Run]:
     """Yield the file's groups in runs of one size, of at most ``_RUN_VALUES`` rewards.
 
-    Each line is decoded once (see ``_decode``); each run becomes one matrix,
+    Each line is decoded once (see ``jsonio.decode``); each run becomes one matrix,
     checked for shape and finiteness once. A bad line raises an ``InputError``
     naming it, after the groups before it are yielded: the first bad line in
     file order, whatever is wrong with it, bytes that are not UTF-8 included.
@@ -258,7 +257,7 @@ def read_reward_groups(path: str) -> Iterator[_Run]:
             if not line:
                 continue
             try:
-                record = _decode(path, lineno, line, loads)
+                record = jsonio.decode(path, lineno, line, loads)
             except InputError:
                 yield from _checked_run(path, first, run)
                 raise
@@ -272,59 +271,12 @@ def read_reward_groups(path: str) -> Iterator[_Run]:
         yield from _checked_run(path, first, run)
 
 
-#: The fields of a record that ``_decode`` takes orjson's reading of.
-_PLAIN_FIELDS = frozenset(("prompt_id", "rewards", "scores"))
-
-
-def _decode(path: str, lineno: int, line: str, loads: Callable[[str], Any]) -> dict[str, Any]:
-    """The line's JSON object, which must have a 'rewards' field, as ``json.loads`` reads it.
-
-    ``loads`` is orjson's, which gives every number ``json.loads``'s bits. Its
-    reading is kept for a plain record: an object with 'rewards', no field
-    beyond ``_PLAIN_FIELDS`` and a string 'prompt_id', if any (orjson reads an
-    integer beyond 64 bits as a float). ``json.loads`` reads any other line,
-    and one orjson refuses: NaN, an infinity, a literal beyond the float
-    range, a lone surrogate, bytes that are not UTF-8. orjson also reads
-    nesting that ``json.loads`` refuses as too deep; in a plain record that
-    fails the run check, and ``_checked_run`` reads the run again.
-    """
-    try:
-        record = loads(line)
-    except ValueError:
-        record = None
-    if (type(record) is dict and "rewards" in record and record.keys() <= _PLAIN_FIELDS
-            and type(record.get("prompt_id", "")) is str):
-        return record
-    try:
-        if not line.isascii():
-            line.encode()  # a byte that is not UTF-8 was read as a lone surrogate
-        record = json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        raise _unreadable(path, lineno, exc) from exc
-    if not isinstance(record, dict) or "rewards" not in record:
-        raise InputError(f"{path}:{lineno}: expected an object with a 'rewards' field")
-    return record
-
-
-def _unreadable(path: str, lineno: int, exc: ValueError | RecursionError) -> InputError:
-    """The input error of a line that is not UTF-8 or that ``json.loads`` refuses with ``exc``."""
-    if isinstance(exc, UnicodeEncodeError):
-        why = "invalid UTF-8"
-    elif isinstance(exc, json.JSONDecodeError):
-        why = f"invalid JSON ({exc.msg})"
-    elif isinstance(exc, RecursionError):
-        why = "invalid JSON (nested too deeply)"
-    else:  # int() refuses a literal of more digits than its limit
-        why = f"invalid JSON (integer longer than {sys.get_int_max_str_digits()} digits)"
-    return InputError(f"{path}:{lineno}: {why}")
-
-
 def _checked_run(path: str, first: int, run: list[tuple[int, str, str, Any, Any]]) -> Iterator[_Run]:
     """Yield the decoded lines of a run as a ``_Run``, their rewards and scores checked as whole arrays.
 
     The values' types are checked too (see ``_numbers``), as the arrays would
     read a JSON string or boolean as a number. A run that fails the check is
-    yielded as runs of one: each line is read again by ``json.loads``, which
+    yielded as runs of one: each line is read again by ``jsonio.loads``, which
     refuses nesting orjson read, and its group built by ``RewardGroup``,
     which raises the first bad line's ``InputError``.
     """
@@ -346,10 +298,7 @@ def _checked_run(path: str, first: int, run: list[tuple[int, str, str, Any, Any]
         yield _Run(first, lines, ids, matrix, scores)
         return
     for i, (lineno, line, prompt_id, _, _) in enumerate(run):
-        try:
-            record = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise _unreadable(path, lineno, exc) from exc
+        record = jsonio.loads(path, lineno, line)
         try:
             group = RewardGroup(prompt_id, record["rewards"], record.get("scores"))
         except (ValueError, TypeError, OverflowError) as exc:
@@ -401,7 +350,7 @@ def _output(path: str | None) -> Iterator[TextIO]:
 def _write_doc(path: str | None, config: dict[str, Any], **fields: Any) -> None:
     """One indented JSON document: the echoed config, then ``fields``."""
     with _output(path) as out:
-        out.write(json.dumps({"config": _echo(config), **fields}, indent=2) + "\n")
+        jsonio.write_document(out, {"config": _echo(config), **fields})
 
 
 def _write_csv(
@@ -491,13 +440,11 @@ def cmd_advantage(args: argparse.Namespace, config: dict[str, Any]) -> int:
     rule, params = config["rule"], _build(RuleParams, config)
     check_rule(rule, params=params)  # a setting the rule needs fails before any output
     groups = _Computed(
-        args.input, lambda run: compute_rules(rule, run.rewards, params, _seeds(params, run)).tolist(),
+        args.input, lambda run: compute_rules(rule, run.rewards, params, _seeds(params, run)),
         skip=(DegenerateError, InputError), allow_empty=True, setup=partial(rule_kernel, rule, params),
     )
     with _output(args.output) as out:
-        out.write(json.dumps({"config": _echo(config), "rule": rule}) + "\n")
-        for ids, advs in groups:  # a run's lines in one write
-            out.write("".join([json.dumps({"prompt_id": p, "advantages": a}) + "\n" for p, a in zip(ids, advs)]))
+        jsonio.write_lines(out, {"config": _echo(config), "rule": rule}, groups)
     return groups.exit_code
 
 
@@ -554,6 +501,7 @@ def cmd_predict_bon(args: argparse.Namespace, config: dict[str, Any]) -> int:
             totals = [total + v for total, v in zip(totals, values)]
             tail = {"r": r, "mu": mu, "sigma": sigma, "q": q}
             per_prompt.append({"prompt_id": prompt_id, "tail": tail, "predicted": dict(zip(keys, values))})
+    check_finite(np.array(totals), lambda col: f"predicted best-of-{keys[col]} mean over the prompts overflows: inf")
     mean = {key: total / len(per_prompt) for key, total in zip(keys, totals)}
     _write_doc(args.output, config, budgets=budgets, mean_predicted=mean, per_prompt=per_prompt)
     return 0

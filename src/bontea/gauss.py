@@ -224,11 +224,20 @@ def predict_vn(
     """Best-of-N value predicted from a tail mean and spread: mu + c_tilde_n * sigma.
 
     The arguments broadcast: (B, 1) tail statistics against a row of c_tilde_n,
-    one per budget, give a (B, budgets) table.
+    one per budget, give a (B, budgets) table. A prediction that overflows
+    raises ``DegenerateError`` naming the first one's operands, in C order.
     """
     if np.any(np.asarray(sigma) <= 0):
         raise InputError(f"tail sigma must be positive, got {np.min(sigma)}")
-    return mu + c_tilde_n * sigma
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = mu + c_tilde_n * sigma
+
+    def overflow(*index: int) -> str:
+        mu_i, sigma_i, c_i = (float(a[index]) for a in np.broadcast_arrays(mu, sigma, c_tilde_n))
+        return f"predicted best-of-N value overflows: mu={mu_i}, sigma={sigma_i}, c_tilde_n={c_i}"
+
+    check_finite(values, overflow)
+    return values
 
 
 @lru_cache(maxsize=None)

@@ -29,7 +29,7 @@ from bontea import (
     tail_constants,
     tail_stats,
 )
-from bontea import cli
+from bontea import cli, jsonio
 from bontea.advantages import RULE_NAMES
 from bontea.cli import main
 from bontea.tailstats import RewardGroup, tail_count
@@ -422,6 +422,9 @@ def per_group_predict_bon(path, alpha, budgets):
             })
     except InputError as exc:
         return None, [f"error: {exc}"], 2
+    for n, total in totals.items():
+        if not np.isfinite(total):
+            return None, [f"error: predicted best-of-{n} mean over the prompts overflows: {total}"], 3
     mean = {str(n): totals[n] / len(per_prompt) for n in budgets}
     return {"budgets": list(budgets), "mean_predicted": mean, "per_prompt": per_prompt}, [], 0
 
@@ -717,6 +720,50 @@ class TestInputTypes:
         expected = compute_rules("grpo", rewards, RuleParams())
         body = [json.dumps({"prompt_id": f"v{i}", "advantages": row}) for i, row in enumerate(expected.tolist())]
         assert out.read_text().splitlines()[1:] == body
+
+
+class TestWriterScreen:
+    """The writers give ``json.dumps``'s bytes on both sides of orjson's screen (see ``jsonio``).
+
+    Each test also counts what ``json.dumps`` wrote, so that a screen that
+    lets too little through to orjson fails as well as one that lets too much.
+    """
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The (value, keyword arguments) of each ``json.dumps`` call from now on."""
+        calls, dumps = [], json.dumps
+        monkeypatch.setattr(jsonio.json, "dumps", lambda value, **kw: calls.append((value, kw)) or dumps(value, **kw))
+        return calls, dumps
+
+    @pytest.mark.parametrize("scale, by_json", [(1.0, 0), (1e-6, 1), (3e16, 1)], ids=["inside", "tiny", "huge"])
+    def test_a_run_with_one_group_outside(self, tmp_path, monkeypatch, scale, by_json):
+        """The run is ``json.dumps``'s bytes, and only the group outside the screen is written by ``json.dumps``."""
+        rewards = np.random.default_rng(32).standard_normal((64, 64))
+        rewards[17] *= scale  # grpo's advantages scale with the rewards
+        src, out = tmp_path / "groups.jsonl", tmp_path / "adv.jsonl"
+        write_groups(src, [{"prompt_id": f"g{i}", "rewards": r} for i, r in enumerate(rewards.tolist())])
+        calls, dumps = self.spy(monkeypatch)
+        assert main(["advantage", "-i", str(src), "-o", str(out), "--rule", "grpo"]) == 0
+        advantages = compute_rules("grpo", rewards, RuleParams(), range(64)).tolist()
+        expected = [dumps({"prompt_id": f"g{i}", "advantages": a}) for i, a in enumerate(advantages)]
+        assert out.read_text().splitlines()[1:] == expected
+        assert sum(type(value) is dict and "advantages" in value for value, _ in calls) == by_json
+
+    def test_predict_bon_prompt_ids_json_dumps_escapes(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(32)
+        src, out = tmp_path / "groups.jsonl", tmp_path / "predict.json"
+        write_groups(src, [{"prompt_id": p, "rewards": rng.standard_normal(32).tolist()}
+                           for p in ("caf\u00e9", "del\x7f", "plain")])
+        calls, dumps = self.spy(monkeypatch)
+        assert main(["predict-bon", "-i", str(src), "-o", str(out), "--budgets", "1,8"]) == 0
+        payload, _, _ = per_group_predict_bon(src, 0.25, (1, 8))
+        text = out.read_text()
+        assert text == dumps({"config": json.loads(text)["config"], **payload}, indent=2) + "\n"
+        assert '"prompt_id": "caf\\u00e9"' in text and '"prompt_id": "del\\u007f"' in text
+        # only the values orjson would write otherwise fall back: the config echo's eps_sigma and two ids
+        assert [(value, kw) for value, kw in calls if kw] == [(1e-06, {"indent": 2}), ("caf\u00e9", {"indent": 2}),
+                                                              ("del\x7f", {"indent": 2})]
 
 
 class TestWeightsCommand:
@@ -1283,6 +1330,27 @@ class TestFiniteOrTyped:
         proc = run_cli(*argv)
         assert proc.returncode == 3
         assert proc.stderr.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "groups, flags, message",
+        [
+            # a sigma floor so large that mu + c_tilde_n * sigma overflows for both budgets
+            ([[float(i) for i in range(1, 9)]], ["--eps-sigma", "1e308", "--budgets", "1,128"],
+             "prompt p0 (line 1): predicted best-of-N value overflows: mu=7.5, sigma=1e+308, c_tilde_n=-"),
+            # finite predictions whose left-to-right total overflows
+            ([[1e308] * 4] * 2, [], "predicted best-of-1 mean over the prompts overflows: inf"),
+        ],
+        ids=["prediction", "mean"],
+    )
+    def test_predict_bon(self, tmp_path, groups, flags, message):
+        src = tmp_path / "groups.jsonl"
+        write_groups(src, [{"prompt_id": f"p{i}", "rewards": g} for i, g in enumerate(groups)])
+        out = tmp_path / "predict.json"
+        proc = run_cli("predict-bon", "-i", str(src), "-o", str(out), *flags)
+        assert proc.returncode == 3
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"error: {message}")
         assert not out.exists()
 
     @pytest.mark.parametrize("rule", RULE_NAMES)

@@ -113,6 +113,19 @@ CASES: dict[str, tuple[list[str], int]] = {
     # 5e-324, prompt ids that are not strings or hold escapes, extra fields and a field set twice
     "advantage-tea-edge": (["advantage", "-i", "edge.jsonl", "--rule", "tea"], 0),
     "predict-bon-edge": (["predict-bon", "-i", "edge.jsonl"], 0),
+    # numbers at the edges of the writers' orjson screen: advantages and predictions below 1e-4
+    # (and all zero) in one run with ordinary ones, and from 1e16 up beside ones just under it
+    "advantage-grpo-tiny": (["advantage", "-i", "tiny.jsonl", "--rule", "grpo"], 0),
+    "advantage-grpo-huge": (["advantage", "-i", "huge.jsonl", "--rule", "grpo"], 0),
+    "predict-bon-tiny": (["predict-bon", "-i", "tiny.jsonl"], 0),
+    "predict-bon-huge": (["predict-bon", "-i", "huge.jsonl", "--budgets", "1,128"], 0),
+    # prompt ids that json.dumps escapes: non-ASCII, DEL, a tab and a quote
+    "advantage-grpo-ids": (["advantage", "-i", "ids.jsonl", "--rule", "grpo"], 0),
+    "predict-bon-ids": (["predict-bon", "-i", "ids.jsonl", "--budgets", "1,4,32"], 0),
+    "eval-bon-ids": (
+        ["eval-bon", "-i", "ids.jsonl", "--baseline", "ids.jsonl", "--budgets", "1,2,4", "--resamples", "50"],
+        0,
+    ),
 }
 
 

@@ -141,6 +141,18 @@ class TestPredictVn:
         with pytest.raises(InputError):
             predict_vn(np.zeros((2, 1)), np.array([[1.0], [0.0]]), tail_constants(0.25, 2).c_tilde_n)
 
+    def test_overflow_is_degenerate_and_silent(self):
+        # row 1's prediction at the second budget is the first that overflows
+        mu, sigma = np.array([[1.0], [1e308]]), np.array([[1.0], [1e308]])
+        c_tilde = np.array([-0.5, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateError, match=r"^predicted best-of-N value overflows: mu=1e\+308, "
+                               r"sigma=1e\+308, c_tilde_n=2\.0$"):
+                predict_vn(mu, sigma, c_tilde)
+            with pytest.raises(DegenerateError, match="overflows"):
+                predict_vn(1e308, 1e308, 1.5)
+
 
 class TestQqTailFit:
     def test_recovers_gaussian_parameters(self):

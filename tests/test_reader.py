@@ -1,7 +1,7 @@
 """The group reader's decode: orjson where it reads a line as ``json.loads`` does, ``json.loads`` elsewhere.
 
 ``cli.read_reward_groups`` keeps orjson's reading of a plain record (see
-``cli._decode``). That rests on orjson giving every number the float64 bits
+``jsonio.decode``). That rests on orjson giving every number the float64 bits
 ``json.loads`` gives it, and refusing only what ``json.loads`` reads as an
 infinity or refuses too. The differential tests below pin that against the
 installed orjson; ``TestBadLinesAtRunBoundaries`` in ``test_cli.py`` covers
@@ -20,11 +20,12 @@ from pathlib import Path
 
 import numpy as np
 import orjson
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bontea
-from bontea import cli
+from bontea import cli, jsonio
 
 
 def _bits(value: float) -> int:
@@ -103,7 +104,7 @@ def test_clean_file_never_reaches_json_loads(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("json.loads called")
 
-    monkeypatch.setattr(cli.json, "loads", refuse)
+    monkeypatch.setattr(json, "loads", refuse)
     assert [_run(tmp_path, argv, src) for argv in commands] == expected
 
 
@@ -112,3 +113,71 @@ def test_orjson_is_not_imported_with_the_cli():
     env = {**os.environ, "PYTHONPATH": str(Path(bontea.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+#: Runs ``advantage`` on each group file named after the output argument ('-' for stdout), all in
+#: one process, and writes each command's exit code and stderr to stderr as one JSON list.
+_DEPTH_SCRIPT = """
+import contextlib, io, json, sys
+from bontea.cli import main
+results = []
+for path in sys.argv[2:]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["advantage", "-i", path] + ([] if sys.argv[1] == "-" else ["-o", sys.argv[1]]))
+    results.append([code, err.getvalue()])
+sys.stderr.write(json.dumps(results))
+"""
+
+
+def _nested_line(depth: int, field: str) -> str:
+    """A line of 64 rewards whose brackets and braces nest ``depth`` deep, in 'rewards' or in an extra field."""
+    rewards = [i / 8 for i in range(64)]
+    if field == "rewards":  # the object, the rewards list, then depth - 2 lists in its first entry
+        return '{"prompt_id": "bad", "rewards": [' + "[" * (depth - 2) + "]" * (depth - 2) + ", 0.5" * 63 + "]}"
+    meta = "[" * (depth - 1) + "]" * (depth - 1)
+    return '{"meta": ' + meta + ', "prompt_id": "bad", "rewards": ' + json.dumps(rewards) + "}"
+
+
+@pytest.mark.parametrize("output", ["-", os.devnull], ids=["pipe", "devnull"])
+@pytest.mark.parametrize("field", ["rewards", "extra"])
+def test_nesting_refusal_depends_only_on_the_depth(tmp_path, field, output):
+    """Past ``MAX_DEPTH`` a line is refused as nested too deeply, and at it not, whatever the process's stack.
+
+    Each depth is one command, all in one fresh process; before the bound,
+    lines 960-1000 deep were refused or not by the interpreter's recursion
+    limit, which counts the caller's frames too.
+    """
+    depths = [jsonio.MAX_DEPTH, jsonio.MAX_DEPTH + 1, *range(960, 1001)]
+    paths = []
+    for depth in depths:
+        path = tmp_path / f"{field}{depth}.jsonl"
+        path.write_text(_nested_line(depth, field) + "\n", encoding="utf-8")
+        paths.append(str(path))
+    env = {**os.environ, "PYTHONPATH": str(Path(bontea.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _DEPTH_SCRIPT, output, *paths],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    for depth, path, (code, err) in zip(depths, paths, json.loads(proc.stderr)):
+        too_deep = (2, f"error: {path}:1: invalid JSON (nested too deeply)\n")
+        if depth > jsonio.MAX_DEPTH:
+            assert (code, err) == too_deep, depth
+        else:  # an extra field is accepted; nested rewards are refused, but not for their depth
+            assert (code, err) != too_deep and (code == 0) == (field == "extra"), (depth, code, err)
+
+
+@pytest.mark.parametrize(
+    "line, deep",
+    [
+        ("[" * 513 + "]" * 513, True),
+        ("[" * 512 + "]" * 512, False),
+        ('{"a": "' + "[" * 600 + '"}', False),  # brackets inside a string do not nest
+        ('{"a": "\\"' + "{" * 600 + '"}', False),  # nor after an escaped quote
+        ('{"a": "x\\\\"' + ", [" * 513, True),  # an escaped backslash leaves the quote after it closing
+        ('"unterminated ' + "[" * 600, False),
+        ("]" * 600 + "[" * 512, False),
+    ],
+)
+def test_depth_counts_brackets_outside_strings(line, deep):
+    assert jsonio.MAX_DEPTH == 512
+    assert jsonio._too_deep(line) == deep
