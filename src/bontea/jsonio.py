@@ -14,7 +14,9 @@ it is 0 or 1e-4 <= |v| < 1e16; outside that screen it writes ``1e-5`` as
 as ``null``. ``json.dumps`` escapes every character of a string but
 printable ASCII, which orjson writes as it is. So ``write_lines`` and
 ``write_document`` use orjson only for values inside the screen, and
-``json.dumps`` for anything else.
+``json.dumps`` for anything else. ``write_lines`` hands orjson each row of
+a run's matrix as it is, with ``OPT_SERIALIZE_NUMPY``: for a C-contiguous
+float64 row that writes the bytes of the row's list, with no list built.
 """
 
 from __future__ import annotations
@@ -109,6 +111,11 @@ def in_screen(values: np.ndarray) -> np.ndarray:
     return ((size == 0.0) | ((size >= _LOW) & (size < _HIGH))).all(axis=-1)
 
 
+def _printable(text: str) -> bool:
+    """Whether ``text`` is printable ASCII, which orjson quotes as ``json.dumps`` does."""
+    return text.isascii() and text.isprintable()
+
+
 def _plain(value: Any) -> bool:
     """Whether orjson writes ``value`` as ``json.dumps`` does.
 
@@ -119,13 +126,13 @@ def _plain(value: Any) -> bool:
     if kind is float:
         return value == 0.0 or _LOW <= abs(value) < _HIGH
     if kind is str:
-        return value.isascii() and value.isprintable()
+        return _printable(value)
     if kind is dict:
         try:
             keys = "".join(value)  # every key's characters at once; a key that is not a string raises
         except TypeError:
             return False
-        return keys.isascii() and keys.isprintable() and all(map(_plain, value.values()))
+        return _printable(keys) and all(map(_plain, value.values()))
     if kind is list or kind is tuple:
         return all(map(_plain, value))
     if kind is int:
@@ -136,19 +143,25 @@ def _plain(value: Any) -> bool:
 def write_lines(out: TextIO, header: dict[str, Any], runs: Iterable[tuple[Sequence[str], np.ndarray]]) -> None:
     """``header``, then one ``{"prompt_id": ..., "advantages": [...]}`` line per row of each run, a run per write.
 
-    A run is its prompt ids and their (B, m) matrix. A row inside the screen
-    is written by orjson, with ``, `` for its ``,``; any other by
-    ``json.dumps``. Prompt ids are always ``json.dumps``'s.
+    A run is its prompt ids and their (B, m) matrix, made C-contiguous
+    float64 once, as orjson's NumPy serializer needs. A row inside the screen
+    is encoded by orjson straight from the matrix, with ``, `` for its ``,``;
+    any other row by ``json.dumps`` of its list. The ids of a run whose ids
+    are all printable ASCII are quoted by orjson, and any other run's by
+    ``json.dumps``.
     """
-    from orjson import dumps
+    from orjson import OPT_SERIALIZE_NUMPY, dumps
 
     out.write(json.dumps(header) + "\n")
     for ids, rows in runs:
-        out.write("".join([
-            f'{{"prompt_id": {json.dumps(p)}, "advantages": {dumps(a).decode().replace(",", ", ")}}}\n' if plain
-            else json.dumps({"prompt_id": p, "advantages": a}) + "\n"
-            for p, a, plain in zip(ids, rows.tolist(), in_screen(rows).tolist())
-        ]))
+        rows = np.ascontiguousarray(rows, dtype=float)
+        quote = dumps if _printable("".join(ids)) else lambda p: json.dumps(p).encode()
+        out.write(b"".join([
+            b'{"prompt_id": ' + quote(p) + b', "advantages": '
+            + dumps(a, option=OPT_SERIALIZE_NUMPY).replace(b",", b", ") + b"}\n" if plain
+            else json.dumps({"prompt_id": p, "advantages": a.tolist()}).encode() + b"\n"
+            for p, a, plain in zip(ids, rows, in_screen(rows).tolist())
+        ]).decode())
 
 
 def write_document(out: TextIO, document: dict[str, Any]) -> None:

@@ -192,11 +192,31 @@ class TestAdvantageCommand:
         assert np.all(np.isfinite(row["advantages"]))
 
 
+def _nesting_depth(line):
+    """How deep the brackets and braces of a JSON line nest, outside its strings."""
+    depth = deepest = 0
+    in_string = escaped = False
+    for c in line:
+        if escaped:
+            escaped = False
+        elif in_string:
+            escaped, in_string = c == "\\", c != '"'
+        elif c == '"':
+            in_string = True
+        elif c in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif c in "]}":
+            depth -= 1
+    return deepest
+
+
 def read_groups(path):
     """(line, group) of each line of a JSONL file: one ``json.loads`` and one ``RewardGroup`` per line.
 
     The per-line reading the group commands must match. The first bad line
-    raises the ``InputError`` the commands report, naming the file and line.
+    raises the ``InputError`` the commands report, naming the file and line;
+    a line nested more than 512 deep is refused before ``json.loads`` reads it.
     """
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
@@ -204,6 +224,8 @@ def read_groups(path):
             if not line:
                 continue
             try:
+                if line.count("[") + line.count("{") > 512 and _nesting_depth(line) > 512:
+                    raise RecursionError
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
@@ -312,6 +334,10 @@ def _bad_line(kind):
     if kind == "deep-extra-field":  # a line that passes the run check, but for its nesting
         line = json.dumps({"prompt_id": "bad", "rewards": [i / 8 for i in range(64)], "scores": scores})
         return line.replace('"rewards"', '"meta": ' + _DEEP + ', "rewards"')
+    if kind.startswith("depth-"):  # the same, the whole line nested just this deep, which json.loads reads
+        nested = int(kind.removeprefix("depth-")) - 1
+        line = json.dumps({"prompt_id": "bad", "rewards": [i / 8 for i in range(64)], "scores": scores})
+        return line.replace('"rewards"', '"meta": ' + "[" * nested + "]" * nested + ', "rewards"')
     if kind in TestBadLinesAtRunBoundaries.ACCEPTED:
         prompt_id = 10**25 if kind == "big-int-id" else "\ud800"
         return json.dumps({"prompt_id": prompt_id, "rewards": [i / 8 for i in range(64)], "scores": scores})
@@ -350,7 +376,9 @@ class TestBadLinesAtRunBoundaries:
              "scores-shape", "nan-token", "infinity-token", "overflow-literal", "deep-rewards",
              "deep-extra-field", "digits", *ACCEPTED]
     CASES = [(kind, {line: kind}) for kind in KINDS for line in (1, 32, 64, 65)] + [
-        ("nan-before-invalid-json", {10: "nan", 20: "invalid-json"})
+        ("nan-before-invalid-json", {10: "nan", 20: "invalid-json"}),
+        ("depth-513", {32: "depth-513"}),  # past the bound of 512, yet within json.loads's recursion
+        ("depth-600", {65: "depth-600"}),
     ]
 
     @staticmethod

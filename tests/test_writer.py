@@ -4,7 +4,14 @@
 inside a screen: floats that are 0 or have 1e-4 <= |v| < 1e16, printable
 ASCII strings, 64-bit integers. That rests on the installed orjson writing
 those exactly as ``json.dumps`` does; the differential tests below pin it.
-``TestWriterScreen`` in ``test_cli.py`` covers the commands' fallback.
+``write_lines`` hands orjson each row as a view of its run's float64
+matrix, which orjson's NumPy serializer writes, with
+``OPT_SERIALIZE_NUMPY``, as the bytes of the row's list; it needs the
+matrix C-contiguous, and would write float32 in float32's shortest digits,
+so the writer makes each run's matrix C-contiguous float64 first. The tests
+below pin both: the NumPy bytes against the list bytes, and matrices of
+every layout against ``json.dumps``. ``TestWriterScreen`` in ``test_cli.py``
+covers the commands' fallback.
 """
 
 from __future__ import annotations
@@ -116,6 +123,14 @@ def test_write_document_is_json_dumps_indent_2(document):
     assert out.getvalue() == json.dumps(document, indent=2) + "\n"
 
 
+def _json_dumps_lines(header, runs) -> str:
+    """What ``write_lines`` must write: ``json.dumps`` of the header and of each row's object, a line each."""
+    lines = [json.dumps(header)] + [
+        json.dumps({"prompt_id": p, "advantages": a}) for ids, rows in runs for p, a in zip(ids, rows.tolist())
+    ]
+    return "".join(line + "\n" for line in lines)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.lists(SCREEN_FLOATS, min_size=3, max_size=3), min_size=1, max_size=4),
@@ -125,8 +140,60 @@ def test_write_document_is_json_dumps_indent_2(document):
 def test_write_lines_is_json_dumps(rows, outside, ids):
     if outside is not None:
         rows[-1][0] = outside
-    ids = ids[: len(rows)]
+    runs = [(ids[: len(rows)], np.array(rows))]
     out = io.StringIO()
-    jsonio.write_lines(out, {"rule": "r"}, [(ids, np.array(rows))])
-    expected = [json.dumps({"rule": "r"})] + [json.dumps({"prompt_id": p, "advantages": a}) for p, a in zip(ids, rows)]
-    assert out.getvalue() == "".join(line + "\n" for line in expected)
+    jsonio.write_lines(out, {"rule": "r"}, runs)
+    assert out.getvalue() == _json_dumps_lines({"rule": "r"}, runs)
+
+
+#: Printable-ASCII prompt ids, rich in the characters a quoting could treat differently.
+ASCII_IDS = st.text(st.sampled_from('"\\/') | st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=6)
+#: An id that ``json.dumps`` escapes: it holds DEL or a character beyond ASCII.
+ESCAPED_IDS = st.builds(str.__add__, ASCII_IDS, st.characters(min_codepoint=0x7F))
+#: (B, m) matrices inside the screen, as nested lists, B in 1-4 and m in 1-64.
+SCREEN_MATRICES = st.tuples(st.integers(1, 4), st.integers(1, 64)).flatmap(
+    lambda shape: st.lists(st.lists(SCREEN_FLOATS, min_size=shape[1], max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SCREEN_MATRICES, st.lists(ASCII_IDS, min_size=4, max_size=4), ESCAPED_IDS, st.integers(0, 3))
+@example([EDGES, [-v for v in EDGES]], ['"', "\\"], "caf\u00e9", 0)
+def test_the_numpy_path_is_json_dumps(rows, ids, escaped, at):
+    matrix = np.array(rows)
+    for row, values in zip(matrix, rows):
+        assert orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY) == orjson.dumps(values)
+    ids = ids[: len(rows)]
+    mixed = ids[:]
+    mixed[at % len(mixed)] = escaped
+    runs = [(ids, matrix), (mixed, matrix)]  # ids quoted by orjson, then by json.dumps
+    out = io.StringIO()
+    jsonio.write_lines(out, {"rule": "r"}, runs)
+    assert out.getvalue() == _json_dumps_lines({"rule": "r"}, runs)
+
+
+def test_a_run_quotes_its_ids_one_way(monkeypatch):
+    """orjson quotes a run of printable-ASCII ids; one other id sends its whole run's ids to ``json.dumps``."""
+    calls, dumps = [], json.dumps
+    monkeypatch.setattr(jsonio.json, "dumps", lambda value, **kw: calls.append(value) or dumps(value, **kw))
+    rows = np.full((2, 3), 0.5)
+    runs = [(['a"/', "b\\"], rows), (["c", "caf\u00e9"], rows)]
+    out = io.StringIO()
+    jsonio.write_lines(out, {"rule": "r"}, runs)
+    assert calls == [{"rule": "r"}, "c", "caf\u00e9"]
+    monkeypatch.undo()
+    assert out.getvalue() == _json_dumps_lines({"rule": "r"}, runs)
+
+
+@pytest.mark.parametrize("layout", ["transposed", "fortran", "strided", "float32"])
+def test_write_lines_takes_any_layout(layout):
+    """A matrix orjson's NumPy serializer refuses (not C-contiguous) or writes otherwise (float32) gives the same lines."""
+    m = np.random.default_rng(33).standard_normal((6, 8))
+    rows = {"transposed": m.T, "fortran": np.asfortranarray(m), "strided": m[:, ::2],
+            "float32": m.astype(np.float32)}[layout]
+    assert rows.flags.c_contiguous == (layout == "float32")
+    runs = [([f"g{i}" for i in range(len(rows))], rows)]
+    out = io.StringIO()
+    jsonio.write_lines(out, {"rule": "r"}, runs)
+    assert out.getvalue() == _json_dumps_lines({"rule": "r"}, runs)
