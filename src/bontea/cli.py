@@ -20,11 +20,12 @@ import argparse
 import csv
 import inspect
 import os
+import struct
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import chain, starmap
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -274,25 +275,32 @@ def read_reward_groups(path: str) -> Iterator[_Run]:
 def _checked_run(path: str, first: int, run: list[tuple[int, str, str, Any, Any]]) -> Iterator[_Run]:
     """Yield the decoded lines of a run as a ``_Run``, their rewards and scores checked as whole arrays.
 
-    The values' types are checked too (see ``_numbers``), as the arrays would
-    read a JSON string or boolean as a number. A run that fails the check is
-    yielded as runs of one: each line is read again by ``jsonio.loads``, which
-    refuses nesting orjson read, and its group built by ``RewardGroup``,
-    which raises the first bad line's ``InputError``.
+    Each line's rewards are packed as m doubles by one ``struct.Struct`` per
+    run, which refuses a JSON string, null, list or object, and a line of
+    another length; the packed bytes are the run's matrix. The scores are one
+    ``np.array``, which would read a JSON string as a number, so a ``sum`` of
+    each group's scores catches a string there. ``_numbers`` then looks for a
+    JSON boolean in both. A run that fails the check is yielded as runs of
+    one: each line is read again by ``jsonio.loads``, which refuses nesting
+    orjson read, and its group built by ``RewardGroup``, which raises the
+    first bad line's ``InputError``.
     """
     if not run:
         return
     lines, _, ids, rewards, scores = zip(*run)
     try:
-        matrix = np.array(rewards, dtype=float)
-        valid = matrix.ndim == 2 and matrix.shape[1] > 0 and bool(np.isfinite(matrix).all())
-        valid = valid and _numbers(matrix, rewards)
+        m = len(rewards[0])  # a run's rewards are all lists of m, or all not lists: those fail below
+        packed = bytearray().join(starmap(struct.Struct(f"{m}d").pack, rewards))
+        matrix = np.frombuffer(packed, dtype=float).reshape(len(rewards), m)  # writable, as the bytearray is
+        valid = m > 0 and bool(np.isfinite(matrix).all()) and _numbers(matrix, rewards)
         if valid and any(s is not None for s in scores):
             stacked = np.array(scores, dtype=float)  # fails, or is not 3-d, if a group has none
-            valid = stacked.ndim == 3 and stacked.shape[1] == matrix.shape[1] and bool(np.isfinite(stacked).all())
+            valid = stacked.ndim == 3 and stacked.shape[1] == m and bool(np.isfinite(stacked).all())
+            for group in scores:
+                sum(chain.from_iterable(group))  # raises TypeError on a JSON string
             valid = valid and _numbers(stacked, scores, chain.from_iterable)
             scores = tuple(stacked)
-    except (ValueError, TypeError, OverflowError):
+    except (ValueError, TypeError, OverflowError, struct.error):
         valid = False
     if valid:
         yield _Run(first, lines, ids, matrix, scores)
@@ -307,15 +315,14 @@ def _checked_run(path: str, first: int, run: list[tuple[int, str, str, Any, Any]
 
 
 def _numbers(array: np.ndarray, lines: Sequence, values: Callable[[Any], Iterable] = iter) -> bool:
-    """Whether the decoded ``lines`` behind ``array`` hold no JSON boolean; a JSON string raises ``TypeError``.
+    """Whether the decoded ``lines`` behind ``array`` hold no JSON boolean.
 
-    ``values`` gives a line's values. ``array`` reads a string or a boolean as
-    a number. ``sum`` of a line's values raises on a string, and a boolean
-    reads as exactly 0.0 or 1.0, so only an array holding one of those gets
-    the per-value type lookup, the check ``RewardGroup`` makes.
+    ``values`` gives a line's values. A boolean reads as exactly 0.0 or 1.0,
+    so only an array holding one of those gets the per-value type lookup,
+    the check ``RewardGroup`` makes. A JSON string never reaches here: for
+    rewards the packer refuses it, and for scores the ``sum`` in
+    ``_checked_run`` raises on it.
     """
-    for line in lines:
-        sum(values(line))
     return not ((array == 0.0) | (array == 1.0)).any() or all_numbers(chain.from_iterable(map(values, lines)))
 
 

@@ -339,8 +339,11 @@ def _bad_line(kind):
         line = json.dumps({"prompt_id": "bad", "rewards": [i / 8 for i in range(64)], "scores": scores})
         return line.replace('"rewards"', '"meta": ' + "[" * nested + "]" * nested + ', "rewards"')
     if kind in TestBadLinesAtRunBoundaries.ACCEPTED:
-        prompt_id = 10**25 if kind == "big-int-id" else "\ud800"
-        return json.dumps({"prompt_id": prompt_id, "rewards": [i / 8 for i in range(64)], "scores": scores})
+        prompt_id = {"big-int-id": 10**25, "surrogate-id": "\ud800"}.get(kind, "exact")
+        rewards = [i / 8 for i in range(64)]
+        if kind == "exact-int":  # integers a double holds only rounded, one within orjson's 64 bits and one past them
+            rewards[3:5] = [2**53 + 1, 2**64 + 1]
+        return json.dumps({"prompt_id": prompt_id, "rewards": rewards, "scores": scores})
     if kind == "nan":
         rewards[7] = float("nan")
     elif kind == "nan-token":  # NaN among the scores, not the rewards
@@ -353,6 +356,10 @@ def _bad_line(kind):
         rewards = [[0.5]] * 32 + [[0.5, 1.5]] * 32
     elif kind == "string-entry":
         rewards[5] = "x"
+    elif kind == "null-entry":
+        rewards[5] = None
+    elif kind == "object-entry":
+        rewards[5] = {"x": 0.5}
     elif kind == "huge-int":
         rewards[3] = 10**400
     line = json.dumps({"prompt_id": "bad", "rewards": rewards, "scores": scores})
@@ -367,14 +374,16 @@ class TestBadLinesAtRunBoundaries:
     as well. Lines 1-64 are the first run of m = 64 and line 65 starts the next.
     The kinds cover each case where orjson and ``json.loads`` read a line
     differently: a token or literal orjson refuses, nesting deeper than
-    ``json.loads`` reads, and a prompt id orjson would read otherwise.
+    ``json.loads`` reads, and a prompt id orjson would read otherwise. They
+    also cover each kind of reward the run's packer refuses (a string, null,
+    list or object) or rounds (an integer beyond 2**53).
     """
 
-    #: Kinds the reader accepts, with a prompt id orjson refuses or reads as a float.
-    ACCEPTED = ["big-int-id", "surrogate-id"]
-    KINDS = ["invalid-json", "nan", "nested", "ragged", "string-rewards", "string-entry", "huge-int",
-             "scores-shape", "nan-token", "infinity-token", "overflow-literal", "deep-rewards",
-             "deep-extra-field", "digits", *ACCEPTED]
+    #: Kinds the reader accepts: a prompt id orjson refuses or reads as a float, and rounded integer rewards.
+    ACCEPTED = ["big-int-id", "surrogate-id", "exact-int"]
+    KINDS = ["invalid-json", "nan", "nested", "ragged", "string-rewards", "string-entry", "null-entry",
+             "object-entry", "huge-int", "scores-shape", "nan-token", "infinity-token", "overflow-literal",
+             "deep-rewards", "deep-extra-field", "digits", *ACCEPTED]
     CASES = [(kind, {line: kind}) for kind in KINDS for line in (1, 32, 64, 65)] + [
         ("nan-before-invalid-json", {10: "nan", 20: "invalid-json"}),
         ("depth-513", {32: "depth-513"}),  # past the bound of 512, yet within json.loads's recursion

@@ -5,7 +5,8 @@
 ``json.loads`` gives it, and refusing only what ``json.loads`` reads as an
 infinity or refuses too. The differential tests below pin that against the
 installed orjson; ``TestBadLinesAtRunBoundaries`` in ``test_cli.py`` covers
-each line the two read differently.
+each line the two read differently. The run check that turns the decoded
+rewards into a matrix is pinned against the ``np.array`` check it replaced.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 import subprocess
 import sys
 from decimal import Context, Decimal
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,8 @@ from hypothesis import strategies as st
 
 import bontea
 from bontea import cli, jsonio
+from bontea.errors import InputError
+from bontea.tailstats import all_numbers
 
 
 def _bits(value: float) -> int:
@@ -76,6 +80,68 @@ def test_exact_halfway_decimals(value, negative):
     exact = Context(prec=1200)  # a double's exact decimal has at most 767 significant digits
     half = exact.divide(exact.add(Decimal(value), Decimal(math.nextafter(value, math.inf))), 2)
     _assert_same_reading(("-" if negative else "") + str(half))
+
+
+#: Reward values at the edges of what the run check reads: signed zeros, the smallest subnormal,
+#: infinities, NaN, integers a double cannot hold exactly, and integers past the float range.
+_EDGE_NUMBERS = [0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan,
+                 2**53 + 1, 2**63, -(2**63), 2**64 + 1, 10**308, 10**309]
+_NUMBERS = st.sampled_from(_EDGE_NUMBERS) | st.floats() | st.integers(-(2**70), 2**70)
+_NOT_NUMBERS = (st.booleans() | st.none() | st.text(max_size=3) | st.lists(_NUMBERS, max_size=2)
+                | st.dictionaries(st.text(max_size=2), _NUMBERS, max_size=2))
+
+
+@st.composite
+def reward_runs(draw) -> list[list]:
+    """2-4 rows of one length 0-6, of numbers alone, with booleans, or with any JSON value."""
+    entries = draw(st.sampled_from([_NUMBERS, _NUMBERS | st.booleans(), _NUMBERS | _NOT_NUMBERS]))
+    m = draw(st.integers(0, 6))
+    return draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=2, max_size=4))
+
+
+def _old_run_check(rows: list[list]) -> np.ndarray | None:
+    """The matrix the replaced rewards check gave, or None where the reader refused the run.
+
+    That check was one array, a ``sum`` of each line and the 0/1 screen. The array reads a JSON string as a number; the ``sum`` raised ``TypeError``
+    on one. It also raised ``OverflowError`` where integers alone add past
+    the float range before a float joins them (10**308 twice, then 0.5). That
+    refused the run, and the reader read it again line by line, where
+    ``RewardGroup`` looks each value's type up instead; so does this check.
+    """
+    try:
+        matrix = np.array(rows, dtype=float)
+        if matrix.ndim != 2 or matrix.shape[1] == 0 or not np.isfinite(matrix).all():
+            return None
+        for row in rows:
+            try:
+                sum(row)
+            except OverflowError:
+                if not all_numbers(row):
+                    return None
+    except (ValueError, TypeError, OverflowError):
+        return None
+    return matrix if not ((matrix == 0.0) | (matrix == 1.0)).any() or all_numbers(chain.from_iterable(rows)) else None
+
+
+@settings(max_examples=1000, deadline=None)
+@given(reward_runs())
+def test_packed_run_matches_the_array_it_replaced(rows):
+    """The run check accepts what the old one did, with the same bits, as a writable C-contiguous float64 matrix.
+
+    Each line's text is empty, so a run the check refuses raises the
+    ``InputError`` of reading its first line again; an accepted run is
+    yielded whole.
+    """
+    expected = _old_run_check(rows)
+    run = [(i + 1, "", f"p{i}", row, None) for i, row in enumerate(rows)]
+    try:
+        matrix = next(cli._checked_run("run.jsonl", 0, run)).rewards
+    except InputError:
+        assert expected is None, rows
+        return
+    assert expected is not None, rows
+    assert matrix.dtype == np.float64 and matrix.flags.c_contiguous and matrix.flags.writeable
+    assert matrix.shape == expected.shape and (matrix.view(np.int64) == expected.view(np.int64)).all(), rows
 
 
 def _run(tmp_path, argv: list[str], src: Path) -> tuple[int, bytes, str]:
