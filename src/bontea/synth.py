@@ -18,23 +18,24 @@ known means, coefficients fit on a row's first blocks when it has several and
 applied only beyond them) removes most of the remaining tail-vector noise
 without biasing the mean.
 
-Replications are drawn in blocks, each from its own SeedSequence child, and
-threads draw and measure each block a chunk of rows at a time
-(``_block_outputs``). The prefix kernel touches only candidate slices of a
-row (``_PrefixCrossFit``); small per-row arithmetic keeps the thresholds on
-the leading axis, so its loops run over rows. Every kernel output is per row,
-and the chunk outputs are joined in row order before the block is merged, so
-a row's numbers depend only on its seed and replication count, not on the
-chunk size, the thread count or which thread drew it.
+Replications are drawn in blocks, block i from its own SFC64 stream seeded by
+the i-th SeedSequence child of the row's seed, and each block is drawn and
+measured by one thread, a chunk of rows at a time (``_block_outputs``). The
+prefix kernel touches only candidate slices of a row (``_PrefixCrossFit``);
+small per-row arithmetic keeps the thresholds on the leading axis, so its
+loops run over rows. Every kernel output is per row, a row's normals are its
+stream's next ones whatever the chunk size, and the blocks are merged in block
+order, so a row's numbers depend only on its seed and replication count, not
+on the chunk size, the thread count or which thread drew it. Rows measured
+when blocks were 4096 PCG64 replications, with the prefix halves drawn whole
+and apart, keep their law under this scheme but not their bits.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,21 +45,21 @@ from .gauss import check_alpha, ndtr, norm_pdf, tail_constants
 from .prefixes import cancellation_weights, combine, theory_prefixes
 from .tailstats import slice_tail_stats, tail_count
 
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
-
-#: Replications per block. Each block draws from its own SeedSequence child,
-#: and the block is the unit the moments are merged in. A block is never held
-#: whole: only its per-row outputs are.
-BLOCK_SIZE = 4096
+#: Replications per block, the unit of both randomness and work: block i
+#: draws from its own SFC64 stream, one thread draws and measures it, and its
+#: moments are merged whole. A block is never held whole, only its per-row
+#: outputs are. Fewer rows per block split a row among more threads, but
+#: 256-row blocks made the acceptance fixture slower.
+BLOCK_SIZE = 1024
 #: Values per chunk (1 MiB of normals): a block is drawn and measured
-#: max(1, _CHUNK_VALUES // width) rows at a time, so each kernel pass works on
-#: data that stays in cache and at most a few chunks of draws are live at
-#: once, whatever the group size.
+#: max(1, _CHUNK_VALUES // width) rows at a time into one buffer its thread
+#: reuses, so each kernel pass works on data that stays in cache, whatever
+#: the group size.
 _CHUNK_VALUES = 1 << 17
-#: Cores the lab's threads share: one or two threads draw, and a pool with a
-#: thread per core measures what they draw, but for a one-block row, whose
-#: drawing thread keeps a core to itself (see ``_block_outputs``).
+#: Cores the lab's threads share: the calling thread takes blocks 0, _CORES,
+#: 2 _CORES, ... and a pool of _CORES - 1 threads the rest (see
+#: ``_block_outputs``). A pool of _CORES threads taking every block would
+#: leave the calling thread idle and hold one more chunk buffer.
 _CORES = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -283,6 +284,14 @@ class _PrefixCrossFit:
         dens = float(norm_pdf(z_a))
         self.control_means = np.array([spec.alpha, dens, spec.alpha + z_a * dens])
 
+    def measure(self, z: np.ndarray):
+        """Both stages on rows of 2 sizes[-1] normals: the tail half, then the evaluation half.
+
+        Neither stage reads past sizes[-1] of its half, so a row draws no more.
+        """
+        half = self.sizes[-1]
+        return self.evaluate(z[:, half:], *self.tail(z[:, :half]))
+
     def tail(self, z_a: np.ndarray):
         """Tail stage on rows of tail halves: tail vectors, RB term and controls.
 
@@ -378,133 +387,81 @@ LAB_TAGS = (*RULE_NAMES, "oracle", "prefix-tea-raw")
 
 @lru_cache(maxsize=256)
 def _gradient_kernel(rule: str, spec: SyntheticSpec, params: RuleParams, m: int):
-    """The lab's set-up of a tag for groups of m: (measure, tail), built once per (tag, spec, params, m).
+    """The lab's set-up of a tag for groups of m: (measure, width), built once per (tag, spec, params, m).
 
-    ``check_rule`` with m refuses a setting that cannot serve m. For
-    'prefix-tea', ``tail`` is the cross-fitted tail stage and ``measure`` its
-    evaluation stage (see ``_block_outputs``); for every other tag ``tail``
-    is None and ``measure`` maps a chunk z to (induced gradient per row, any
-    advantage nonzero). Neither holds a mutable buffer, so threads may share them.
+    ``check_rule`` with m refuses a setting that cannot serve m. ``measure``
+    maps a chunk of rows of ``width`` normals to (induced gradient per row,
+    any advantage nonzero). For 'prefix-tea' a row is a tail half, then an
+    evaluation half (``_PrefixCrossFit.measure``), and the Rao-Blackwell term
+    and the controls come between those two outputs. No ``measure`` holds a
+    mutable buffer, so threads may share them.
     """
     check_rule(rule, LAB_TAGS, params, m)
     if rule == "prefix-tea":
         kernel = _PrefixCrossFit(m, spec, params)
-        return kernel.evaluate, kernel.tail
+        return kernel.measure, 2 * kernel.sizes[-1]
     if rule == "tea":
-        return partial(_tea_block, spec=spec, eps_sigma=params.eps_sigma), None
+        return partial(_tea_block, spec=spec, eps_sigma=params.eps_sigma), m
     if rule == "oracle":
-        return partial(_oracle_block, spec=spec), None
+        return partial(_oracle_block, spec=spec), m
     advantages = rule_kernel(rule, params, m)
 
     def measure(z: np.ndarray):
         adv = advantages(z, None)
         return _score_sums(adv, z, spec) / m, (adv != 0.0).any(axis=1)
 
-    return measure, None
+    return measure, m
 
 
-def _draw_chunks(rng: np.random.Generator, ring: deque, take: int, rows: int):
-    """The first ``take`` of the next ``rows`` rows of normals, as row chunks in stream order.
+def _measure_block(measure, width: int, stream: np.random.SeedSequence, rows: int):
+    """``measure``'s outputs over one block of ``rows`` rows of ``width`` normals from ``stream``.
 
-    ``ring`` holds (step, width) buffers, and each chunk of step rows is
-    drawn into the one that has gone longest unused, which then moves to the
-    ring's end. The rows past ``take`` are drawn too, so the stream moves past
-    all ``rows``, but one chunk at a time into a fresh buffer outside the
-    ring, as they are never yielded (see ``_submit_block``).
+    The block is drawn and measured a chunk of rows at a time, each chunk
+    drawn over the last in one buffer, so no kernel output may be a view of
+    its chunk. A row is the stream's next ``width`` normals whatever the
+    chunk size, and the outputs are joined in row order.
     """
-    step, width = ring[0].shape
-    for start in range(0, rows, step):
-        n = min(step, rows - start)
-        if start >= take:
-            rng.standard_normal((n, width))
-            continue
-        ring.rotate(-1)
-        yield rng.standard_normal(out=ring[-1][:n])[: take - start]
+    rng = np.random.Generator(np.random.SFC64(stream))
+    step = min(rows, max(1, _CHUNK_VALUES // width))
+    buffer = np.empty((step, width))
+    parts = [
+        measure(rng.standard_normal(out=buffer[: min(step, rows - start)])) for start in range(0, rows, step)
+    ]
+    return [np.concatenate(outputs) for outputs in zip(*parts)]
 
 
-def _bounded_submit(pool: ThreadPoolExecutor, limit: int):
-    """``pool.submit`` that waits on the oldest task once more than ``limit`` are in flight.
-
-    The draws then run ahead of the kernels by a bounded amount of memory.
-    """
-    pending: deque = deque()
-
-    def submit(fn, *args):
-        future = pool.submit(fn, *args)
-        pending.append(future)
-        if len(pending) > limit:
-            pending.popleft().result()
-        return future
-
-    return submit
-
-
-def _after(measure, z: np.ndarray, tail_future):
-    """``measure`` on an evaluation-half chunk and its tail-half chunk's outputs."""
-    return measure(z, *tail_future.result())
-
-
-def _submit_block(pool: ThreadPoolExecutor, limit: int, measure, tail, width: int, stream, take: int):
-    """Draws one block from its stream, submitting each chunk to ``pool`` as it is drawn.
-
-    Returns the futures of ``measure``'s outputs, in row order, with at most
-    ``limit`` in flight at once; see ``_block_outputs`` for ``tail``. The
-    block's chunks are drawn into a ring of ``limit`` + 1 buffers, so drawing
-    allocates no fresh memory per chunk: chunk k goes into buffer
-    k mod (limit + 1), and by the time it is drawn, ``submit`` has waited on
-    chunk k - limit - 1, that buffer's last. This holds only if every chunk
-    drawn into the ring is submitted, and only if no kernel's output is a
-    view of its chunk.
-    """
-    rng = np.random.default_rng(stream)
-    submit = _bounded_submit(pool, limit)
-    ring = deque(np.empty((limit + 1, max(1, _CHUNK_VALUES // width), width)))
-    chunks = _draw_chunks(rng, ring, take, take if tail is None else BLOCK_SIZE)
-    if tail is None:
-        return [submit(measure, z) for z in chunks]
-    tails = [submit(tail, z) for z in chunks]
-    evals = _draw_chunks(rng, ring, take, take)
-    return [submit(_after, measure, z, t) for z, t in zip(evals, tails)]
-
-
-def _block_outputs(measure, m: int, replications: int, seed: int, tail=None):
+def _block_outputs(measure, width: int, replications: int, seed: int):
     """Each block's row count and ``measure``'s outputs over its rows, in block order.
 
-    Without ``tail`` a row is m normals and ``measure`` takes a chunk of rows.
-    With it a row is a tail half and an evaluation half of m/2 normals, and
-    the stream holds a whole block of tail halves first: each tail-half chunk
-    is measured by ``tail`` as it is drawn, and ``measure`` takes the
-    matching evaluation-half chunk followed by ``tail``'s outputs. The
-    calling thread draws the even blocks and a second thread the odd ones, so
-    block i + 1 is drawn while block i is, and a pool measures each chunk
-    while the next is drawn (NumPy releases the GIL in both); a one-block row
-    uses the calling thread alone to draw. A lone drawing thread bounds the
-    row's time, so it keeps a core to itself and the measuring pool gets the
-    others, at least one thread; beside two drawing threads the pool has a thread per core, as the
-    kernels cost nearly as much CPU as the draws and one thread, sharing the
-    cores with both, falls behind them. Each block keeps at most two chunks
-    per measuring thread in flight.
+    Block i holds rows i BLOCK_SIZE onwards, draws them from the i-th
+    SeedSequence child of ``seed`` and is drawn and measured by one thread
+    (``_measure_block``; NumPy releases the GIL in both). The calling thread
+    takes the blocks i with i % _CORES == 0, and a pool of _CORES - 1
+    threads the others, at most one period of _CORES blocks ahead of it:
+    every thread works on its own block, and a row of a few blocks still
+    spreads over every core.
     """
     n_blocks = (replications + BLOCK_SIZE - 1) // BLOCK_SIZE
     streams = np.random.SeedSequence(seed).spawn(n_blocks)
     takes = [min(BLOCK_SIZE, replications - i * BLOCK_SIZE) for i in range(n_blocks)]
-    width = m if tail is None else m // 2
-    workers = max(1, _CORES - 1) if n_blocks == 1 else _CORES
+    blocks = [partial(_measure_block, measure, width, stream, take) for stream, take in zip(streams, takes)]
     # imported here, where a lab row starts its threads, so that importing bontea, its CLI or
     # its trainer loads neither concurrent.futures nor the logging and queue modules it brings
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(workers) as pool, ThreadPoolExecutor(1) as ahead:
-        draw = partial(_submit_block, pool, 2 * workers, measure, tail, width)
-        for i, (stream, take) in enumerate(zip(streams, takes)):
-            if i % 2 == 0:
-                if i + 1 < n_blocks:
-                    odd = ahead.submit(draw, streams[i + 1], takes[i + 1])
-                futures = draw(stream, take)
+    def pool_blocks(period: int):
+        return range(period * _CORES + 1, min((period + 1) * _CORES, n_blocks))
+
+    # a pool that is never given a block starts no thread
+    with ThreadPoolExecutor(max(1, _CORES - 1)) as pool:
+        futures = {i: pool.submit(blocks[i]) for i in pool_blocks(0)}
+        for i, take in enumerate(takes):
+            if i % _CORES:
+                outputs = futures.pop(i).result()
             else:
-                futures = odd.result()
-            parts = [future.result() for future in futures]
-            yield take, [np.concatenate(outputs) for outputs in zip(*parts)]
+                futures.update((j, pool.submit(blocks[j])) for j in pool_blocks(i // _CORES + 1))
+                outputs = blocks[i]()
+            yield take, outputs
 
 
 class _MomentAccumulator:
@@ -621,12 +578,12 @@ def estimator_bias_variance(
     # a tag's gradients are its own bias samples; the cross-fitted rule's come from its RB path
     bias_acc = _MomentAccumulator(d) if rule == "prefix-tea" else acc
     # a row of more than one block fits the control-variate coefficients on its first
-    # min(PILOT_SIZE, replications // 4) >= 1024 replications, in whole blocks short of the last
+    # min(PILOT_SIZE, replications // 4) replications, rounded up to whole blocks short of the last
     n_pilot = -(-min(PILOT_SIZE, replications // 4) // BLOCK_SIZE) if replications > BLOCK_SIZE else 0
     pilot: list[list[np.ndarray]] = []
     zero_rows = 0
-    measure, tail = _gradient_kernel(rule, spec, params, m)
-    for i, (take, (grads, *rb_path, nonzero)) in enumerate(_block_outputs(measure, m, replications, seed, tail)):
+    measure, width = _gradient_kernel(rule, spec, params, m)
+    for i, (take, (grads, *rb_path, nonzero)) in enumerate(_block_outputs(measure, width, replications, seed)):
         acc.add(grads)
         zero_rows += int(take - nonzero.sum())
         if not rb_path:

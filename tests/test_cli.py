@@ -883,9 +883,9 @@ class TestRefusedAllocation:
             (["eval-bon", "-i", "{pools}", "--baseline", "{pools}", "--resamples", "1000000000000000"],
              "(4, 1000000000000000)", []),
             (["train-synth", "--steps", "1", "--eval-samples", "1000000000000000"], "(8, 1000000000000000)", []),
-            # the lab's ring of chunk buffers, as many as its threads need; its header is already written
+            # the lab block's chunk buffer, one row at this width; its header is already written
             (["synth-bias-variance", "--rules", "tea", "--m-grid", "100000000000000", "--replications", "1000"],
-             ", 1, 100000000000000)", ["estimator,m,bias_norm,variance,mse_p1,mse_p2048,mse_p65536,replications,seed"]),
+             "(1, 100000000000000)", ["estimator,m,bias_norm,variance,mse_p1,mse_p2048,mse_p65536,replications,seed"]),
         ],
         ids=["eval-bon", "train-synth", "synth-bias-variance"],
     )

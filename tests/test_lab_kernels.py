@@ -161,12 +161,23 @@ class TestPrefix:
             assert_matches(got, ref)
 
     def test_block_measures_its_draws(self):
+        # a row is sizes[-1] tail-half normals, then sizes[-1] evaluation-half ones
         kernel = _PrefixCrossFit(64, SPEC, RuleParams())
-        [(_, got)] = _block_outputs(kernel.evaluate, 64, BLOCK_SIZE, seed=5, tail=kernel.tail)
-        rng = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
-        z_a = rng.standard_normal((BLOCK_SIZE, 32))
-        z_b = rng.standard_normal((BLOCK_SIZE, 32))
-        for a, b in zip(got, kernel.evaluate(z_b, *kernel.tail(z_a))):
+        half = kernel.sizes[-1]
+        [(_, got)] = _block_outputs(kernel.measure, 2 * half, BLOCK_SIZE, seed=5)
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(5).spawn(1)[0]))
+        z = rng.standard_normal((BLOCK_SIZE, 2 * half))
+        for a, b in zip(got, measure(kernel, z[:, :half], z[:, half:])):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("m", [64, 512, 4096])
+    def test_halves_are_read_no_further_than_the_largest_prefix(self, m):
+        # the lab draws sizes[-1] normals per half, not m/2: the rest must change no bit
+        kernel = _PrefixCrossFit(m, SPEC, RuleParams())
+        half = kernel.sizes[-1]
+        z_a, z_b = np.random.default_rng(300 + m).standard_normal((2, 64, m // 2))
+        got = kernel.measure(np.concatenate([z_a[:, :half], z_b[:, :half]], axis=1))
+        for a, b in zip(got, measure(kernel, z_a, z_b)):
             np.testing.assert_array_equal(a, b)
 
     def test_ties_between_batches(self):

@@ -83,6 +83,11 @@ def quadrature_h(eta: TailVector, spec: SyntheticSpec) -> np.ndarray:
     return np.array(out)
 
 
+def block_rng(seed: int, n_blocks: int, i: int) -> np.random.Generator:
+    """The stream block i of a row of ``n_blocks`` blocks under ``seed`` draws from."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed).spawn(n_blocks)[i]))
+
+
 def h_population(eta: TailVector, spec: SyntheticSpec) -> np.ndarray:
     return _h_batch(eta.r, eta.mu, eta.sigma, spec)
 
@@ -286,12 +291,10 @@ class TestMeasurementEngine:
         # the per-replication fallback must produce the same induced gradients
         # as computing the rule directly on the same streams
         from bontea.advantages import compute_rules
-        from bontea.synth import BLOCK_SIZE
 
         reps, m = 1_000, 16
         row = estimator_bias_variance("grpo", SPEC, m=m, replications=reps, seed=9)
-        streams = np.random.SeedSequence(9).spawn(1)
-        z = np.random.default_rng(streams[0]).standard_normal((BLOCK_SIZE, m))[:reps]
+        z = block_rng(9, 1, 0).standard_normal((reps, m))
         adv = np.stack([compute_rules("grpo", row_z[None, :], RuleParams())[0] for row_z in z])
         # (1/m) sum_i A_i S(z_i), with S_c(z) = 1{z >= t_c} - (1 - Phi(t_c))
         thresholds = np.array(SPEC.score_thresholds)
@@ -303,24 +306,24 @@ class TestMeasurementEngine:
 class TestSchedule:
     """Rows depend on the seed and replication count only, not on how blocks are split."""
 
-    # two whole blocks and a partial one; the prefix pilot fits on the first block
+    # eight whole blocks and a partial one; the prefix pilot fits on the first three
     REPLICATIONS = 2 * 4096 + 1000
-    # 1, 2 and 4 cores give 1, 2 and 4 measuring threads beside two drawing threads,
-    # and 1, 1 and 3 beside one; chunks of 8, 64, 256 and 4096 rows at width 64. A block
-    # draws its chunks into a ring of at most 9 buffers, which chunks of 8 rows lap 57 times
-    SCHEDULES = [(cores, rows * 64) for cores in (1, 2, 4) for rows in (8, 64, 256, 4096)]
+    # 1, 2 and 4 cores give the calling thread every block, every second or every fourth;
+    # chunks of 8, 100 and 1024 rows at width 64, up to a whole block, and of one row,
+    # the slowest schedule, on two cores alone
+    SCHEDULES = [(cores, rows * 64) for cores in (1, 2, 4) for rows in (8, 100, 1024)] + [(2, 64)]
     RULES = [("tea", 64), ("oracle", 64), ("prefix-tea", 64), ("prefix-tea-raw", 64), ("grpo-z", 16)]
 
     @pytest.mark.parametrize("rule, m", RULES)
     def test_rows_are_bitwise_identical_on_every_schedule(self, monkeypatch, rule, m):
         import bontea.synth as synth
 
-        assert synth.BLOCK_SIZE == 4096 and self.REPLICATIONS % synth.BLOCK_SIZE
+        assert self.REPLICATIONS // synth.BLOCK_SIZE > 4 and self.REPLICATIONS % synth.BLOCK_SIZE
         self.assert_same_on_every_schedule(monkeypatch, rule, m, self.REPLICATIONS)
 
     @pytest.mark.parametrize("rule, m", RULES)
-    def test_one_block_rows_are_bitwise_identical_on_every_schedule(self, monkeypatch, rule, m):
-        # one drawing thread, which keeps a core to itself; the pilot takes the whole block
+    def test_one_period_rows_are_bitwise_identical_on_every_schedule(self, monkeypatch, rule, m):
+        # three whole blocks and a partial one: on 4 cores each thread takes one block
         self.assert_same_on_every_schedule(monkeypatch, rule, m, 4000)
 
     def assert_same_on_every_schedule(self, monkeypatch, rule, m, replications):
@@ -339,12 +342,12 @@ class TestSchedule:
             assert row.variance_se == first.variance_se
             assert row.mse_at_p == first.mse_at_p
 
-    # three whole blocks and a partial one: block i + 2 is drawn once block i is
+    # twelve whole blocks and a partial one: on 5 cores, the pool runs up to a period ahead
     AHEAD_REPLICATIONS = 3 * 4096 + 1000
 
     @pytest.mark.parametrize("rule", ["tea", "prefix-tea"])
     def test_drawing_ahead_keeps_rows_bitwise(self, monkeypatch, rule):
-        # more measuring threads than cores, switching often, must not reorder anything
+        # more threads than cores, switching often, must not reorder anything
         import sys
 
         import bontea.synth as synth
@@ -365,46 +368,70 @@ class TestSchedule:
             assert (row.variance, row.variance_se) == (first.variance, first.variance_se)
 
     def test_blocks_merge_in_stream_order(self):
-        # one block at a time from its own stream, as if nothing were drawn ahead
+        # one block at a time from its own stream, as if one thread measured them all
         from bontea.synth import BLOCK_SIZE, _tea_block
 
         reps = self.AHEAD_REPLICATIONS
+        n_blocks = -(-reps // BLOCK_SIZE)
         acc = _MomentAccumulator(2)
-        for i, stream in enumerate(np.random.SeedSequence(29).spawn(4)):
+        for i in range(n_blocks):
             take = min(BLOCK_SIZE, reps - i * BLOCK_SIZE)
-            z = np.random.default_rng(stream).standard_normal((take, 64))
+            z = block_rng(29, n_blocks, i).standard_normal((take, 64))
             acc.add(_tea_block(z, SPEC, DEFAULT_EPS_SIGMA)[0])
         row = estimator_bias_variance("tea", SPEC, 64, reps, seed=29)
         np.testing.assert_array_equal(row.bias_vec, acc.mean() - true_gradient(SPEC))
         assert row.variance == float(acc.var().sum())
 
+    def test_two_cores_measure_on_two_threads(self, monkeypatch):
+        # the calling thread takes blocks 0 and 2 and the pool's thread blocks 1 and 3
+        import threading
+
+        import bontea.synth as synth
+
+        threads = set()
+        block = synth._tea_block
+
+        def recorded(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return block(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "_CORES", 2)
+        monkeypatch.setattr(synth, "_tea_block", recorded)
+        # set-ups are cached: the row must set up the wrapped kernel, and no later row keep it
+        synth._gradient_kernel.cache_clear()
+        try:
+            estimator_bias_variance("tea", SPEC, 64, 4096, seed=37)
+        finally:
+            synth._gradient_kernel.cache_clear()
+        assert len(threads) == 2
+
 
 class TestFrozenRows:
     """Rows pinned bit for bit, so a change to the lab's schedule or kernels cannot move them.
 
-    Two whole blocks and a partial one at m = 64, seed 31; the prefix-tea row
-    fits its control-variate coefficients on the first block (the pilot path).
+    Eight whole blocks and a partial one at m = 64, seed 31; the prefix-tea row
+    fits its control-variate coefficients on the first three (the pilot path).
     Values are ``float.hex`` of bias_vec, bias_se, variance and variance_se.
     """
 
     ROWS = {
         "tea": (
-            ("-0x1.f02d2fff49e90p-6", "-0x1.0b8bc44576264p-4"),
-            ("0x1.29561bb637e9ep-9", "0x1.0a40ffb58dccfp-9"),
-            "0x1.5d1cede273ae2p-4",
-            "0x1.0a2dc92dd164ep-10",
+            ("-0x1.1165ef48b5160p-5", "-0x1.1bc61e70e0d0cp-4"),
+            ("0x1.2afc761fb41ecp-9", "0x1.0b5a251c2620cp-9"),
+            "0x1.608daaacde840p-4",
+            "0x1.1652e62a9ebbfp-10",
         ),
         "oracle": (
-            ("0x1.e526245e6b980p-8", "0x1.1e00c0ddb3080p-7"),
-            ("0x1.d2a481e691149p-9", "0x1.fd12be10ef1fbp-9"),
-            "0x1.054af084be4b1p-2",
-            "0x1.ea5d426ac2dd8p-9",
+            ("0x1.67364674bd400p-11", "0x1.856a4c80c3600p-11"),
+            ("0x1.d34fb9733b3f0p-9", "0x1.fd81eaf44ced1p-9"),
+            "0x1.05e0982fda051p-2",
+            "0x1.0e40a62703b55p-8",
         ),
         "prefix-tea": (
-            ("-0x1.4cde23ca84405p-2", "-0x1.20240dcb6eefap-2"),
-            ("0x1.d1dec331d0921p-6", "0x1.8188757127fccp-6"),
-            "0x1.6559504b2b37cp+4",
-            "0x1.b235d52219c68p+0",
+            ("-0x1.47943afb6e467p-2", "-0x1.1aa8bf7c8d566p-2"),
+            ("0x1.b7652b9be2babp-6", "0x1.722002fffa602p-6"),
+            "0x1.4a93df28fe798p+4",
+            "0x1.577fd03844123p+0",
         ),
     }
 
@@ -429,11 +456,10 @@ def _slowed(fn):
 
 
 class TestChunkRing:
-    """Each block draws its chunks into a ring of reused buffers.
+    """Each block draws its chunks, one after the other, into one buffer its thread reuses.
 
-    A buffer is drawn into again once the chunk in it is measured, so no
-    kernel output may be a view of its chunk, and no chunk may be drawn over
-    while it is measured, however slowly.
+    A chunk is drawn over by the next once it is measured, so no kernel
+    output may be a view of its chunk, and a slow kernel must not change a row.
     """
 
     @pytest.mark.parametrize("rule", [tag for tag in LAB_TAGS if tag != "prefix-tea"])
@@ -452,20 +478,19 @@ class TestChunkRing:
         outputs = (*tail, *kernel.evaluate(z_b, *tail))
         assert not any(np.shares_memory(out, z) for out in outputs for z in (z_a, z_b))
 
-    # float.hex of bias_vec, bias_se, variance and variance_se, from chunks drawn afresh;
-    # the last block is partial, so a prefix-tea row also draws tail halves it never measures
+    # float.hex of bias_vec, bias_se, variance and variance_se; the last block is partial
     SLOW_ROWS = {
         ("prefix-tea", 1024, 7096): (
-            ("-0x1.b6a37b36f2900p-10", "-0x1.1bc9ec93fe100p-10"),
-            ("0x1.51485094d5a62p-10", "0x1.9f481d59c5482p-11"),
-            "0x1.9b3eb5230d4ecp-3",
-            "0x1.681e31571ee82p-9",
+            ("0x1.3275eb988a000p-13", "0x1.45b2b870a4000p-15"),
+            ("0x1.06c1069f0e30ap-10", "0x1.49b71e2bc8dbcp-11"),
+            "0x1.9c6a3fd9d0dc0p-3",
+            "0x1.6dc08bbe9fcd5p-9",
         ),
         ("tea", 256, 5000): (
-            ("-0x1.472a05c614a20p-7", "-0x1.2d75ba0227e40p-6"),
-            ("0x1.bc623d94eb66cp-10", "0x1.6c4b56acb6898p-10"),
-            "0x1.899d26e533257p-6",
-            "0x1.7b0d3e4b15b28p-12",
+            ("-0x1.6b55fbb9a7080p-7", "-0x1.2a6f313d19080p-6"),
+            ("0x1.c0c074a662f46p-10", "0x1.6c313efc57c29p-10"),
+            "0x1.8e2d0e8871877p-6",
+            "0x1.83807d720de74p-12",
         ),
     }
 
@@ -521,7 +546,7 @@ def test_lab_threads_are_not_imported_with_the_cli_or_trainer():
 
 
 def test_prefix_row_never_holds_a_block(monkeypatch):
-    """With one measuring thread, a prefix-tea block of m = 1024 peaks below one (4096, 512) half."""
+    """With one thread, a prefix-tea row of one block at m = 1024 peaks below one (BLOCK_SIZE, 512) half."""
     import tracemalloc
 
     import bontea.synth as synth
@@ -538,12 +563,12 @@ def test_prefix_row_never_holds_a_block(monkeypatch):
 
 
 def test_two_block_prefix_row_holds_less_than_two_halves(monkeypatch):
-    """Two blocks drawn at once, with one measuring thread, peak below two (4096, 512) halves."""
+    """Two blocks measured at once, on two threads, peak below two (BLOCK_SIZE, 512) halves."""
     import tracemalloc
 
     import bontea.synth as synth
 
-    monkeypatch.setattr(synth, "_CORES", 1)
+    monkeypatch.setattr(synth, "_CORES", 2)
     estimator_bias_variance("prefix-tea", SPEC, 64, 1000, seed=1)  # warm the caches
     tracemalloc.start()
     try:
